@@ -10,7 +10,6 @@ mu1 + mu2 without ancillas, mu1 + mu2 + mu3 with them.
 import numpy as np
 
 from entcap import (
-    ancilla_rate_factor,
     canonical_form,
     capacity_from_spectrum,
     capacity_rate_factor,
@@ -45,8 +44,8 @@ print(f"  peak total rate for mu = (1, 0.5, 0.2): {max_capacity_rate(p0, 1.0, 0.
 
 print()
 print("Ancilla-assisted spectrum (p, (1-p)/3 x3)")
-pt_grid, _ = grid_argmax(lambda p: ancilla_rate_factor(p, "e"), 0.0, 1.0, 10**6)
-pt, ft = maximize_scalar(lambda p: ancilla_rate_factor(p, "e"), pt_grid - 1e-5, pt_grid + 1e-5, tol=1e-12)
+pt_grid, _ = grid_argmax(lambda p: capacity_rate_factor(p, "e", k=3), 0.0, 1.0, 10**6)
+pt, ft = maximize_scalar(lambda p: capacity_rate_factor(p, "e", k=3), pt_grid - 1e-5, pt_grid + 1e-5, tol=1e-12)
 cap = capacity_from_spectrum([pt] + [(1 - pt) / 3] * 3, "e").capacity
 print(f"  best weight p~0 = {pt:.6f},  |factor| = {abs(ft):.6f},  C_E = {cap:.6f}")
 print()

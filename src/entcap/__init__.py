@@ -40,7 +40,6 @@ from .measures import (
 from .dynamics import (
     NonlocalHamiltonian,
     Trajectory,
-    ancilla_rate_factor,
     canonical_form,
     capacity_gradient,
     capacity_rate_factor,

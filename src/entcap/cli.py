@@ -9,13 +9,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from .core import ConfigurationError, DomainError
 from .dynamics import (
-    ancilla_rate_factor,
     capacity_rate_factor,
     grid_argmax,
     max_entangling_element,
@@ -46,60 +45,85 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 
 
+def parse_grid_spec(value) -> dict:
+    """Grid specs name -> (lo, hi, count) from 'name=lo:hi:count,...' text or a JSON mapping."""
+    if isinstance(value, str):
+        pieces = [piece.split("=") for piece in value.split(",") if piece.strip()]
+        value = {name.strip(): spec.split(":") for name, spec in pieces}
+    return {name: (float(lo), float(hi), int(count)) for name, (lo, hi, count) in dict(value).items()}
+
+
+def _floats(value) -> tuple:
+    """Floats from comma-separated flag text or from a JSON list."""
+    items = value.split(",") if isinstance(value, str) else value
+    return tuple(float(x) for x in items if not isinstance(x, str) or x.strip())
+
+
+def _triple(value) -> tuple:
+    out = _floats(value)
+    if len(out) != 3:
+        raise ValueError(f"expected 3 values, got {len(out)}")
+    return out
+
+
+def _option(default, convert, help=None, choices=None):
+    """A RunConfig field; flags and JSON keys both pass through ``convert``."""
+    meta = {"convert": convert, "help": help, "choices": choices}
+    if isinstance(default, dict):
+        return field(default_factory=dict, metadata=meta)
+    return field(default=default, metadata=meta)
+
+
 @dataclass
 class RunConfig:
-    """Flat, JSON-serializable description of one CLI run."""
+    """Flat, JSON-serializable description of one CLI run; each field is one flag."""
 
-    command: str = ""
-    log_base: str = "e"
-    seed: int = 0
-    out: str | None = None
-    grid: dict = field(default_factory=dict)
-    tol: dict = field(default_factory=dict)
-    theta: float = 1.0
-    theta_list: tuple = (0.5, 1.0)
-    t_max: float = 0.45
-    samples: int = 10000
-    family: int = 1
-    lambda_count: int = 101
-    method: str = "analytic"
-    target: str = ""
-    mu: tuple = (1.0, 0.5, 0.2)
-    suite: str = "all"
-    n_samples: int = 200
+    command: str = _option("", str, choices=("figure1", "figure2", "figures34", "maximize", "verify"))
+    log_base: str = _option("e", str, choices=("2", "e"))
+    seed: int = _option(0, int)
+    out: str | None = _option(None, str, "output path (default: stdout)")
+    grid: dict = _option({}, parse_grid_spec, "comma-separated name=lo:hi:count specs")
+    theta: float = _option(1.0, float)
+    theta_list: tuple = _option((0.5, 1.0), _floats, "comma-separated figure2 thetas")
+    t_max: float = _option(0.45, float)
+    samples: int = _option(10000, int, "quadrature nodes (figure2 floors this at 200001 "
+                                       "for the 1e-9 bound margin)")
+    family: int = _option(1, int)
+    lambda_count: int = _option(101, int)
+    method: str = _option("analytic", str, choices=("analytic", "numeric"))
+    target: str = _option("", str, "maximize target: rate-factor, ancilla-factor, beta or h-max")
+    mu: tuple = _option((1.0, 0.5, 0.2), _triple, "comma-separated mu1,mu2,mu3 for h-max")
+    suite: str = _option("all", str, choices=("bounds", "properties", "all"))
+    n_samples: int = _option(200, int)
 
     def to_json(self) -> str:
-        d = {k: (list(v) if isinstance(v, tuple) else v) for k, v in self.__dict__.items()}
-        return json.dumps(d, sort_keys=True, indent=2)
+        return json.dumps(asdict(self), sort_keys=True, indent=2)
+
+    @classmethod
+    def from_values(cls, values: dict) -> "RunConfig":
+        """Config from raw flag strings or JSON values; None keeps a field's default."""
+        schema = {f.name: f for f in fields(cls)}
+        kwargs = {}
+        for key, value in values.items():
+            if key not in schema:
+                raise ConfigurationError(f"unknown config key {key!r}")
+            if value is None:
+                continue
+            meta = schema[key].metadata
+            try:
+                kwargs[key] = meta["convert"](value)
+            except (TypeError, ValueError) as exc:
+                raise ConfigurationError(f"bad value for {key}: {value!r} ({exc})") from exc
+            if meta["choices"] and kwargs[key] not in meta["choices"]:
+                raise ConfigurationError(f"{key} must be one of {', '.join(meta['choices'])}, got {value!r}")
+        return cls(**kwargs)
 
     @classmethod
     def from_json(cls, text: str) -> "RunConfig":
         data = json.loads(text)
-        cfg = cls()
-        for key, value in data.items():
-            if not hasattr(cfg, key):
-                raise ConfigurationError(f"unknown config key {key!r}")
-            current = getattr(cfg, key)
-            if isinstance(current, tuple):
-                value = tuple(value)
-            setattr(cfg, key, value)
-        return cfg
-
-
-def parse_grid_spec(text: str) -> dict:
-    """Parse 'name=lo:hi:count' comma-separated grid specs."""
-    out = {}
-    for piece in text.split(","):
-        piece = piece.strip()
-        if not piece:
-            continue
-        try:
-            name, spec = piece.split("=")
-            lo, hi, count = spec.split(":")
-            out[name.strip()] = (float(lo), float(hi), int(count))
-        except ValueError as exc:
-            raise ConfigurationError(f"bad grid spec {piece!r}, expected name=lo:hi:count") from exc
-    return out
+        if not isinstance(data, dict):
+            raise ConfigurationError("config document must be a JSON object")
+        return cls.from_values(data)
 
 
 def _fmt(x: float) -> str:
@@ -107,12 +131,8 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def write_csv(path: str | None, metadata: dict, header: list[str], rows) -> None:
-    lines = ["# " + " ".join(f"{k}={v}" for k, v in metadata.items())]
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_fmt(x) if isinstance(x, float) else str(x) for x in row))
-    text = "\n".join(lines) + "\n"
+def write_text(path: str | None, text: str) -> None:
+    """Write a command's output to ``path``, or to stdout when no path is given."""
     if path is None:
         sys.stdout.write(text)
         return
@@ -120,7 +140,15 @@ def write_csv(path: str | None, metadata: dict, header: list[str], rows) -> None
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
-        raise IOError(f"cannot write output to {path}: {exc}") from exc
+        raise OSError(f"cannot write output to {path}: {exc}") from exc
+
+
+def write_csv(path: str | None, metadata: dict, header: list[str], rows) -> None:
+    lines = ["# " + " ".join(f"{k}={v}" for k, v in metadata.items())]
+    lines.append(",".join(header))
+    for row in rows:
+        lines.append(",".join(_fmt(x) if isinstance(x, float) else str(x) for x in row))
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def cmd_figure1(cfg: RunConfig) -> int:
@@ -187,26 +215,25 @@ def cmd_figures34(cfg: RunConfig) -> int:
 def cmd_maximize(cfg: RunConfig) -> int:
     base = cfg.log_base
     lines = [f"# command=maximize target={cfg.target} log_base={base}"]
-    if cfg.target == "rate-factor":
-        x0, v0 = grid_argmax(lambda p: capacity_rate_factor(p, base), 0.0, 1.0, 1_000_000)
-        x, v = maximize_scalar(lambda p: capacity_rate_factor(p, base), max(x0 - 1e-5, 0.0),
-                               min(x0 + 1e-5, 1.0), tol=1e-12)
-        lines.append(f"maximizer p0={_fmt(x)}")
-        lines.append(f"value={_fmt(v)}")
-        lines.append(f"capacity_at_maximizer={_fmt(capacity_two_qubit_closed(x, base))}")
-        lines.append(f"reported_value={_fmt(REPORTED_RATE_FACTOR)}")
-        lines.append(f"discrepancy={_fmt(abs(v - REPORTED_RATE_FACTOR))}")
-        lines.append("note=direct evaluation of the printed rate expression is twice the reported value")
-    elif cfg.target == "ancilla-factor":
-        x0, v0 = grid_argmax(lambda p: ancilla_rate_factor(p, base), 0.0, 1.0, 1_000_000)
-        x, v = maximize_scalar(lambda p: ancilla_rate_factor(p, base), max(x0 - 1e-5, 0.0),
-                               min(x0 + 1e-5, 1.0), tol=1e-12)
-        weights = [x] + [(1.0 - x) / 3.0] * 3
+    if cfg.target in ("rate-factor", "ancilla-factor"):
+        k, reported = (1, REPORTED_RATE_FACTOR) if cfg.target == "rate-factor" else (3, REPORTED_ANCILLA_FACTOR)
+
+        def factor(p):
+            return capacity_rate_factor(p, base, k)
+
+        x0, _ = grid_argmax(factor, 0.0, 1.0, 1_000_000)
+        x, v = maximize_scalar(factor, max(x0 - 1e-5, 0.0), min(x0 + 1e-5, 1.0), tol=1e-12)
+        if k == 1:
+            capacity = capacity_two_qubit_closed(x, base)
+        else:
+            capacity = capacity_from_spectrum([x] + [(1.0 - x) / k] * k, base).capacity
         lines.append(f"maximizer p0={_fmt(x)}")
         lines.append(f"value={_fmt(abs(v))}")
-        lines.append(f"capacity_at_maximizer={_fmt(capacity_from_spectrum(weights, base).capacity)}")
-        lines.append(f"reported_value={_fmt(REPORTED_ANCILLA_FACTOR)}")
-        lines.append(f"discrepancy={_fmt(abs(abs(v) - REPORTED_ANCILLA_FACTOR))}")
+        lines.append(f"capacity_at_maximizer={_fmt(capacity)}")
+        lines.append(f"reported_value={_fmt(reported)}")
+        lines.append(f"discrepancy={_fmt(abs(abs(v) - reported))}")
+        if k == 1:
+            lines.append("note=direct evaluation of the printed rate expression is twice the reported value")
     elif cfg.target == "beta":
         from .self_inverse import max_entropy_rate_constant
 
@@ -223,15 +250,7 @@ def cmd_maximize(cfg: RunConfig) -> int:
         lines.append(f"discrepancy={_fmt(abs(analytic - numeric))}")
     else:
         raise ConfigurationError(f"unknown maximize target {cfg.target!r}")
-    text = "\n".join(lines) + "\n"
-    if cfg.out:
-        try:
-            with open(cfg.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise IOError(str(exc)) from exc
-    else:
-        sys.stdout.write(text)
+    write_text(cfg.out, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
@@ -239,72 +258,36 @@ def cmd_verify(cfg: RunConfig) -> int:
     results = run_suite(cfg.suite, cfg.n_samples, cfg.seed, cfg.log_base)
     report = f"# command=verify suite={cfg.suite} n_samples={cfg.n_samples} seed={cfg.seed} log_base={cfg.log_base}\n"
     report += format_report(results)
-    if cfg.out:
-        try:
-            with open(cfg.out, "w", encoding="utf-8") as fh:
-                fh.write(report)
-        except OSError as exc:
-            raise IOError(str(exc)) from exc
-    else:
-        sys.stdout.write(report)
+    write_text(cfg.out, report)
     return EXIT_OK if hard_failures(results) == 0 else EXIT_HARD_FAILURE
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One ``--flag-name`` per RunConfig field, parsed as text and converted by RunConfig."""
     parser = argparse.ArgumentParser(
         prog="entcap",
         description="Capacity-of-entanglement figures, maximizers, and verification suites.",
     )
-    parser.add_argument("--command", required=False,
-                        choices=["figure1", "figure2", "figures34", "maximize", "verify"])
-    parser.add_argument("--log-base", choices=["2", "e"], default="e")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--out", default=None)
-    parser.add_argument("--grid", default="", help="comma-separated name=lo:hi:count specs")
-    parser.add_argument("--tol", default="", help="comma-separated name=value overrides")
-    parser.add_argument("--config", default=None, help="JSON config document overriding flags")
-    parser.add_argument("--theta", type=float, default=1.0)
-    parser.add_argument("--theta-list", default="0.5,1.0")
-    parser.add_argument("--t-max", type=float, default=0.45)
-    parser.add_argument("--samples", type=int, default=10000,
-                        help="quadrature nodes (figure2 floors this at 200001 for the 1e-9 bound margin)")
-    parser.add_argument("--family", type=int, default=1)
-    parser.add_argument("--lambda-count", type=int, default=101)
-    parser.add_argument("--method", choices=["analytic", "numeric"], default="analytic")
-    parser.add_argument("--target", default="")
-    parser.add_argument("--mu", default="1.0,0.5,0.2")
-    parser.add_argument("--suite", choices=["bounds", "properties", "all"], default="all")
-    parser.add_argument("--n-samples", type=int, default=200)
+    for f in fields(RunConfig):
+        choices = f.metadata["choices"]
+        parser.add_argument("--" + f.name.replace("_", "-"), help=f.metadata["help"],
+                            metavar="{" + ",".join(choices) + "}" if choices else None)
+    parser.add_argument("--config", help="JSON config document (keys are the flag names with "
+                                         "underscores) used in place of all other flags")
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(
-        command=args.command or "",
-        log_base=args.log_base,
-        seed=args.seed,
-        out=args.out,
-        grid=parse_grid_spec(args.grid),
-        tol={k: float(v) for k, v in
-             (piece.split("=") for piece in args.tol.split(",") if piece.strip())},
-        theta=args.theta,
-        theta_list=tuple(float(x) for x in args.theta_list.split(",") if x.strip()),
-        t_max=args.t_max,
-        samples=args.samples,
-        family=args.family,
-        lambda_count=args.lambda_count,
-        method=args.method,
-        target=args.target,
-        mu=tuple(float(x) for x in args.mu.split(",") if x.strip()),
-        suite=args.suite,
-        n_samples=args.n_samples,
-    )
-    if args.config:
+    values = dict(vars(args))
+    path = values.pop("config")
+    if path is None:
+        cfg = RunConfig.from_values(values)
+    else:
         try:
-            with open(args.config, encoding="utf-8") as fh:
+            with open(path, encoding="utf-8") as fh:
                 cfg = RunConfig.from_json(fh.read())
         except OSError as exc:
-            raise IOError(f"cannot read config {args.config}: {exc}") from exc
+            raise OSError(f"cannot read config {path}: {exc}") from exc
     if not cfg.command:
         raise ConfigurationError("no command given (use --command or a config file)")
     return cfg
@@ -328,7 +311,7 @@ def main(argv=None) -> int:
     except (ConfigurationError, json.JSONDecodeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (IOError, OSError) as exc:
+    except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
     except DomainError as exc:

@@ -146,17 +146,19 @@ def density_from_pure(state: BipartitePureState) -> DensityOperator:
     return DensityOperator(np.outer(v, v.conj()), d_a=state.d_a, d_b=state.d_b)
 
 
+def _partial_trace_matrix(m: np.ndarray, d_a: int, d_b: int, keep: str) -> np.ndarray:
+    """Trace of an operator on A⊗B over the subsystem other than ``keep``."""
+    r = m.reshape(d_a, d_b, d_a, d_b)
+    if keep == "A":
+        return np.einsum("abcb->ac", r)
+    if keep == "B":
+        return np.einsum("abad->bd", r)
+    raise ConfigurationError(f"keep must be 'A' or 'B', got {keep!r}")
+
+
 def partial_trace(rho: DensityOperator, keep: str) -> DensityOperator:
     """Reduced operator on subsystem ``keep`` ("A" or "B")."""
-    d_a, d_b = rho.split()
-    r = rho.matrix.reshape(d_a, d_b, d_a, d_b)
-    if keep == "A":
-        red = np.einsum("abcb->ac", r)
-    elif keep == "B":
-        red = np.einsum("abad->bd", r)
-    else:
-        raise ConfigurationError(f"keep must be 'A' or 'B', got {keep!r}")
-    return DensityOperator(hermitize(red))
+    return DensityOperator(hermitize(_partial_trace_matrix(rho.matrix, *rho.split(), keep)))
 
 
 def schmidt_decompose(
@@ -228,18 +230,22 @@ def von_neumann_entropy(rho: DensityOperator, base="e") -> float:
     return max(spectrum_entropy(np.clip(w, 0.0, None), base), 0.0)
 
 
+def _leaves_support(rho: DensityOperator, sigma: DensityOperator) -> bool:
+    """True when rho puts weight above 1e-10 on the null space of sigma."""
+    ws, vs = np.linalg.eigh(sigma.matrix)
+    null = ws <= SUPPORT_CUTOFF * ws.max()
+    if not null.any():
+        return False
+    vn = vs[:, null]
+    return np.einsum("ij,jk,ki->", vn.conj().T, rho.matrix, vn).real > 1e-10
+
+
 def relative_entropy(rho: DensityOperator, sigma: DensityOperator, base="e") -> float:
     """Umegaki relative entropy; returns math.inf when supp(rho) ⊄ supp(sigma)."""
     if rho.dim != sigma.dim:
         raise DomainError("relative_entropy requires equal dimensions")
-    ws, vs = np.linalg.eigh(sigma.matrix)
-    cutoff = SUPPORT_CUTOFF * ws.max()
-    null = ws <= cutoff
-    if null.any():
-        vn = vs[:, null]
-        mass = np.einsum("ij,jk,ki->", vn.conj().T, rho.matrix, vn).real
-        if mass > 1e-10:
-            return math.inf
+    if _leaves_support(rho, sigma):
+        return math.inf
     val = np.trace(rho.matrix @ (log_on_support(rho, base) - log_on_support(sigma, base))).real
     return max(float(val), 0.0)
 

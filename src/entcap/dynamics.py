@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .core import (
     BipartitePureState,
@@ -144,8 +143,8 @@ def entangling_element(hamiltonian, phi: np.ndarray, chi: np.ndarray) -> complex
     h = _as_matrix(hamiltonian)
     phi = np.asarray(phi, dtype=complex).reshape(2)
     chi = np.asarray(chi, dtype=complex).reshape(2)
-    bra = np.kron(phi, chi).conj()
-    ket = np.kron(qubit_orthocomplement(phi), qubit_orthocomplement(chi))
+    bra = np.outer(phi, chi).ravel().conj()
+    ket = np.outer(qubit_orthocomplement(phi), qubit_orthocomplement(chi)).ravel()
     return complex(bra @ h @ ket)
 
 
@@ -182,8 +181,11 @@ def _bloch(theta: float, phi: float) -> np.ndarray:
 def max_entangling_element_numeric(hamiltonian, grid: int = 24) -> float:
     """Numeric maximum of |<phi,chi|H|phi_perp,chi_perp>| over the two Bloch spheres.
 
-    Coarse grid over the four angles followed by Nelder-Mead refinement; the
-    relative phases of the orthocomplements do not affect the magnitude.
+    Coarse grid over the four angles, then golden-section line searches
+    (bracket +-2 pi/grid) along Powell's conjugate directions, starting from
+    the angle axes; it stops once a sweep along the axes gains less than
+    1e-15.  The relative phases of the orthocomplements do not affect the
+    magnitude.
     """
     h = _as_matrix(hamiltonian)
     h4 = h.reshape(2, 2, 2, 2)
@@ -194,23 +196,40 @@ def max_entangling_element_numeric(hamiltonian, grid: int = 24) -> float:
     half = np.einsum("bj,ijkl,bl->bik", states.conj(), h4, perps)
     vals = np.abs(np.einsum("ai,bik,ak->ab", states.conj(), half, perps))
     ia, ib = np.unravel_index(np.argmax(vals), vals.shape)
-    x0 = [
-        thetas[ia // grid], phis[ia % grid],
-        thetas[ib // grid], phis[ib % grid],
-    ]
+    x = np.array([thetas[ia // grid], phis[ia % grid], thetas[ib // grid], phis[ib % grid]])
+    best = float(vals[ia, ib])
+    span = 2.0 * np.pi / grid
 
-    def neg_abs(x):
-        return -abs(entangling_element(h, _bloch(x[0], x[1]), _bloch(x[2], x[3])))
+    def value_at(angles):
+        return abs(entangling_element(h, _bloch(*angles[:2]), _bloch(*angles[2:])))
 
-    res = minimize(neg_abs, x0, method="Nelder-Mead",
-                   options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 4000})
-    return float(-res.fun)
+    def line_max(x, u, best):
+        t, v = maximize_scalar(lambda t: value_at(x + t * u), -span, span, tol=1e-12)
+        return (x + t * u, v) if v > best else (x, best)
+
+    directions = axes = list(np.eye(4))
+    while True:
+        start, x_start = best, x
+        for u in directions:
+            x, best = line_max(x, u, best)
+        if best - start >= 1e-15:
+            # Powell's update: the sweep's net move replaces the oldest direction,
+            # which follows the ridges that rotated couplings leave between angles.
+            step = x - x_start
+            directions = directions[1:] + [step / np.linalg.norm(step)]
+            x, best = line_max(x, directions[-1], best)
+        elif directions is axes:
+            return best
+        else:
+            directions = axes
 
 
-def capacity_rate_factor(p, base="e"):
-    """State factor of the capacity rate: 2 sqrt(p(1-p)) [(1-2p) log^2 r + 2 log r], r = p/(1-p).
+def capacity_rate_factor(p, base="e", k=1):
+    """State factor of the capacity rate for the spectrum (p, (1-p)/k, ..., (1-p)/k).
 
-    Vanishes by continuity at p = 0, 1/2, 1.  Accepts scalars or arrays.
+    2 sqrt(p(1-p)/k) [(1-2p) log^2 r + 2 log r] with r = k p/(1-p); k = 1 is a
+    bare qubit pair, k = 3 a qubit with maximally entangled qubit ancillas.
+    Vanishes by continuity at p = 0, 1/(k+1), 1.  Accepts scalars or arrays.
     """
     scale = log_scale(base)
     p_arr = np.asarray(p, dtype=float)
@@ -218,22 +237,8 @@ def capacity_rate_factor(p, base="e"):
         raise DomainError("p must lie in [0, 1]")
     inner = (p_arr > 0.0) & (p_arr < 1.0)
     safe = np.where(inner, p_arr, 0.5)
-    log_r = np.log(safe / (1.0 - safe)) / scale
-    val = 2.0 * np.sqrt(safe * (1.0 - safe)) * ((1.0 - 2.0 * safe) * log_r**2 + 2.0 * log_r)
-    out = np.where(inner, val, 0.0)
-    return float(out) if np.isscalar(p) else out
-
-
-def ancilla_rate_factor(p, base="e"):
-    """Rate factor for the qubit+ancilla spectrum (p, (1-p)/3, (1-p)/3, (1-p)/3)."""
-    scale = log_scale(base)
-    p_arr = np.asarray(p, dtype=float)
-    if np.any(p_arr < 0.0) or np.any(p_arr > 1.0):
-        raise DomainError("p must lie in [0, 1]")
-    inner = (p_arr > 0.0) & (p_arr < 1.0)
-    safe = np.where(inner, p_arr, 0.5)
-    log_r = np.log(3.0 * safe / (1.0 - safe)) / scale
-    val = 2.0 * np.sqrt(safe * (1.0 - safe) / 3.0) * ((1.0 - 2.0 * safe) * log_r**2 + 2.0 * log_r)
+    log_r = np.log(k * safe / (1.0 - safe)) / scale
+    val = 2.0 * np.sqrt(safe * (1.0 - safe) / k) * ((1.0 - 2.0 * safe) * log_r**2 + 2.0 * log_r)
     out = np.where(inner, val, 0.0)
     return float(out) if np.isscalar(p) else out
 

@@ -12,7 +12,7 @@ from .core import (
     ConfigurationError,
     DensityOperator,
     DomainError,
-    SUPPORT_CUTOFF,
+    _leaves_support,
     density_from_pure,
     hermitize,
     log_on_support,
@@ -309,13 +309,8 @@ def capacity_mixed(rho: DensityOperator, sigma_star: DensityOperator, base="e") 
     """
     if rho.dim != sigma_star.dim:
         raise DomainError("state and separable reference dimensions differ")
-    ws, vs = np.linalg.eigh(sigma_star.matrix)
-    null = ws <= SUPPORT_CUTOFF * ws.max()
-    if null.any():
-        vn = vs[:, null]
-        mass = np.einsum("ij,jk,ki->", vn.conj().T, rho.matrix, vn).real
-        if mass > 1e-10:
-            raise DomainError("supp(rho) is not contained in supp(sigma*)")
+    if _leaves_support(rho, sigma_star):
+        raise DomainError("supp(rho) is not contained in supp(sigma*)")
     shift = log_on_support(rho, base) - log_on_support(sigma_star, base)
     mean = np.trace(rho.matrix @ shift).real
     second = np.trace(rho.matrix @ shift @ shift).real

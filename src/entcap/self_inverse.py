@@ -7,7 +7,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BipartitePureState, DensityOperator, DomainError, hermitize, log_scale
+from .core import (
+    BipartitePureState,
+    DensityOperator,
+    DomainError,
+    _partial_trace_matrix,
+    hermitize,
+    log_scale,
+)
 from .dynamics import grid_argmax, maximize_scalar
 
 INVOLUTION_TOL = 1e-10
@@ -67,13 +74,7 @@ def liouville_rhs(hamiltonian, rho: DensityOperator) -> np.ndarray:
 
 def liouville_rhs_reduced(hamiltonian, rho: DensityOperator, keep: str) -> np.ndarray:
     """Partial trace of -i[H, rho] over the complementary subsystem."""
-    d_a, d_b = rho.split()
-    full = liouville_rhs(hamiltonian, rho).reshape(d_a, d_b, d_a, d_b)
-    if keep == "A":
-        return np.einsum("abcb->ac", full)
-    if keep == "B":
-        return np.einsum("abad->bd", full)
-    raise DomainError(f"keep must be 'A' or 'B', got {keep!r}")
+    return _partial_trace_matrix(liouville_rhs(hamiltonian, rho), *rho.split(), keep)
 
 
 @functools.cache

@@ -19,7 +19,6 @@ from entcap.core import (
 )
 from entcap.dynamics import (
     NonlocalHamiltonian,
-    ancilla_rate_factor,
     capacity_rate_factor,
     evolved_schmidt_weights,
     grid_argmax,
@@ -57,8 +56,8 @@ def report(num: int, ok: bool, detail: str) -> None:
 
 def test_criterion_01_ancilla_maximizer():
     start = time.monotonic()
-    p_grid, _ = grid_argmax(lambda p: ancilla_rate_factor(p, "e"), 0.0, 1.0, 10**6)
-    p_star, f_star = maximize_scalar(lambda p: ancilla_rate_factor(p, "e"),
+    p_grid, _ = grid_argmax(lambda p: capacity_rate_factor(p, "e", k=3), 0.0, 1.0, 10**6)
+    p_star, f_star = maximize_scalar(lambda p: capacity_rate_factor(p, "e", k=3),
                                      p_grid - 1e-5, p_grid + 1e-5, tol=1e-12)
     cap = capacity_from_spectrum([p_star] + [(1 - p_star) / 3] * 3, "e").capacity
     elapsed = time.monotonic() - start

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from entcap.cli import RunConfig, main, parse_grid_spec
+from entcap.core import ConfigurationError
 
 
 def read_csv(path):
@@ -32,6 +33,23 @@ class TestGridSpec:
     def test_bad_spec_exit_code(self, tmp_path, capsys):
         code = main(["--command", "figure1", "--grid", "nonsense"])
         assert code == 2
+
+    @pytest.mark.parametrize("argv, config", [
+        (["--command", "maximize", "--target", "h-max", "--mu", "1,2"], None),
+        (["--command", "maximize", "--target", "h-max", "--mu", "1,x,0"], None),
+        (["--command", "figure2", "--theta-list", "a"], None),
+        (None, {"command": "figures34", "lambda_count": "a"}),
+        (None, {"command": "figure1", "grid": {"p": [0, 1]}}),
+    ])
+    def test_malformed_value_exit_code(self, tmp_path, capsys, argv, config):
+        if config is not None:
+            with pytest.raises(ConfigurationError):
+                RunConfig.from_json(json.dumps(config))
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps(config))
+            argv = ["--config", str(cfg_path)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("configuration error:")
 
 
 class TestFigure1:
@@ -183,7 +201,8 @@ class TestVerify:
 
 class TestConfig:
     def test_round_trip(self, tmp_path):
-        cfg = RunConfig(command="figure1", log_base="2", seed=5, theta=0.7)
+        cfg = RunConfig(command="figure1", log_base="2", seed=5, theta=0.7,
+                        grid={"p": (0.0, 1.0, 11)}, mu=(2.0, 1.0, 0.5))
         rebuilt = RunConfig.from_json(cfg.to_json())
         assert rebuilt == cfg
 

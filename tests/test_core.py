@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import entcap
 from entcap.core import (
     BipartitePureState,
     ConfigurationError,
@@ -262,3 +267,12 @@ class TestHaarSampling:
     def test_dimension_guard(self):
         with pytest.raises(DomainError):
             haar_random_pure(1, 2, 0)
+
+
+def test_import_loads_no_scipy():
+    # numpy is the only declared dependency; a fresh interpreter shows what importing entcap pulls in
+    src = str(Path(entcap.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, entcap; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"

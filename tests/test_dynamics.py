@@ -6,7 +6,6 @@ import pytest
 from entcap.core import BipartitePureState, DomainError, density_from_pure, haar_random_pure, partial_trace, spectrum_of
 from entcap.dynamics import (
     NonlocalHamiltonian,
-    ancilla_rate_factor,
     canonical_form,
     capacity_gradient,
     capacity_rate_factor,
@@ -236,6 +235,15 @@ class TestMaxEntanglingElement:
                 max_entangling_element(ham), abs=1e-6
             )
 
+    def test_numeric_maximization_off_grid(self):
+        # local fields and a rotated coupling matrix move the maximizer off the angle grid
+        rng = np.random.default_rng(5)
+        for _ in range(4):
+            ham = canonical_form(rng.standard_normal(3), rng.standard_normal(3), rng.standard_normal((3, 3)))
+            assert max_entangling_element_numeric(ham.raw_matrix()) == pytest.approx(
+                max_entangling_element(ham), abs=1e-10
+            )
+
 
 class TestRateFactors:
     def test_balanced_zero(self):
@@ -262,10 +270,10 @@ class TestRateFactors:
         assert vals[turns[0]] > 0.0 > vals[turns[1]]
 
     def test_ancilla_quarter_zero(self):
-        assert ancilla_rate_factor(0.25, "e") == pytest.approx(0.0, abs=1e-14)
+        assert capacity_rate_factor(0.25, "e", k=3) == pytest.approx(0.0, abs=1e-14)
 
     def test_ancilla_reported_values(self):
-        assert abs(ancilla_rate_factor(0.6036, "e")) == pytest.approx(1.4459, abs=1e-3)
+        assert abs(capacity_rate_factor(0.6036, "e", k=3)) == pytest.approx(1.4459, abs=1e-3)
         p = 0.6036
         cap = capacity_from_spectrum([p] + [(1 - p) / 3] * 3, "e").capacity
         assert cap == pytest.approx(0.5523, abs=1e-3)
@@ -277,14 +285,14 @@ class TestMaximizeScalar:
         assert x == pytest.approx(0.3, abs=1e-8)
 
     def test_matches_grid_oracle(self):
-        for f in (lambda p: capacity_rate_factor(p, "e"), lambda p: ancilla_rate_factor(p, "e")):
+        for f in (lambda p: capacity_rate_factor(p, "e"), lambda p: capacity_rate_factor(p, "e", k=3)):
             xg, _ = grid_argmax(f, 0.0, 1.0, 10**6)
             x, _ = maximize_scalar(f, max(xg - 1e-5, 0.0), min(xg + 1e-5, 1.0), tol=1e-9)
             assert abs(x - xg) < 10 * 1e-9 + 1e-6
 
     def test_reported_maximizers(self):
-        xg, _ = grid_argmax(lambda p: ancilla_rate_factor(p, "e"), 0.0, 1.0, 10**6)
-        x, v = maximize_scalar(lambda p: ancilla_rate_factor(p, "e"), xg - 1e-5, xg + 1e-5, tol=1e-12)
+        xg, _ = grid_argmax(lambda p: capacity_rate_factor(p, "e", k=3), 0.0, 1.0, 10**6)
+        x, v = maximize_scalar(lambda p: capacity_rate_factor(p, "e", k=3), xg - 1e-5, xg + 1e-5, tol=1e-12)
         assert x == pytest.approx(0.6036, abs=5e-4)
         assert abs(v) == pytest.approx(1.4459, abs=1e-3)
 
@@ -359,7 +367,7 @@ class TestSpectrumCapacityRate:
             dp = 2.0 * math.sqrt(p * q / 3.0)
             rates = dp * np.array([1.0, -1 / 3, -1 / 3, -1 / 3])
             assert spectrum_capacity_rate(w, rates, "e") == pytest.approx(
-                ancilla_rate_factor(p, "e"), abs=1e-10
+                capacity_rate_factor(p, "e", k=3), abs=1e-10
             )
 
 
