@@ -6,14 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    BipartitePureState,
-    DomainError,
-    log_scale,
-    schmidt_decompose,
-    spectrum_entropy,
-)
-from .measures import capacity_from_spectrum
+from .core import NORM_TOL, BipartitePureState, DomainError, log_scale
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -52,11 +45,11 @@ class NonlocalHamiltonian:
         return self.mu[0] - self.mu[1]
 
     def canonical_matrix(self) -> np.ndarray:
-        signs = (1.0, float(self.sign), 1.0)
-        out = np.zeros((4, 4), dtype=complex)
-        for mu_k, s_k, sig in zip(self.mu, signs, PAULIS):
-            out += mu_k * s_k * np.kron(sig, sig)
-        return out
+        # mu1 XX + sign mu2 YY + mu3 ZZ written out: XX and YY fill the
+        # anti-diagonal, ZZ the diagonal.
+        m1, m2, m3 = self.mu
+        a, b = m1 - self.sign * m2, m1 + self.sign * m2
+        return np.array([[m3, 0, 0, a], [0, -m3, b, 0], [0, b, -m3, 0], [a, 0, 0, m3]], dtype=complex)
 
     def raw_matrix(self) -> np.ndarray:
         """Full Hamiltonian including local fields; requires the raw form."""
@@ -181,11 +174,12 @@ def _bloch(theta: float, phi: float) -> np.ndarray:
 def max_entangling_element_numeric(hamiltonian, grid: int = 24) -> float:
     """Numeric maximum of |<phi,chi|H|phi_perp,chi_perp>| over the two Bloch spheres.
 
-    Coarse grid over the four angles, then golden-section line searches
-    (bracket +-2 pi/grid) along Powell's conjugate directions, starting from
-    the angle axes; it stops once a sweep along the axes gains less than
-    1e-15.  The relative phases of the orthocomplements do not affect the
-    magnitude.
+    Coarse grid over the four angles, then golden-section line searches along
+    Powell's conjugate directions, starting from the angle axes.  The first
+    sweep brackets each search at +-2 pi/grid, later ones at 30 times the
+    longest step of the sweep before (at most +-2 pi/grid).  It stops once a
+    sweep along the axes gains less than 1e-15.  The relative phases of the
+    orthocomplements do not affect the magnitude.
     """
     h = _as_matrix(hamiltonian)
     h4 = h.reshape(2, 2, 2, 2)
@@ -203,21 +197,28 @@ def max_entangling_element_numeric(hamiltonian, grid: int = 24) -> float:
     def value_at(angles):
         return abs(entangling_element(h, _bloch(*angles[:2]), _bloch(*angles[2:])))
 
-    def line_max(x, u, best):
-        t, v = maximize_scalar(lambda t: value_at(x + t * u), -span, span, tol=1e-12)
-        return (x + t * u, v) if v > best else (x, best)
+    def line_max(x, u, best, reach):
+        t, v = maximize_scalar(lambda t: value_at(x + t * u), -reach, reach, tol=1e-12)
+        return (x + t * u, v, abs(t)) if v > best else (x, best, 0.0)
 
     directions = axes = list(np.eye(4))
+    reach = span
     while True:
         start, x_start = best, x
+        moves = []
         for u in directions:
-            x, best = line_max(x, u, best)
+            x, best, move = line_max(x, u, best, reach)
+            moves.append(move)
         if best - start >= 1e-15:
             # Powell's update: the sweep's net move replaces the oldest direction,
             # which follows the ridges that rotated couplings leave between angles.
             step = x - x_start
             directions = directions[1:] + [step / np.linalg.norm(step)]
-            x, best = line_max(x, directions[-1], best)
+            x, best, move = line_max(x, directions[-1], best, reach)
+            # Steps shrink as the sweeps converge, so later searches bracket a
+            # multiple of the longest step; one that hits its bracket edge
+            # widens the next sweep's.
+            reach = min(span, max(30.0 * max(moves + [move]), 1e-12))
         elif directions is axes:
             return best
         else:
@@ -321,10 +322,16 @@ def maximize_scalar(f, lo: float, hi: float, tol: float = 1e-10) -> tuple[float,
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Time-sampled evolution record with entanglement diagnostics per sample."""
+    """Time-sampled evolution record with entanglement diagnostics per sample.
+
+    One trajectory has fields of shape (T,) (``amplitudes`` (T, 4),
+    ``schmidt_weights`` (T, 2), descending); a stack of N trajectories puts N
+    in front: (N, T).  ``gamma`` and ``gamma_capacity`` are the exact rates
+    dS/dt and dC/dt.
+    """
 
     times: np.ndarray
-    states: tuple
+    amplitudes: np.ndarray
     schmidt_weights: np.ndarray
     entropy: np.ndarray
     capacity: np.ndarray
@@ -334,63 +341,122 @@ class Trajectory:
     base: object = "e"
 
 
-def state_fluctuation(h_matrix: np.ndarray, amplitudes: np.ndarray) -> float:
-    """sqrt(<H^2> - <H>^2) in a pure state given as an amplitude vector."""
-    hv = h_matrix @ amplitudes
-    mean = np.vdot(amplitudes, hv).real
-    second = np.vdot(hv, hv).real
-    return float(np.sqrt(max(second - mean**2, 0.0)))
+def _apply(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Matrix-vector product M v, stacked over the leading axes of both."""
+    return (m @ v[..., None])[..., 0]
 
 
-def _entropy_capacity_at(h_matrix, amplitudes, t, base):
-    amps = evolve_matrix(h_matrix, amplitudes, t)
-    state = BipartitePureState(amps / np.linalg.norm(amps), 2, 2)
-    w, _, _ = schmidt_decompose(state)
-    return spectrum_entropy(w, base), capacity_from_spectrum(w, base).capacity, w, state
+def state_fluctuation(h_matrix: np.ndarray, amplitudes: np.ndarray):
+    """sqrt(<H^2> - <H>^2) in a pure state given as a unit amplitude vector.
 
-
-def simulate_trajectory(hamiltonian, psi0: BipartitePureState, times, base="e") -> Trajectory:
-    """Evolve exactly and record weights, entropies, capacities, and rates.
-
-    Rates are centered finite differences with step max(1e-6, 1e-8/theta),
-    theta estimated from the canonical couplings (or the spectral spread for a
-    raw matrix).
+    Taken as the norm of the residual (H - <H>) psi, which is exact to
+    round-off where the difference of moments would leave sqrt(eps) ~ 1e-8
+    at an eigenstate.  Stacks broadcast over the leading axes and give an
+    array.
     """
-    h = _as_matrix(hamiltonian)
-    if isinstance(hamiltonian, NonlocalHamiltonian):
-        theta_scale = max(hamiltonian.theta, 1e-2)
-    else:
-        w = np.linalg.eigvalsh(h)
-        theta_scale = max(float(w.max() - w.min()) / 2.0, 1e-2)
-    step = max(1e-6, 1e-8 / theta_scale)
+    amplitudes = np.asarray(amplitudes, dtype=complex)
+    hv = _apply(h_matrix, amplitudes)
+    mean = (amplitudes.conj() * hv).sum(axis=-1).real
+    out = np.linalg.norm(hv - mean[..., None] * amplitudes, axis=-1)
+    return float(out) if out.ndim == 0 else out
 
+
+def _two_qubit_schmidt(amplitudes):
+    """Closed-form Schmidt data of two-qubit amplitudes (..., 4), no SVD.
+
+    The weights are lam_+- = (1 +- s)/2, with s the length of the Bloch vector
+    of rho_A = C C^dagger (C the 2x2 coefficient matrix), summed as squares so
+    that it is exact to round-off even at s = 0, where sqrt(1 - 4|D|^2),
+    D = det C, would carry sqrt(eps) error.  Near s = 1, where (1 - s)/2
+    cancels, lam_- = 2|D|^2 / (1 + s) instead.  Returns ``(det, s, lam_minus,
+    log_ratio)`` with log_ratio = ln(lam_+/lam_-) = 2 artanh(s), set to 0 where
+    lam_- = 0 (every quantity it multiplies vanishes there).
+    """
+    c = np.asarray(amplitudes, dtype=complex)
+    det = c[..., 0] * c[..., 3] - c[..., 1] * c[..., 2]
+    row_gap = np.abs(c[..., 0]) ** 2 + np.abs(c[..., 1]) ** 2 - np.abs(c[..., 2]) ** 2 - np.abs(c[..., 3]) ** 2
+    off = c[..., 0] * c[..., 2].conj() + c[..., 1] * c[..., 3].conj()
+    s = np.sqrt(row_gap**2 + 4.0 * np.abs(off) ** 2)
+    lam_minus = np.where(s > 0.5, 2.0 * np.abs(det) ** 2 / (1.0 + s), 0.5 * (1.0 - s))
+    entangled = lam_minus > 0.0
+    log_ratio = np.where(entangled, np.log1p(s / np.where(entangled, lam_minus, 1.0)), 0.0)
+    return det, s, lam_minus, log_ratio
+
+
+def _two_qubit_entropy_capacity(lam_minus, log_ratio, base="e"):
+    """Entropy and capacity of the Schmidt pair (1 - lam_-, lam_-) from ``_two_qubit_schmidt``.
+
+    S = lam_- ln(lam_+/lam_-) - ln(lam_+) and C = lam_+ lam_- ln^2(lam_+/lam_-),
+    both exactly 0 at lam_- = 0.
+    """
+    scale = log_scale(base)
+    entropy = (lam_minus * log_ratio - np.log1p(-lam_minus)) / scale
+    capacity = (1.0 - lam_minus) * lam_minus * log_ratio**2 / scale**2
+    return entropy, capacity
+
+
+def simulate_trajectory(hamiltonian, psi0, times, base="e") -> Trajectory:
+    """Evolve exactly and record weights, entropies, capacities, and their exact rates.
+
+    ``hamiltonian`` is a NonlocalHamiltonian (its canonical matrix), a 4x4
+    matrix or a stack of N 4x4 Hermitian matrices; ``psi0`` a two-qubit
+    BipartitePureState or unit-norm amplitudes, (4,) or stacked (N, 4) to
+    match.  One batched ``eigh`` diagonalizes every H; the states are
+    psi(t) = psi0 + V ((e^{-iwt} - 1) * V^dagger psi0), exact at t = 0, then
+    renormalized.  Schmidt weights come in closed form from D = det C
+    (``_two_qubit_schmidt``).  Rates are exact: with D = det C, dD/dt taken along
+    dC/dt = -i (H psi) and r = Re(conj(D) dD/dt),
+
+        dlam_-/dt = 2 r / s,    Gamma = dS/dt = 4 r artanh(s) / s,
+        dC/dt = sum_n (dC/dlam_n)(dlam_n/dt) = -Gamma (2 - 2 s artanh(s)),
+
+    finite as s -> 0 (artanh(s)/s -> 1) and exactly 0 at lam_- = 0.
+    """
+    if np.ndim(hamiltonian) == 3:
+        h = np.asarray(hamiltonian, dtype=complex)
+    else:
+        h = _as_matrix(hamiltonian)
+    if isinstance(psi0, BipartitePureState):
+        if psi0.d_a != 2 or psi0.d_b != 2:
+            raise DomainError("simulate_trajectory handles two-qubit states")
+        amps0 = psi0.amplitudes
+    else:
+        amps0 = np.asarray(psi0, dtype=complex)
+        if np.abs(np.linalg.norm(amps0, axis=-1) - 1.0).max(initial=0.0) > NORM_TOL:
+            raise DomainError("initial amplitudes must have unit norm")
+    if h.shape[-2:] != (4, 4) or amps0.shape != h.shape[:-1]:
+        raise DomainError("need 4x4 Hamiltonians and length-4 amplitudes with matching leading axes")
+    single = h.ndim == 2
+    if single:
+        h, amps0 = h[None], amps0[None]
     times = np.asarray(times, dtype=float)
-    states = []
-    weights = []
-    entropy = np.empty_like(times)
-    capacity = np.empty_like(times)
-    gamma = np.empty_like(times)
-    gamma_cap = np.empty_like(times)
-    delta_h = np.empty_like(times)
-    for i, t in enumerate(times):
-        s, c, w, state = _entropy_capacity_at(h, psi0.amplitudes, t, base)
-        s_m, c_m, _, _ = _entropy_capacity_at(h, psi0.amplitudes, t - step, base)
-        s_p, c_p, _, _ = _entropy_capacity_at(h, psi0.amplitudes, t + step, base)
-        states.append(state)
-        weights.append(w)
-        entropy[i] = s
-        capacity[i] = c
-        gamma[i] = (s_p - s_m) / (2.0 * step)
-        gamma_cap[i] = (c_p - c_m) / (2.0 * step)
-        delta_h[i] = state_fluctuation(h, state.amplitudes)
-    return Trajectory(
-        times=times,
-        states=tuple(states),
-        schmidt_weights=np.array(weights),
+
+    w, v = np.linalg.eigh(h)
+    coeffs = _apply(np.swapaxes(v.conj(), -1, -2), amps0)
+    wt = w[:, None, :] * times[:, None]
+    phase_minus_one = -2.0 * np.sin(0.5 * wt) ** 2 - 1j * np.sin(wt)  # e^{-iwt} - 1
+    psi = amps0[:, None, :] + _apply(v[:, None], phase_minus_one * coeffs[:, None, :])
+    psi /= np.linalg.norm(psi, axis=-1, keepdims=True)
+
+    det, s, lam_minus, log_ratio = _two_qubit_schmidt(psi)
+    entropy, capacity = _two_qubit_entropy_capacity(lam_minus, log_ratio, base)
+    dpsi = -1j * _apply(h[:, None], psi)
+    det_rate = (dpsi[..., 0] * psi[..., 3] + psi[..., 0] * dpsi[..., 3]
+                - dpsi[..., 1] * psi[..., 2] - psi[..., 1] * dpsi[..., 2])
+    r = (det.conj() * det_rate).real
+    # ln(lam_+/lam_-)/s = 2 artanh(s)/s, with its limit 2 at s = 0
+    ratio_over_s = np.where(s > 0.0, log_ratio / np.where(s > 0.0, s, 1.0), 2.0)
+    gamma_nats = 2.0 * r * ratio_over_s
+    scale = log_scale(base)
+    fields = dict(
+        amplitudes=psi,
+        schmidt_weights=np.stack([1.0 - lam_minus, lam_minus], axis=-1),
         entropy=entropy,
         capacity=capacity,
-        gamma=gamma,
-        gamma_capacity=gamma_cap,
-        delta_h=delta_h,
-        base=base,
+        gamma=gamma_nats / scale,
+        gamma_capacity=-gamma_nats * (2.0 - s * log_ratio) / scale**2,
+        delta_h=state_fluctuation(h[:, None], psi),
     )
+    if single:
+        fields = {k: a[0] for k, a in fields.items()}
+    return Trajectory(times=times, base=base, **fields)

@@ -102,15 +102,19 @@ def max_entropy_rate_constant(base="e") -> float:
     return _max_entropy_rate_constant_nats() / log_scale(base)
 
 
-def operator_norm(hamiltonian) -> float:
-    """Largest absolute eigenvalue of a Hermitian matrix (Schatten-∞ norm)."""
+def operator_norm(hamiltonian):
+    """Largest absolute eigenvalue of a Hermitian matrix (Schatten-∞ norm).
+
+    A stack of matrices (N, d, d) gives an array of N norms.
+    """
     h = hamiltonian.matrix() if isinstance(hamiltonian, SelfInverseHamiltonian) else np.asarray(hamiltonian, dtype=complex)
-    return float(np.abs(np.linalg.eigvalsh(h)).max())
+    norms = np.abs(np.linalg.eigvalsh(h)).max(axis=-1)
+    return float(norms) if norms.ndim == 0 else norms
 
 
 @dataclass(frozen=True)
 class CapacityRateBounds:
-    """The chain of upper bounds on |d/dt C_E|, loosest last."""
+    """The chain of upper bounds on |d/dt C_E|, loosest last (arrays for array inputs)."""
 
     entanglement_rate_bound: float   # 2 |Gamma| (1 + log d_A)
     speed_bound: float               # 2 sqrt(C) V (1 + log d_A)
@@ -118,14 +122,17 @@ class CapacityRateBounds:
     self_inverse_bound: float        # 2 beta (1 + log d)
 
 
-def capacity_rate_bounds(d_a: int, *, gamma: float, capacity: float, speed: float,
-                         op_norm: float, c: float = 1.0, d: int, base="e") -> CapacityRateBounds:
+def capacity_rate_bounds(d_a: int, *, gamma, capacity, speed, op_norm,
+                         c: float = 1.0, d: int, base="e") -> CapacityRateBounds:
     """Evaluate all four capacity-rate bounds for comparison with a measured rate.
 
-    ``c`` is the ancilla-unassisted rate constant in [0, 1]; 1 is the most
-    conservative choice.
+    ``gamma``, ``capacity``, ``speed`` and ``op_norm`` are scalars or arrays
+    that broadcast together; array inputs give array bounds.  ``c`` is the
+    ancilla-unassisted rate constant in [0, 1]; 1 is the most conservative
+    choice.
     """
-    if min(gamma if gamma >= 0 else -gamma, capacity, speed, op_norm) < 0:
+    inputs = [np.abs(gamma), capacity, speed, op_norm]
+    if min(np.min(x, initial=np.inf) for x in inputs) < 0:
         raise DomainError("bound inputs must be non-negative")
     if not 0.0 <= c <= 1.0:
         raise DomainError("c must lie in [0, 1]")
@@ -133,9 +140,13 @@ def capacity_rate_bounds(d_a: int, *, gamma: float, capacity: float, speed: floa
     log_da = np.log(d_a) / scale
     log_d = np.log(d) / scale
     beta = max_entropy_rate_constant(base)
+
+    def out(x):
+        return float(x) if np.ndim(x) == 0 else x
+
     return CapacityRateBounds(
-        entanglement_rate_bound=float(abs(2.0 * gamma * (1.0 + log_da))),
-        speed_bound=float(2.0 * np.sqrt(capacity) * speed * (1.0 + log_da)),
-        norm_bound=float(2.0 * c * op_norm * log_d * (1.0 + log_da)),
+        entanglement_rate_bound=out(np.abs(2.0 * gamma * (1.0 + log_da))),
+        speed_bound=out(2.0 * np.sqrt(capacity) * speed * (1.0 + log_da)),
+        norm_bound=out(2.0 * c * op_norm * log_d * (1.0 + log_da)),
         self_inverse_bound=float(2.0 * beta * (1.0 + log_d)),
     )

@@ -6,9 +6,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BipartitePureState, DomainError, log_scale, schmidt_decompose, spectrum_entropy
-from .dynamics import Trajectory, _as_matrix, evolve_matrix, state_fluctuation
-from .measures import capacity_from_spectrum
+from .core import BipartitePureState, DomainError, log_scale
+from .dynamics import (
+    Trajectory,
+    _as_matrix,
+    _two_qubit_entropy_capacity,
+    _two_qubit_schmidt,
+    evolve_matrix,
+    state_fluctuation,
+)
 
 LN2 = np.log(2.0)
 
@@ -184,15 +190,11 @@ def qsl_time_dependent(h_of_t, psi0: BipartitePureState, duration: float,
     the time-independent formula even for constant H.
     """
     ts = np.linspace(0.0, duration, samples)
-    states = evolve_time_dependent(h_of_t, psi0, ts)
-    sqrt_cap = np.empty(samples)
-    fluct = np.empty(samples)
-    entropies = np.empty(samples)
-    for i, (t, state) in enumerate(zip(ts, states)):
-        w, _, _ = schmidt_decompose(state)
-        entropies[i] = spectrum_entropy(w, base)
-        sqrt_cap[i] = np.sqrt(capacity_from_spectrum(w, base).capacity)
-        fluct[i] = state_fluctuation(np.asarray(h_of_t(t), dtype=complex), state.amplitudes)
+    amps = np.array([s.amplitudes for s in evolve_time_dependent(h_of_t, psi0, ts)])
+    _, _, lam_minus, log_ratio = _two_qubit_schmidt(amps)
+    entropies, capacity = _two_qubit_entropy_capacity(lam_minus, log_ratio, base)
+    sqrt_cap = np.sqrt(capacity)
+    fluct = state_fluctuation(np.array([h_of_t(t) for t in ts], dtype=complex), amps)
     mean_sqrt = float(np.trapezoid(sqrt_cap, ts) / duration)
     mean_fluct = float(np.trapezoid(fluct, ts) / duration)
     ds = float(entropies[-1] - entropies[0])

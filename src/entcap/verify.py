@@ -17,7 +17,6 @@ from .core import (
     partial_trace,
     relative_entropy,
     schmidt_decompose,
-    spectrum_entropy,
     spectrum_of,
     von_neumann_entropy,
 )
@@ -36,7 +35,6 @@ from .mixed import family1_closest, family2_closest, is_ppt
 from .self_inverse import (
     build_self_inverse,
     capacity_rate_bounds,
-    evolve_self_inverse,
     max_entropy_rate_constant,
     operator_norm,
 )
@@ -44,7 +42,6 @@ from .speed_limits import (
     family_entropy,
     family_qsl_curve,
     family_sqrt_capacity,
-    hamiltonian_fluctuation,
     rate_bound_check,
 )
 
@@ -200,23 +197,51 @@ def run_properties(n_samples: int, seed: int, base="e") -> list[CheckResult]:
     return results
 
 
+def _stack(draws) -> tuple[np.ndarray, np.ndarray]:
+    """(Hamiltonian, amplitudes) pairs as a (N, 4, 4) and a (N, 4) array; N may be 0.
+
+    The pairs are drawn sample by sample, so the RNG order does not depend on
+    the evolution being batched.
+    """
+    hams = np.array([h for h, _ in draws], dtype=complex).reshape(-1, 4, 4)
+    psis = np.array([psi for _, psi in draws], dtype=complex).reshape(-1, 4)
+    return hams, psis
+
+
+def _rate_bound(rng: np.random.Generator, n_samples: int, base) -> CheckResult:
+    """Heisenberg-Robertson rate bound along random canonical evolutions."""
+    hams, psis = _stack([(_random_mu(rng).canonical_matrix(), haar_random_pure(2, 2, rng).amplitudes)
+                         for _ in range(n_samples)])
+    traj = simulate_trajectory(hams, psis, np.linspace(0.05, 0.5, 4), base)
+    check = rate_bound_check(hams, traj, margin=1e-8)
+    worst_margin = float(check.margins.min(initial=np.inf))
+    return CheckResult("entanglement-rate-bound", True, check.violations == 0,
+                       f"violations={check.violations},min_margin={worst_margin:.3e}")
+
+
+def _capacity_rate_chain(rng: np.random.Generator, n_samples: int, base) -> CheckResult:
+    """Derivational capacity-rate bounds along self-inverse evolutions: violation counts, not gated."""
+    hams, psis = _stack([(build_self_inverse(_random_involution(rng), _random_involution(rng)).matrix(),
+                          haar_random_pure(2, 2, rng).amplitudes)
+                         for _ in range(max(n_samples // 5, 20))])
+    traj = simulate_trajectory(hams, psis, np.array([0.1, 0.3, 0.7]), base)
+    bounds = capacity_rate_bounds(
+        2, gamma=np.abs(traj.gamma), capacity=traj.capacity, speed=2.0 * traj.delta_h,
+        op_norm=operator_norm(hams)[:, None], c=1.0, d=2, base=base,
+    )
+    vals = (bounds.entanglement_rate_bound, bounds.speed_bound,
+            bounds.norm_bound, bounds.self_inverse_bound)
+    counts = [int((np.abs(traj.gamma_capacity) > b + 1e-7).sum()) for b in vals]
+    return CheckResult(
+        "capacity-rate-bound-chain", False, True,
+        f"samples={traj.gamma.size},violations=rate:{counts[0]},speed:{counts[1]},norm:{counts[2]},selfinv:{counts[3]}",
+    )
+
+
 def run_bounds(n_samples: int, seed: int, base="e") -> list[CheckResult]:
     rng = np.random.default_rng(seed)
-    results: list[CheckResult] = []
-
-    # Heisenberg-Robertson rate bound along random canonical evolutions
-    violations = 0
-    worst_margin = np.inf
-    times = np.linspace(0.05, 0.5, 4)
-    for _ in range(n_samples):
-        ham = _random_mu(rng)
-        psi = haar_random_pure(2, 2, rng)
-        traj = simulate_trajectory(ham, psi, times, base)
-        check = rate_bound_check(ham, traj, margin=1e-8)
-        violations += check.violations
-        worst_margin = min(worst_margin, float(check.margins.min()))
-    results.append(CheckResult("entanglement-rate-bound", True, violations == 0,
-                               f"violations={violations},min_margin={worst_margin:.3e}"))
+    # each ensemble's stacked trajectories are freed before the next check runs
+    results = [_rate_bound(rng, n_samples, base)]
 
     # speed-limit validity on the closed-form family grid
     worst = -np.inf
@@ -244,42 +269,7 @@ def run_bounds(n_samples: int, seed: int, base="e") -> list[CheckResult]:
                 dev = max(dev, abs(cap.entropy - family_entropy(p, theta, t)))
     results.append(CheckResult("closed-form-consistency", True, dev <= 1e-10, f"max_dev={dev:.3e}"))
 
-    # derivational capacity-rate bounds: violation counts are reported, not gated
-    counts = np.zeros(4, dtype=int)
-    total = 0
-    h_step = 1e-6
-    for _ in range(max(n_samples // 5, 20)):
-        ham = build_self_inverse(_random_involution(rng), _random_involution(rng))
-        psi = haar_random_pure(2, 2, rng)
-        for t in (0.1, 0.3, 0.7):
-            def cap_at(tt):
-                state = evolve_self_inverse(ham, psi, tt)
-                w, _, _ = schmidt_decompose(state)
-                return capacity_from_spectrum(w, base).capacity
-
-            def ent_at(tt):
-                state = evolve_self_inverse(ham, psi, tt)
-                w, _, _ = schmidt_decompose(state)
-                return spectrum_entropy(w, base)
-
-            gamma_c = (cap_at(t + h_step) - cap_at(t - h_step)) / (2.0 * h_step)
-            gamma = (ent_at(t + h_step) - ent_at(t - h_step)) / (2.0 * h_step)
-            state = evolve_self_inverse(ham, psi, t)
-            w, _, _ = schmidt_decompose(state)
-            cap = capacity_from_spectrum(w, base).capacity
-            speed = 2.0 * hamiltonian_fluctuation(ham.matrix(), state)
-            bounds = capacity_rate_bounds(
-                2, gamma=abs(gamma), capacity=cap, speed=speed,
-                op_norm=operator_norm(ham), c=1.0, d=2, base=base,
-            )
-            vals = (bounds.entanglement_rate_bound, bounds.speed_bound,
-                    bounds.norm_bound, bounds.self_inverse_bound)
-            counts += np.array([abs(gamma_c) > b + 1e-7 for b in vals], dtype=int)
-            total += 1
-    results.append(CheckResult(
-        "capacity-rate-bound-chain", False, True,
-        f"samples={total},violations=rate:{counts[0]},speed:{counts[1]},norm:{counts[2]},selfinv:{counts[3]}",
-    ))
+    results.append(_capacity_rate_chain(rng, n_samples, base))
 
     beta2 = max_entropy_rate_constant(2)
     betae = max_entropy_rate_constant("e")

@@ -1,0 +1,162 @@
+"""The batched exact trajectory kernel against a scalar reference.
+
+The reference evolves one state at a time, takes Schmidt weights from an SVD
+and rates from centered finite differences, the way ``simulate_trajectory``
+worked before it became a closed-form batched kernel.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from entcap import verify
+from entcap.core import BipartitePureState, DomainError, haar_random_pure, spectrum_entropy
+from entcap.dynamics import NonlocalHamiltonian, canonical_form, simulate_trajectory
+from entcap.measures import capacity_from_spectrum
+from entcap.self_inverse import build_self_inverse
+
+FIELDS = ("amplitudes", "schmidt_weights", "entropy", "capacity", "gamma", "gamma_capacity", "delta_h")
+FD_STEP = 1e-6
+BELL = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / math.sqrt(2.0)
+
+
+def reference(h, amps0, times, base):
+    """Per-sample weights (SVD), entropy, capacity, fluctuation and finite-difference rates.
+
+    The fluctuation is the spread of the energy distribution over H's
+    eigenbasis, sum_k p_k (w_k - <H>)^2, which has no cancellation.
+    """
+    w, v = np.linalg.eigh(h)
+    coeffs = v.conj().T @ amps0
+
+    def at(t):
+        psi = v @ (np.exp(-1j * w * t) * coeffs)
+        psi = psi / np.linalg.norm(psi)
+        sv = np.linalg.svd(psi.reshape(2, 2), compute_uv=False)
+        weights = sv**2 / np.sum(sv**2)
+        return psi, weights, spectrum_entropy(weights, base), capacity_from_spectrum(weights, base).capacity
+
+    out = {k: [] for k in ("schmidt_weights", "entropy", "capacity", "gamma", "gamma_capacity", "delta_h")}
+    for t in times:
+        psi, weights, ent, cap = at(t)
+        _, _, ent_p, cap_p = at(t + FD_STEP)
+        _, _, ent_m, cap_m = at(t - FD_STEP)
+        occupation = np.abs(v.conj().T @ psi) ** 2
+        mean = occupation @ w
+        out["schmidt_weights"].append(weights)
+        out["entropy"].append(ent)
+        out["capacity"].append(cap)
+        out["gamma"].append((ent_p - ent_m) / (2.0 * FD_STEP))
+        out["gamma_capacity"].append((cap_p - cap_m) / (2.0 * FD_STEP))
+        out["delta_h"].append(math.sqrt(occupation @ (w - mean) ** 2))
+    return {k: np.array(val) for k, val in out.items()}
+
+
+def assert_matches_reference(h, amps0, times, base):
+    traj = simulate_trajectory(h, amps0, times, base)
+    ref = reference(h, amps0, times, base)
+    for name in ("schmidt_weights", "entropy", "capacity", "delta_h"):
+        np.testing.assert_allclose(getattr(traj, name), ref[name], rtol=0, atol=1e-12, err_msg=name)
+    for name in ("gamma", "gamma_capacity"):
+        np.testing.assert_allclose(getattr(traj, name), ref[name], rtol=0, atol=1e-7, err_msg=name)
+
+
+def random_involution(rng):
+    q, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+    return q @ np.diag([1.0, rng.choice([-1.0, 1.0])]) @ q.conj().T
+
+
+couplings = st.lists(st.floats(0.0, 2.0), min_size=3, max_size=3).map(lambda m: tuple(sorted(m, reverse=True)))
+seeds = st.integers(0, 2**32 - 1)
+time_lists = st.lists(st.floats(0.0, 3.0), min_size=1, max_size=5).map(np.array)
+bases = st.sampled_from(["e", 2])
+
+
+class TestAgainstScalarReference:
+    @given(couplings, st.sampled_from([1, -1]), seeds, time_lists, bases)
+    def test_canonical(self, mu, sign, seed, times, base):
+        h = NonlocalHamiltonian(mu=mu, sign=sign).canonical_matrix()
+        assert_matches_reference(h, haar_random_pure(2, 2, seed).amplitudes, times, base)
+
+    @given(seeds, time_lists, bases)
+    def test_raw_matrix_with_local_fields(self, seed, times, base):
+        rng = np.random.default_rng(seed)
+        ham = canonical_form(rng.standard_normal(3), rng.standard_normal(3), rng.standard_normal((3, 3)))
+        assert_matches_reference(ham.raw_matrix(), haar_random_pure(2, 2, rng).amplitudes, times, base)
+
+    @given(seeds, time_lists, bases)
+    def test_self_inverse(self, seed, times, base):
+        rng = np.random.default_rng(seed)
+        h = build_self_inverse(random_involution(rng), random_involution(rng)).matrix()
+        assert_matches_reference(h, haar_random_pure(2, 2, rng).amplitudes, times, base)
+
+    @given(seeds, time_lists)
+    def test_bell_start(self, seed, times):
+        rng = np.random.default_rng(seed)
+        ham = canonical_form(rng.standard_normal(3), rng.standard_normal(3), rng.standard_normal((3, 3)))
+        assert_matches_reference(ham.raw_matrix(), BELL, np.concatenate([[0.0], times]), "e")
+
+
+class TestEdgeCases:
+    def test_product_state_at_t0_has_zero_rates(self):
+        ham = NonlocalHamiltonian(mu=(1.3, 0.6, 0.2))
+        traj = simulate_trajectory(ham, np.array([1.0, 0.0, 0.0, 0.0]), np.array([0.0, 0.2, 0.9]))
+        for name in FIELDS:
+            assert np.isfinite(getattr(traj, name)).all(), name
+        assert traj.gamma[0] == 0.0 and traj.gamma_capacity[0] == 0.0
+        assert traj.entropy[0] == 0.0 and traj.capacity[0] == 0.0
+        assert np.array_equal(traj.schmidt_weights[0], [1.0, 0.0])
+        assert traj.gamma[1] > 0.0
+
+    def test_bell_state(self):
+        ham = NonlocalHamiltonian(mu=(1.0, 0.4, 0.1))
+        traj = simulate_trajectory(ham, BipartitePureState(BELL, 2, 2), np.linspace(0.0, 1.0, 5), base=2)
+        for name in FIELDS:
+            assert np.isfinite(getattr(traj, name)).all(), name
+        assert np.abs(traj.schmidt_weights - 0.5).max() < 1e-12
+        assert np.abs(traj.entropy - 1.0).max() < 1e-12
+        assert np.abs(traj.capacity).max() < 1e-12
+        assert np.abs(traj.gamma).max() < 1e-12
+
+    def test_single_equals_slice_of_stack(self):
+        rng = np.random.default_rng(21)
+        raw = canonical_form(rng.standard_normal(3), rng.standard_normal(3), rng.standard_normal((3, 3)))
+        hams = [NonlocalHamiltonian(mu=(1.1, 0.5, 0.3)).canonical_matrix(),
+                raw.raw_matrix(),
+                build_self_inverse(random_involution(rng), random_involution(rng)).matrix()]
+        psis = [haar_random_pure(2, 2, rng).amplitudes for _ in hams]
+        times = rng.uniform(0.0, 2.0, 6)
+        stacked = simulate_trajectory(np.array(hams), np.array(psis), times)
+        for i, (h, psi) in enumerate(zip(hams, psis)):
+            single = simulate_trajectory(h, BipartitePureState(psi, 2, 2), times)
+            for name in FIELDS:
+                assert getattr(single, name).shape == getattr(stacked, name).shape[1:]
+                assert np.array_equal(getattr(single, name), getattr(stacked, name)[i]), name
+
+    def test_rejects_mismatched_stacks(self):
+        with pytest.raises(DomainError):
+            simulate_trajectory(np.zeros((3, 4, 4)), np.tile(BELL, (2, 1)), [0.1])
+        with pytest.raises(DomainError):
+            simulate_trajectory(np.zeros((2, 4, 4)), 2.0 * np.tile(BELL, (2, 1)), [0.1])
+
+
+class TestRunBoundsLinalgCount:
+    def test_eigh_and_svd_calls_do_not_grow_with_samples(self, monkeypatch):
+        counts = {"eigh": 0, "svd": 0}
+        for name in counts:
+            original = getattr(np.linalg, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        seen = []
+        for n_samples in (20, 200):
+            counts.update(eigh=0, svd=0)
+            assert verify.hard_failures(verify.run_bounds(n_samples, seed=9)) == 0
+            seen.append(dict(counts))
+        assert seen[0] == seen[1]
