@@ -182,12 +182,15 @@ def _proj_trace(m: np.ndarray) -> np.ndarray:
 def project_separable(m: np.ndarray, iters: int = 120, tol: float = 1e-12) -> np.ndarray:
     """Dykstra projection onto {PSD} ∩ {PPT} ∩ {tr = 1} for two qubits.
 
-    The returned matrix is exactly PSD and unit trace; the PPT defect is at
-    the Dykstra tolerance.  When the PSD projection alone already lands in
-    the PPT set it is the exact intersection projection and is returned
-    directly.
+    The input is first moved onto the hyperplane tr = 1.  That hyperplane
+    holds the whole target set, so this leaves the projection unchanged, and
+    it keeps the sweeps from stalling at zero on inputs of trace <= 0.  The
+    returned matrix is exactly PSD and unit trace; the PPT defect is at the
+    Dykstra tolerance, or larger when ``iters`` sweeps run out on an input
+    far from the set.  When the PSD projection alone already lands in the PPT
+    set it is the exact intersection projection and is returned directly.
     """
-    x = hermitize(np.asarray(m, dtype=complex))
+    x = _proj_trace(np.asarray(m, dtype=complex))
     y = _proj_psd(x)
     ty = np.trace(y).real
     if ty > 0.0 and abs(ty - 1.0) < 1e-8:
@@ -207,8 +210,7 @@ def project_separable(m: np.ndarray, iters: int = 120, tol: float = 1e-12) -> np
             break
     w, v = np.linalg.eigh(hermitize(x))
     w = np.clip(w, 0.0, None)
-    s = w.sum()
-    return (v * (w / s)) @ v.conj().T if s > 0.0 else _I4 / 4.0
+    return (v * (w / w.sum())) @ v.conj().T
 
 
 def _smoothed_objective(rho: np.ndarray, sigma: np.ndarray, delta: float):
@@ -252,7 +254,15 @@ def _descend_at_delta(rho, sigma, delta, max_iter, tol, step0=1.0, trace=None):
             if fc <= f + 1e-4 * descent + 1e-15:
                 accepted = True
                 break
-            t *= 0.5
+            if np.linalg.norm(cand - sigma) < tol:
+                # the trial moves sigma by less than this level's stopping
+                # tolerance, and shorter steps would move it less still
+                break
+            # the quadratic in s that matches f and the slope at s = 0 and fc at
+            # s = 1 along the projected step has its minimum at -descent/(2 curv);
+            # clamping to [0.1, 0.5] shrinks t by at least half, at most tenfold
+            curv = fc - f - descent
+            t *= min(max(-descent / (2.0 * curv), 0.1), 0.5) if curv > 0.0 else 0.5
         if not accepted:
             return sigma, it, move
         move = float(np.linalg.norm(cand - sigma))
@@ -270,15 +280,20 @@ def closest_separable_numeric(rho: DensityOperator, max_iter: int = 400, tol: fl
                               step: float = 1.0, base="e") -> SeparableApproximation:
     """Minimize S(rho || sigma) over two-qubit PPT density operators.
 
-    Projected gradient with Barzilai-Borwein steps and Armijo backtracking
-    (halving from the BB step), projecting each trial onto the feasible set
-    with Dykstra sweeps.  The operator log is smoothed by flooring eigenvalues
-    at delta, and delta is driven from 1e-2 down to 1e-12 with warm starts;
-    the smoothing removes the unbounded gradients that otherwise stall the
-    line search when the minimizer is rank deficient.
+    Projected gradient with Barzilai-Borwein steps and Armijo backtracking,
+    projecting each trial onto the feasible set with Dykstra sweeps.  A
+    rejected trial shrinks the step to the minimizer of the quadratic through
+    the objective, its slope along the projected step and the trial's value,
+    kept within 0.1 to 0.5 of the old step; the search gives up, leaving
+    sigma where it is, once a trial moves sigma by less than the level's
+    tolerance.  The operator log is smoothed by flooring eigenvalues at delta,
+    and delta is driven from 1e-2 down to 1e-12 with warm starts; the
+    smoothing removes the unbounded gradients that otherwise stall the line
+    search when the minimizer is rank deficient.
 
-    ``max_iter``/``tol`` apply per smoothing level.  The reported value is the
-    support-checked relative entropy at the final iterate.
+    ``max_iter``/``tol`` apply per smoothing level; a level stops once a step
+    moves sigma by less than ``max(delta * 1e-3, tol)``.  The reported value
+    is the support-checked relative entropy at the final iterate.
     """
     d_a, d_b = rho.split()
     if d_a != 2 or d_b != 2:

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from entcap import mixed
 from entcap.core import (
     BipartitePureState,
     DensityOperator,
@@ -14,6 +17,7 @@ from entcap.core import (
 )
 from entcap.measures import capacity_pure
 from entcap.mixed import (
+    PPT_TOL,
     capacity_mixed,
     closest_separable_family1,
     closest_separable_family2,
@@ -27,6 +31,7 @@ from entcap.mixed import (
     family2_state,
     is_ppt,
     partial_transpose,
+    project_separable,
 )
 
 BELL = BipartitePureState(np.array([1.0, 0, 0, 1.0]) / np.sqrt(2), 2, 2)
@@ -79,6 +84,53 @@ class TestIsPPT:
         for lam in (0.0, 0.3, 0.7, 1.0):
             assert is_ppt(family1_closest(lam))
             assert is_ppt(family2_closest(lam))
+
+
+def random_hermitian(rng, scale, shift):
+    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    return scale * (g + g.conj().T) / 2.0 + shift * np.eye(4)
+
+
+def random_pure(rng):
+    v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    v /= np.linalg.norm(v)
+    return np.outer(v, v.conj())
+
+
+def random_separable(rng, terms):
+    weights = rng.dirichlet(np.ones(terms))
+    return sum(w * np.kron(random_pure(rng), random_pure(rng)) for w in weights)
+
+
+seeds = st.integers(0, 2**32 - 1)
+# spectral scale 1e-3 to 10 around any trace, so inputs lie near the set,
+# far from it, and on the trace <= 0 side
+hermitian_inputs = st.tuples(seeds, st.floats(-3.0, 1.0), st.floats(-2.0, 2.0)).map(
+    lambda a: random_hermitian(np.random.default_rng(a[0]), 10.0 ** a[1], a[2])
+)
+
+
+class TestProjectSeparable:
+    @given(hermitian_inputs)
+    def test_output_is_a_ppt_density_operator(self, m):
+        p = project_separable(m)
+        assert np.linalg.eigvalsh(p).min() >= -1e-12
+        assert np.trace(p).real == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.eigvalsh(partial_transpose(p)).min() >= -PPT_TOL
+
+    @given(seeds, st.integers(1, 6))
+    def test_product_mixture_is_a_fixed_point(self, seed, terms):
+        s = random_separable(np.random.default_rng(seed), terms)
+        assert np.abs(project_separable(s) - s).max() <= 1e-10
+
+    @given(hermitian_inputs, seeds)
+    def test_projection_is_optimal(self, m, seed):
+        # variational inequality of the projection onto a convex set
+        p = project_separable(m)
+        rng = np.random.default_rng(seed)
+        for terms in (1, 2, 4):
+            s = random_separable(rng, terms)
+            assert np.trace((m - p) @ (s - p)).real <= 1e-8
 
 
 class TestClosestSeparablePure:
@@ -177,6 +229,32 @@ class TestNumericSolver:
         sigma = result.sigma_star
         assert np.linalg.eigvalsh(partial_transpose(sigma)).min() >= -1e-8
         assert np.trace(sigma.matrix).real == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("fam_state,fam_er,lam", [
+        (family1_state, family1_relative_entropy, 0.01),
+        (family1_state, family1_relative_entropy, 0.99),
+        (family2_state, family2_relative_entropy, 0.095),
+    ])
+    def test_family_edge_cases(self, fam_state, fam_er, lam):
+        # family 1 near either end is where backtracking along the feasible
+        # segment reports convergence far from the minimum; family 2 at 0.095
+        # is where plain step halving needs hundreds of iterations
+        result = closest_separable_numeric(fam_state(lam))
+        assert result.converged
+        assert result.relative_entropy == pytest.approx(fam_er(lam), abs=1e-6)
+
+    def test_projection_count(self, monkeypatch):
+        calls = 0
+        project = mixed.project_separable
+
+        def counted(m):
+            nonlocal calls
+            calls += 1
+            return project(m)
+
+        monkeypatch.setattr(mixed, "project_separable", counted)
+        closest_separable_numeric(family2_state(0.095))
+        assert calls <= 200
 
     def test_objective_monotone_within_stage(self):
         result = closest_separable_numeric(family1_state(0.4))
