@@ -86,8 +86,6 @@ class RunConfig:
     theta: float = _option(1.0, float)
     theta_list: tuple = _option((0.5, 1.0), _floats, "comma-separated figure2 thetas")
     t_max: float = _option(0.45, float)
-    samples: int = _option(10000, int, "quadrature nodes (figure2 floors this at 200001 "
-                                       "for the 1e-9 bound margin)")
     family: int = _option(1, int)
     lambda_count: int = _option(101, int)
     method: str = _option("analytic", str, choices=("analytic", "numeric"))
@@ -174,14 +172,11 @@ def cmd_figure2(cfg: RunConfig) -> int:
     durations = np.linspace(cfg.t_max / t_count, cfg.t_max, t_count)
     rows = []
     for theta in cfg.theta_list:
-        snapped, tqsl = family_qsl_curve(1.0, theta, durations,
-                                         samples_total=max(cfg.samples, 200001),
-                                         base=cfg.log_base)
-        for T, bound in zip(snapped, tqsl):
-            ratio = bound / T if T > 0 else 0.0
-            rows.append((float(theta), float(T), float(bound), float(ratio)))
+        tqsl = family_qsl_curve(1.0, theta, durations, base=cfg.log_base)
+        for T, bound in zip(durations, tqsl):
+            rows.append((float(theta), float(T), float(bound), float(bound / T)))
     write_csv(cfg.out, {"command": "figure2", "log_base": cfg.log_base, "seed": cfg.seed,
-                        "p": "1.0", "samples": cfg.samples},
+                        "p": "1.0"},
               ["theta", "T", "T_qsl", "ratio"], rows)
     return EXIT_OK
 

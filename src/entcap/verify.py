@@ -213,7 +213,7 @@ def _rate_bound(rng: np.random.Generator, n_samples: int, base) -> CheckResult:
     hams, psis = _stack([(_random_mu(rng).canonical_matrix(), haar_random_pure(2, 2, rng).amplitudes)
                          for _ in range(n_samples)])
     traj = simulate_trajectory(hams, psis, np.linspace(0.05, 0.5, 4), base)
-    check = rate_bound_check(hams, traj, margin=1e-8)
+    check = rate_bound_check(hams, traj)
     worst_margin = float(check.margins.min(initial=np.inf))
     return CheckResult("entanglement-rate-bound", True, check.violations == 0,
                        f"violations={check.violations},min_margin={worst_margin:.3e}")
@@ -249,10 +249,10 @@ def run_bounds(n_samples: int, seed: int, base="e") -> list[CheckResult]:
     t_grid = np.linspace(0.45 / 45.0, 0.45, 45)
     for p in np.linspace(0.0, 1.0, 20):
         for theta in (0.5, 1.0):
-            snapped, tqsl = family_qsl_curve(p, theta, t_grid, samples_total=200001)
-            worst = max(worst, float((tqsl - snapped).max()))
+            tqsl = family_qsl_curve(p, theta, t_grid)
+            worst = max(worst, float((tqsl - t_grid).max()))
             if p in (0.0, 1.0):
-                ratios.append(float((tqsl / snapped).min()))
+                ratios.append(float((tqsl / t_grid).min()))
     results.append(CheckResult("qsl-validity", True, worst <= 1e-9, f"max_excess={worst:.3e}"))
     results.append(CheckResult("qsl-tightness", False, min(ratios) >= 0.95,
                                f"min_ratio={min(ratios):.6f}"))

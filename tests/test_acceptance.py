@@ -112,13 +112,13 @@ def test_criterion_05_qsl_validity_and_tightness():
     curves = {}
     for p in np.linspace(0.0, 1.0, 20):
         for theta in (0.5, 1.0):
-            snapped, tqsl = family_qsl_curve(p, theta, t_grid, samples_total=200001)
-            worst_excess = max(worst_excess, float((tqsl - snapped).max()))
+            tqsl = family_qsl_curve(p, theta, t_grid)
+            worst_excess = max(worst_excess, float((tqsl - t_grid).max()))
             if p == 1.0:
-                curves[theta] = (snapped, tqsl)
-                min_ratio_p1 = min(min_ratio_p1, float((tqsl / snapped).min()))
-    for theta, (snapped, tqsl) in sorted(curves.items()):
-        ratios = ", ".join(f"{r:.6f}" for r in (tqsl / snapped)[::11])
+                curves[theta] = tqsl
+                min_ratio_p1 = min(min_ratio_p1, float((tqsl / t_grid).min()))
+    for theta, tqsl in sorted(curves.items()):
+        ratios = ", ".join(f"{r:.6f}" for r in (tqsl / t_grid)[::11])
         print(f"  ratio curve theta={theta}: T_qsl/T at every 11th node: {ratios}")
     ok = worst_excess <= 1e-9 and min_ratio_p1 >= 0.95
     report(5, ok, f"max (T_qsl - T) = {worst_excess:.2e}, min ratio at p=1: {min_ratio_p1:.6f}")

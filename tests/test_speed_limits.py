@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from entcap import speed_limits
 from entcap.core import BipartitePureState, DomainError, haar_random_pure
 from entcap.dynamics import NonlocalHamiltonian, evolved_schmidt_weights, simulate_trajectory
 from entcap.measures import capacity_from_spectrum
@@ -20,6 +21,7 @@ from entcap.speed_limits import (
     qsl_time_independent,
     rate_bound_check,
 )
+from entcap.verify import run_bounds
 
 
 def two_term_state(p):
@@ -160,36 +162,105 @@ class TestQSLTimeIndependent:
 
     def test_theta_ordering_at_fixed_duration(self):
         # both theta rows are valid bounds; the curves are emitted for comparison
-        r_half = family_qsl_report(1.0, 0.5, 0.3, samples=20001)
-        r_one = family_qsl_report(1.0, 1.0, 0.3, samples=20001)
+        r_half = family_qsl_report(1.0, 0.5, 0.3)
+        r_one = family_qsl_report(1.0, 1.0, 0.3)
         for r in (r_half, r_one):
             assert r.t_qsl <= r.duration + 1e-9
 
-    def test_quadrature_convergence(self):
-        base_val = family_qsl_report(0.75, 1.0, 0.4, samples=10001).t_qsl
-        fine_val = family_qsl_report(0.75, 1.0, 0.4, samples=20001).t_qsl
-        assert abs(fine_val - base_val) < 1e-6
-
     def test_curve_matches_report(self):
         durations = np.linspace(0.045, 0.45, 10)
-        snapped, tqsl = family_qsl_curve(1.0, 0.5, durations, samples_total=90001)
-        for T, bound in zip(snapped, tqsl):
-            ref = family_qsl_report(1.0, 0.5, float(T), samples=90001).t_qsl
+        tqsl = family_qsl_curve(1.0, 0.5, durations)
+        for T, bound in zip(durations, tqsl):
+            ref = family_qsl_report(1.0, 0.5, float(T)).t_qsl
             assert bound == pytest.approx(ref, abs=1e-8)
 
     def test_validity_grid(self):
         t_grid = np.linspace(0.01, 0.45, 12)
         for p in np.linspace(0.0, 1.0, 8):
             for theta in (0.5, 1.0):
-                snapped, tqsl = family_qsl_curve(p, theta, t_grid, samples_total=200001)
-                assert float((tqsl - snapped).max()) <= 1e-9
+                tqsl = family_qsl_curve(p, theta, t_grid)
+                assert float((tqsl - t_grid).max()) <= 1e-9
 
     def test_tightness_and_monotone_curve(self):
         t_grid = np.linspace(0.01, 0.45, 45)
         for theta in (0.5, 1.0):
-            snapped, tqsl = family_qsl_curve(1.0, theta, t_grid, samples_total=200001)
-            assert float((tqsl / snapped).min()) >= 0.95
+            tqsl = family_qsl_curve(1.0, theta, t_grid)
+            assert float((tqsl / t_grid).min()) >= 0.95
             assert np.all(np.diff(tqsl) > 0)
+
+
+class TestFamilyQuadrature:
+    def test_rule_exact_to_degree_23(self):
+        nodes, weights = speed_limits._gauss_legendre(12)
+        for k in range(24):
+            exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+            assert weights @ nodes**k == pytest.approx(exact, rel=0, abs=1e-14)
+
+    @pytest.mark.parametrize("p", [0.0, 1.0])
+    @pytest.mark.parametrize("theta", [0.5, 1.0, 2.0])
+    def test_saturation_while_entropy_monotone(self, p, theta):
+        # from a product state |dS/dt| = 2 sqrt(C) dH holds with equality
+        # until 2 theta T = pi/2, so T_qsl = T exactly there
+        durations = np.linspace(0.002, 0.998, 60) * np.pi / (4.0 * theta)
+        np.testing.assert_allclose(family_qsl_curve(p, theta, durations), durations, rtol=0, atol=1e-12)
+        for T in durations[::7]:
+            assert family_qsl_report(p, theta, T).t_qsl == pytest.approx(T, rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+    def test_matches_dense_trapezoid_across_breakpoints(self, p):
+        # 2 theta T runs to 6, past x = pi/2, pi and 3 pi/2
+        theta = 2.0
+        ts = np.linspace(0.0, 1.5, 1_000_001)
+        sqrt_cap = family_sqrt_capacity(p, theta, ts)
+        cum = np.concatenate([[0.0], np.cumsum(0.5 * (sqrt_cap[1:] + sqrt_cap[:-1]) * np.diff(ts))])
+        idx = np.arange(50_000, ts.size, 50_000)
+        durations = ts[idx]
+        ds = family_entropy(p, theta, durations) - family_entropy(p, theta, 0.0)
+        ref = np.abs(ds) / (2.0 * theta * abs(1.0 - 2.0 * p) * cum[idx] / durations)
+        np.testing.assert_allclose(family_qsl_curve(p, theta, durations), ref, rtol=0, atol=1e-8)
+
+    def test_any_order_and_repeats(self):
+        durations = np.array([0.3, 0.05, 0.45, 0.05, 0.2])
+        tqsl = family_qsl_curve(0.3, 1.0, durations)
+        order = np.argsort(durations)
+        np.testing.assert_allclose(tqsl[order], family_qsl_curve(0.3, 1.0, durations[order]), rtol=0, atol=1e-15)
+        assert tqsl[1] == tqsl[3]
+        assert family_qsl_curve(0.3, 1.0, []).shape == (0,)
+
+    @pytest.mark.parametrize("durations", [[0.1, 0.0], [-0.2], [0.1, np.nan], [np.inf]])
+    def test_nonpositive_duration_rejected(self, durations):
+        with pytest.raises(DomainError):
+            family_qsl_curve(1.0, 1.0, durations)
+        with pytest.raises(DomainError):
+            family_qsl_report(1.0, 1.0, durations[-1])
+
+    @pytest.mark.parametrize("theta", [0.0, -1.0])
+    def test_nonpositive_theta_rejected(self, theta):
+        with pytest.raises(DomainError):
+            family_qsl_curve(1.0, theta, [0.1])
+
+    @pytest.fixture
+    def evaluated(self, monkeypatch):
+        """Sizes of the arrays the quadrature passes to family_sqrt_capacity."""
+        sizes = []
+        inner = speed_limits.family_sqrt_capacity
+
+        def counting(p, theta, t, base="2"):
+            sizes.append(np.size(t))
+            return inner(p, theta, t, base)
+
+        monkeypatch.setattr(speed_limits, "family_sqrt_capacity", counting)
+        return sizes
+
+    def test_report_counts_evaluated_nodes(self, evaluated):
+        report = family_qsl_report(0.3, 1.0, 0.4)
+        assert report.samples == sum(evaluated) > 0
+
+    def test_verify_grid_evaluation_count(self, evaluated):
+        # 40 curves of 200001 trapezoid nodes made 8,000,040 evaluations
+        results = run_bounds(20, 0)
+        assert all(r.passed for r in results if r.hard)
+        assert 0 < sum(evaluated) <= 100_000
 
 
 class TestQSLTimeDependent:
