@@ -12,14 +12,12 @@ import numpy as np
 from entcap import (
     canonical_form,
     capacity_from_spectrum,
-    capacity_rate_factor,
+    capacity_rate_factor_maximum,
     capacity_two_qubit_closed,
-    grid_argmax,
     max_capacity_rate,
     max_entangling_element,
     max_entangling_element_ancilla,
     max_entangling_element_numeric,
-    maximize_scalar,
 )
 
 print("Canonical form of a randomly oriented coupling")
@@ -35,8 +33,7 @@ print(f"  with qubit ancillas:          mu1+mu2+mu3 = {max_entangling_element_an
 
 print()
 print("State factor of the capacity rate (natural log)")
-p0_grid, f0 = grid_argmax(lambda p: capacity_rate_factor(p, "e"), 0.0, 1.0, 10**6)
-p0, f0 = maximize_scalar(lambda p: capacity_rate_factor(p, "e"), p0_grid - 1e-5, p0_grid + 1e-5, tol=1e-12)
+p0, f0 = capacity_rate_factor_maximum("e")
 print(f"  best Schmidt weight p0 = {p0:.6f}")
 print(f"  factor value           = {f0:.6f}")
 print(f"  capacity there         = {capacity_two_qubit_closed(p0, 'e'):.6f}")
@@ -44,8 +41,7 @@ print(f"  peak total rate for mu = (1, 0.5, 0.2): {max_capacity_rate(p0, 1.0, 0.
 
 print()
 print("Ancilla-assisted spectrum (p, (1-p)/3 x3)")
-pt_grid, _ = grid_argmax(lambda p: capacity_rate_factor(p, "e", k=3), 0.0, 1.0, 10**6)
-pt, ft = maximize_scalar(lambda p: capacity_rate_factor(p, "e", k=3), pt_grid - 1e-5, pt_grid + 1e-5, tol=1e-12)
+pt, ft = capacity_rate_factor_maximum("e", k=3)
 cap = capacity_from_spectrum([pt] + [(1 - pt) / 3] * 3, "e").capacity
 print(f"  best weight p~0 = {pt:.6f},  |factor| = {abs(ft):.6f},  C_E = {cap:.6f}")
 print()

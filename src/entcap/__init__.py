@@ -15,7 +15,6 @@ from .core import (
     density_from_pure,
     haar_random_pure,
     log_on_support,
-    matrix_log_integral,
     partial_trace,
     relative_entropy,
     schmidt_decompose,
@@ -41,33 +40,24 @@ from .dynamics import (
     NonlocalHamiltonian,
     Trajectory,
     canonical_form,
-    capacity_gradient,
     capacity_rate_factor,
-    entangling_element,
+    capacity_rate_factor_maximum,
     evolve_exact,
     evolved_schmidt_weights,
-    grid_argmax,
     max_capacity_rate,
     max_entangling_element,
     max_entangling_element_ancilla,
     max_entangling_element_numeric,
-    maximize_scalar,
-    maximizing_rate_state,
-    qubit_orthocomplement,
-    schmidt_weight_rate,
     simulate_trajectory,
-    spectrum_capacity_rate,
 )
 from .speed_limits import (
     QSLReport,
     RateBoundCheck,
-    closed_form_family,
     family_qsl_curve,
     family_qsl_report,
     fubini_study_speed,
     hamiltonian_fluctuation,
     qsl_time_dependent,
-    qsl_time_independent,
     rate_bound_check,
 )
 from .self_inverse import (
@@ -77,7 +67,6 @@ from .self_inverse import (
     capacity_rate_bounds,
     evolve_self_inverse,
     liouville_rhs,
-    liouville_rhs_reduced,
     max_entropy_rate_constant,
     operator_norm,
 )

@@ -15,11 +15,9 @@ import numpy as np
 
 from .core import ConfigurationError, DomainError
 from .dynamics import (
-    capacity_rate_factor,
-    grid_argmax,
+    capacity_rate_factor_maximum,
     max_entangling_element,
     max_entangling_element_numeric,
-    maximize_scalar,
     NonlocalHamiltonian,
 )
 from .measures import capacity_from_spectrum, capacity_two_qubit_closed
@@ -33,6 +31,7 @@ from .mixed import (
     family2_relative_entropy,
     family2_state,
 )
+from .self_inverse import max_entropy_rate_constant
 from .speed_limits import family_entropy, family_qsl_curve, family_sqrt_capacity
 from .verify import format_report, hard_failures, run_suite
 
@@ -50,7 +49,10 @@ def parse_grid_spec(value) -> dict:
     if isinstance(value, str):
         pieces = [piece.split("=") for piece in value.split(",") if piece.strip()]
         value = {name.strip(): spec.split(":") for name, spec in pieces}
-    return {name: (float(lo), float(hi), int(count)) for name, (lo, hi, count) in dict(value).items()}
+    specs = {name: (float(lo), float(hi), int(count)) for name, (lo, hi, count) in dict(value).items()}
+    if any(count < 1 for _, _, count in specs.values()):
+        raise ValueError("grid counts must be positive")
+    return specs
 
 
 def _floats(value) -> tuple:
@@ -212,12 +214,7 @@ def cmd_maximize(cfg: RunConfig) -> int:
     lines = [f"# command=maximize target={cfg.target} log_base={base}"]
     if cfg.target in ("rate-factor", "ancilla-factor"):
         k, reported = (1, REPORTED_RATE_FACTOR) if cfg.target == "rate-factor" else (3, REPORTED_ANCILLA_FACTOR)
-
-        def factor(p):
-            return capacity_rate_factor(p, base, k)
-
-        x0, _ = grid_argmax(factor, 0.0, 1.0, 1_000_000)
-        x, v = maximize_scalar(factor, max(x0 - 1e-5, 0.0), min(x0 + 1e-5, 1.0), tol=1e-12)
+        x, v = capacity_rate_factor_maximum(base, k)
         if k == 1:
             capacity = capacity_two_qubit_closed(x, base)
         else:
@@ -230,8 +227,6 @@ def cmd_maximize(cfg: RunConfig) -> int:
         if k == 1:
             lines.append("note=direct evaluation of the printed rate expression is twice the reported value")
     elif cfg.target == "beta":
-        from .self_inverse import max_entropy_rate_constant
-
         v = max_entropy_rate_constant(base)
         lines.append(f"value={_fmt(v)}")
         lines.append("reported_value=n/a")
@@ -303,15 +298,12 @@ def main(argv=None) -> int:
     try:
         cfg = config_from_args(args)
         return _DISPATCH[cfg.command](cfg)
-    except (ConfigurationError, json.JSONDecodeError) as exc:
+    except (ConfigurationError, DomainError, json.JSONDecodeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except DomainError as exc:
-        print(f"domain error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -36,6 +36,21 @@ def log_scale(base) -> float:
     raise ConfigurationError(f"log base must be 2 or 'e', got {base!r}")
 
 
+def _bisect(g, lo: float, hi: float) -> float:
+    """Root of a continuous scalar g on a bracket [lo, hi] where g changes sign.
+
+    Halves the bracket until its midpoint rounds to one of its ends, so the
+    result is the root to the last bit that g's sign can resolve.
+    """
+    lo_positive = g(lo) > 0.0
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if (g(mid) > 0.0) == lo_positive:
+            lo = mid
+        else:
+            hi = mid
+    return mid
+
+
 def hermitize(a: np.ndarray) -> np.ndarray:
     """Hermitian part (A + A†)/2."""
     return 0.5 * (a + a.conj().T)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NORM_TOL, BipartitePureState, DomainError, log_scale
+from .core import NORM_TOL, BipartitePureState, DomainError, _bisect, log_scale
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -167,41 +167,57 @@ def max_entangling_element_ancilla(hamiltonian: NonlocalHamiltonian) -> float:
     return float(sum(hamiltonian.mu))
 
 
-def _bloch(theta: float, phi: float) -> np.ndarray:
-    return np.array([np.cos(theta / 2.0), np.exp(1j * phi) * np.sin(theta / 2.0)])
+def _max_over_chi(coeffs, theta, phi):
+    """max over chi of |<phi,chi|H|phi_perp,chi_perp>| at phi = (cos(theta/2), e^{i phi} sin(theta/2)).
+
+    The partial element <phi|H|phi_perp> is an operator m0 I + (x + iy).sigma
+    on B, and <chi|I|chi_perp> = 0.  With n the Bloch vector of chi,
+    |<chi|(x + iy).sigma|chi_perp>|^2 is |x|^2 + |y|^2 minus the squares of
+    x.n and y.n, plus 2 n.(x cross y).  Each term is largest for n along
+    x cross y, which gives the maximum sqrt(|x|^2 + |y|^2 + 2|x cross y|).
+    Local terms only add to m0, so this holds for any 4x4 H.
+
+    ``coeffs[c][2i + k]`` is tr(<i|H|k> sigma_c)/2 for <i|H|k> on B, so that
+    x_c + i y_c = sum_ik conj(phi_i) phi_perp_k coeffs[c][2i + k].  Scalar
+    arithmetic only: arrays of angles give arrays of maxima.
+    """
+    c, s, e = np.cos(0.5 * theta), np.sin(0.5 * theta), np.exp(-1j * phi)
+    # conj(phi_i) phi_perp_k with phi_perp = (-e^{-i phi} sin, cos)
+    w = (-c * s * e, c * c, -(s * e) ** 2, c * s * e)
+    (x0, y0), (x1, y1), (x2, y2) = ((m.real, m.imag) for m in
+                                    (r[0] * w[0] + r[1] * w[1] + r[2] * w[2] + r[3] * w[3] for r in coeffs))
+    z0, z1, z2 = x1 * y2 - x2 * y1, x2 * y0 - x0 * y2, x0 * y1 - x1 * y0
+    return (x0 * x0 + x1 * x1 + x2 * x2 + y0 * y0 + y1 * y1 + y2 * y2
+            + 2.0 * (z0 * z0 + z1 * z1 + z2 * z2) ** 0.5) ** 0.5
 
 
-def max_entangling_element_numeric(hamiltonian, grid: int = 24) -> float:
+def max_entangling_element_numeric(hamiltonian) -> float:
     """Numeric maximum of |<phi,chi|H|phi_perp,chi_perp>| over the two Bloch spheres.
 
-    Coarse grid over the four angles, then golden-section line searches along
-    Powell's conjugate directions, starting from the angle axes.  The first
-    sweep brackets each search at +-2 pi/grid, later ones at 30 times the
-    longest step of the sweep before (at most +-2 pi/grid).  It stops once a
-    sweep along the axes gains less than 1e-15.  The relative phases of the
-    orthocomplements do not affect the magnitude.
+    The maximum over chi is exact for each phi (``_max_over_chi``), so only the
+    two angles of phi are searched: a 24 x 24 grid, then golden-section line
+    searches along Powell's conjugate directions, starting from the angle
+    axes.  The first sweep brackets each search at +-2 pi/24, later ones at 30
+    times the longest step of the sweep before (at most +-2 pi/24).  It stops
+    once a sweep along the axes gains less than 1e-15.  The relative phases of
+    the orthocomplements do not affect the magnitude.
     """
-    h = _as_matrix(hamiltonian)
-    h4 = h.reshape(2, 2, 2, 2)
+    h4 = _as_matrix(hamiltonian).reshape(2, 2, 2, 2)
+    coeffs = (0.5 * np.einsum("ijkl,clj->cik", h4, np.array(PAULIS))).reshape(3, 4).tolist()
+    grid = 24
     thetas = np.linspace(0.0, np.pi, grid)
     phis = np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False)
-    states = np.array([_bloch(t, p) for t in thetas for p in phis])
-    perps = np.stack([-states[:, 1].conj(), states[:, 0].conj()], axis=1)
-    half = np.einsum("bj,ijkl,bl->bik", states.conj(), h4, perps)
-    vals = np.abs(np.einsum("ai,bik,ak->ab", states.conj(), half, perps))
-    ia, ib = np.unravel_index(np.argmax(vals), vals.shape)
-    x = np.array([thetas[ia // grid], phis[ia % grid], thetas[ib // grid], phis[ib % grid]])
-    best = float(vals[ia, ib])
+    vals = _max_over_chi(coeffs, thetas[:, None], phis[None, :])
+    i, j = np.unravel_index(np.argmax(vals), vals.shape)
+    x = np.array([thetas[i], phis[j]])
+    best = float(vals[i, j])
     span = 2.0 * np.pi / grid
 
-    def value_at(angles):
-        return abs(entangling_element(h, _bloch(*angles[:2]), _bloch(*angles[2:])))
-
     def line_max(x, u, best, reach):
-        t, v = maximize_scalar(lambda t: value_at(x + t * u), -reach, reach, tol=1e-12)
+        t, v = maximize_scalar(lambda t: _max_over_chi(coeffs, *(x + t * u)), -reach, reach, tol=1e-12)
         return (x + t * u, v, abs(t)) if v > best else (x, best, 0.0)
 
-    directions = axes = list(np.eye(4))
+    directions = axes = list(np.eye(2))
     reach = span
     while True:
         start, x_start = best, x
@@ -244,6 +260,30 @@ def capacity_rate_factor(p, base="e", k=1):
     return float(out) if np.isscalar(p) else out
 
 
+def capacity_rate_factor_maximum(base="e", k=1) -> tuple[float, float]:
+    """(p0, value) of the largest ``capacity_rate_factor(p, base, k)`` over p in [0, 1].
+
+    In L = ln(k p/(1-p)), with l = L / ln(base) and q = 1 - p, the factor is
+    stationary exactly where
+
+        Q(L) = (1 - 8pq) l^2 / 2 + (q - p)(1 + 2/ln b) l + 2/ln b = 0.
+
+    Each sign change of Q on a 161-point grid over L in [-40, 40] is bisected,
+    and the stationary point with the largest factor is returned.
+    """
+    scale = log_scale(base)
+
+    def stationarity(L):
+        p, ell = 1.0 / (1.0 + k * np.exp(-L)), L / scale
+        return 0.5 * (1.0 - 8.0 * p * (1.0 - p)) * ell**2 + (1.0 - 2.0 * p) * (1.0 + 2.0 / scale) * ell + 2.0 / scale
+
+    grid = np.linspace(-40.0, 40.0, 161)
+    signs = np.signbit(stationarity(grid))
+    roots = [_bisect(stationarity, grid[i], grid[i + 1]) for i in np.flatnonzero(signs[1:] != signs[:-1])]
+    ps = [float(1.0 / (1.0 + k * np.exp(-L))) for L in roots]
+    return max(((p, capacity_rate_factor(p, base, k)) for p in ps), key=lambda pv: pv[1])
+
+
 def max_capacity_rate(p: float, mu1: float, mu2: float, base="e") -> float:
     """Largest capacity rate at Schmidt weight p: (mu1 + mu2) times the rate factor.
 
@@ -278,21 +318,6 @@ def maximizing_rate_state(p: float) -> BipartitePureState:
     """The two-qubit state sqrt(p)|01> + i sqrt(1-p)|10> achieving the maximal capacity rate."""
     amps = np.array([0.0, np.sqrt(p), 1j * np.sqrt(1.0 - p), 0.0])
     return BipartitePureState(amps, 2, 2)
-
-
-def grid_argmax(f, lo: float, hi: float, n: int) -> tuple[float, float]:
-    """Argmax of f over n uniformly spaced points; f may be array-vectorized."""
-    xs = np.linspace(lo, hi, n)
-    try:
-        ys = np.asarray(f(xs), dtype=float)
-        if ys.shape != xs.shape:
-            raise TypeError
-    except Exception:
-        ys = np.array([float(f(x)) for x in xs])
-    if not np.isfinite(ys).all():
-        raise DomainError("objective produced non-finite values on the grid")
-    k = int(np.argmax(ys))
-    return float(xs[k]), float(ys[k])
 
 
 def maximize_scalar(f, lo: float, hi: float, tol: float = 1e-10) -> tuple[float, float]:

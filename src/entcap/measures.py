@@ -11,6 +11,7 @@ from .core import (
     DensityOperator,
     DomainError,
     Spectrum,
+    _bisect,
     hermitize,
     log_on_support,
     log_scale,
@@ -123,27 +124,11 @@ def uncertainty(obs: np.ndarray, rho: DensityOperator) -> float:
 def solve_max_variance_spectrum(d: int) -> tuple[float, np.ndarray]:
     """Spectrum (1-r, r/(d-1), ..., r/(d-1)) maximizing the capacity at dimension d.
 
-    r is the root of (1-2r) ln((1-r)(d-1)/r) = 2 in (0, 1/2), found by bisection
-    to residual below 1e-12.
+    r is the root of (1-2r) ln((1-r)(d-1)/r) = 2 in (0, 1/2), found by bisection.
     """
     if d < 2:
         raise DomainError("dimension must be at least 2")
-
-    def g(r: float) -> float:
-        return (1.0 - 2.0 * r) * np.log((1.0 - r) / r * (d - 1)) - 2.0
-
-    lo, hi = 1e-300, 0.5
-    for _ in range(20000):
-        mid = 0.5 * (lo + hi)
-        val = g(mid)
-        if abs(val) < 1e-12:
-            lo = hi = mid
-            break
-        if val > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    r = 0.5 * (lo + hi)
+    r = _bisect(lambda r: (1.0 - 2.0 * r) * np.log((1.0 - r) / r * (d - 1)) - 2.0, 1e-300, 0.5)
     weights = np.full(d, r / (d - 1))
     weights[0] = 1.0 - r
     return float(r), weights

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -11,11 +11,11 @@ from .core import (
     BipartitePureState,
     DensityOperator,
     DomainError,
+    _bisect,
     _partial_trace_matrix,
     hermitize,
     log_scale,
 )
-from .dynamics import grid_argmax, maximize_scalar
 
 INVOLUTION_TOL = 1e-10
 
@@ -77,29 +77,17 @@ def liouville_rhs_reduced(hamiltonian, rho: DensityOperator, keep: str) -> np.nd
     return _partial_trace_matrix(liouville_rhs(hamiltonian, rho), *rho.split(), keep)
 
 
-@functools.cache
-def _max_entropy_rate_constant_nats() -> float:
-    def f(x):
-        x = np.asarray(x, dtype=float)
-        inner = (x > 0.0) & (x < 1.0)
-        safe = np.where(inner, x, 0.5)
-        val = 2.0 * np.sqrt(safe * (1.0 - safe)) * np.abs(np.log(safe / (1.0 - safe)))
-        return np.where(inner, val, 0.0)
-
-    x0, _ = grid_argmax(f, 0.0, 1.0, 1_000_000)
-    span = 2e-6
-    _, val = maximize_scalar(lambda x: float(f(x)), x0 - span, x0 + span, tol=1e-13)
-    return float(val)
-
-
 def max_entropy_rate_constant(base="e") -> float:
     """2 max_x sqrt(x(1-x)) |log(x/(1-x))|: the self-inverse entanglement-rate cap.
 
-    Grid scan (1e6 points) plus golden-section refinement; the maximization is
-    done once in natural log and converted, so the two bases agree exactly up
-    to the ln(2) factor.
+    With x = (1 + tanh u)/2 the objective is 2u/cosh(u), stationary at the root
+    u ~ 1.1996786 of u tanh(u) = 1 (bisection on [1, 2]), where it equals
+    2 sqrt(u^2 - 1).  Evaluating 2u/cosh(u), which is flat there, keeps the
+    last bit of u out of the value.  Computed in natural log and converted, so
+    the two bases agree exactly up to the ln(2) factor.
     """
-    return _max_entropy_rate_constant_nats() / log_scale(base)
+    u = _bisect(lambda u: u * math.tanh(u) - 1.0, 1.0, 2.0)
+    return 2.0 * u / math.cosh(u) / log_scale(base)
 
 
 def operator_norm(hamiltonian):

@@ -43,7 +43,11 @@ class FamilyPoint:
 
 
 def _family_eta(p, theta, t):
-    return (1.0 - 2.0 * np.asarray(p, dtype=float)) * np.cos(2.0 * theta * np.asarray(t, dtype=float))
+    """eta = (1-2p) cos(2 theta t), after checking p; so |eta| <= 1 in every closed form."""
+    p = np.asarray(p, dtype=float)
+    if not ((p >= 0.0) & (p <= 1.0)).all():
+        raise DomainError("p must lie in [0, 1]")
+    return (1.0 - 2.0 * p) * np.cos(2.0 * theta * np.asarray(t, dtype=float))
 
 
 def family_sqrt_capacity(p, theta, t, base="2"):
@@ -52,7 +56,7 @@ def family_sqrt_capacity(p, theta, t, base="2"):
     eta = _family_eta(p, theta, t)
     inner = np.abs(eta) < 1.0
     safe = np.where(inner, eta, 0.0)
-    val = np.sqrt(np.clip(1.0 - safe**2, 0.0, None)) * np.abs(np.arctanh(safe))
+    val = np.sqrt(1.0 - safe**2) * np.abs(np.arctanh(safe))
     return np.where(inner, val, 0.0) / scale
 
 
@@ -60,7 +64,7 @@ def family_entropy(p, theta, t, base="2"):
     """Closed-form entanglement entropy along the family (binary entropy of lam1)."""
     scale = log_scale(base)
     eta = _family_eta(p, theta, t)
-    lam1 = np.clip((1.0 - eta) / 2.0, 0.0, 1.0)
+    lam1 = (1.0 - eta) / 2.0
     inner = (lam1 > 0.0) & (lam1 < 1.0)
     safe = np.where(inner, lam1, 0.5)
     ent = -(safe * np.log(safe) + (1.0 - safe) * np.log(1.0 - safe)) / scale
@@ -74,8 +78,6 @@ def closed_form_family(p: float, theta: float, t, base="2"):
     capacity 0 explicitly.  delta_h = theta |1-2p| (a standard deviation, so
     the absolute value is used).
     """
-    if np.any(np.asarray(p) < 0.0) or np.any(np.asarray(p) > 1.0):
-        raise DomainError("p must lie in [0, 1]")
     eta = _family_eta(p, theta, t)
     cap = family_sqrt_capacity(p, theta, t, base) ** 2
     ent = family_entropy(p, theta, t, base)

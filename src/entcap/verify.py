@@ -12,6 +12,7 @@ import numpy as np
 
 from .core import (
     DensityOperator,
+    DomainError,
     density_from_pure,
     haar_random_pure,
     partial_trace,
@@ -280,6 +281,8 @@ def run_bounds(n_samples: int, seed: int, base="e") -> list[CheckResult]:
 
 
 def run_suite(suite: str, n_samples: int, seed: int, base="e") -> list[CheckResult]:
+    if n_samples < 1:
+        raise DomainError(f"n_samples must be positive, got {n_samples}")
     if suite == "properties":
         return run_properties(n_samples, seed, base)
     if suite == "bounds":

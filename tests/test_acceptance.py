@@ -19,12 +19,10 @@ from entcap.core import (
 )
 from entcap.dynamics import (
     NonlocalHamiltonian,
-    capacity_rate_factor,
+    capacity_rate_factor_maximum,
     evolved_schmidt_weights,
-    grid_argmax,
     max_entangling_element,
     max_entangling_element_numeric,
-    maximize_scalar,
 )
 from entcap.measures import (
     capacity_from_spectrum,
@@ -56,9 +54,7 @@ def report(num: int, ok: bool, detail: str) -> None:
 
 def test_criterion_01_ancilla_maximizer():
     start = time.monotonic()
-    p_grid, _ = grid_argmax(lambda p: capacity_rate_factor(p, "e", k=3), 0.0, 1.0, 10**6)
-    p_star, f_star = maximize_scalar(lambda p: capacity_rate_factor(p, "e", k=3),
-                                     p_grid - 1e-5, p_grid + 1e-5, tol=1e-12)
+    p_star, f_star = capacity_rate_factor_maximum("e", k=3)
     cap = capacity_from_spectrum([p_star] + [(1 - p_star) / 3] * 3, "e").capacity
     elapsed = time.monotonic() - start
     ok = (abs(p_star - 0.6036) <= 5e-4
@@ -70,7 +66,7 @@ def test_criterion_01_ancilla_maximizer():
 
 def test_criterion_02_rate_factor_maximizer():
     cap = capacity_two_qubit_closed(0.0045, "e")
-    p_grid, f_grid = grid_argmax(lambda p: capacity_rate_factor(p, "e"), 0.0, 1.0, 10**6)
+    p_grid, f_grid = capacity_rate_factor_maximum("e")
     ok = abs(cap - 0.1306) <= 1e-3 and 0.003 <= p_grid <= 0.008
     report(2, ok, f"C_E(0.0045)={cap:.6f} p0={p_grid:.6f} factor={f_grid:.6f} "
                   f"(reported 1.2108; direct evaluation is twice that, "

@@ -40,6 +40,11 @@ class TestGridSpec:
         (["--command", "figure2", "--theta-list", "a"], None),
         (None, {"command": "figures34", "lambda_count": "a"}),
         (None, {"command": "figure1", "grid": {"p": [0, 1]}}),
+        (["--command", "figure1", "--grid", "p=0:2:3"], None),
+        (["--command", "figure1", "--grid", "p=-1:1:3"], None),
+        (["--command", "figure2", "--grid", "T=0:1:0"], None),
+        (["--command", "verify", "--n-samples", "-5"], None),
+        (["--command", "verify", "--n-samples", "0"], None),
     ])
     def test_malformed_value_exit_code(self, tmp_path, capsys, argv, config):
         if config is not None:

@@ -269,10 +269,23 @@ class TestHaarSampling:
             haar_random_pure(1, 2, 0)
 
 
-def test_import_loads_no_scipy():
-    # numpy is the only declared dependency; a fresh interpreter shows what importing entcap pulls in
+def _fresh_python(code: str) -> str:
+    """Stdout of ``code`` run in a new interpreter that imports this checkout's entcap."""
     src = str(Path(entcap.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = "import sys, entcap; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert result.stdout.strip() == "[]"
+    return result.stdout.strip()
+
+
+def test_import_loads_no_scipy():
+    # numpy is the only declared dependency; a fresh interpreter shows what importing entcap pulls in
+    code = "import sys, entcap; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    assert _fresh_python(code) == "[]"
+
+
+def test_bounds_suite_allocates_no_large_arrays():
+    # the maxima in the bounds suite come from exact rules, not dense scans;
+    # a fresh interpreter keeps earlier tests' caches out of the peak
+    code = ("import tracemalloc; from entcap.verify import run_bounds; tracemalloc.start(); "
+            "run_bounds(20, 0); print(tracemalloc.get_traced_memory()[1])")
+    assert int(_fresh_python(code)) < 8e6

@@ -135,17 +135,13 @@ class TestRateConstant:
             max_entropy_rate_constant("e") / math.log(2), abs=1e-10
         )
 
-    def test_maximizer_symmetry(self):
-        def f(x):
-            return 2 * math.sqrt(x * (1 - x)) * abs(math.log(x / (1 - x)))
-
-        from entcap.dynamics import grid_argmax
-
-        x_star, val = grid_argmax(lambda x: np.where((x > 0) & (x < 1),
-                                                     2 * np.sqrt(np.clip(x * (1 - x), 1e-300, None))
-                                                     * np.abs(np.log(np.clip(x, 1e-300, None) / np.clip(1 - x, 1e-300, None))),
-                                                     0.0), 0.0, 1.0, 10**6)
-        assert f(x_star) == pytest.approx(f(1 - x_star), abs=1e-9)
+    def test_stationarity_residual(self):
+        # beta_e = 2 sqrt(u^2 - 1) at the root of u tanh(u) = 1; the reference
+        # value is the correctly rounded maximum
+        beta = max_entropy_rate_constant("e")
+        u = math.sqrt(1.0 + (beta / 2.0) ** 2)
+        assert abs(u * math.tanh(u) - 1.0) <= 1e-15
+        assert abs(beta - 1.3254868386983631) <= 4.4e-16
 
 
 class TestBounds:
