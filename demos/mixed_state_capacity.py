@@ -3,7 +3,7 @@
 
 For mixed states the modular Hamiltonian is shifted by that of the closest
 separable state sigma*.  Two Bell-state mixtures admit analytic sigma*; the
-projected-gradient solver recovers those minimizers numerically and extends
+log-barrier Newton solver recovers those minimizers numerically and extends
 the construction to arbitrary two-qubit states.
 """
 

@@ -190,6 +190,8 @@ def cmd_figures34(cfg: RunConfig) -> int:
         state_of, analytic_of, closed = family2_state, closest_separable_family2, family2_relative_entropy
     else:
         raise ConfigurationError(f"family must be 1 or 2, got {cfg.family}")
+    if cfg.lambda_count < 1:
+        raise ConfigurationError(f"lambda_count must be positive, got {cfg.lambda_count}")
     lams = np.linspace(0.0, 1.0, cfg.lambda_count)
     rows = []
     for lam in lams:

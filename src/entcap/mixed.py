@@ -58,14 +58,13 @@ def is_ppt(rho: DensityOperator, tol: float = PPT_TOL) -> bool:
 class SeparableApproximation:
     """Candidate closest separable state with its achieved relative entropy.
 
-    ``objective_trace`` holds (smoothing_level, objective) pairs for every
-    accepted solver iteration; analytic constructions leave it empty.
+    ``objective_trace`` holds (barrier_weight, objective) pairs for every
+    accepted solver step; analytic constructions leave it empty.
     """
 
     sigma_star: DensityOperator
     relative_entropy: float
     iterations: int
-    final_step_norm: float
     method: str
     converged: bool = True
     objective_trace: tuple = ()
@@ -81,7 +80,7 @@ def closest_separable_pure(state: BipartitePureState, base="e") -> SeparableAppr
         sigma += w * np.outer(v, v.conj())
     sigma_star = DensityOperator(hermitize(sigma), d_a=state.d_a, d_b=state.d_b)
     e_r = relative_entropy(density_from_pure(state), sigma_star, base)
-    return SeparableApproximation(sigma_star, e_r, 0, 0.0, "analytic-pure")
+    return SeparableApproximation(sigma_star, e_r, 0, "analytic-pure")
 
 
 def family1_state(lam: float) -> DensityOperator:
@@ -148,18 +147,18 @@ def closest_separable_family1(lam: float, base="e") -> SeparableApproximation:
     """Analytic closest separable state for the Bell/|01> mixture."""
     rho = family1_state(lam)
     sigma = family1_closest(lam)
-    return SeparableApproximation(sigma, relative_entropy(rho, sigma, base), 0, 0.0, "analytic-family-1")
+    return SeparableApproximation(sigma, relative_entropy(rho, sigma, base), 0, "analytic-family-1")
 
 
 def closest_separable_family2(lam: float, base="e") -> SeparableApproximation:
     """Analytic closest separable state for the Bell/|00> mixture."""
     rho = family2_state(lam)
     sigma = family2_closest(lam)
-    return SeparableApproximation(sigma, relative_entropy(rho, sigma, base), 0, 0.0, "analytic-family-2")
+    return SeparableApproximation(sigma, relative_entropy(rho, sigma, base), 0, "analytic-family-2")
 
 
 # ---------------------------------------------------------------------------
-# Numeric solver: projected gradient over the PPT ∩ density set
+# Projection onto the PPT ∩ density set (Dykstra)
 # ---------------------------------------------------------------------------
 
 _I4 = np.eye(4)
@@ -189,6 +188,7 @@ def project_separable(m: np.ndarray, iters: int = 120, tol: float = 1e-12) -> np
     Dykstra tolerance, or larger when ``iters`` sweeps run out on an input
     far from the set.  When the PSD projection alone already lands in the PPT
     set it is the exact intersection projection and is returned directly.
+    The REE solver does not use it.
     """
     x = _proj_trace(np.asarray(m, dtype=complex))
     y = _proj_psd(x)
@@ -213,106 +213,174 @@ def project_separable(m: np.ndarray, iters: int = 120, tol: float = 1e-12) -> np
     return (v * (w / w.sum())) @ v.conj().T
 
 
-def _smoothed_objective(rho: np.ndarray, sigma: np.ndarray, delta: float):
-    w, v = np.linalg.eigh(hermitize(sigma))
-    a = np.einsum("ji,jk,ki->i", v.conj(), rho, v).real
-    return float(-np.sum(a * np.log(np.clip(w, delta, None)))), w, v
+# ---------------------------------------------------------------------------
+# Numeric solver: log-barrier Newton over the PPT ∩ density set
+# ---------------------------------------------------------------------------
+
+# sigma = I/4 + sum_a x_a B_a with B_a = s_i ⊗ s_j / 2 over the 15 Pauli pairs
+# (i, j) != (0, 0): an orthonormal basis of the traceless Hermitian matrices, so
+# every x has tr sigma = 1.  Transposing the second factor flips the sign of s_y only,
+# so sigma^Γ is the same sum with the x_a of the pairs (i, y) negated.
+_PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+_BASIS = (_PAULI[:, None, :, None, :, None] * _PAULI[None, :, None, :, None, :]).reshape(16, 4, 4)[1:] / 2.0
+_PT_SIGN = np.tile([1.0, 1.0, -1.0, 1.0], 4)[1:]
+_BASES = np.stack([_BASIS, _PT_SIGN[:, None, None] * _BASIS])  # for sigma and for sigma^Γ
+_COORDS = _BASES.transpose(1, 0, 2, 3).reshape(15, 32)
+_LO, _MID, _HI = np.sort(np.indices((4, 4, 4)), axis=0)
+_MU_LEVELS = 10.0 ** -np.arange(14.0)  # barrier weights 1, 0.1, ..., 1e-13
+_DECREMENT_TOL = 1e-12
+_LEVEL_STEPS = 50
+_RIDGE = 1e-10 * np.eye(15)
 
 
-def _smoothed_gradient(rho: np.ndarray, w: np.ndarray, v: np.ndarray, delta: float) -> np.ndarray:
-    # Frechet derivative of the matrix log: divided-difference kernel in the eigenbasis
-    wc = np.clip(w, delta, None)
-    lw = np.log(wc)
-    den = wc[:, None] - wc[None, :]
-    num = lw[:, None] - lw[None, :]
-    kernel = np.where(np.abs(den) > 1e-16, num / np.where(den == 0.0, 1.0, den), 1.0 / wc[:, None])
-    a = v.conj().T @ rho @ v
-    grad = hermitize(-v @ (a * kernel) @ v.conj().T)
-    return grad - (np.trace(grad).real / grad.shape[0]) * _I4
+def _barrier_objective(rho: np.ndarray, x: np.ndarray, mu: float):
+    """F_mu(x) = -tr rho log sigma - mu (log det sigma + log det sigma^Γ).
+
+    Returns the value with the eigensystems of sigma and sigma^Γ (stacked), or
+    inf and None when either is not positive definite.
+    """
+    w, v = np.linalg.eigh((x @ _COORDS).reshape(2, 4, 4) + _I4 / 4.0)
+    if w[:, 0].min() <= 0.0:
+        return math.inf, None
+    a = np.einsum("ji,jk,ki->i", v[0].conj(), rho, v[0]).real
+    lw = np.log(w)
+    return float(-a @ lw[0] - mu * lw.sum()), (w, v)
 
 
-def _descend_at_delta(rho, sigma, delta, max_iter, tol, step0=1.0, trace=None):
-    """Monotone projected-gradient loop for one smoothing level."""
-    f, w, v = _smoothed_objective(rho, sigma, delta)
-    grad = _smoothed_gradient(rho, w, v, delta)
-    sig_prev = grad_prev = None
-    step = step0 / max(np.linalg.norm(grad), 1.0)
-    move = 0.0
-    for it in range(max_iter):
-        if sig_prev is not None:
-            ds = sigma - sig_prev
-            dg = grad - grad_prev
-            curv = np.sum(ds.conj() * dg).real
-            if curv > 1e-18:
-                step = min(max(np.sum(ds.conj() * ds).real / curv, 1e-13), 1e6)
-        t = step
-        accepted = False
-        for _ in range(60):
-            cand = project_separable(sigma - t * grad)
-            fc, wc, vc = _smoothed_objective(rho, cand, delta)
-            descent = np.sum(grad.conj() * (cand - sigma)).real
-            if fc <= f + 1e-4 * descent + 1e-15:
-                accepted = True
-                break
-            if np.linalg.norm(cand - sigma) < tol:
-                # the trial moves sigma by less than this level's stopping
-                # tolerance, and shorter steps would move it less still
-                break
-            # the quadratic in s that matches f and the slope at s = 0 and fc at
-            # s = 1 along the projected step has its minimum at -descent/(2 curv);
-            # clamping to [0.1, 0.5] shrinks t by at least half, at most tenfold
-            curv = fc - f - descent
-            t *= min(max(-descent / (2.0 * curv), 0.1), 0.5) if curv > 0.0 else 0.5
-        if not accepted:
-            return sigma, it, move
-        move = float(np.linalg.norm(cand - sigma))
-        sig_prev, grad_prev = sigma, grad
-        sigma, f, w, v = cand, fc, wc, vc
-        if trace is not None:
-            trace.append((delta, f))
-        grad = _smoothed_gradient(rho, w, v, delta)
-        if move < tol:
-            return sigma, it + 1, move
-    return sigma, max_iter, move
+def _log_divided_differences(w: np.ndarray):
+    """First and second divided differences of log at ascending positive w."""
+    hi = np.maximum.outer(w, w)
+    lo = np.minimum.outer(w, w)
+    d = lo - hi
+    safe = np.where(d == 0.0, 1.0, d)
+    # within a factor 2, d is exact (Sterbenz) and log1p keeps the quotient exact
+    f1 = np.where(lo >= 0.5 * hi, np.log1p(d / hi), np.log(lo) - np.log(hi)) / safe
+    f1 = np.where(d == 0.0, 1.0 / hi, f1)
+    # f[a, b, c] is symmetric: divide across the widest pair of the sorted triple,
+    # or take f''/2 at the mean when the three agree to 1e-5
+    a, b, c = w[_LO], w[_MID], w[_HI]
+    spread = c - a
+    wide = spread > 1e-5 * c
+    f2 = np.where(wide, (f1[_MID, _HI] - f1[_LO, _MID]) / np.where(wide, spread, 1.0),
+                  -4.5 / (a + b + c) ** 2)
+    return f1, f2
 
 
-def closest_separable_numeric(rho: DensityOperator, max_iter: int = 400, tol: float = 1e-11,
-                              step: float = 1.0, base="e") -> SeparableApproximation:
+def _newton_system(rho: np.ndarray, mu: float, w: np.ndarray, v: np.ndarray):
+    """Gradient, barrier part of the gradient, and a factor j (h = j^T j) of F_mu's Hessian.
+
+    The Hessian is never formed: where sigma^Γ nears the PPT boundary its
+    barrier curvature reaches 1/mu, and rounding of h at that scale would
+    swamp curvatures near mu elsewhere; a QR of j does not.
+    """
+    # each B_a in the eigenbases of sigma and sigma^Γ: row-major vec(V^† B V) = (V^† ⊗ V^T) vec(B)
+    kv = (v.conj()[:, :, None, :, None] * v[:, None, :, None, :]).reshape(2, 16, 16)
+    bt = (_BASES.reshape(2, 15, 16) @ kv).reshape(2, 15, 4, 4)
+    # -mu log det s: gradient -mu tr(s^-1 B_a), Hessian mu tr(s^-1 B_a s^-1 B_b) = mu Re(p p^†)
+    g_bar = -mu * np.einsum("sai,si->a", np.diagonal(bt, axis1=2, axis2=3).real, 1.0 / w)
+    p = (bt / np.sqrt(w[:, None, :, None] * w[:, None, None, :])).transpose(1, 0, 2, 3).reshape(15, 32)
+    # -tr rho log sigma through the Daleckii-Krein formulas: the gradient is
+    # -tr(B_a Dlog[rho]), the Hessian -sum_ikj rho_ji f2_ikj (B_a,ik B_b,kj + B_b,ik B_a,kj)
+    f1, f2 = _log_divided_differences(w[0])
+    b = bt[0]
+    r = v[0].conj().T @ rho @ v[0]
+    g = g_bar - (b.reshape(15, 16).conj() @ (f1 * r).reshape(16)).real
+    z = (r.T[:, None, :] * f2).transpose(1, 0, 2) @ b.transpose(1, 2, 0)
+    k = b.transpose(0, 2, 1).reshape(15, 16) @ z.reshape(16, 15)
+    lam, u = np.linalg.eigh(-(k + k.T).real)  # convex term: PSD up to rounding
+    j = np.vstack([(u * np.sqrt(np.clip(lam, 0.0, None))).T, math.sqrt(mu) * p.real.T,
+                   math.sqrt(mu) * p.imag.T])
+    return g, g_bar, j
+
+
+def _newton_factor(j: np.ndarray):
+    """Triangular r and column scale s with r^T r = (j s)^T (j s) + 1e-20.
+
+    The ridge keeps steps finite where the minimizer is not unique (the Bell
+    state) and h is singular to rounding.
+    """
+    s = 1.0 / np.linalg.norm(j, axis=0)
+    return np.linalg.qr(np.vstack([j * s, _RIDGE]), mode="r"), s
+
+
+def _newton_solve(factor, rhs: np.ndarray) -> np.ndarray:
+    """h^-1 rhs from the factor of _newton_factor."""
+    r, s = factor
+    return np.linalg.solve(r, np.linalg.solve(r.T, rhs * s)) * s
+
+
+def closest_separable_numeric(rho: DensityOperator, base="e") -> SeparableApproximation:
     """Minimize S(rho || sigma) over two-qubit PPT density operators.
 
-    Projected gradient with Barzilai-Borwein steps and Armijo backtracking,
-    projecting each trial onto the feasible set with Dykstra sweeps.  A
-    rejected trial shrinks the step to the minimizer of the quadratic through
-    the objective, its slope along the projected step and the trial's value,
-    kept within 0.1 to 0.5 of the old step; the search gives up, leaving
-    sigma where it is, once a trial moves sigma by less than the level's
-    tolerance.  The operator log is smoothed by flooring eigenvalues at delta,
-    and delta is driven from 1e-2 down to 1e-12 with warm starts; the
-    smoothing removes the unbounded gradients that otherwise stall the line
-    search when the minimizer is rank deficient.
+    A PPT input is separable (Peres-Horodecki), so it is returned as its own
+    closest state with E_R = 0.  Otherwise a log-barrier interior-point method
+    minimizes F_mu = -tr rho log sigma - mu (log det sigma + log det sigma^Γ)
+    over the 15 Pauli coordinates of sigma, lowering mu from 1 to 1e-13 by
+    factors of 10.  Each level runs damped Newton steps with exact gradient
+    and Hessian from sigma's eigensystem, backtracking to keep sigma and
+    sigma^Γ positive definite and to pass an Armijo test, until the squared
+    Newton decrement is at most 1e-12; each step is solved from a QR of a
+    Hessian factor (``_newton_system``).  The next level starts from the
+    central path's tangent step, halved until it lowers the new objective.
+    Every iterate is strictly feasible and the barrier's duality gap is
+    8 mu, so the result overshoots E_R by about 1e-12 at most.
 
-    ``max_iter``/``tol`` apply per smoothing level; a level stops once a step
-    moves sigma by less than ``max(delta * 1e-3, tol)``.  The reported value
-    is the support-checked relative entropy at the final iterate.
+    ``iterations`` counts accepted steps and ``converged`` is False when a
+    level runs out of steps or backtracking before its decrement test
+    passes.  The reported value is the support-checked relative entropy at
+    the final iterate.
     """
     d_a, d_b = rho.split()
     if d_a != 2 or d_b != 2:
         raise DomainError("the numeric solver handles two qubits only")
     r = rho.matrix
-    sigma = project_separable(0.999 * np.diag(np.diag(r)) + 0.001 * _I4 / 4.0)
-    iterations = 0
-    move = 0.0
+    if np.linalg.eigvalsh(partial_transpose(r)).min() >= 0.0:
+        return SeparableApproximation(rho, 0.0, 0, "numeric-ppt")
+    x = np.zeros(15)
+    steps = 0
+    converged = True
     trace: list = []
-    for delta in (1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12):
-        sigma, used, move = _descend_at_delta(rho=r, sigma=sigma, delta=delta,
-                                              max_iter=max_iter, tol=max(delta * 1e-3, tol),
-                                              step0=step, trace=trace)
-        iterations += used
-    sigma_star = DensityOperator(sigma, d_a=2, d_b=2)
+    tangent = None
+    for mu in _MU_LEVELS:
+        f, eig = _barrier_objective(r, x, mu)
+        if tangent is not None:
+            # first-order prediction of the new centre, halved until it beats x
+            for _ in range(10):
+                fp, ep = _barrier_objective(r, x + tangent, mu)
+                if fp < f:
+                    x, f, eig = x + tangent, fp, ep
+                    steps += 1
+                    trace.append((float(mu), f))
+                    break
+                tangent = tangent / 2.0
+        centred = False
+        for _ in range(_LEVEL_STEPS):
+            g, g_bar, j = _newton_system(r, mu, *eig)
+            factor = _newton_factor(j)
+            dx = _newton_solve(factor, -g)
+            slope = float(g @ dx)
+            if -slope <= _DECREMENT_TOL:
+                centred = True
+                break
+            t = 1.0
+            for _ in range(60):
+                fc, ec = _barrier_objective(r, x + t * dx, mu)
+                if fc <= f + 0.25 * t * slope:
+                    break
+                t /= 2.0
+            else:
+                break
+            x, f, eig = x + t * dx, fc, ec
+            steps += 1
+            trace.append((float(mu), f))
+        converged = converged and centred
+        # the centre x*(mu) has dx*/dmu = h^-1 g_bar / mu, and the next level
+        # lowers mu by 0.9 mu
+        tangent = 0.9 * _newton_solve(factor, g_bar) if centred else None
+    sigma_star = DensityOperator((x @ _COORDS[:, :16]).reshape(4, 4) + _I4 / 4.0, d_a=2, d_b=2)
     value = relative_entropy(rho, sigma_star, base)
-    converged = math.isfinite(value) and move < 1e-6
-    return SeparableApproximation(sigma_star, value, iterations, move, "numeric-ppt",
-                                  converged, tuple(trace))
+    return SeparableApproximation(sigma_star, value, steps, "numeric-ppt",
+                                  converged and math.isfinite(value), tuple(trace))
 
 
 def capacity_mixed(rho: DensityOperator, sigma_star: DensityOperator, base="e") -> float:

@@ -45,6 +45,8 @@ class TestGridSpec:
         (["--command", "figure2", "--grid", "T=0:1:0"], None),
         (["--command", "verify", "--n-samples", "-5"], None),
         (["--command", "verify", "--n-samples", "0"], None),
+        (["--command", "figures34", "--lambda-count", "0"], None),
+        (["--command", "figures34", "--lambda-count", "-3"], None),
     ])
     def test_malformed_value_exit_code(self, tmp_path, capsys, argv, config):
         if config is not None:
