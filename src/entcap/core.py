@@ -273,10 +273,15 @@ def trace_distance(rho: DensityOperator, sigma: DensityOperator) -> float:
     return float(0.5 * np.abs(w).sum())
 
 
+def _haar_amplitudes(rng: np.random.Generator, d: int) -> np.ndarray:
+    """Unit vector of d Haar-random amplitudes from two standard_normal(d) draws (real, then imaginary)."""
+    z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    return z / np.linalg.norm(z)
+
+
 def haar_random_pure(d_a: int, d_b: int, seed) -> BipartitePureState:
     """Haar-random pure state on A⊗B; deterministic for a fixed integer seed."""
     if d_a < 2 or d_b < 2:
         raise DomainError("haar_random_pure requires d_a, d_b >= 2")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    z = rng.standard_normal(d_a * d_b) + 1j * rng.standard_normal(d_a * d_b)
-    return BipartitePureState(z / np.linalg.norm(z), d_a, d_b)
+    return BipartitePureState(_haar_amplitudes(rng, d_a * d_b), d_a, d_b)

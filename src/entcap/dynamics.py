@@ -33,9 +33,7 @@ class NonlocalHamiltonian:
     gamma: np.ndarray | None = None
 
     def __post_init__(self):
-        m1, m2, m3 = self.mu
-        if not (m1 >= m2 >= m3 >= 0.0):
-            raise DomainError(f"canonical couplings must satisfy mu1 >= mu2 >= mu3 >= 0, got {self.mu}")
+        _check_couplings(self.mu)
         if self.sign not in (1, -1):
             raise DomainError("sign must be +1 or -1")
 
@@ -45,11 +43,7 @@ class NonlocalHamiltonian:
         return self.mu[0] - self.mu[1]
 
     def canonical_matrix(self) -> np.ndarray:
-        # mu1 XX + sign mu2 YY + mu3 ZZ written out: XX and YY fill the
-        # anti-diagonal, ZZ the diagonal.
-        m1, m2, m3 = self.mu
-        a, b = m1 - self.sign * m2, m1 + self.sign * m2
-        return np.array([[m3, 0, 0, a], [0, -m3, b, 0], [0, b, -m3, 0], [a, 0, 0, m3]], dtype=complex)
+        return _canonical_matrices(self.mu, self.sign)
 
     def raw_matrix(self) -> np.ndarray:
         """Full Hamiltonian including local fields; requires the raw form."""
@@ -63,6 +57,35 @@ class NonlocalHamiltonian:
             for j in range(3):
                 out += self.gamma[k, j] * np.kron(PAULIS[k], PAULIS[j])
         return out
+
+
+def _check_couplings(mu) -> np.ndarray:
+    """Canonical couplings (..., 3) as a float array; DomainError unless mu1 >= mu2 >= mu3 >= 0 in every row."""
+    mu = np.asarray(mu, dtype=float)
+    if mu.shape[-1:] != (3,):
+        raise DomainError(f"canonical couplings need 3 entries, got shape {mu.shape}")
+    rows = mu.reshape(-1, 3)
+    bad = ~((rows[:, 0] >= rows[:, 1]) & (rows[:, 1] >= rows[:, 2]) & (rows[:, 2] >= 0.0))
+    if bad.any():
+        got = tuple(rows[bad][0].tolist())
+        raise DomainError(f"canonical couplings must satisfy mu1 >= mu2 >= mu3 >= 0, got {got}")
+    return mu
+
+
+def _canonical_matrices(mu, sign: int = 1) -> np.ndarray:
+    """mu1 XX + sign mu2 YY + mu3 ZZ for couplings mu (..., 3), as (..., 4, 4) matrices.
+
+    Written out: XX and YY fill the anti-diagonal, ZZ the diagonal.  Every
+    row of mu is checked by ``_check_couplings``.
+    """
+    mu = _check_couplings(mu)
+    m1, m2, m3 = mu[..., 0], mu[..., 1], mu[..., 2]
+    out = np.zeros(mu.shape[:-1] + (4, 4), dtype=complex)
+    out[..., 0, 0] = out[..., 3, 3] = m3
+    out[..., 1, 1] = out[..., 2, 2] = -m3
+    out[..., 0, 3] = out[..., 3, 0] = m1 - sign * m2
+    out[..., 1, 2] = out[..., 2, 1] = m1 + sign * m2
+    return out
 
 
 def canonical_form(alpha, beta, gamma) -> NonlocalHamiltonian:

@@ -59,19 +59,32 @@ def modular_hamiltonian(rho: DensityOperator, base="e") -> ModularHamiltonian:
     )
 
 
+def _spectrum_capacity(w: np.ndarray, base="e") -> tuple[np.ndarray, np.ndarray]:
+    """(capacity, entropy) of the probability vectors along the last axis of w.
+
+    Capacity sum_i w_i log^2 w_i - S^2 with 0·log 0 = 0; both clamped at 0
+    against round-off.  Raises DomainError unless every vector is
+    non-negative (to -1e-12) and sums to 1 (to 1e-10).
+    """
+    if w.min() < -1e-12 or np.abs(w.sum(axis=-1) - 1.0).max() > 1e-10:
+        raise DomainError("weights must be non-negative and sum to 1")
+    scale = log_scale(base)
+    pos = w > 0.0
+    nz = np.maximum(w, 1e-300)  # entries <= 0 are masked out of both sums
+    logs = np.log(nz) / scale
+    entropy = -np.sum(np.where(pos, nz * logs, 0.0), axis=-1)
+    second = np.sum(np.where(pos, nz * logs**2, 0.0), axis=-1)
+    capacity = second - entropy**2
+    return np.where(capacity < 0.0, 0.0, capacity), np.where(entropy < 0.0, 0.0, entropy)
+
+
 def capacity_from_spectrum(weights, base="e") -> CapacityResult:
     """Capacity sum_i w_i log^2 w_i - S^2 for a probability vector (0·log^2 0 = 0)."""
     w = np.asarray(weights, dtype=float)
-    if w.min() < -1e-12 or abs(w.sum() - 1.0) > 1e-10:
-        raise DomainError("weights must be non-negative and sum to 1")
-    scale = log_scale(base)
-    nz = np.clip(w[w > 0.0], 1e-300, None)
-    logs = np.log(nz) / scale
-    entropy = float(-np.sum(nz * logs))
-    second = float(np.sum(nz * logs**2))
+    capacity, entropy = _spectrum_capacity(w, base)
     order = np.argsort(w)[::-1]
     spec = Spectrum(w[order], np.eye(len(w))[:, order])
-    return CapacityResult(max(second - entropy**2, 0.0), max(entropy, 0.0), spec)
+    return CapacityResult(float(capacity), float(entropy), spec)
 
 
 def capacity_pure(state: BipartitePureState, base="e") -> CapacityResult:

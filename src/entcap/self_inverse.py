@@ -37,12 +37,13 @@ class SelfInverseHamiltonian:
 
 
 def _check_involution(x: np.ndarray, name: str) -> np.ndarray:
+    """x as a complex array, checked Hermitian and involutory; a stack (..., d, d) is checked whole."""
     x = np.asarray(x, dtype=complex)
-    if x.ndim != 2 or x.shape[0] != x.shape[1]:
+    if x.ndim < 2 or x.shape[-1] != x.shape[-2]:
         raise DomainError(f"{name} must be a square matrix")
-    if np.abs(x - x.conj().T).max() > INVOLUTION_TOL:
+    if np.abs(x - np.swapaxes(x.conj(), -1, -2)).max() > INVOLUTION_TOL:
         raise DomainError(f"{name} is not Hermitian")
-    dev = np.abs(x @ x - np.eye(x.shape[0])).max()
+    dev = np.abs(x @ x - np.eye(x.shape[-1])).max()
     if dev > INVOLUTION_TOL:
         raise DomainError(f"{name} is not involutory (|X^2 - I| = {dev:.3e})")
     return x
@@ -50,6 +51,9 @@ def _check_involution(x: np.ndarray, name: str) -> np.ndarray:
 
 def build_self_inverse(x_a, x_b) -> SelfInverseHamiltonian:
     """Validated H = X_A ⊗ X_B with each factor Hermitian and its own inverse."""
+    for x, name in ((x_a, "X_A"), (x_b, "X_B")):
+        if np.ndim(x) != 2:
+            raise DomainError(f"{name} must be a square matrix")
     return SelfInverseHamiltonian(_check_involution(x_a, "X_A"), _check_involution(x_b, "X_B"))
 
 

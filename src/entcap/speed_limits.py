@@ -133,8 +133,8 @@ _GL_NODES, _GL_WEIGHTS = _gauss_legendre(12)
 _GRADED_OFFSETS = (np.pi / 4.0) * 0.25 ** np.arange(32.0)
 
 
-def _family_qsl(p: float, theta: float, durations, base):
-    """(T_qsl, ΔS, time-averaged sqrt(C), nodes evaluated) for every duration.
+def _family_qsl(p, theta: float, durations, base):
+    """(T_qsl, ΔS, time-averaged sqrt(C), nodes evaluated) for every p and duration.
 
     In x = 2 theta t the integrand is g(a cos x) with a = |1 - 2p|; it has a
     log singularity (|eta| = 1 when a = 1) or a kink (eta = 0) only at
@@ -142,8 +142,11 @@ def _family_qsl(p: float, theta: float, durations, base):
     and the window ends 2 theta T are panel edges, so one composite
     Gauss-Legendre pass gives the integral up to every duration exactly
     (no snapping).  Durations may come in any order; the cost grows with
-    theta * max(durations).
+    theta * max(durations).  The panels do not depend on p, so an array of
+    p shares them: the first three results then have shape
+    p.shape + durations.shape.
     """
+    p = np.asarray(p, dtype=float)
     durations = np.asarray(durations, dtype=float)
     if not theta > 0.0:
         raise DomainError("theta must be positive")
@@ -157,20 +160,24 @@ def _family_qsl(p: float, theta: float, durations, base):
     edges = edges[(edges >= 0.0) & (edges <= x_max)]
     mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
     x = mid[:, None] + half[:, None] * _GL_NODES
-    sqrt_cap = family_sqrt_capacity(p, theta, x / (2.0 * theta), base)
-    cum = np.concatenate([[0.0], np.cumsum(half * (sqrt_cap @ _GL_WEIGHTS))])
-    mean_sqrt = cum[np.searchsorted(edges, ends)] / ends
+    sqrt_cap = family_sqrt_capacity(p[..., None, None], theta, x / (2.0 * theta), base)
+    panel_sums = half * (sqrt_cap @ _GL_WEIGHTS)
+    cum = np.concatenate([np.zeros(panel_sums.shape[:-1] + (1,)), np.cumsum(panel_sums, axis=-1)], axis=-1)
+    mean_sqrt = cum[..., np.searchsorted(edges, ends)] / ends
+    p = p.reshape(p.shape + (1,) * durations.ndim)
     ds = family_entropy(p, theta, durations, base) - family_entropy(p, theta, 0.0, base)
-    dh = theta * abs(1.0 - 2.0 * p)
+    dh = theta * np.abs(1.0 - 2.0 * p)
     moving = ds != 0.0
-    t_qsl = np.zeros_like(durations)
-    t_qsl[moving] = np.abs(ds[moving]) / (2.0 * dh * mean_sqrt[moving])
+    t_qsl = np.zeros_like(ds)
+    t_qsl[moving] = np.abs(ds[moving]) / (2.0 * dh * mean_sqrt)[moving]
     return t_qsl, ds, mean_sqrt, sqrt_cap.size
 
 
-def family_qsl_curve(p: float, theta: float, durations, base="2") -> np.ndarray:
+def family_qsl_curve(p, theta: float, durations, base="2") -> np.ndarray:
     """T_qsl of the closed-form family at every duration, in the order given.
 
+    A scalar p gives durations.shape; a 1-D array of P values gives one row
+    per p, shape (P, T) for T durations, each row equal to the scalar call.
     At p in {0, 1} the rate bound is saturated while S is monotone
     (2 theta T <= pi/2), so T_qsl equals T there to rounding.
     """

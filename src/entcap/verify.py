@@ -13,6 +13,7 @@ import numpy as np
 from .core import (
     DensityOperator,
     DomainError,
+    _haar_amplitudes,
     density_from_pure,
     haar_random_pure,
     partial_trace,
@@ -21,8 +22,9 @@ from .core import (
     spectrum_of,
     von_neumann_entropy,
 )
-from .dynamics import NonlocalHamiltonian, simulate_trajectory
+from .dynamics import _canonical_matrices, simulate_trajectory
 from .measures import (
+    _spectrum_capacity,
     capacity_from_spectrum,
     capacity_of,
     is_flat,
@@ -34,7 +36,7 @@ from .measures import (
 )
 from .mixed import family1_closest, family2_closest, is_ppt
 from .self_inverse import (
-    build_self_inverse,
+    _check_involution,
     capacity_rate_bounds,
     max_entropy_rate_constant,
     operator_norm,
@@ -65,18 +67,6 @@ def _random_density(rng: np.random.Generator, d: int, rank: int | None = None) -
 def _random_split_density(rng: np.random.Generator, d_a: int, d_b: int) -> DensityOperator:
     base = _random_density(rng, d_a * d_b)
     return DensityOperator(base.matrix, d_a=d_a, d_b=d_b)
-
-
-def _random_mu(rng: np.random.Generator) -> NonlocalHamiltonian:
-    mu = np.sort(rng.uniform(0.0, 2.0, 3))[::-1]
-    return NonlocalHamiltonian(mu=(float(mu[0]), float(mu[1]), float(mu[2])))
-
-
-def _random_involution(rng: np.random.Generator) -> np.ndarray:
-    g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    q, _ = np.linalg.qr(g)
-    signs = np.array([1.0, -1.0]) if rng.random() < 0.5 else np.array([1.0, 1.0])
-    return q @ np.diag(signs) @ q.conj().T
 
 
 def run_properties(n_samples: int, seed: int, base="e") -> list[CheckResult]:
@@ -198,21 +188,18 @@ def run_properties(n_samples: int, seed: int, base="e") -> list[CheckResult]:
     return results
 
 
-def _stack(draws) -> tuple[np.ndarray, np.ndarray]:
-    """(Hamiltonian, amplitudes) pairs as a (N, 4, 4) and a (N, 4) array; N may be 0.
-
-    The pairs are drawn sample by sample, so the RNG order does not depend on
-    the evolution being batched.
-    """
-    hams = np.array([h for h, _ in draws], dtype=complex).reshape(-1, 4, 4)
-    psis = np.array([psi for _, psi in draws], dtype=complex).reshape(-1, 4)
-    return hams, psis
-
-
 def _rate_bound(rng: np.random.Generator, n_samples: int, base) -> CheckResult:
-    """Heisenberg-Robertson rate bound along random canonical evolutions."""
-    hams, psis = _stack([(_random_mu(rng).canonical_matrix(), haar_random_pure(2, 2, rng).amplitudes)
-                         for _ in range(n_samples)])
+    """Heisenberg-Robertson rate bound along random canonical evolutions.
+
+    Each sample draws its couplings, then its initial state; the stacks are
+    built once the draws are done.
+    """
+    mu = np.empty((n_samples, 3))
+    psis = np.empty((n_samples, 4), dtype=complex)
+    for i in range(n_samples):
+        mu[i] = rng.uniform(0.0, 2.0, 3)
+        psis[i] = _haar_amplitudes(rng, 4)
+    hams = _canonical_matrices(np.sort(mu, axis=-1)[:, ::-1])
     traj = simulate_trajectory(hams, psis, np.linspace(0.05, 0.5, 4), base)
     check = rate_bound_check(hams, traj)
     worst_margin = float(check.margins.min(initial=np.inf))
@@ -221,10 +208,26 @@ def _rate_bound(rng: np.random.Generator, n_samples: int, base) -> CheckResult:
 
 
 def _capacity_rate_chain(rng: np.random.Generator, n_samples: int, base) -> CheckResult:
-    """Derivational capacity-rate bounds along self-inverse evolutions: violation counts, not gated."""
-    hams, psis = _stack([(build_self_inverse(_random_involution(rng), _random_involution(rng)).matrix(),
-                          haar_random_pure(2, 2, rng).amplitudes)
-                         for _ in range(max(n_samples // 5, 20))])
+    """Derivational capacity-rate bounds along self-inverse evolutions: violation counts, not gated.
+
+    Each sample draws X_A, then X_B (each from two (2, 2) normal draws, real
+    then imaginary, and one uniform that picks its spectrum), then its initial
+    state.  X = Q diag(1, +-1) Q^dagger with Q from the QR of the normals.
+    """
+    n = max(n_samples // 5, 20)
+    normals = np.empty((n, 2, 2, 2, 2))  # sample, factor, real/imaginary, 2x2
+    flips = np.empty((n, 2))
+    psis = np.empty((n, 4), dtype=complex)
+    for i in range(n):
+        for f in range(2):
+            normals[i, f, 0] = rng.standard_normal((2, 2))
+            normals[i, f, 1] = rng.standard_normal((2, 2))
+            flips[i, f] = rng.random()
+        psis[i] = _haar_amplitudes(rng, 4)
+    q, _ = np.linalg.qr(normals[:, :, 0] + 1j * normals[:, :, 1])
+    signs = np.where(flips[..., None] < 0.5, [1.0, -1.0], [1.0, 1.0])
+    x = _check_involution((q * signs[..., None, :]) @ np.swapaxes(q.conj(), -1, -2), "sampled X")
+    hams = (x[:, 0, :, None, :, None] * x[:, 1, None, :, None, :]).reshape(n, 4, 4)
     traj = simulate_trajectory(hams, psis, np.array([0.1, 0.3, 0.7]), base)
     bounds = capacity_rate_bounds(
         2, gamma=np.abs(traj.gamma), capacity=traj.capacity, speed=2.0 * traj.delta_h,
@@ -240,34 +243,31 @@ def _capacity_rate_chain(rng: np.random.Generator, n_samples: int, base) -> Chec
 
 
 def run_bounds(n_samples: int, seed: int, base="e") -> list[CheckResult]:
+    """Rate-bound, speed-limit and capacity-rate checks on seeded ensembles.
+
+    The ensembles are drawn sample by sample, in RNG order, and each check is
+    then one array evaluation over the whole ensemble or grid.
+    """
     rng = np.random.default_rng(seed)
     # each ensemble's stacked trajectories are freed before the next check runs
     results = [_rate_bound(rng, n_samples, base)]
 
-    # speed-limit validity on the closed-form family grid
-    worst = -np.inf
-    ratios = []
+    # speed-limit validity on the closed-form family grid: one curve per theta
+    ps = np.linspace(0.0, 1.0, 20)
     t_grid = np.linspace(0.45 / 45.0, 0.45, 45)
-    for p in np.linspace(0.0, 1.0, 20):
-        for theta in (0.5, 1.0):
-            tqsl = family_qsl_curve(p, theta, t_grid)
-            worst = max(worst, float((tqsl - t_grid).max()))
-            if p in (0.0, 1.0):
-                ratios.append(float((tqsl / t_grid).min()))
+    tqsl = np.array([family_qsl_curve(ps, theta, t_grid) for theta in (0.5, 1.0)])
+    worst = float((tqsl - t_grid).max())
+    min_ratio = float((tqsl[:, [0, -1]] / t_grid).min())  # rows p = 0 and p = 1
     results.append(CheckResult("qsl-validity", True, worst <= 1e-9, f"max_excess={worst:.3e}"))
-    results.append(CheckResult("qsl-tightness", False, min(ratios) >= 0.95,
-                               f"min_ratio={min(ratios):.6f}"))
+    results.append(CheckResult("qsl-tightness", False, min_ratio >= 0.95,
+                               f"min_ratio={min_ratio:.6f}"))
 
-    # closed forms match spectrum recomputation
-    dev = 0.0
-    for p in np.linspace(0.0, 1.0, 11):
-        for theta in (0.5, 1.0):
-            for t in np.linspace(0.0, 1.5, 11):
-                eta = (1.0 - 2.0 * p) * np.cos(2.0 * theta * t)
-                lam1 = (1.0 - eta) / 2.0
-                cap = capacity_from_spectrum([lam1, 1.0 - lam1], 2)
-                dev = max(dev, abs(cap.capacity - family_sqrt_capacity(p, theta, t) ** 2))
-                dev = max(dev, abs(cap.entropy - family_entropy(p, theta, t)))
+    # closed forms match the generic spectrum code on a (p, theta, t) grid
+    p, theta, t = np.ix_(np.linspace(0.0, 1.0, 11), [0.5, 1.0], np.linspace(0.0, 1.5, 11))
+    lam1 = (1.0 - (1.0 - 2.0 * p) * np.cos(2.0 * theta * t)) / 2.0
+    capacity, entropy = _spectrum_capacity(np.stack([lam1, 1.0 - lam1], axis=-1), 2)
+    dev = float(max(np.abs(capacity - family_sqrt_capacity(p, theta, t) ** 2).max(),
+                    np.abs(entropy - family_entropy(p, theta, t)).max()))
     results.append(CheckResult("closed-form-consistency", True, dev <= 1e-10, f"max_dev={dev:.3e}"))
 
     results.append(_capacity_rate_chain(rng, n_samples, base))

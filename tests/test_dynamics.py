@@ -6,6 +6,7 @@ import pytest
 from entcap.core import BipartitePureState, DomainError, density_from_pure, haar_random_pure, partial_trace, spectrum_of
 from entcap.dynamics import (
     NonlocalHamiltonian,
+    _canonical_matrices,
     canonical_form,
     capacity_gradient,
     capacity_rate_factor,
@@ -67,6 +68,23 @@ class TestCanonicalForm:
     def test_mu_ordering_enforced(self):
         with pytest.raises(DomainError):
             NonlocalHamiltonian(mu=(0.5, 1.0, 0.2))
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_stacked_matrices_match_each_hamiltonian(self, sign):
+        rng = np.random.default_rng(2)
+        mu = np.sort(rng.uniform(0.0, 2.0, (7, 3)), axis=-1)[:, ::-1]
+        mu[3] = (1.0, 1.0, 0.0)
+        stack = _canonical_matrices(mu, sign)
+        assert stack.shape == (7, 4, 4)
+        for m, h in zip(mu, stack):
+            assert np.array_equal(h, NonlocalHamiltonian(mu=tuple(m.tolist()), sign=sign).canonical_matrix())
+
+    def test_stack_with_one_unordered_row_rejected(self):
+        mu = np.array([[1.0, 0.5, 0.2], [0.5, 1.0, 0.2], [1.0, 0.5, 0.2]])
+        with pytest.raises(DomainError, match=r"got \(0.5, 1.0, 0.2\)"):
+            _canonical_matrices(mu)
+        with pytest.raises(DomainError):
+            _canonical_matrices(np.array([[1.0, 0.5, -1e-300]]))
 
     def test_raw_matrix_matches_canonical_for_diagonal(self):
         ham = canonical_form(np.zeros(3), np.zeros(3), np.diag([1.0, 0.5, 0.2]))

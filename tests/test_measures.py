@@ -13,6 +13,7 @@ from entcap.core import (
     von_neumann_entropy,
 )
 from entcap.measures import (
+    _spectrum_capacity,
     capacity_from_spectrum,
     capacity_of,
     capacity_pure,
@@ -109,6 +110,25 @@ class TestCapacity:
     def test_rejects_unnormalized(self):
         with pytest.raises(DomainError):
             capacity_from_spectrum([0.5, 0.6], "e")
+
+    @pytest.mark.parametrize("base", ["e", 2])
+    def test_stacked_kernel_matches_each_spectrum(self, base):
+        rng = np.random.default_rng(6)
+        w = rng.uniform(0.0, 1.0, (5, 3, 9))
+        w[..., ::3] = 0.0
+        w[0, 0] = np.eye(9)[4]
+        w /= w.sum(axis=-1, keepdims=True)
+        capacity, entropy = _spectrum_capacity(w, base)
+        assert capacity.shape == entropy.shape == (5, 3)
+        for idx in np.ndindex(5, 3):
+            res = capacity_from_spectrum(w[idx], base)
+            assert (capacity[idx], entropy[idx]) == (res.capacity, res.entropy)
+
+    def test_stacked_kernel_rejects_one_bad_vector(self):
+        w = np.full((4, 2), 0.5)
+        w[2] = (0.5, 0.6)
+        with pytest.raises(DomainError):
+            _spectrum_capacity(w)
 
     @pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
     def test_closed_form_zeros(self, p):

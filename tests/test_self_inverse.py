@@ -7,6 +7,7 @@ from entcap.core import BipartitePureState, DensityOperator, DomainError, densit
 from entcap.dynamics import evolve_matrix
 from entcap.self_inverse import (
     CapacityRateBounds,
+    _check_involution,
     build_self_inverse,
     capacity_rate_bounds,
     evolve_self_inverse,
@@ -36,6 +37,38 @@ class TestConstruction:
             build_self_inverse(np.diag([1.0, 2.0]), SZ)
         with pytest.raises(DomainError, match="X_B"):
             build_self_inverse(SZ, np.diag([1.0, 2.0]))
+
+    def test_scalar_factors_must_be_matrices(self):
+        with pytest.raises(DomainError, match="X_A must be a square matrix"):
+            build_self_inverse(np.stack([SZ, SX]), SZ)
+        with pytest.raises(DomainError, match="X_B must be a square matrix"):
+            build_self_inverse(SZ, np.ones((2, 3)))
+
+
+class TestStackedInvolutionCheck:
+    @staticmethod
+    def stack():
+        rng = np.random.default_rng(3)
+        q, _ = np.linalg.qr(rng.standard_normal((6, 2, 2)) + 1j * rng.standard_normal((6, 2, 2)))
+        signs = np.array([[1.0, -1.0], [1.0, 1.0]])[np.arange(6) % 2]
+        return (q * signs[:, None, :]) @ np.swapaxes(q.conj(), -1, -2)
+
+    def test_valid_stack_passes(self):
+        x = self.stack()
+        np.testing.assert_array_equal(_check_involution(x, "X"), x)
+        np.testing.assert_array_equal(_check_involution(np.stack([SZ, SX, HADAMARD_LIKE]), "X")[2], HADAMARD_LIKE)
+
+    def test_one_non_hermitian_matrix_rejected(self):
+        x = self.stack()
+        x[4] = np.array([[0.0, 1.0], [1.0 + 1e-6j, 0.0]])
+        with pytest.raises(DomainError, match="not Hermitian"):
+            _check_involution(x, "X")
+
+    def test_one_non_involutory_matrix_rejected(self):
+        x = self.stack()
+        x[1] = np.diag([1.0, 1.0 + 1e-6])
+        with pytest.raises(DomainError, match="not involutory"):
+            _check_involution(x, "X")
 
 
 class TestEvolution:

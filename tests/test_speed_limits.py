@@ -239,14 +239,28 @@ class TestFamilyQuadrature:
         with pytest.raises(DomainError):
             family_qsl_curve(1.0, theta, [0.1])
 
+    @pytest.mark.parametrize("theta", [0.5, 1.0])
+    def test_array_of_p_gives_one_row_per_p(self, theta):
+        ps = np.linspace(0.0, 1.0, 20)
+        durations = np.linspace(0.45 / 45.0, 0.45, 45)
+        rows = family_qsl_curve(ps, theta, durations)
+        assert rows.shape == (ps.size, durations.size)
+        for p, row in zip(ps, rows):
+            assert np.array_equal(row, family_qsl_curve(float(p), theta, durations))
+
+    @pytest.mark.parametrize("bad", [-1e-12, 1.0 + 1e-12, np.nan])
+    def test_out_of_range_p_in_array_rejected(self, bad):
+        with pytest.raises(DomainError):
+            family_qsl_curve(np.array([0.0, 0.5, bad, 1.0]), 1.0, [0.1, 0.2])
+
     @pytest.fixture
     def evaluated(self, monkeypatch):
-        """Sizes of the arrays the quadrature passes to family_sqrt_capacity."""
+        """Nodes the quadrature evaluates per family_sqrt_capacity call: one per (p, t) pair."""
         sizes = []
         inner = speed_limits.family_sqrt_capacity
 
         def counting(p, theta, t, base="2"):
-            sizes.append(np.size(t))
+            sizes.append(np.broadcast(p, t).size)
             return inner(p, theta, t, base)
 
         monkeypatch.setattr(speed_limits, "family_sqrt_capacity", counting)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from entcap import verify
+from entcap import core, measures, speed_limits, verify
 from entcap.core import BipartitePureState, DomainError, haar_random_pure, spectrum_entropy
 from entcap.dynamics import NonlocalHamiltonian, canonical_form, simulate_trajectory
 from entcap.measures import capacity_from_spectrum
@@ -160,3 +160,76 @@ class TestRunBoundsLinalgCount:
             assert verify.hard_failures(verify.run_bounds(n_samples, seed=9)) == 0
             seen.append(dict(counts))
         assert seen[0] == seen[1]
+
+    def test_ensemble_work_is_batched(self, monkeypatch):
+        # every check is one array evaluation: the per-sample loops only draw
+        # numbers, so no count below grows with the ensemble size
+        counts = dict.fromkeys(("qr", "states", "qsl", "spectrum"), 0)
+
+        def counted(key, original):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(np.linalg, "qr", counted("qr", np.linalg.qr))
+        monkeypatch.setattr(core.BipartitePureState, "__post_init__",
+                            counted("states", core.BipartitePureState.__post_init__))
+        monkeypatch.setattr(speed_limits, "_family_qsl", counted("qsl", speed_limits._family_qsl))
+        spectrum = counted("spectrum", measures.capacity_from_spectrum)
+        monkeypatch.setattr(measures, "capacity_from_spectrum", spectrum)
+        monkeypatch.setattr(verify, "capacity_from_spectrum", spectrum)
+        seen = []
+        for n_samples in (20, 200):
+            counts.update(dict.fromkeys(counts, 0))
+            assert verify.hard_failures(verify.run_bounds(n_samples, seed=9)) == 0
+            seen.append(dict(counts))
+        assert (seen[0]["qr"], seen[0]["states"]) == (seen[1]["qr"], seen[1]["states"])
+        assert max(s["qsl"] for s in seen) <= 2
+        assert max(s["spectrum"] for s in seen) == 0
+
+
+def per_sample_ensembles(seed, n_samples):
+    """The two run_bounds ensembles drawn and built one sample at a time with the scalar API."""
+    rng = np.random.default_rng(seed)
+
+    def involution():
+        q, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+        signs = [1.0, -1.0] if rng.random() < 0.5 else [1.0, 1.0]
+        return q @ np.diag(signs) @ q.conj().T
+
+    rate = [(NonlocalHamiltonian(mu=tuple(np.sort(rng.uniform(0.0, 2.0, 3))[::-1].tolist())).canonical_matrix(),
+             haar_random_pure(2, 2, rng).amplitudes) for _ in range(n_samples)]
+    chain = [(build_self_inverse(involution(), involution()).matrix(), haar_random_pure(2, 2, rng).amplitudes)
+             for _ in range(max(n_samples // 5, 20))]
+    return [(np.array([h for h, _ in e]), np.array([psi for _, psi in e])) for e in (rate, chain)]
+
+
+class TestRunBoundsGolden:
+    @pytest.mark.parametrize("seed, n_samples", [(4099, 300), (5, 1), (6, 123)])
+    def test_stacks_equal_per_sample_reference(self, monkeypatch, seed, n_samples):
+        evolved = []
+        inner = verify.simulate_trajectory
+
+        def spy(hams, psis, times, base):
+            evolved.append((hams, psis))
+            return inner(hams, psis, times, base)
+
+        monkeypatch.setattr(verify, "simulate_trajectory", spy)
+        verify.run_bounds(n_samples, seed)
+        for (hams, psis), (ref_hams, ref_psis) in zip(evolved, per_sample_ensembles(seed, n_samples), strict=True):
+            assert np.array_equal(hams, ref_hams) and np.array_equal(psis, ref_psis)
+
+    def test_report_at_fixed_seed(self):
+        # pins the RNG draw order of both ensembles (each sample draws its
+        # Hamiltonian, then its state): any other order moves these digits
+        expected = (
+            "PASS hard entanglement-rate-bound violations=0,min_margin=1.670e-02\n"
+            "PASS hard qsl-validity max_excess=3.627e-14\n"
+            "PASS soft qsl-tightness min_ratio=1.000000\n"
+            "PASS hard closed-form-consistency max_dev=2.442e-15\n"
+            "PASS soft capacity-rate-bound-chain samples=180,violations=rate:1,speed:0,norm:0,selfinv:0\n"
+            "PASS hard rate-constant-base-ratio base2=1.912273,base_e=1.325487\n"
+            "SUMMARY checks=6 hard_failures=0\n"
+        )
+        assert verify.format_report(verify.run_suite("bounds", 300, 4099)) == expected
