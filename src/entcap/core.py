@@ -273,10 +273,23 @@ def trace_distance(rho: DensityOperator, sigma: DensityOperator) -> float:
     return float(0.5 * np.abs(w).sum())
 
 
-def _haar_amplitudes(rng: np.random.Generator, d: int) -> np.ndarray:
-    """Unit vector of d Haar-random amplitudes from two standard_normal(d) draws (real, then imaginary)."""
-    z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    return z / np.linalg.norm(z)
+def _haar_amplitudes(rng: np.random.Generator, d: int, count: int | None = None) -> np.ndarray:
+    """Haar-random unit amplitude vectors of length d.
+
+    Without ``count``: one vector from two standard_normal(d) draws (real,
+    then imaginary), divided by ``np.linalg.norm``.  With ``count``: a
+    (count, d) stack from one standard_normal((count, 2, d)) draw (each row's
+    real part, then its imaginary part), each row divided by
+    sqrt(sum |z|^2).  That stacked norm differs from the 1-D
+    ``np.linalg.norm`` in the last bit on some rows, so the single-vector path
+    keeps its own expression and its bits.
+    """
+    if count is None:
+        z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        return z / np.linalg.norm(z)
+    g = rng.standard_normal((count, 2, d))
+    z = g[:, 0] + 1j * g[:, 1]
+    return z / np.sqrt((z.real**2 + z.imag**2).sum(axis=-1, keepdims=True))
 
 
 def haar_random_pure(d_a: int, d_b: int, seed) -> BipartitePureState:

@@ -191,14 +191,11 @@ def run_properties(n_samples: int, seed: int, base="e") -> list[CheckResult]:
 def _rate_bound(rng: np.random.Generator, n_samples: int, base) -> CheckResult:
     """Heisenberg-Robertson rate bound along random canonical evolutions.
 
-    Each sample draws its couplings, then its initial state; the stacks are
-    built once the draws are done.
+    The ensemble is drawn whole: all couplings in one uniform((N, 3)) call,
+    then all initial states in one standard_normal((N, 2, 4)) call.
     """
-    mu = np.empty((n_samples, 3))
-    psis = np.empty((n_samples, 4), dtype=complex)
-    for i in range(n_samples):
-        mu[i] = rng.uniform(0.0, 2.0, 3)
-        psis[i] = _haar_amplitudes(rng, 4)
+    mu = rng.uniform(0.0, 2.0, (n_samples, 3))
+    psis = _haar_amplitudes(rng, 4, n_samples)
     hams = _canonical_matrices(np.sort(mu, axis=-1)[:, ::-1])
     traj = simulate_trajectory(hams, psis, np.linspace(0.05, 0.5, 4), base)
     check = rate_bound_check(hams, traj)
@@ -210,20 +207,15 @@ def _rate_bound(rng: np.random.Generator, n_samples: int, base) -> CheckResult:
 def _capacity_rate_chain(rng: np.random.Generator, n_samples: int, base) -> CheckResult:
     """Derivational capacity-rate bounds along self-inverse evolutions: violation counts, not gated.
 
-    Each sample draws X_A, then X_B (each from two (2, 2) normal draws, real
-    then imaginary, and one uniform that picks its spectrum), then its initial
-    state.  X = Q diag(1, +-1) Q^dagger with Q from the QR of the normals.
+    The ensemble is drawn whole, one generator call per quantity: the normals
+    of every X_A and X_B (sample, factor, real/imaginary, 2x2), then the
+    uniforms that pick their spectra, then the initial states.
+    X = Q diag(1, +-1) Q^dagger with Q from the QR of the normals.
     """
     n = max(n_samples // 5, 20)
-    normals = np.empty((n, 2, 2, 2, 2))  # sample, factor, real/imaginary, 2x2
-    flips = np.empty((n, 2))
-    psis = np.empty((n, 4), dtype=complex)
-    for i in range(n):
-        for f in range(2):
-            normals[i, f, 0] = rng.standard_normal((2, 2))
-            normals[i, f, 1] = rng.standard_normal((2, 2))
-            flips[i, f] = rng.random()
-        psis[i] = _haar_amplitudes(rng, 4)
+    normals = rng.standard_normal((n, 2, 2, 2, 2))
+    flips = rng.random((n, 2))
+    psis = _haar_amplitudes(rng, 4, n)
     q, _ = np.linalg.qr(normals[:, :, 0] + 1j * normals[:, :, 1])
     signs = np.where(flips[..., None] < 0.5, [1.0, -1.0], [1.0, 1.0])
     x = _check_involution((q * signs[..., None, :]) @ np.swapaxes(q.conj(), -1, -2), "sampled X")
@@ -245,8 +237,9 @@ def _capacity_rate_chain(rng: np.random.Generator, n_samples: int, base) -> Chec
 def run_bounds(n_samples: int, seed: int, base="e") -> list[CheckResult]:
     """Rate-bound, speed-limit and capacity-rate checks on seeded ensembles.
 
-    The ensembles are drawn sample by sample, in RNG order, and each check is
-    then one array evaluation over the whole ensemble or grid.
+    Each ensemble is drawn whole, with a fixed number of generator calls
+    whatever its size, and each check is one array evaluation over the whole
+    ensemble or grid.
     """
     rng = np.random.default_rng(seed)
     # each ensemble's stacked trajectories are freed before the next check runs

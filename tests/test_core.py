@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import subprocess
@@ -267,6 +268,18 @@ class TestHaarSampling:
     def test_dimension_guard(self):
         with pytest.raises(DomainError):
             haar_random_pure(1, 2, 0)
+
+    @pytest.mark.parametrize("d_b, digest", [
+        (2, "ec785fed5c0ee8ec3787299f8a07b4a8f50dc3b552c4cbf0c5cdd54403c935c1"),
+        (3, "91fa0c474948c4b95af0ab04a3f89fa60e0d0bb34957ec4e964f8b996cc862be"),
+    ])
+    def test_amplitude_bits_pinned(self, d_b, digest):
+        # the single-state draw keeps its stream and its 1-D norm: any change
+        # to either moves these bytes (the stacked ensemble draw has its own path)
+        h = hashlib.sha256()
+        for seed in range(20):
+            h.update(haar_random_pure(2, d_b, seed).amplitudes.tobytes())
+        assert h.hexdigest() == digest
 
 
 def _fresh_python(code: str) -> str:

@@ -162,8 +162,8 @@ class TestRunBoundsLinalgCount:
         assert seen[0] == seen[1]
 
     def test_ensemble_work_is_batched(self, monkeypatch):
-        # every check is one array evaluation: the per-sample loops only draw
-        # numbers, so no count below grows with the ensemble size
+        # every check is one array evaluation, so no count below grows with
+        # the ensemble size
         counts = dict.fromkeys(("qr", "states", "qsl", "spectrum"), 0)
 
         def counted(key, original):
@@ -188,21 +188,57 @@ class TestRunBoundsLinalgCount:
         assert max(s["qsl"] for s in seen) <= 2
         assert max(s["spectrum"] for s in seen) == 0
 
+    def test_generator_calls_do_not_grow_with_samples(self, monkeypatch):
+        # each ensemble is drawn whole: the same generator calls, in the same
+        # order, whatever the ensemble size
+        calls = []
+
+        class CountingGenerator(np.random.Generator):
+            def __getattribute__(self, name):
+                attr = super().__getattribute__(name)
+                if callable(attr) and not name.startswith("_"):
+                    calls.append(name)
+                return attr
+
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: CountingGenerator(np.random.PCG64(seed)))
+        seen = []
+        for n_samples in (20, 200):
+            calls.clear()
+            assert verify.hard_failures(verify.run_bounds(n_samples, seed=9)) == 0
+            seen.append(list(calls))
+        assert seen[0] and seen[0] == seen[1]
+
 
 def per_sample_ensembles(seed, n_samples):
-    """The two run_bounds ensembles drawn and built one sample at a time with the scalar API."""
+    """The two run_bounds ensembles, drawn whole and then built one sample at a time with the scalar API.
+
+    Draw order: couplings, then states, of the rate-bound ensemble; involution
+    normals, then spectrum flips, then states, of the capacity-rate chain.
+    """
     rng = np.random.default_rng(seed)
 
-    def involution():
-        q, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
-        signs = [1.0, -1.0] if rng.random() < 0.5 else [1.0, 1.0]
+    def states(n):
+        amps = []
+        for re, im in rng.standard_normal((n, 2, 4)):
+            z = re + 1j * im
+            amps.append(BipartitePureState(z / np.sqrt(np.sum(z.real**2 + z.imag**2)), 2, 2).amplitudes)
+        return amps
+
+    def involution(normals, flip):
+        q, _ = np.linalg.qr(normals[0] + 1j * normals[1])
+        signs = [1.0, -1.0] if flip < 0.5 else [1.0, 1.0]
         return q @ np.diag(signs) @ q.conj().T
 
-    rate = [(NonlocalHamiltonian(mu=tuple(np.sort(rng.uniform(0.0, 2.0, 3))[::-1].tolist())).canonical_matrix(),
-             haar_random_pure(2, 2, rng).amplitudes) for _ in range(n_samples)]
-    chain = [(build_self_inverse(involution(), involution()).matrix(), haar_random_pure(2, 2, rng).amplitudes)
-             for _ in range(max(n_samples // 5, 20))]
-    return [(np.array([h for h, _ in e]), np.array([psi for _, psi in e])) for e in (rate, chain)]
+    mu = rng.uniform(0.0, 2.0, (n_samples, 3))
+    rate = ([NonlocalHamiltonian(mu=tuple(np.sort(m)[::-1].tolist())).canonical_matrix() for m in mu],
+            states(n_samples))
+    n = max(n_samples // 5, 20)
+    normals = rng.standard_normal((n, 2, 2, 2, 2))
+    flips = rng.random((n, 2))
+    chain = ([build_self_inverse(involution(a[0], f[0]), involution(a[1], f[1])).matrix()
+              for a, f in zip(normals, flips)],
+             states(n))
+    return [(np.array(hams), np.array(psis)) for hams, psis in (rate, chain)]
 
 
 class TestRunBoundsGolden:
@@ -221,14 +257,14 @@ class TestRunBoundsGolden:
             assert np.array_equal(hams, ref_hams) and np.array_equal(psis, ref_psis)
 
     def test_report_at_fixed_seed(self):
-        # pins the RNG draw order of both ensembles (each sample draws its
-        # Hamiltonian, then its state): any other order moves these digits
+        # pins the RNG draw order of both ensembles (each drawn whole, one
+        # generator call per quantity): any other order moves these digits
         expected = (
-            "PASS hard entanglement-rate-bound violations=0,min_margin=1.670e-02\n"
+            "PASS hard entanglement-rate-bound violations=0,min_margin=1.996e-03\n"
             "PASS hard qsl-validity max_excess=3.627e-14\n"
             "PASS soft qsl-tightness min_ratio=1.000000\n"
             "PASS hard closed-form-consistency max_dev=2.442e-15\n"
-            "PASS soft capacity-rate-bound-chain samples=180,violations=rate:1,speed:0,norm:0,selfinv:0\n"
+            "PASS soft capacity-rate-bound-chain samples=180,violations=rate:0,speed:0,norm:0,selfinv:0\n"
             "PASS hard rate-constant-base-ratio base2=1.912273,base_e=1.325487\n"
             "SUMMARY checks=6 hard_failures=0\n"
         )
