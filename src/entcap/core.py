@@ -52,8 +52,8 @@ def _bisect(g, lo: float, hi: float) -> float:
 
 
 def hermitize(a: np.ndarray) -> np.ndarray:
-    """Hermitian part (A + A†)/2."""
-    return 0.5 * (a + a.conj().T)
+    """Hermitian part (A + A†)/2 of a matrix or of each matrix in a stack (..., d, d)."""
+    return 0.5 * (a + np.swapaxes(a.conj(), -1, -2))
 
 
 @dataclass(frozen=True)
@@ -155,25 +155,37 @@ def spectrum_of(rho: DensityOperator) -> Spectrum:
     return Spectrum(w[order], v[:, order])
 
 
+def _pure_density(amps: np.ndarray) -> np.ndarray:
+    """Outer products |psi><psi| of amplitude vectors (..., d), as (..., d, d)."""
+    return amps[..., :, None] * amps[..., None, :].conj()
+
+
 def density_from_pure(state: BipartitePureState) -> DensityOperator:
     """Outer product |Ψ⟩⟨Ψ| carrying the state's bipartite split."""
-    v = state.amplitudes
-    return DensityOperator(np.outer(v, v.conj()), d_a=state.d_a, d_b=state.d_b)
+    return DensityOperator(_pure_density(state.amplitudes), d_a=state.d_a, d_b=state.d_b)
 
 
 def _partial_trace_matrix(m: np.ndarray, d_a: int, d_b: int, keep: str) -> np.ndarray:
-    """Trace of an operator on A⊗B over the subsystem other than ``keep``."""
-    r = m.reshape(d_a, d_b, d_a, d_b)
+    """Hermitian part of the trace of operators on A⊗B (..., d, d) over the subsystem other than ``keep``."""
+    r = m.reshape(m.shape[:-2] + (d_a, d_b, d_a, d_b))
     if keep == "A":
-        return np.einsum("abcb->ac", r)
+        return hermitize(np.einsum("...abcb->...ac", r))
     if keep == "B":
-        return np.einsum("abad->bd", r)
+        return hermitize(np.einsum("...abad->...bd", r))
     raise ConfigurationError(f"keep must be 'A' or 'B', got {keep!r}")
 
 
 def partial_trace(rho: DensityOperator, keep: str) -> DensityOperator:
     """Reduced operator on subsystem ``keep`` ("A" or "B")."""
-    return DensityOperator(hermitize(_partial_trace_matrix(rho.matrix, *rho.split(), keep)))
+    return DensityOperator(_partial_trace_matrix(rho.matrix, *rho.split(), keep))
+
+
+def _schmidt(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Schmidt weights and bases of coefficient matrices (..., d_a, d_b), as ``schmidt_decompose``."""
+    u, s, vh = np.linalg.svd(c, full_matrices=False)
+    weights = s**2
+    weights = weights / weights.sum(axis=-1, keepdims=True)
+    return weights, u, np.swapaxes(vh, -1, -2).copy()
 
 
 def schmidt_decompose(
@@ -184,19 +196,21 @@ def schmidt_decompose(
     Returns ``(weights, basis_a, basis_b)`` of length min(d_a, d_b); the state
     equals sum_n sqrt(weights[n]) basis_a[:, n] ⊗ basis_b[:, n].
     """
-    u, s, vh = np.linalg.svd(state.as_matrix(), full_matrices=False)
-    weights = s**2
-    weights = weights / weights.sum()
-    return weights, u, vh.T.copy()
+    return _schmidt(state.as_matrix())
+
+
+def _log_on_support(m: np.ndarray, base="e") -> np.ndarray:
+    """Operator log of PSD matrices (..., d, d) on their supports; null directions map to 0."""
+    scale = log_scale(base)
+    w, v = np.linalg.eigh(m)
+    cutoff = SUPPORT_CUTOFF * w.max(axis=-1, keepdims=True)
+    lw = np.where(w > cutoff, np.log(np.where(w > cutoff, w, 1.0)) / scale, 0.0)
+    return hermitize((v * lw[..., None, :]) @ np.swapaxes(v.conj(), -1, -2))
 
 
 def log_on_support(rho: DensityOperator, base="e") -> np.ndarray:
     """Operator log restricted to the support; null directions map to 0."""
-    scale = log_scale(base)
-    w, v = np.linalg.eigh(rho.matrix)
-    cutoff = SUPPORT_CUTOFF * w.max()
-    lw = np.where(w > cutoff, np.log(np.where(w > cutoff, w, 1.0)) / scale, 0.0)
-    return hermitize((v * lw) @ v.conj().T)
+    return _log_on_support(rho.matrix, base)
 
 
 def support_projector(rho: DensityOperator) -> np.ndarray:
@@ -207,70 +221,56 @@ def support_projector(rho: DensityOperator) -> np.ndarray:
     return hermitize(vs @ vs.conj().T)
 
 
-def matrix_log_integral(rho: DensityOperator, s_max: float, n_points: int) -> np.ndarray:
-    """Approximate ln(rho) from its resolvent integral representation.
+def spectrum_entropy(weights, base="e"):
+    """Shannon entropy of probability vectors along the last axis, with 0·log 0 = 0.
 
-    Composite trapezoid on a log-spaced grid over [0, s_max] (the s=0 node is
-    included explicitly), plus the first-order analytic tail (rho - I)/s_max
-    for the truncated [s_max, ∞) part.  Requires full rank.
+    Entries <= 0 add nothing.  One vector gives a float, a stack (..., d) an array.
     """
-    if s_max <= 0:
-        raise DomainError("s_max must be positive")
-    if n_points < 10:
-        raise DomainError("n_points must be at least 10")
-    w = np.linalg.eigvalsh(rho.matrix)
-    if w.min() <= 1e-8:
-        raise DomainError(f"matrix_log_integral requires full rank; min eigenvalue {w.min():.3e}")
-    d = rho.dim
-    eye = np.eye(d)
-    s_lo = max(w.min() * 1e-4, 1e-12)
-    grid = np.concatenate([[0.0], np.logspace(np.log10(s_lo), np.log10(s_max), n_points - 1)])
-    resolvents = np.linalg.inv(grid[:, None, None] * eye + rho.matrix)
-    integrand = (1.0 / (grid + 1.0))[:, None, None] * eye - resolvents
-    val = np.trapezoid(integrand, grid, axis=0)
-    return hermitize(val + (rho.matrix - eye) / s_max)
-
-
-def spectrum_entropy(weights: np.ndarray, base="e") -> float:
-    """Shannon entropy of a probability vector with the 0·log 0 = 0 convention."""
-    scale = log_scale(base)
     w = np.asarray(weights, dtype=float)
-    nz = w[w > 0.0]
-    return float(-np.sum(nz * np.log(nz)) / scale)
+    out = -np.sum(w * np.log(np.where(w > 0.0, w, 1.0)), axis=-1) / log_scale(base)
+    return float(out) if out.ndim == 0 else out
+
+
+def _von_neumann_entropy(m: np.ndarray, base="e") -> np.ndarray:
+    """-tr(m log m) of density matrices (..., d, d); lies in [0, log d]."""
+    return np.maximum(spectrum_entropy(np.clip(np.linalg.eigvalsh(m), 0.0, None), base), 0.0)
 
 
 def von_neumann_entropy(rho: DensityOperator, base="e") -> float:
     """-tr(rho log rho); lies in [0, log d]."""
-    w = np.linalg.eigvalsh(rho.matrix)
-    return max(spectrum_entropy(np.clip(w, 0.0, None), base), 0.0)
+    return float(_von_neumann_entropy(rho.matrix, base))
 
 
-def _leaves_support(rho: DensityOperator, sigma: DensityOperator) -> bool:
-    """True when rho puts weight above 1e-10 on the null space of sigma."""
-    ws, vs = np.linalg.eigh(sigma.matrix)
-    null = ws <= SUPPORT_CUTOFF * ws.max()
-    if not null.any():
-        return False
-    vn = vs[:, null]
-    return np.einsum("ij,jk,ki->", vn.conj().T, rho.matrix, vn).real > 1e-10
+def _leaves_support(r: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """True where r puts weight above 1e-10 on the null space of s, for matrices (..., d, d)."""
+    ws, vs = np.linalg.eigh(s)
+    vn = vs * (ws <= SUPPORT_CUTOFF * ws.max(axis=-1, keepdims=True))[..., None, :]
+    return np.einsum("...ji,...jk,...ki->...", vn.conj(), r, vn).real > 1e-10
+
+
+def _relative_entropy(r: np.ndarray, s: np.ndarray, base="e") -> np.ndarray:
+    """Umegaki D(r||s) of density matrices (..., d, d); inf where supp(r) ⊄ supp(s)."""
+    val = np.trace(r @ (_log_on_support(r, base) - _log_on_support(s, base)), axis1=-2, axis2=-1).real
+    return np.where(_leaves_support(r, s), np.inf, np.maximum(val, 0.0))
 
 
 def relative_entropy(rho: DensityOperator, sigma: DensityOperator, base="e") -> float:
     """Umegaki relative entropy; returns math.inf when supp(rho) ⊄ supp(sigma)."""
     if rho.dim != sigma.dim:
         raise DomainError("relative_entropy requires equal dimensions")
-    if _leaves_support(rho, sigma):
-        return math.inf
-    val = np.trace(rho.matrix @ (log_on_support(rho, base) - log_on_support(sigma, base))).real
-    return max(float(val), 0.0)
+    return float(_relative_entropy(rho.matrix, sigma.matrix, base))
+
+
+def _trace_distance(r: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Half the trace norm of r - s for matrices (..., d, d)."""
+    return 0.5 * np.abs(np.linalg.eigvalsh(r - s)).sum(axis=-1)
 
 
 def trace_distance(rho: DensityOperator, sigma: DensityOperator) -> float:
     """Half the trace norm of rho - sigma; lies in [0, 1]."""
     if rho.dim != sigma.dim:
         raise DomainError("trace_distance requires equal dimensions")
-    w = np.linalg.eigvalsh(rho.matrix - sigma.matrix)
-    return float(0.5 * np.abs(w).sum())
+    return float(_trace_distance(rho.matrix, sigma.matrix))
 
 
 def _haar_amplitudes(rng: np.random.Generator, d: int, count: int | None = None) -> np.ndarray:

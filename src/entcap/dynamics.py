@@ -417,8 +417,7 @@ def _two_qubit_schmidt(amplitudes):
     that it is exact to round-off even at s = 0, where sqrt(1 - 4|D|^2),
     D = det C, would carry sqrt(eps) error.  Near s = 1, where (1 - s)/2
     cancels, lam_- = 2|D|^2 / (1 + s) instead.  Returns ``(det, s, lam_minus,
-    log_ratio)`` with log_ratio = ln(lam_+/lam_-) = 2 artanh(s), set to 0 where
-    lam_- = 0 (every quantity it multiplies vanishes there).
+    log_ratio)`` with log_ratio from ``_two_qubit_log_ratio``.
     """
     c = np.asarray(amplitudes, dtype=complex)
     det = c[..., 0] * c[..., 3] - c[..., 1] * c[..., 2]
@@ -426,21 +425,28 @@ def _two_qubit_schmidt(amplitudes):
     off = c[..., 0] * c[..., 2].conj() + c[..., 1] * c[..., 3].conj()
     s = np.sqrt(row_gap**2 + 4.0 * np.abs(off) ** 2)
     lam_minus = np.where(s > 0.5, 2.0 * np.abs(det) ** 2 / (1.0 + s), 0.5 * (1.0 - s))
-    entangled = lam_minus > 0.0
-    log_ratio = np.where(entangled, np.log1p(s / np.where(entangled, lam_minus, 1.0)), 0.0)
-    return det, s, lam_minus, log_ratio
+    return det, s, lam_minus, _two_qubit_log_ratio(lam_minus, s)
 
 
-def _two_qubit_entropy_capacity(lam_minus, log_ratio, base="e"):
-    """Entropy and capacity of the Schmidt pair (1 - lam_-, lam_-) from ``_two_qubit_schmidt``.
+def _two_qubit_log_ratio(lam_minus, s):
+    """ln(lam_+/lam_-) = log1p(s/lam_-) = 2 artanh(s) for the Schmidt pair (1 - lam_-, lam_-).
 
-    S = lam_- ln(lam_+/lam_-) - ln(lam_+) and C = lam_+ lam_- ln^2(lam_+/lam_-),
-    both exactly 0 at lam_- = 0.
+    ``s`` = lam_+ - lam_-; with both carrying full relative precision (no
+    cancellation) so does the result.  Set to 0 where lam_- = 0 (every
+    quantity it multiplies vanishes there).
     """
-    scale = log_scale(base)
-    entropy = (lam_minus * log_ratio - np.log1p(-lam_minus)) / scale
-    capacity = (1.0 - lam_minus) * lam_minus * log_ratio**2 / scale**2
-    return entropy, capacity
+    entangled = lam_minus > 0.0
+    return np.where(entangled, np.log1p(s / np.where(entangled, lam_minus, 1.0)), 0.0)
+
+
+def _two_qubit_entropy(lam_minus, log_ratio, base="e"):
+    """S = lam_- ln(lam_+/lam_-) - ln(lam_+) of the Schmidt pair (1 - lam_-, lam_-); 0 at lam_- = 0."""
+    return (lam_minus * log_ratio - np.log1p(-lam_minus)) / log_scale(base)
+
+
+def _two_qubit_capacity(lam_minus, log_ratio, base="e"):
+    """C = lam_+ lam_- ln^2(lam_+/lam_-) of the Schmidt pair (1 - lam_-, lam_-); 0 at lam_- = 0."""
+    return (1.0 - lam_minus) * lam_minus * log_ratio**2 / log_scale(base) ** 2
 
 
 def simulate_trajectory(hamiltonian, psi0, times, base="e") -> Trajectory:
@@ -487,7 +493,6 @@ def simulate_trajectory(hamiltonian, psi0, times, base="e") -> Trajectory:
     psi /= np.linalg.norm(psi, axis=-1, keepdims=True)
 
     det, s, lam_minus, log_ratio = _two_qubit_schmidt(psi)
-    entropy, capacity = _two_qubit_entropy_capacity(lam_minus, log_ratio, base)
     dpsi = -1j * _apply(h[:, None], psi)
     det_rate = (dpsi[..., 0] * psi[..., 3] + psi[..., 0] * dpsi[..., 3]
                 - dpsi[..., 1] * psi[..., 2] - psi[..., 1] * dpsi[..., 2])
@@ -499,8 +504,8 @@ def simulate_trajectory(hamiltonian, psi0, times, base="e") -> Trajectory:
     fields = dict(
         amplitudes=psi,
         schmidt_weights=np.stack([1.0 - lam_minus, lam_minus], axis=-1),
-        entropy=entropy,
-        capacity=capacity,
+        entropy=_two_qubit_entropy(lam_minus, log_ratio, base),
+        capacity=_two_qubit_capacity(lam_minus, log_ratio, base),
         gamma=gamma_nats / scale,
         gamma_capacity=-gamma_nats * (2.0 - s * log_ratio) / scale**2,
         delta_h=state_fluctuation(h[:, None], psi),

@@ -12,10 +12,12 @@ from .core import (
     DomainError,
     Spectrum,
     _bisect,
+    _partial_trace_matrix,
+    _trace_distance,
+    _von_neumann_entropy,
     hermitize,
     log_on_support,
     log_scale,
-    partial_trace,
     schmidt_decompose,
     support_projector,
     SUPPORT_CUTOFF,
@@ -93,10 +95,20 @@ def capacity_pure(state: BipartitePureState, base="e") -> CapacityResult:
     return capacity_from_spectrum(weights, base)
 
 
+def _density_weights(m: np.ndarray) -> np.ndarray:
+    """Eigenvalues of density matrices (..., d, d), clipped at 0 and renormalized."""
+    w = np.clip(np.linalg.eigvalsh(m), 0.0, None)
+    return w / w.sum(axis=-1, keepdims=True)
+
+
+def _density_capacity(m: np.ndarray, base="e") -> np.ndarray:
+    """Capacity of density matrices (..., d, d), from the spectra ``capacity_of`` uses."""
+    return _spectrum_capacity(_density_weights(m), base)[0]
+
+
 def capacity_of(rho: DensityOperator, base="e") -> CapacityResult:
     """Capacity computed from the eigenvalues of a (reduced) density operator."""
-    w = np.clip(np.linalg.eigvalsh(rho.matrix), 0.0, None)
-    return capacity_from_spectrum(w / w.sum(), base)
+    return capacity_from_spectrum(_density_weights(rho.matrix), base)
 
 
 def capacity_two_qubit_closed(p: float, base="e") -> float:
@@ -116,17 +128,22 @@ def is_flat(spectrum, tol: float = FLATNESS_TOL) -> bool:
     return bool((nz.max() - nz.min()) <= tol * nz.max())
 
 
+def _variance(obs: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """tr(m O^2) - tr(m O)^2 over matrices (..., d, d), clamped at 0 against round-off."""
+    mean = np.trace(m @ obs, axis1=-2, axis2=-1).real
+    second = np.trace(m @ obs @ obs, axis1=-2, axis2=-1).real
+    var = second - mean**2
+    if var.min() < -1e-12:
+        raise DomainError(f"variance {var.min():.3e} below round-off tolerance")
+    return np.maximum(var, 0.0)
+
+
 def observable_variance(obs: np.ndarray, rho: DensityOperator) -> float:
     """tr(rho O^2) - tr(rho O)^2, clamped at 0 against round-off."""
     obs = np.asarray(obs, dtype=complex)
     if obs.shape != rho.matrix.shape:
         raise DomainError("observable and state dimensions do not match")
-    mean = np.trace(rho.matrix @ obs).real
-    second = np.trace(rho.matrix @ obs @ obs).real
-    var = second - mean**2
-    if var < -1e-12:
-        raise DomainError(f"variance {var:.3e} below round-off tolerance")
-    return max(var, 0.0)
+    return float(_variance(obs, rho.matrix))
 
 
 def uncertainty(obs: np.ndarray, rho: DensityOperator) -> float:
@@ -147,52 +164,34 @@ def solve_max_variance_spectrum(d: int) -> tuple[float, np.ndarray]:
     return float(r), weights
 
 
-def smallest_continuity_constant(pairs, base="e") -> float:
+def smallest_continuity_constant(rhos: np.ndarray, sigmas: np.ndarray, base="e") -> float:
     """Smallest xi with |C(rho)-C(rho')|^2 <= xi log^2(d) D(rho,rho') on a sample.
 
-    ``pairs`` iterates over (rho, sigma) DensityOperator pairs of equal dimension.
+    ``rhos`` and ``sigmas`` are stacks (n, d, d) of density matrices, paired
+    row by row; pairs closer than 1e-14 in trace distance are skipped.
     Reporter only: the bound's constant is not pinned down analytically.
     """
-    from .core import trace_distance
-
-    scale = log_scale(base)
-    xi = 0.0
-    for rho, sigma in pairs:
-        d = rho.dim
-        dist = trace_distance(rho, sigma)
-        if dist < 1e-14:
-            continue
-        gap = abs(capacity_of(rho, base).capacity - capacity_of(sigma, base).capacity)
-        xi = max(xi, gap**2 / ((np.log(d) / scale) ** 2 * dist))
-    return xi
+    dist = _trace_distance(rhos, sigmas)
+    gap = np.abs(_density_capacity(rhos, base) - _density_capacity(sigmas, base))
+    far = dist >= 1e-14
+    xi = gap**2 / ((np.log(rhos.shape[-1]) / log_scale(base)) ** 2 * np.where(far, dist, 1.0))
+    return float(np.max(xi, where=far, initial=0.0))
 
 
-def smallest_subadditivity_constant(states, base="e") -> float:
+def smallest_subadditivity_constant(states: np.ndarray, d_a: int, d_b: int, base="e") -> float:
     """Smallest chi with C(rho) <= C(rho_A)+C(rho_B)+chi log^2(d) f(I) on a sample.
 
-    f(x) = max(x^(1/4), x^2) with I the mutual information.  Reporter only.
+    ``states`` is a stack (n, d_a d_b, d_a d_b) of density matrices on A⊗B;
+    f(x) = max(x^(1/4), x^2) with I the mutual information.  Samples with no
+    excess capacity, or with f below 1e-14, are skipped.  Reporter only.
     """
-    from .core import von_neumann_entropy
-
-    scale = log_scale(base)
-    chi = 0.0
-    for rho in states:
-        rho_a = partial_trace(rho, "A")
-        rho_b = partial_trace(rho, "B")
-        excess = (
-            capacity_of(rho, base).capacity
-            - capacity_of(rho_a, base).capacity
-            - capacity_of(rho_b, base).capacity
-        )
-        if excess <= 0.0:
-            continue
-        mutual = (
-            von_neumann_entropy(rho_a, base)
-            + von_neumann_entropy(rho_b, base)
-            - von_neumann_entropy(rho, base)
-        )
-        f = max(mutual**0.25, mutual**2)
-        if f < 1e-14:
-            continue
-        chi = max(chi, excess / ((np.log(rho.dim) / scale) ** 2 * f))
-    return chi
+    rho_a = _partial_trace_matrix(states, d_a, d_b, "A")
+    rho_b = _partial_trace_matrix(states, d_a, d_b, "B")
+    excess = (_density_capacity(states, base) - _density_capacity(rho_a, base)
+              - _density_capacity(rho_b, base))
+    mutual = np.maximum(_von_neumann_entropy(rho_a, base) + _von_neumann_entropy(rho_b, base)
+                        - _von_neumann_entropy(states, base), 0.0)
+    f = np.maximum(mutual**0.25, mutual**2)
+    kept = (excess > 0.0) & (f >= 1e-14)
+    chi = excess / ((np.log(d_a * d_b) / log_scale(base)) ** 2 * np.where(kept, f, 1.0))
+    return float(np.max(chi, where=kept, initial=0.0))

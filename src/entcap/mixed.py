@@ -392,7 +392,7 @@ def capacity_mixed(rho: DensityOperator, sigma_star: DensityOperator, base="e") 
     """
     if rho.dim != sigma_star.dim:
         raise DomainError("state and separable reference dimensions differ")
-    if _leaves_support(rho, sigma_star):
+    if _leaves_support(rho.matrix, sigma_star.matrix):
         raise DomainError("supp(rho) is not contained in supp(sigma*)")
     shift = log_on_support(rho, base) - log_on_support(sigma_star, base)
     mean = np.trace(rho.matrix @ shift).real

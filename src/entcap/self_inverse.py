@@ -12,7 +12,6 @@ from .core import (
     DensityOperator,
     DomainError,
     _bisect,
-    _partial_trace_matrix,
     hermitize,
     log_scale,
 )
@@ -74,11 +73,6 @@ def liouville_rhs(hamiltonian, rho: DensityOperator) -> np.ndarray:
         raise DomainError("Hamiltonian and state dimensions do not match")
     comm = h @ rho.matrix - rho.matrix @ h
     return hermitize(-1j * comm)
-
-
-def liouville_rhs_reduced(hamiltonian, rho: DensityOperator, keep: str) -> np.ndarray:
-    """Partial trace of -i[H, rho] over the complementary subsystem."""
-    return _partial_trace_matrix(liouville_rhs(hamiltonian, rho), *rho.split(), keep)
 
 
 def max_entropy_rate_constant(base="e") -> float:

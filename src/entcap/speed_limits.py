@@ -6,17 +6,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BipartitePureState, DomainError, log_scale
+from .core import BipartitePureState, DomainError
 from .dynamics import (
     Trajectory,
     _as_matrix,
-    _two_qubit_entropy_capacity,
+    _two_qubit_capacity,
+    _two_qubit_entropy,
+    _two_qubit_log_ratio,
     _two_qubit_schmidt,
     evolve_matrix,
     state_fluctuation,
 )
-
-LN2 = np.log(2.0)
 
 
 def hamiltonian_fluctuation(hamiltonian, psi: BipartitePureState) -> float:
@@ -32,59 +32,33 @@ def fubini_study_speed(hamiltonian, psi: BipartitePureState) -> float:
     return 2.0 * hamiltonian_fluctuation(hamiltonian, psi)
 
 
-@dataclass(frozen=True)
-class FamilyPoint:
-    """Closed-form diagnostics of the single-parameter evolved family."""
+def _family_schmidt(p, theta, t):
+    """(lam_-, ln(lam_+/lam_-)) along the family, from its smaller Schmidt weight without cancellation.
 
-    eta: float
-    capacity: float
-    entropy: float
-    delta_h: float
-
-
-def _family_eta(p, theta, t):
-    """eta = (1-2p) cos(2 theta t), after checking p; so |eta| <= 1 in every closed form."""
+    The weights are p cos^2(theta t) + (1-p) sin^2(theta t) and the same with
+    p and 1-p swapped; the smaller is min(p, 1-p) + |1-2p| min(sin^2, cos^2)
+    of theta t, a sum of non-negative terms, and their gap is
+    s = |1-2p| |cos(2 theta t)|.  So both keep full relative precision as
+    2 theta t -> 0, where the forms through 1 - (1-2p) cos(2 theta t) cancel,
+    and p = 1/2 gives the weight 1/2 exactly.
+    """
     p = np.asarray(p, dtype=float)
     if not ((p >= 0.0) & (p <= 1.0)).all():
         raise DomainError("p must lie in [0, 1]")
-    return (1.0 - 2.0 * p) * np.cos(2.0 * theta * np.asarray(t, dtype=float))
+    x = theta * np.asarray(t, dtype=float)
+    a = np.abs(1.0 - 2.0 * p)
+    lam_minus = np.minimum(p, 1.0 - p) + a * np.minimum(np.sin(x) ** 2, np.cos(x) ** 2)
+    return lam_minus, _two_qubit_log_ratio(lam_minus, a * np.abs(np.cos(2.0 * x)))
 
 
 def family_sqrt_capacity(p, theta, t, base="2"):
-    """sqrt of the closed-form capacity along the family; safe at |eta| -> 1."""
-    scale = log_scale(base)
-    eta = _family_eta(p, theta, t)
-    inner = np.abs(eta) < 1.0
-    safe = np.where(inner, eta, 0.0)
-    val = np.sqrt(1.0 - safe**2) * np.abs(np.arctanh(safe))
-    return np.where(inner, val, 0.0) / scale
+    """sqrt of the closed-form capacity along the family; 0 at the product endpoints."""
+    return np.sqrt(_two_qubit_capacity(*_family_schmidt(p, theta, t), base))
 
 
 def family_entropy(p, theta, t, base="2"):
-    """Closed-form entanglement entropy along the family (binary entropy of lam1)."""
-    scale = log_scale(base)
-    eta = _family_eta(p, theta, t)
-    lam1 = (1.0 - eta) / 2.0
-    inner = (lam1 > 0.0) & (lam1 < 1.0)
-    safe = np.where(inner, lam1, 0.5)
-    ent = -(safe * np.log(safe) + (1.0 - safe) * np.log(1.0 - safe)) / scale
-    return np.where(inner, ent, 0.0)
-
-
-def closed_form_family(p: float, theta: float, t, base="2"):
-    """(eta, capacity, entropy, delta_h) of the evolved two-qubit family.
-
-    eta = (1-2p) cos(2 theta t); endpoints |eta| = 1 take the limiting
-    capacity 0 explicitly.  delta_h = theta |1-2p| (a standard deviation, so
-    the absolute value is used).
-    """
-    eta = _family_eta(p, theta, t)
-    cap = family_sqrt_capacity(p, theta, t, base) ** 2
-    ent = family_entropy(p, theta, t, base)
-    dh = theta * abs(1.0 - 2.0 * p)
-    if np.isscalar(t):
-        return FamilyPoint(float(eta), float(cap), float(ent), float(dh))
-    return eta, cap, ent, np.full_like(np.asarray(t, dtype=float), dh)
+    """Closed-form entanglement entropy along the family (binary entropy of its Schmidt pair)."""
+    return _two_qubit_entropy(*_family_schmidt(p, theta, t), base)
 
 
 @dataclass(frozen=True)
@@ -97,17 +71,6 @@ class QSLReport:
     mean_sqrt_capacity: float
     mean_fluctuation: float
     samples: int
-
-
-def qsl_time_independent(entropy_change: float, delta_h: float, mean_sqrt_capacity: float) -> float:
-    """|ΔS| / (2 ΔH · time-averaged sqrt(C)); 0 when the entropy did not change."""
-    ds = abs(entropy_change)
-    if ds == 0.0:
-        return 0.0
-    denom = 2.0 * delta_h * mean_sqrt_capacity
-    if denom <= 0.0:
-        raise DomainError("entropy changed but fluctuation or capacity average is zero")
-    return ds / denom
 
 
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -213,16 +176,17 @@ def rate_bound_check(hamiltonian, trajectory: Trajectory, margin: float = 1e-12)
     return RateBoundCheck(satisfied=margins >= -margin, margins=margins)
 
 
-def evolve_time_dependent(h_of_t, psi0: BipartitePureState, times) -> list[BipartitePureState]:
-    """Piecewise-constant stepping: each interval uses H at its midpoint."""
-    times = np.asarray(times, dtype=float)
-    amps = psi0.amplitudes.copy()
-    out = [psi0]
-    for t0, t1 in zip(times[:-1], times[1:]):
-        h = np.asarray(h_of_t(0.5 * (t0 + t1)), dtype=complex)
-        amps = evolve_matrix(h, amps, t1 - t0)
-        amps = amps / np.linalg.norm(amps)
-        out.append(BipartitePureState(amps, psi0.d_a, psi0.d_b))
+def _step_time_dependent(h_of_t, amps0: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Amplitudes (T, d) at each of T times by piecewise-constant stepping from ``amps0``.
+
+    Each interval uses H at its midpoint; each step is renormalized.
+    """
+    out = np.empty((len(times), amps0.size), dtype=complex)
+    out[0] = amps0
+    for k in range(1, len(times)):
+        h = np.asarray(h_of_t(0.5 * (times[k - 1] + times[k])), dtype=complex)
+        amps = evolve_matrix(h, out[k - 1], times[k] - times[k - 1])
+        out[k] = amps / np.linalg.norm(amps)
     return out
 
 
@@ -237,10 +201,10 @@ def qsl_time_dependent(h_of_t, psi0: BipartitePureState, duration: float,
     the time-independent formula even for constant H.
     """
     ts = np.linspace(0.0, duration, samples)
-    amps = np.array([s.amplitudes for s in evolve_time_dependent(h_of_t, psi0, ts)])
+    amps = _step_time_dependent(h_of_t, psi0.amplitudes, ts)
     _, _, lam_minus, log_ratio = _two_qubit_schmidt(amps)
-    entropies, capacity = _two_qubit_entropy_capacity(lam_minus, log_ratio, base)
-    sqrt_cap = np.sqrt(capacity)
+    entropies = _two_qubit_entropy(lam_minus, log_ratio, base)
+    sqrt_cap = np.sqrt(_two_qubit_capacity(lam_minus, log_ratio, base))
     fluct = state_fluctuation(np.array([h_of_t(t) for t in ts], dtype=complex), amps)
     mean_sqrt = float(np.trapezoid(sqrt_cap, ts) / duration)
     mean_fluct = float(np.trapezoid(fluct, ts) / duration)

@@ -11,28 +11,26 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    DensityOperator,
     DomainError,
     _haar_amplitudes,
-    density_from_pure,
-    haar_random_pure,
-    partial_trace,
-    relative_entropy,
-    schmidt_decompose,
-    spectrum_of,
-    von_neumann_entropy,
+    _log_on_support,
+    _partial_trace_matrix,
+    _pure_density,
+    _relative_entropy,
+    _schmidt,
+    _von_neumann_entropy,
+    hermitize,
 )
-from .dynamics import _canonical_matrices, simulate_trajectory
+from .dynamics import _canonical_matrices, evolved_schmidt_weights, simulate_trajectory
 from .measures import (
+    _density_capacity,
     _spectrum_capacity,
+    _variance,
     capacity_from_spectrum,
-    capacity_of,
     is_flat,
-    modular_hamiltonian,
     smallest_continuity_constant,
     smallest_subadditivity_constant,
     solve_max_variance_spectrum,
-    uncertainty,
 )
 from .mixed import family1_closest, family2_closest, is_ppt
 from .self_inverse import (
@@ -57,70 +55,63 @@ class CheckResult:
     detail: str
 
 
-def _random_density(rng: np.random.Generator, d: int, rank: int | None = None) -> DensityOperator:
-    k = rank or d
-    g = rng.standard_normal((d, k)) + 1j * rng.standard_normal((d, k))
-    m = g @ g.conj().T
-    return DensityOperator(m / np.trace(m).real)
+def _random_density(rng: np.random.Generator, d: int, n: int) -> np.ndarray:
+    """n random density matrices (n, d, d): G G^dagger / tr, G complex Gaussian.
+
+    One standard_normal((n, 2, d, d)) call gives each G's real part, then its
+    imaginary part.
+    """
+    g = rng.standard_normal((n, 2, d, d))
+    z = g[:, 0] + 1j * g[:, 1]
+    m = z @ np.swapaxes(z.conj(), -1, -2)
+    return hermitize(m / np.trace(m, axis1=-2, axis2=-1).real[:, None, None])
 
 
-def _random_split_density(rng: np.random.Generator, d_a: int, d_b: int) -> DensityOperator:
-    base = _random_density(rng, d_a * d_b)
-    return DensityOperator(base.matrix, d_a=d_a, d_b=d_b)
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-by-row Kronecker products of stacks a (n, p, p) and b (n, q, q)."""
+    n, p, q = a.shape[0], a.shape[-1], b.shape[-1]
+    return np.einsum("nij,nkl->nikjl", a, b).reshape(n, p * q, p * q)
 
 
 def run_properties(n_samples: int, seed: int, base="e") -> list[CheckResult]:
+    """Measure and state-space properties on seeded ensembles.
+
+    Each ensemble is drawn whole, with one generator call per quantity, and
+    each check is one stacked evaluation of the same private kernels the
+    public one-state functions call.
+    """
     rng = np.random.default_rng(seed)
+    n, m = n_samples, max(n_samples // 10, 10)
     results: list[CheckResult] = []
 
     # tensor-factor recovery of the partial trace
-    dev = 0.0
-    for _ in range(max(n_samples // 10, 10)):
-        rho_a = _random_density(rng, 2)
-        rho_b = _random_density(rng, 3)
-        joint = DensityOperator(np.kron(rho_a.matrix, rho_b.matrix), d_a=2, d_b=3)
-        dev = max(dev, np.abs(partial_trace(joint, "A").matrix - rho_a.matrix).max())
+    rho_a, rho_b = _random_density(rng, 2, m), _random_density(rng, 3, m)
+    dev = np.abs(_partial_trace_matrix(_kron(rho_a, rho_b), 2, 3, "A") - rho_a).max()
     results.append(CheckResult("partial-trace-factor-recovery", True, dev <= 1e-12, f"max_dev={dev:.3e}"))
 
     # Schmidt weights equal the reduced spectrum
-    dev = 0.0
-    for _ in range(max(n_samples // 10, 10)):
-        psi = haar_random_pure(2, 2, rng)
-        w, _, _ = schmidt_decompose(psi)
-        spec = spectrum_of(partial_trace(density_from_pure(psi), "A")).eigenvalues
-        dev = max(dev, np.abs(w - spec).max())
+    psis = _haar_amplitudes(rng, 4, m)
+    reduced = _partial_trace_matrix(_pure_density(psis), 2, 2, "A")
+    dev = np.abs(_schmidt(psis.reshape(m, 2, 2))[0] - np.linalg.eigvalsh(reduced)[:, ::-1]).max()
     results.append(CheckResult("schmidt-equals-reduced-spectrum", True, dev <= 1e-10, f"max_dev={dev:.3e}"))
 
     # base conversion by ln 2
-    dev = 0.0
-    for _ in range(max(n_samples // 10, 10)):
-        rho = _random_density(rng, 4)
-        dev = max(dev, abs(von_neumann_entropy(rho, 2) - von_neumann_entropy(rho, "e") / np.log(2.0)))
+    rho = _random_density(rng, 4, m)
+    dev = np.abs(_von_neumann_entropy(rho, 2) - _von_neumann_entropy(rho, "e") / np.log(2.0)).max()
     results.append(CheckResult("entropy-base-conversion", True, dev <= 1e-12, f"max_dev={dev:.3e}"))
 
     # relative entropy non-negative, zero only at equality
-    worst = np.inf
-    for _ in range(n_samples):
-        rho = _random_density(rng, 3)
-        sig = _random_density(rng, 3)
-        worst = min(worst, relative_entropy(rho, sig, base))
+    worst = _relative_entropy(_random_density(rng, 3, n), _random_density(rng, 3, n), base).min()
     results.append(CheckResult("relative-entropy-nonnegative", True, worst >= 0.0, f"min_value={worst:.3e}"))
 
     # additivity of the capacity under tensor products
-    dev = 0.0
-    for _ in range(max(n_samples // 10, 10)):
-        rho_a = _random_density(rng, 2)
-        rho_b = _random_density(rng, 3)
-        joint = DensityOperator(np.kron(rho_a.matrix, rho_b.matrix))
-        lhs = capacity_of(joint, base).capacity
-        rhs = capacity_of(rho_a, base).capacity + capacity_of(rho_b, base).capacity
-        dev = max(dev, abs(lhs - rhs))
+    rho_a, rho_b = _random_density(rng, 2, m), _random_density(rng, 3, m)
+    lhs = _density_capacity(_kron(rho_a, rho_b), base)
+    dev = np.abs(lhs - (_density_capacity(rho_a, base) + _density_capacity(rho_b, base))).max()
     results.append(CheckResult("capacity-additivity", True, dev <= 1e-9, f"max_dev={dev:.3e}"))
 
     # positivity and flat-state zero
-    min_cap = np.inf
-    for _ in range(n_samples):
-        min_cap = min(min_cap, capacity_of(_random_density(rng, 4), base).capacity)
+    min_cap = _density_capacity(_random_density(rng, 4, n), base).min()
     results.append(CheckResult("capacity-positivity", True, min_cap >= 0.0, f"min_value={min_cap:.3e}"))
     flat_dev = max(
         capacity_from_spectrum([0.5, 0.5, 0.0, 0.0], base).capacity,
@@ -131,28 +122,21 @@ def run_properties(n_samples: int, seed: int, base="e") -> list[CheckResult]:
     results.append(CheckResult("flat-state-zero-capacity", True, flat_ok, f"max_dev={flat_dev:.3e}"))
 
     # uncertainty convexity and the linear-perturbation bound, in a fixed state
-    conv_dev = -np.inf
-    pert_dev = -np.inf
-    for _ in range(max(n_samples // 10, 10)):
-        tau = _random_density(rng, 3)
-        k1 = modular_hamiltonian(_random_density(rng, 3), base).matrix
-        k2 = modular_hamiltonian(_random_density(rng, 3), base).matrix
-        p = rng.uniform(0.0, 1.0)
-        mix = uncertainty(p * k1 + (1.0 - p) * k2, tau)
-        conv_dev = max(conv_dev, mix - (p * uncertainty(k1, tau) + (1.0 - p) * uncertainty(k2, tau)))
-        x = rng.uniform(0.0, 2.0)
-        pert_dev = max(pert_dev, uncertainty(k1 + x * k2, tau) - (uncertainty(k1, tau) + x * uncertainty(k2, tau)))
+    tau = _random_density(rng, 3, m)
+    k1 = -_log_on_support(_random_density(rng, 3, m), base)
+    k2 = -_log_on_support(_random_density(rng, 3, m), base)
+    p, x = rng.uniform(0.0, 1.0, m), rng.uniform(0.0, 2.0, m)
+    u1, u2 = np.sqrt(_variance(k1, tau)), np.sqrt(_variance(k2, tau))
+    pm, xm = p[:, None, None], x[:, None, None]
+    conv_dev = (np.sqrt(_variance(pm * k1 + (1.0 - pm) * k2, tau)) - (p * u1 + (1.0 - p) * u2)).max()
+    pert_dev = (np.sqrt(_variance(k1 + xm * k2, tau)) - (u1 + x * u2)).max()
     results.append(CheckResult("uncertainty-convexity", True, conv_dev <= 1e-10, f"max_excess={conv_dev:.3e}"))
     results.append(CheckResult("uncertainty-perturbation", True, pert_dev <= 1e-10, f"max_excess={pert_dev:.3e}"))
 
     # capacity through either subsystem of a pure state
-    dev = 0.0
-    for _ in range(max(n_samples // 10, 10)):
-        psi = haar_random_pure(2, 2, rng)
-        rho = density_from_pure(psi)
-        ca = capacity_of(partial_trace(rho, "A"), base).capacity
-        cb = capacity_of(partial_trace(rho, "B"), base).capacity
-        dev = max(dev, abs(ca - cb))
+    pure = _pure_density(_haar_amplitudes(rng, 4, m))
+    dev = np.abs(_density_capacity(_partial_trace_matrix(pure, 2, 2, "A"), base)
+                 - _density_capacity(_partial_trace_matrix(pure, 2, 2, "B"), base)).max()
     results.append(CheckResult("capacity-subsystem-symmetry", True, dev <= 1e-10, f"max_dev={dev:.3e}"))
 
     # maximal-variance spectrum bracket (printed with base-2 logs)
@@ -176,13 +160,8 @@ def run_properties(n_samples: int, seed: int, base="e") -> list[CheckResult]:
     results.append(CheckResult("family-closest-states-ppt", True, ppt_ok, "lam in {0,0.3,0.7,1}"))
 
     # empirical constants (reporters, not gates)
-    pairs = []
-    states = []
-    for _ in range(max(n_samples // 10, 10)):
-        pairs.append((_random_density(rng, 4), _random_density(rng, 4)))
-        states.append(_random_split_density(rng, 2, 2))
-    xi = smallest_continuity_constant(pairs, base)
-    chi = smallest_subadditivity_constant(states, base)
+    xi = smallest_continuity_constant(_random_density(rng, 4, m), _random_density(rng, 4, m), base)
+    chi = smallest_subadditivity_constant(_random_density(rng, 4, m), 2, 2, base)
     results.append(CheckResult("continuity-constant-estimate", False, True, f"xi_hat={xi:.6f}"))
     results.append(CheckResult("subadditivity-constant-estimate", False, True, f"chi_hat={chi:.6f}"))
     return results
@@ -257,8 +236,7 @@ def run_bounds(n_samples: int, seed: int, base="e") -> list[CheckResult]:
 
     # closed forms match the generic spectrum code on a (p, theta, t) grid
     p, theta, t = np.ix_(np.linspace(0.0, 1.0, 11), [0.5, 1.0], np.linspace(0.0, 1.5, 11))
-    lam1 = (1.0 - (1.0 - 2.0 * p) * np.cos(2.0 * theta * t)) / 2.0
-    capacity, entropy = _spectrum_capacity(np.stack([lam1, 1.0 - lam1], axis=-1), 2)
+    capacity, entropy = _spectrum_capacity(np.stack(evolved_schmidt_weights(p, theta, t), axis=-1), 2)
     dev = float(max(np.abs(capacity - family_sqrt_capacity(p, theta, t) ** 2).max(),
                     np.abs(entropy - family_entropy(p, theta, t)).max()))
     results.append(CheckResult("closed-form-consistency", True, dev <= 1e-10, f"max_dev={dev:.3e}"))

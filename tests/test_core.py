@@ -17,7 +17,6 @@ from entcap.core import (
     density_from_pure,
     haar_random_pure,
     log_on_support,
-    matrix_log_integral,
     partial_trace,
     relative_entropy,
     schmidt_decompose,
@@ -158,24 +157,6 @@ class TestOperatorLogs:
         rho = DensityOperator(np.diag([0.25, 0.75]))
         expected = np.diag([math.log2(0.25), math.log2(0.75)])
         assert np.allclose(log_on_support(rho, 2), expected, atol=1e-12)
-
-    def test_integral_log_uniform(self):
-        rho = DensityOperator(np.eye(2) / 2)
-        approx = matrix_log_integral(rho, s_max=1e6, n_points=20000)
-        assert np.abs(approx - (-np.log(2)) * np.eye(2)).max() < 1e-4
-
-    def test_integral_log_monotone_convergence(self):
-        rng = np.random.default_rng(3)
-        for _ in range(10):
-            rho = random_density(rng, 4)
-            exact = log_on_support(rho, "e")
-            errs = [np.abs(matrix_log_integral(rho, s, 4000) - exact).max()
-                    for s in (1.0, 2.0, 4.0, 8.0, 16.0, 32.0)]
-            assert all(b < a for a, b in zip(errs, errs[1:]))
-
-    def test_integral_log_rejects_rank_deficient(self):
-        with pytest.raises(DomainError):
-            matrix_log_integral(DensityOperator(np.diag([1.0, 0.0])), 10.0, 100)
 
 
 class TestEntropies:

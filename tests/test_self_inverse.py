@@ -12,7 +12,6 @@ from entcap.self_inverse import (
     capacity_rate_bounds,
     evolve_self_inverse,
     liouville_rhs,
-    liouville_rhs_reduced,
     max_entropy_rate_constant,
     operator_norm,
 )
@@ -146,14 +145,6 @@ class TestLiouville:
         rho_m = density_from_pure(evolve_self_inverse(ham, psi, t - h)).matrix
         fd = (rho_p - rho_m) / (2 * h)
         assert np.abs(fd - liouville_rhs(ham, rho_t)).max() < 1e-6
-
-    def test_reduced_version(self):
-        ham = build_self_inverse(SZ, SX)
-        psi = haar_random_pure(2, 2, 6)
-        rho = density_from_pure(psi)
-        full = liouville_rhs(ham, rho).reshape(2, 2, 2, 2)
-        assert np.allclose(liouville_rhs_reduced(ham, rho, "B"), np.einsum("abad->bd", full))
-        assert abs(np.trace(liouville_rhs_reduced(ham, rho, "A"))) < 1e-12
 
 
 class TestRateConstant:

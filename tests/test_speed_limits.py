@@ -9,8 +9,7 @@ from entcap.dynamics import NonlocalHamiltonian, evolved_schmidt_weights, simula
 from entcap.measures import capacity_from_spectrum
 from entcap.speed_limits import (
     QSLReport,
-    closed_form_family,
-    evolve_time_dependent,
+    _step_time_dependent,
     family_entropy,
     family_qsl_curve,
     family_qsl_report,
@@ -18,7 +17,6 @@ from entcap.speed_limits import (
     fubini_study_speed,
     hamiltonian_fluctuation,
     qsl_time_dependent,
-    qsl_time_independent,
     rate_bound_check,
 )
 from entcap.verify import run_bounds
@@ -86,30 +84,26 @@ class TestFubiniStudySpeed:
 
 class TestClosedFormFamily:
     def test_balanced_spectrum_point(self):
-        point = closed_form_family(1.0, 0.5, math.pi / 2, base=2)
-        assert point.eta == pytest.approx(0.0, abs=1e-12)
-        assert point.capacity == pytest.approx(0.0, abs=1e-12)
-        assert point.entropy == pytest.approx(1.0, abs=1e-12)
+        # 2 theta t = pi/2: eta = 0, so the Schmidt pair is (1/2, 1/2)
+        assert family_sqrt_capacity(1.0, 0.5, math.pi / 2, base=2) == pytest.approx(0.0, abs=1e-12)
+        assert family_entropy(1.0, 0.5, math.pi / 2, base=2) == pytest.approx(1.0, abs=1e-12)
 
     def test_product_start(self):
-        point = closed_form_family(1.0, 1.0, 0.0, base=2)
-        assert point.capacity == 0.0
-        assert point.entropy == 0.0
+        assert family_sqrt_capacity(1.0, 1.0, 0.0, base=2) == 0.0
+        assert family_entropy(1.0, 1.0, 0.0, base=2) == 0.0
 
     def test_matches_spectrum_recomputation(self):
         from entcap.core import spectrum_entropy
 
-        point = closed_form_family(1.0, 1.0, 0.3, base=2)
         weights = evolved_schmidt_weights(1.0, 1.0, 0.3)
         res = capacity_from_spectrum(weights, 2)
-        assert point.capacity == pytest.approx(res.capacity, abs=1e-10)
-        assert point.entropy == pytest.approx(spectrum_entropy(weights, 2), abs=1e-10)
+        assert family_sqrt_capacity(1.0, 1.0, 0.3, base=2) ** 2 == pytest.approx(res.capacity, abs=1e-10)
+        assert family_entropy(1.0, 1.0, 0.3, base=2) == pytest.approx(spectrum_entropy(weights, 2), abs=1e-10)
 
     def test_eta_endpoint_finite(self):
         for p in (0.0, 1.0):
-            point = closed_form_family(p, 1.0, 0.0, base=2)
-            assert point.capacity == 0.0
-            assert math.isfinite(point.entropy)
+            assert family_sqrt_capacity(p, 1.0, 0.0, base=2) == 0.0
+            assert math.isfinite(family_entropy(p, 1.0, 0.0, base=2))
 
     def test_artanh_argument_interior(self):
         for p in (0.1, 0.5, 0.9):
@@ -117,7 +111,7 @@ class TestClosedFormFamily:
             assert np.all(np.abs(eta) < 1.0)
 
     def test_delta_h_absolute_value(self):
-        assert closed_form_family(0.9, 1.0, 0.1).delta_h == pytest.approx(0.8 * 1.0)
+        assert family_qsl_report(0.9, 1.0, 0.1).mean_fluctuation == pytest.approx(0.8 * 1.0)
 
 
 class TestRateBound:
@@ -148,11 +142,9 @@ class TestRateBound:
 
 class TestQSLTimeIndependent:
     def test_zero_change(self):
-        assert qsl_time_independent(0.0, 1.0, 0.5) == 0.0
-
-    def test_inconsistency_error(self):
-        with pytest.raises(DomainError):
-            qsl_time_independent(0.3, 0.0, 0.5)
+        # p = 1/2 is a fixed point of the family: no entropy change, no fluctuation
+        report = family_qsl_report(0.5, 1.0, 0.3)
+        assert (report.entropy_change, report.mean_fluctuation, report.t_qsl) == (0.0, 0.0, 0.0)
 
     def test_fig2_configuration(self):
         report = family_qsl_report(1.0, 1.0, 0.2)
@@ -201,10 +193,11 @@ class TestFamilyQuadrature:
     def test_saturation_while_entropy_monotone(self, p, theta):
         # from a product state |dS/dt| = 2 sqrt(C) dH holds with equality
         # until 2 theta T = pi/2, so T_qsl = T exactly there
-        durations = np.linspace(0.002, 0.998, 60) * np.pi / (4.0 * theta)
-        np.testing.assert_allclose(family_qsl_curve(p, theta, durations), durations, rtol=0, atol=1e-12)
+        # down to 2 theta T = 2.2e-4, where the closed forms must not cancel
+        durations = np.linspace(0.00014, 0.998, 60) * np.pi / (4.0 * theta)
+        np.testing.assert_allclose(family_qsl_curve(p, theta, durations), durations, rtol=1e-14, atol=0)
         for T in durations[::7]:
-            assert family_qsl_report(p, theta, T).t_qsl == pytest.approx(T, rel=0, abs=1e-12)
+            assert family_qsl_report(p, theta, T).t_qsl == pytest.approx(T, rel=1e-14, abs=0)
 
     @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
     def test_matches_dense_trapezoid_across_breakpoints(self, p):
@@ -300,6 +293,15 @@ class TestQSLTimeDependent:
             report = qsl_time_dependent(lambda t: np.sin(t) * h, psi, 0.8, samples=2001)
             assert report.t_qsl <= 0.8 + 1e-6
 
+    def test_demo_report_pinned(self):
+        # the demo's drive; stepping, Schmidt data and both averages are pinned to the bit
+        h = NonlocalHamiltonian(mu=(1.0, 0.3, 0.1)).canonical_matrix()
+        report = qsl_time_dependent(lambda t: np.sin(t) * h, haar_random_pure(2, 2, 7), 0.8, samples=2001)
+        assert repr(float(report.t_qsl)) == "0.1709025561655923"
+        assert repr(report.mean_sqrt_capacity) == "0.7854838279640183"
+        assert repr(report.mean_fluctuation) == "0.32908972361951094"
+        assert repr(report.entropy_change) == "-0.09969227321093159"
+
     def test_time_stepping_matches_exact_for_constant(self):
         from entcap.dynamics import evolve_exact
 
@@ -307,7 +309,8 @@ class TestQSLTimeDependent:
         h = ham.canonical_matrix()
         psi = haar_random_pure(2, 2, 5)
         times = np.linspace(0.0, 0.7, 101)
-        states = evolve_time_dependent(lambda t: h, psi, times)
+        amps = _step_time_dependent(lambda t: h, psi.amplitudes, times)
+        assert amps.shape == (101, 4)
         exact = evolve_exact(ham, psi, 0.7)
-        overlap = abs(np.vdot(states[-1].amplitudes, exact.amplitudes))
+        overlap = abs(np.vdot(amps[-1], exact.amplitudes))
         assert overlap == pytest.approx(1.0, abs=1e-10)

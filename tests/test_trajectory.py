@@ -261,9 +261,9 @@ class TestRunBoundsGolden:
         # generator call per quantity): any other order moves these digits
         expected = (
             "PASS hard entanglement-rate-bound violations=0,min_margin=1.996e-03\n"
-            "PASS hard qsl-validity max_excess=3.627e-14\n"
+            "PASS hard qsl-validity max_excess=1.665e-16\n"
             "PASS soft qsl-tightness min_ratio=1.000000\n"
-            "PASS hard closed-form-consistency max_dev=2.442e-15\n"
+            "PASS hard closed-form-consistency max_dev=1.221e-15\n"
             "PASS soft capacity-rate-bound-chain samples=180,violations=rate:0,speed:0,norm:0,selfinv:0\n"
             "PASS hard rate-constant-base-ratio base2=1.912273,base_e=1.325487\n"
             "SUMMARY checks=6 hard_failures=0\n"
