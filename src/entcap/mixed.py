@@ -20,11 +20,12 @@ from .core import (
     relative_entropy,
     schmidt_decompose,
 )
+from .measures import _variance
 
 PPT_TOL = 1e-8
 
 _BELL_PHI_PLUS = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / np.sqrt(2.0)
-_KET = np.eye(4, dtype=complex)
+_BELL = np.outer(_BELL_PHI_PLUS, _BELL_PHI_PLUS.conj())
 
 
 def partial_transpose(rho, subsystem: str = "B") -> np.ndarray:
@@ -83,23 +84,24 @@ def closest_separable_pure(state: BipartitePureState, base="e") -> SeparableAppr
     return SeparableApproximation(sigma_star, e_r, 0, "analytic-pure")
 
 
-def family1_state(lam: float) -> DensityOperator:
-    """lam |Phi+><Phi+| + (1-lam) |01><01|."""
+def _bell_mixture(lam: float, ket: int) -> DensityOperator:
     if lam < 0.0 or lam > 1.0:
         raise DomainError("lam must lie in [0, 1]")
-    m = lam * np.outer(_BELL_PHI_PLUS, _BELL_PHI_PLUS.conj()) + (1.0 - lam) * np.outer(_KET[1], _KET[1].conj())
+    m = lam * _BELL
+    m[ket, ket] += 1.0 - lam
     return DensityOperator(m, d_a=2, d_b=2)
+
+
+def family1_state(lam: float) -> DensityOperator:
+    """lam |Phi+><Phi+| + (1-lam) |01><01|."""
+    return _bell_mixture(lam, 1)
 
 
 def family1_closest(lam: float) -> DensityOperator:
     """Closest separable state of the first mixture family."""
     a = lam / 2.0 * (1.0 - lam / 2.0)
-    m = a * (
-        np.outer(_KET[0], _KET[0].conj()) + np.outer(_KET[0], _KET[3].conj())
-        + np.outer(_KET[3], _KET[0].conj()) + np.outer(_KET[3], _KET[3].conj())
-    )
-    m += (1.0 - lam / 2.0) ** 2 * np.outer(_KET[1], _KET[1].conj())
-    m += lam**2 / 4.0 * np.outer(_KET[2], _KET[2].conj())
+    m = np.diag(np.array([a, (1.0 - lam / 2.0) ** 2, lam**2 / 4.0, a], dtype=complex))
+    m[0, 3] = m[3, 0] = a
     return DensityOperator(m, d_a=2, d_b=2)
 
 
@@ -114,15 +116,12 @@ def family1_relative_entropy(lam: float, base="e") -> float:
 
 def family2_state(lam: float) -> DensityOperator:
     """lam |Phi+><Phi+| + (1-lam) |00><00|."""
-    if lam < 0.0 or lam > 1.0:
-        raise DomainError("lam must lie in [0, 1]")
-    m = lam * np.outer(_BELL_PHI_PLUS, _BELL_PHI_PLUS.conj()) + (1.0 - lam) * np.outer(_KET[0], _KET[0].conj())
-    return DensityOperator(m, d_a=2, d_b=2)
+    return _bell_mixture(lam, 0)
 
 
 def family2_closest(lam: float) -> DensityOperator:
     """(1 - lam/2)|00><00| + (lam/2)|11><11|."""
-    m = (1.0 - lam / 2.0) * np.outer(_KET[0], _KET[0].conj()) + lam / 2.0 * np.outer(_KET[3], _KET[3].conj())
+    m = np.diag(np.array([1.0 - lam / 2.0, 0.0, 0.0, lam / 2.0], dtype=complex))
     return DensityOperator(m, d_a=2, d_b=2)
 
 
@@ -145,23 +144,20 @@ def family2_relative_entropy(lam: float, base="e") -> float:
 
 def closest_separable_family1(lam: float, base="e") -> SeparableApproximation:
     """Analytic closest separable state for the Bell/|01> mixture."""
-    rho = family1_state(lam)
     sigma = family1_closest(lam)
-    return SeparableApproximation(sigma, relative_entropy(rho, sigma, base), 0, "analytic-family-1")
+    return SeparableApproximation(sigma, relative_entropy(family1_state(lam), sigma, base), 0, "analytic-family-1")
 
 
 def closest_separable_family2(lam: float, base="e") -> SeparableApproximation:
     """Analytic closest separable state for the Bell/|00> mixture."""
-    rho = family2_state(lam)
     sigma = family2_closest(lam)
-    return SeparableApproximation(sigma, relative_entropy(rho, sigma, base), 0, "analytic-family-2")
+    return SeparableApproximation(sigma, relative_entropy(family2_state(lam), sigma, base), 0, "analytic-family-2")
 
 
-# ---------------------------------------------------------------------------
 # Projection onto the PPT ∩ density set (Dykstra)
-# ---------------------------------------------------------------------------
 
 _I4 = np.eye(4)
+_CENTRE = _I4 / 4.0
 
 
 def _proj_psd(m: np.ndarray) -> np.ndarray:
@@ -181,14 +177,12 @@ def _proj_trace(m: np.ndarray) -> np.ndarray:
 def project_separable(m: np.ndarray, iters: int = 120, tol: float = 1e-12) -> np.ndarray:
     """Dykstra projection onto {PSD} ∩ {PPT} ∩ {tr = 1} for two qubits.
 
-    The input is first moved onto the hyperplane tr = 1.  That hyperplane
-    holds the whole target set, so this leaves the projection unchanged, and
-    it keeps the sweeps from stalling at zero on inputs of trace <= 0.  The
-    returned matrix is exactly PSD and unit trace; the PPT defect is at the
-    Dykstra tolerance, or larger when ``iters`` sweeps run out on an input
-    far from the set.  When the PSD projection alone already lands in the PPT
-    set it is the exact intersection projection and is returned directly.
-    The REE solver does not use it.
+    The input is first moved onto the hyperplane tr = 1, which holds the whole
+    set: the projection is unchanged and the sweeps cannot stall at zero on
+    inputs of trace <= 0.  The result is exactly PSD and unit trace; its PPT
+    defect is at the Dykstra tolerance, or larger when ``iters`` sweeps run out
+    far from the set.  A PSD projection already in the PPT set is the exact
+    answer and is returned directly.  The REE solver does not use it.
     """
     x = _proj_trace(np.asarray(m, dtype=complex))
     y = _proj_psd(x)
@@ -197,8 +191,7 @@ def project_separable(m: np.ndarray, iters: int = 120, tol: float = 1e-12) -> np
         cand = y / ty
         if np.linalg.eigvalsh(partial_transpose(cand)).min() >= -1e-13:
             return cand
-    p = np.zeros_like(x)
-    q = np.zeros_like(x)
+    p = q = np.zeros_like(x)
     for _ in range(iters):
         x_prev = x
         y = _proj_psd(x + p)
@@ -213,150 +206,157 @@ def project_separable(m: np.ndarray, iters: int = 120, tol: float = 1e-12) -> np
     return (v * (w / w.sum())) @ v.conj().T
 
 
-# ---------------------------------------------------------------------------
 # Numeric solver: log-barrier Newton over the PPT ∩ density set
-# ---------------------------------------------------------------------------
 
-# sigma = I/4 + sum_a x_a B_a with B_a = s_i ⊗ s_j / 2 over the 15 Pauli pairs
-# (i, j) != (0, 0): an orthonormal basis of the traceless Hermitian matrices, so
-# every x has tr sigma = 1.  Transposing the second factor flips the sign of s_y only,
-# so sigma^Γ is the same sum with the x_a of the pairs (i, y) negated.
+# sigma = I/4 + sum_a x_a B_a, B_a = s_i ⊗ s_j / 2 over the Pauli pairs (i, j) != (0, 0):
+# an orthonormal basis of the traceless Hermitian matrices, so tr sigma = 1.  sigma^Γ
+# is the same sum with the x_a of the pairs (i, y) negated: s_y^T = -s_y.
 _PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 _BASIS = (_PAULI[:, None, :, None, :, None] * _PAULI[None, :, None, :, None, :]).reshape(16, 4, 4)[1:] / 2.0
 _PT_SIGN = np.tile([1.0, 1.0, -1.0, 1.0], 4)[1:]
 _BASES = np.stack([_BASIS, _PT_SIGN[:, None, None] * _BASIS])  # for sigma and for sigma^Γ
 _COORDS = _BASES.transpose(1, 0, 2, 3).reshape(15, 32)
-_LO, _MID, _HI = np.sort(np.indices((4, 4, 4)), axis=0)
 _MU_LEVELS = 10.0 ** -np.arange(14.0)  # barrier weights 1, 0.1, ..., 1e-13
 _DECREMENT_TOL = 1e-12
 _LEVEL_STEPS = 50
 _RIDGE = 1e-10 * np.eye(15)
+_LOWER = np.tril(np.ones((15, 15)))
+_PAIR = np.sort(np.indices((4, 4)), axis=0)  # (min, max) of each index pair
+_TRIPLE = np.sort(np.indices((4, 4, 4)), axis=0)
+_F1_PAIRS = 4 * _TRIPLE[:2] + _TRIPLE[1:]  # flat (lo, mid) and (mid, hi)
+# tr(P Q) of Hermitian 4x4s is the dot product of their diagonals and sqrt 2 x upper
+# parts, float-view entries _HERM; _BAR takes them from (2, 15, 4, 4) as (2, 16, 15)
+_HERM = np.r_[0, 10, 20, 30, 2, 4, 6, 12, 14, 22, 3, 5, 7, 13, 15, 23]
+_HERM_W = np.sqrt(np.repeat([1.0, 2.0], [4, 12]))
+_BAR = np.arange(0, 960, 480)[:, None, None] + _HERM[:, None] + np.arange(0, 480, 32)
+_HERM_IJ = np.array(np.divmod(_HERM // 2, 4))[:, None] + np.arange(0, 8, 4)[:, None]
 
 
-def _barrier_objective(rho: np.ndarray, x: np.ndarray, mu: float):
-    """F_mu(x) = -tr rho log sigma - mu (log det sigma + log det sigma^Γ).
-
-    Returns the value with the eigensystems of sigma and sigma^Γ (stacked), or
-    inf and None when either is not positive definite.
-    """
-    w, v = np.linalg.eigh((x @ _COORDS).reshape(2, 4, 4) + _I4 / 4.0)
-    if w[:, 0].min() <= 0.0:
-        return math.inf, None
-    a = np.einsum("ji,jk,ki->i", v[0].conj(), rho, v[0]).real
-    lw = np.log(w)
-    return float(-a @ lw[0] - mu * lw.sum()), (w, v)
+def _barrier_point(rho: np.ndarray, x: np.ndarray):
+    """(w, v) of sigma and sigma^Γ (stacked) at x, log w and V^† rho V; None unless w > 0."""
+    w, v = np.linalg.eigh((x @ _COORDS).reshape(2, 4, 4) + _CENTRE)
+    if min(w[0, 0], w[1, 0]) <= 0.0:
+        return None
+    return w, v, np.log(w), v[0].conj().T @ rho @ v[0]
 
 
-def _log_divided_differences(w: np.ndarray):
-    """First and second divided differences of log at ascending positive w."""
-    hi = np.maximum.outer(w, w)
-    lo = np.minimum.outer(w, w)
+def _barrier_objective(point, mu: float) -> float:
+    """F_mu = -tr rho log sigma - mu (log det sigma + log det sigma^Γ) at a _barrier_point."""
+    if point is None:
+        return math.inf
+    _, _, lw, r = point
+    return float(-r.diagonal().real @ lw[0] - mu * lw.sum())
+
+
+def _log_divided_differences(w: np.ndarray, lw: np.ndarray):
+    """First divided differences of log at ascending w > 0, lw = log w, and minus the second."""
+    lo, hi = w[_PAIR]
     d = lo - hi
-    safe = np.where(d == 0.0, 1.0, d)
-    # within a factor 2, d is exact (Sterbenz) and log1p keeps the quotient exact
-    f1 = np.where(lo >= 0.5 * hi, np.log1p(d / hi), np.log(lo) - np.log(hi)) / safe
-    f1 = np.where(d == 0.0, 1.0 / hi, f1)
+    same = d == 0.0
+    # within a factor 2, d is exact (Sterbenz) and log1p keeps the quotient exact; d = 0 gives 1/hi
+    f1 = np.where(lo >= 0.5 * hi, np.log1p(d / hi), lw[_PAIR[0]] - lw[_PAIR[1]]) / (d + same) + same / hi
     # f[a, b, c] is symmetric: divide across the widest pair of the sorted triple,
     # or take f''/2 at the mean when the three agree to 1e-5
-    a, b, c = w[_LO], w[_MID], w[_HI]
-    spread = c - a
-    wide = spread > 1e-5 * c
-    f2 = np.where(wide, (f1[_MID, _HI] - f1[_LO, _MID]) / np.where(wide, spread, 1.0),
-                  -4.5 / (a + b + c) ** 2)
-    return f1, f2
+    a, b, c = w[_TRIPLE]
+    lo_mid, mid_hi = f1.reshape(16)[_F1_PAIRS]
+    spread, close = c - a, 1e-5 * c
+    return f1, np.where(spread > close, (lo_mid - mid_hi) / np.maximum(spread, close),
+                        4.5 / (a + b + c) ** 2)
 
 
-def _newton_system(rho: np.ndarray, mu: float, w: np.ndarray, v: np.ndarray):
-    """Gradient, barrier part of the gradient, and a factor j (h = j^T j) of F_mu's Hessian.
+def _entropy_factor(nf2: np.ndarray, r: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """c (16, 15) with Re(c^† c) the Hessian of -tr rho log sigma; r = V^† rho V, b[a] = V^† B_a V.
 
-    The Hessian is never formed: where sigma^Γ nears the PPT boundary its
-    barrier curvature reaches 1/mu, and rounding of h at that scale would
-    swamp curvatures near mu elsewhere; a QR of j does not.
+    The Hessian is 2 Re sum_k A_k^T M_k conj(A_k), A_k[i, a] = b[a, i, k] and
+    M_k[i, j] = -f2[i, k, j] r[j, i]: the Hadamard product of r^T and
+    [-f2(w_i, w_k, w_j)]_ij, PSD as log is operator concave (Kraus, Math. Z. 41,
+    18 (1936); Bhatia, Matrix Analysis, ch. V).  So M_k = L_k L_k^† and
+    c_k = sqrt(2) L_k^T A_k.
+    """
+    lam, u = np.linalg.eigh(nf2 * r.T)  # M_k on the first axis (f2 is symmetric)
+    c = u.transpose(0, 2, 1) @ b.reshape(15, 4, 4).transpose(2, 1, 0)
+    return (np.sqrt(2.0 * np.maximum(lam, 0.0))[:, :, None] * c).reshape(16, 15)
+
+
+def _newton_system(mu: float, w: np.ndarray, v: np.ndarray, lw: np.ndarray, r: np.ndarray):
+    """Gradient, its barrier part, and a factor (l, s) of F_mu's Hessian h = j^T j.
+
+    j has 32 rows for -tr rho log sigma (_entropy_factor) and 16 per log det;
+    l l^T = (j s)^T (j s) + 1e-20 from a QR, s the column scale.  h is never
+    formed: near the PPT boundary its barrier curvature reaches 1/mu, and
+    rounding at that scale would swamp curvatures near mu elsewhere.  The ridge
+    keeps steps finite where h is singular, as for the Bell state.
     """
     # each B_a in the eigenbases of sigma and sigma^Γ: row-major vec(V^† B V) = (V^† ⊗ V^T) vec(B)
     kv = (v.conj()[:, :, None, :, None] * v[:, None, :, None, :]).reshape(2, 16, 16)
-    bt = (_BASES.reshape(2, 15, 16) @ kv).reshape(2, 15, 4, 4)
-    # -mu log det s: gradient -mu tr(s^-1 B_a), Hessian mu tr(s^-1 B_a s^-1 B_b) = mu Re(p p^†)
-    g_bar = -mu * np.einsum("sai,si->a", np.diagonal(bt, axis1=2, axis2=3).real, 1.0 / w)
-    p = (bt / np.sqrt(w[:, None, :, None] * w[:, None, None, :])).transpose(1, 0, 2, 3).reshape(15, 32)
-    # -tr rho log sigma through the Daleckii-Krein formulas: the gradient is
-    # -tr(B_a Dlog[rho]), the Hessian -sum_ikj rho_ji f2_ikj (B_a,ik B_b,kj + B_b,ik B_a,kj)
-    f1, f2 = _log_divided_differences(w[0])
-    b = bt[0]
-    r = v[0].conj().T @ rho @ v[0]
-    g = g_bar - (b.reshape(15, 16).conj() @ (f1 * r).reshape(16)).real
-    z = (r.T[:, None, :] * f2).transpose(1, 0, 2) @ b.transpose(1, 2, 0)
-    k = b.transpose(0, 2, 1).reshape(15, 16) @ z.reshape(16, 15)
-    lam, u = np.linalg.eigh(-(k + k.T).real)  # convex term: PSD up to rounding
-    j = np.vstack([(u * np.sqrt(np.clip(lam, 0.0, None))).T, math.sqrt(mu) * p.real.T,
-                   math.sqrt(mu) * p.imag.T])
-    return g, g_bar, j
-
-
-def _newton_factor(j: np.ndarray):
-    """Triangular r and column scale s with r^T r = (j s)^T (j s) + 1e-20.
-
-    The ridge keeps steps finite where the minimizer is not unique (the Bell
-    state) and h is singular to rounding.
-    """
-    s = 1.0 / np.linalg.norm(j, axis=0)
-    return np.linalg.qr(np.vstack([j * s, _RIDGE]), mode="r"), s
+    bt = _BASES.reshape(2, 15, 16) @ kv
+    j = np.empty((79, 15))
+    rows = j[:64].reshape(4, 16, 15)
+    # -mu log det s: Hessian mu tr(P_a P_b), P_a = s^-1/2 B_a s^-1/2; gradient -mu tr P_a
+    wi, wj = w.reshape(8)[_HERM_IJ]
+    rows[2:] = bt.view(float).reshape(960)[_BAR] * (math.sqrt(mu) * _HERM_W / np.sqrt(wi * wj))[:, :, None]
+    g_bar = -math.sqrt(mu) * rows[2:, :4].sum((0, 1))
+    # -tr rho log sigma through the Daleckii-Krein formulas: the gradient is -tr(B_a Dlog[rho])
+    f1, nf2 = _log_divided_differences(w[0], lw[0])
+    g = g_bar - (bt[0] @ (f1 * r.T).reshape(16)).real
+    c = _entropy_factor(nf2, r, bt[0])
+    rows[0], rows[1] = c.real, c.imag
+    s = 1.0 / np.sqrt(np.einsum("ij,ij->j", j[:64], j[:64]))
+    j[:64] *= s
+    j[64:] = _RIDGE
+    return g, g_bar, (_LOWER * np.linalg.qr(j, mode="raw")[0][:, :15], s)
 
 
 def _newton_solve(factor, rhs: np.ndarray) -> np.ndarray:
-    """h^-1 rhs from the factor of _newton_factor."""
-    r, s = factor
-    return np.linalg.solve(r, np.linalg.solve(r.T, rhs * s)) * s
+    """h^-1 rhs from the factor of _newton_system."""
+    l, s = factor
+    return np.linalg.solve(l.T, np.linalg.solve(l, rhs * s)) * s
 
 
 def closest_separable_numeric(rho: DensityOperator, base="e") -> SeparableApproximation:
     """Minimize S(rho || sigma) over two-qubit PPT density operators.
 
-    A PPT input is separable (Peres-Horodecki), so it is returned as its own
-    closest state with E_R = 0.  Otherwise a log-barrier interior-point method
-    minimizes F_mu = -tr rho log sigma - mu (log det sigma + log det sigma^Γ)
-    over the 15 Pauli coordinates of sigma, lowering mu from 1 to 1e-13 by
-    factors of 10.  Each level runs damped Newton steps with exact gradient
-    and Hessian from sigma's eigensystem, backtracking to keep sigma and
-    sigma^Γ positive definite and to pass an Armijo test, until the squared
-    Newton decrement is at most 1e-12; each step is solved from a QR of a
-    Hessian factor (``_newton_system``).  The next level starts from the
-    central path's tangent step, halved until it lowers the new objective.
-    Every iterate is strictly feasible and the barrier's duality gap is
-    8 mu, so the result overshoots E_R by about 1e-12 at most.
+    A PPT input is separable (Peres-Horodecki) and is its own closest state,
+    E_R = 0.  Otherwise a log-barrier method minimizes F_mu = -tr rho log sigma
+    - mu (log det sigma + log det sigma^Γ) over sigma's 15 Pauli coordinates,
+    lowering mu from 1 to 1e-13 by factors of 10.  Each level takes damped
+    Newton steps, each from one eigh of four 4x4 blocks and one QR
+    (``_newton_system``), backtracking to keep sigma and sigma^Γ positive
+    definite and to pass an Armijo test, until the squared Newton decrement is
+    at most 1e-12.  The next level reuses the last eigensystems and starts from
+    the central path's tangent step, halved until it lowers the new objective.
+    Every iterate is strictly feasible and the duality gap is 8 mu, so E_R
+    overshoots by about 1e-12 at most.
 
-    ``iterations`` counts accepted steps and ``converged`` is False when a
-    level runs out of steps or backtracking before its decrement test
-    passes.  The reported value is the support-checked relative entropy at
-    the final iterate.
+    ``iterations`` counts accepted steps; ``converged`` is False when a level
+    runs out of steps or backtracking before its decrement test passes.  The
+    value is the support-checked relative entropy at the final iterate.
     """
-    d_a, d_b = rho.split()
-    if d_a != 2 or d_b != 2:
+    if rho.split() != (2, 2):
         raise DomainError("the numeric solver handles two qubits only")
     r = rho.matrix
     if np.linalg.eigvalsh(partial_transpose(r)).min() >= 0.0:
         return SeparableApproximation(rho, 0.0, 0, "numeric-ppt")
     x = np.zeros(15)
-    steps = 0
+    point = _barrier_point(r, x)
     converged = True
-    trace: list = []
+    trace: list = []  # one per accepted step
     tangent = None
     for mu in _MU_LEVELS:
-        f, eig = _barrier_objective(r, x, mu)
+        f = _barrier_objective(point, mu)
         if tangent is not None:
             # first-order prediction of the new centre, halved until it beats x
             for _ in range(10):
-                fp, ep = _barrier_objective(r, x + tangent, mu)
+                cand = _barrier_point(r, x + tangent)
+                fp = _barrier_objective(cand, mu)
                 if fp < f:
-                    x, f, eig = x + tangent, fp, ep
-                    steps += 1
+                    x, f, point = x + tangent, fp, cand
                     trace.append((float(mu), f))
                     break
                 tangent = tangent / 2.0
         centred = False
         for _ in range(_LEVEL_STEPS):
-            g, g_bar, j = _newton_system(r, mu, *eig)
-            factor = _newton_factor(j)
+            g, g_bar, factor = _newton_system(mu, *point)
             dx = _newton_solve(factor, -g)
             slope = float(g @ dx)
             if -slope <= _DECREMENT_TOL:
@@ -364,22 +364,22 @@ def closest_separable_numeric(rho: DensityOperator, base="e") -> SeparableApprox
                 break
             t = 1.0
             for _ in range(60):
-                fc, ec = _barrier_objective(r, x + t * dx, mu)
+                cand = _barrier_point(r, x + t * dx)
+                fc = _barrier_objective(cand, mu)
                 if fc <= f + 0.25 * t * slope:
                     break
                 t /= 2.0
             else:
                 break
-            x, f, eig = x + t * dx, fc, ec
-            steps += 1
+            x, f, point = x + t * dx, fc, cand
             trace.append((float(mu), f))
         converged = converged and centred
         # the centre x*(mu) has dx*/dmu = h^-1 g_bar / mu, and the next level
         # lowers mu by 0.9 mu
         tangent = 0.9 * _newton_solve(factor, g_bar) if centred else None
-    sigma_star = DensityOperator((x @ _COORDS[:, :16]).reshape(4, 4) + _I4 / 4.0, d_a=2, d_b=2)
+    sigma_star = DensityOperator((x @ _COORDS[:, :16]).reshape(4, 4) + _CENTRE, d_a=2, d_b=2)
     value = relative_entropy(rho, sigma_star, base)
-    return SeparableApproximation(sigma_star, value, steps, "numeric-ppt",
+    return SeparableApproximation(sigma_star, value, len(trace), "numeric-ppt",
                                   converged and math.isfinite(value), tuple(trace))
 
 
@@ -394,7 +394,4 @@ def capacity_mixed(rho: DensityOperator, sigma_star: DensityOperator, base="e") 
         raise DomainError("state and separable reference dimensions differ")
     if _leaves_support(rho.matrix, sigma_star.matrix):
         raise DomainError("supp(rho) is not contained in supp(sigma*)")
-    shift = log_on_support(rho, base) - log_on_support(sigma_star, base)
-    mean = np.trace(rho.matrix @ shift).real
-    second = np.trace(rho.matrix @ shift @ shift).real
-    return max(float(second - mean**2), 0.0)
+    return float(_variance(log_on_support(rho, base) - log_on_support(sigma_star, base), rho.matrix))

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -264,28 +265,36 @@ class TestNumericSolver:
         assert result.relative_entropy == pytest.approx(fam_er(lam), abs=1e-6)
 
     def test_eigh_count(self, monkeypatch):
-        # one batched eigh of sigma and sigma^Γ per objective evaluation, one of
-        # the 15x15 relative-entropy Hessian per Newton step, and no projection;
-        # the Dykstra solver made 2,590 eigh calls on the first input and 93,103
-        # on a random rank-2 state
+        # one batched eigh of sigma and sigma^Γ per new point (a change of mu
+        # reuses the last one), one of the four 4x4 relative-entropy blocks per
+        # Newton step, no 15x15 Hessian eigh and no projection.  The
+        # formed-Hessian solver made 51 and 56 point eighs; the Dykstra solver
+        # made 2,590 eigh calls on the first input and 93,103 on the second
         def no_projection(m):
             raise AssertionError("closest_separable_numeric called project_separable")
 
         monkeypatch.setattr(mixed, "project_separable", no_projection)
-        eigh = np.linalg.eigh
-        calls = 0
+        eigh, newton_system = np.linalg.eigh, mixed._newton_system
+        shapes: Counter = Counter()
 
-        def counted(m):
-            nonlocal calls
-            calls += 1
+        def counted_eigh(m):
+            shapes[np.shape(m)] += 1
             return eigh(m)
 
-        monkeypatch.setattr(np.linalg, "eigh", counted)
-        for rho in (family2_state(0.095), random_state(np.random.default_rng(17), 2)):
-            calls = 0
+        def counted_system(*args):
+            shapes["newton"] += 1
+            return newton_system(*args)
+
+        inputs = ((family2_state(0.095), 38), (random_state(np.random.default_rng(17), 2), 43))
+        monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+        monkeypatch.setattr(mixed, "_newton_system", counted_system)
+        for rho, point_eighs in inputs:
+            shapes.clear()
             result = closest_separable_numeric(rho)
             assert result.converged and result.iterations > 0
-            assert calls <= 1000
+            assert shapes[(15, 15)] == 0
+            assert shapes[(2, 4, 4)] == point_eighs
+            assert shapes[(4, 4, 4)] == shapes["newton"] > 0
 
     def test_objective_monotone_within_stage(self):
         result = closest_separable_numeric(family1_state(0.4))
@@ -296,6 +305,107 @@ class TestNumericSolver:
             by_stage.setdefault(mu, []).append(f)
         for fs in by_stage.values():
             assert all(b <= a + 1e-12 for a, b in zip(fs, fs[1:]))
+
+
+def interior_point(rho, rng, scale):
+    """A _barrier_point at random Pauli coordinates of the given scale, redrawn
+    until sigma and sigma^Γ are positive definite."""
+    while (point := mixed._barrier_point(rho.matrix, scale * rng.standard_normal(15))) is None:
+        pass
+    return point
+
+
+def formed_entropy_hessian(f2, r, b):
+    """The Hessian of -tr rho log sigma formed entry by entry (Daleckii-Krein),
+    -sum_ikj r_ji f2_ikj (B_a,ik B_b,kj + B_b,ik B_a,kj): the block factor's reference."""
+    z = (r.T[:, None, :] * f2).transpose(1, 0, 2) @ b.transpose(1, 2, 0)
+    k = b.transpose(0, 2, 1).reshape(15, 16) @ z.reshape(16, 15)
+    return -(k + k.T).real
+
+
+class TestEntropyFactor:
+    # scale 0 puts every eigenvalue at 1/4 and 1e-7 within 1e-5 of each other,
+    # the f''/2 branch of the second divided difference
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    @pytest.mark.parametrize("scale", [0.0, 1e-7, 0.02, 0.08])
+    def test_block_factor_reproduces_formed_hessian(self, rank, scale):
+        rng = np.random.default_rng(100 * rank + int(1e3 * scale))
+        for _ in range(10):
+            rho = random_state(rng, rank)
+            w, v, lw, r = interior_point(rho, rng, scale)
+            b = v[0].conj().T @ mixed._BASIS @ v[0]
+            _, nf2 = mixed._log_divided_differences(w[0], lw[0])
+            c = mixed._entropy_factor(nf2, r, b)
+            reference = formed_entropy_hessian(-nf2, r, b)
+            assert np.abs((c.conj().T @ c).real - reference).max() <= 1e-13 * np.abs(reference).max()
+
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_blocks_are_psd(self, rank):
+        rng = np.random.default_rng(rank)
+        for scale in (0.0, 1e-7, 0.02, 0.08):
+            for _ in range(10):
+                w, _, lw, r = interior_point(random_state(rng, rank), rng, scale)
+                lam = np.linalg.eigvalsh(mixed._log_divided_differences(w[0], lw[0])[1] * r.T)
+                assert (lam[:, 0] >= -1e-12 * lam[:, -1]).all()
+
+    def test_divided_differences_match_definitions(self):
+        w = np.array([0.01, 0.2, 0.3, 0.49])
+        f1, nf2 = mixed._log_divided_differences(w, np.log(w))
+
+        def first(p, q):
+            return 1.0 / p if p == q else (math.log(p) - math.log(q)) / (p - q)
+
+        for i, j, k in np.ndindex(4, 4, 4):
+            assert f1[i, j] == pytest.approx(first(w[i], w[j]), rel=1e-13)
+            lo, mid, hi = sorted((w[i], w[j], w[k]))
+            second = -0.5 / lo**2 if lo == hi else (first(lo, mid) - first(mid, hi)) / (lo - hi)
+            assert -nf2[i, j, k] == pytest.approx(second, rel=1e-12)
+
+
+# (name, E_R, iterations, converged) recorded with the formed-Hessian solver
+SOLVER_PANEL = [
+    ("family1-0.095", 0.002369749194139773, 42, True),
+    ("family2-0.095", 0.00752419061134689, 35, True),
+    ("family1-0.25", 0.017918382754278338, 41, True),
+    ("family2-0.25", 0.04144846783551798, 34, True),
+    ("family1-0.49", 0.08096094773267903, 35, True),
+    ("family2-0.49", 0.14040423860106088, 35, True),
+    ("family1-0.7", 0.19882594962260947, 34, True),
+    ("family2-0.7", 0.28209593891628126, 37, True),
+    ("family1-0.95", 0.52678825353254, 38, True),
+    ("family2-0.95", 0.577407324096147, 36, True),
+    ("rank1-1", 0.47411052812684695, 38, True),
+    ("rank1-2", 0.49452449833977735, 35, True),
+    ("rank1-3", 0.3924607124509414, 38, True),
+    ("rank2-1", 0.08068291938320632, 38, True),
+    ("rank2-2", 0.11279293517047784, 41, True),
+    ("rank2-3", 0.04464338848872108, 40, True),
+    ("rank4-1", 0.06623020581814715, 32, True),
+    ("rank4-2", 0.09813402706558755, 32, True),
+    ("rank4-3", 0.0959581090872067, 33, True),
+]
+
+
+def panel_state(name):
+    kind, arg = name.split("-")
+    if kind.startswith("family"):
+        return (family1_state if kind == "family1" else family2_state)(float(arg))
+    rho = random_state(np.random.default_rng(int(arg)), int(kind[-1]))
+    if kind == "rank4":
+        # a Bell admixture keeps the full-rank states entangled
+        rho = DensityOperator(0.4 * rho.matrix + 0.6 * density_from_pure(BELL).matrix, d_a=2, d_b=2)
+    return rho
+
+
+class TestSolverPanel:
+    # the block-factored step changes rounding only: the same steps, converged
+    # flags and E_R to 1e-13 on both families, pure, rank-2 and entangled full-rank states
+    @pytest.mark.parametrize("name,e_r,iterations,converged", SOLVER_PANEL)
+    def test_matches_recorded_solves(self, name, e_r, iterations, converged):
+        result = closest_separable_numeric(panel_state(name))
+        assert result.iterations == iterations
+        assert result.converged is converged
+        assert abs(result.relative_entropy - e_r) <= 1e-13
 
 
 BELL_BASIS = np.array([[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0]]) / np.sqrt(2)
