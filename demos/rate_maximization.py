@@ -28,7 +28,7 @@ gamma = q1 @ np.diag([1.0, 0.5, 0.2]) @ q2.T
 ham = canonical_form(rng.standard_normal(3), rng.standard_normal(3), gamma)
 print(f"  singular values -> mu = {np.round(ham.mu, 10)}, branch sign = {ham.sign:+d}")
 print(f"  interaction ceiling:          mu1+mu2     = {max_entangling_element(ham):.6f}")
-print(f"  numeric Bloch-sphere maximum:               {max_entangling_element_numeric(ham):.6f}")
+print(f"  product-state maximum of the raw H:         {max_entangling_element_numeric(ham.raw_matrix()):.6f}")
 print(f"  with qubit ancillas:          mu1+mu2+mu3 = {max_entangling_element_ancilla(ham):.6f}")
 
 print()

@@ -221,13 +221,25 @@ def support_projector(rho: DensityOperator) -> np.ndarray:
     return hermitize(vs @ vs.conj().T)
 
 
+def _entropy_terms(w: np.ndarray, base="e") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(S, p, log p) for probability vectors w along the last axis, with 0·log 0 = 0.
+
+    S = -sum p log p.  Entries <= 0 give p = log p = 0, so they add nothing to
+    any sum of p log^k p; positive entries are floored at 1e-300.  Each log is
+    divided by ln(base) before it is summed.
+    """
+    pos = w > 0.0
+    nz = np.maximum(w, 1e-300)
+    p, logs = np.where(pos, nz, 0.0), np.where(pos, np.log(nz) / log_scale(base), 0.0)
+    return -np.sum(p * logs, axis=-1), p, logs
+
+
 def spectrum_entropy(weights, base="e"):
     """Shannon entropy of probability vectors along the last axis, with 0·log 0 = 0.
 
     Entries <= 0 add nothing.  One vector gives a float, a stack (..., d) an array.
     """
-    w = np.asarray(weights, dtype=float)
-    out = -np.sum(w * np.log(np.where(w > 0.0, w, 1.0)), axis=-1) / log_scale(base)
+    out = _entropy_terms(np.asarray(weights, dtype=float), base)[0]
     return float(out) if out.ndim == 0 else out
 
 

@@ -13,8 +13,6 @@ PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 PAULIS = (PAULI_X, PAULI_Y, PAULI_Z)
 
-GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
-
 
 @dataclass(frozen=True)
 class NonlocalHamiltonian:
@@ -190,8 +188,8 @@ def max_entangling_element_ancilla(hamiltonian: NonlocalHamiltonian) -> float:
     return float(sum(hamiltonian.mu))
 
 
-def _max_over_chi(coeffs, theta, phi):
-    """max over chi of |<phi,chi|H|phi_perp,chi_perp>| at phi = (cos(theta/2), e^{i phi} sin(theta/2)).
+def _max_over_chi(h4: np.ndarray, phi: np.ndarray) -> float:
+    """max over chi of |<phi,chi|H|phi_perp,chi_perp>| for H given as h4[a, b, a', b'].
 
     The partial element <phi|H|phi_perp> is an operator m0 I + (x + iy).sigma
     on B, and <chi|I|chi_perp> = 0.  With n the Bloch vector of chi,
@@ -199,69 +197,33 @@ def _max_over_chi(coeffs, theta, phi):
     x.n and y.n, plus 2 n.(x cross y).  Each term is largest for n along
     x cross y, which gives the maximum sqrt(|x|^2 + |y|^2 + 2|x cross y|).
     Local terms only add to m0, so this holds for any 4x4 H.
-
-    ``coeffs[c][2i + k]`` is tr(<i|H|k> sigma_c)/2 for <i|H|k> on B, so that
-    x_c + i y_c = sum_ik conj(phi_i) phi_perp_k coeffs[c][2i + k].  Scalar
-    arithmetic only: arrays of angles give arrays of maxima.
     """
-    c, s, e = np.cos(0.5 * theta), np.sin(0.5 * theta), np.exp(-1j * phi)
-    # conj(phi_i) phi_perp_k with phi_perp = (-e^{-i phi} sin, cos)
-    w = (-c * s * e, c * c, -(s * e) ** 2, c * s * e)
-    (x0, y0), (x1, y1), (x2, y2) = ((m.real, m.imag) for m in
-                                    (r[0] * w[0] + r[1] * w[1] + r[2] * w[2] + r[3] * w[3] for r in coeffs))
-    z0, z1, z2 = x1 * y2 - x2 * y1, x2 * y0 - x0 * y2, x0 * y1 - x1 * y0
-    return (x0 * x0 + x1 * x1 + x2 * x2 + y0 * y0 + y1 * y1 + y2 * y2
-            + 2.0 * (z0 * z0 + z1 * z1 + z2 * z2) ** 0.5) ** 0.5
+    partial = np.einsum("i,ijkl,k->jl", phi.conj(), h4, qubit_orthocomplement(phi))
+    xy = 0.5 * np.einsum("jl,clj->c", partial, np.array(PAULIS))
+    x, y = xy.real, xy.imag
+    return float(np.sqrt(x @ x + y @ y + 2.0 * np.linalg.norm(np.cross(x, y))))
 
 
 def max_entangling_element_numeric(hamiltonian) -> float:
-    """Numeric maximum of |<phi,chi|H|phi_perp,chi_perp>| over the two Bloch spheres.
+    """max |<phi,chi|H|phi_perp,chi_perp>| over product states, evaluated at an explicit maximizer.
 
-    The maximum over chi is exact for each phi (``_max_over_chi``), so only the
-    two angles of phi are searched: a 24 x 24 grid, then golden-section line
-    searches along Powell's conjugate directions, starting from the angle
-    axes.  The first sweep brackets each search at +-2 pi/24, later ones at 30
-    times the longest step of the sweep before (at most +-2 pi/24).  It stops
-    once a sweep along the axes gains less than 1e-15.  The relative phases of
-    the orthocomplements do not affect the magnitude.
+    For phi with Bloch frame (n, m, m'), ``_max_over_chi`` has x = gamma^T m
+    and y = gamma^T m', with gamma_ab = tr(H sigma_a ⊗ sigma_b)/4 the real 3x3
+    coupling block (local fields drop out).  Its value
+    sqrt(|x|^2 + |y|^2 + 2|x cross y|) is the sum of the two singular values of
+    gamma^T [m m'], which by Ky Fan's maximum principle is at most s1 + s2 of
+    gamma (mu1 + mu2), with equality when n is the singular vector of gamma's
+    smallest singular value.  So phi is put there, with no search, and the
+    closed form over chi is evaluated at it.  Accepts a NonlocalHamiltonian
+    or any Hermitian 4x4 matrix.
     """
     h4 = _as_matrix(hamiltonian).reshape(2, 2, 2, 2)
-    coeffs = (0.5 * np.einsum("ijkl,clj->cik", h4, np.array(PAULIS))).reshape(3, 4).tolist()
-    grid = 24
-    thetas = np.linspace(0.0, np.pi, grid)
-    phis = np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False)
-    vals = _max_over_chi(coeffs, thetas[:, None], phis[None, :])
-    i, j = np.unravel_index(np.argmax(vals), vals.shape)
-    x = np.array([thetas[i], phis[j]])
-    best = float(vals[i, j])
-    span = 2.0 * np.pi / grid
-
-    def line_max(x, u, best, reach):
-        t, v = maximize_scalar(lambda t: _max_over_chi(coeffs, *(x + t * u)), -reach, reach, tol=1e-12)
-        return (x + t * u, v, abs(t)) if v > best else (x, best, 0.0)
-
-    directions = axes = list(np.eye(2))
-    reach = span
-    while True:
-        start, x_start = best, x
-        moves = []
-        for u in directions:
-            x, best, move = line_max(x, u, best, reach)
-            moves.append(move)
-        if best - start >= 1e-15:
-            # Powell's update: the sweep's net move replaces the oldest direction,
-            # which follows the ridges that rotated couplings leave between angles.
-            step = x - x_start
-            directions = directions[1:] + [step / np.linalg.norm(step)]
-            x, best, move = line_max(x, directions[-1], best, reach)
-            # Steps shrink as the sweeps converge, so later searches bracket a
-            # multiple of the longest step; one that hits its bracket edge
-            # widens the next sweep's.
-            reach = min(span, max(30.0 * max(moves + [move]), 1e-12))
-        elif directions is axes:
-            return best
-        else:
-            directions = axes
+    paulis = np.array(PAULIS)
+    gamma = 0.25 * np.einsum("ijkl,aki,blj->ab", h4, paulis, paulis).real
+    n = np.linalg.svd(gamma)[0][:, 2]
+    n = n if n[2] >= 0.0 else -n  # -n is as good; this sign keeps 1 + n_z away from 0
+    phi = np.array([1.0 + n[2], n[0] + 1j * n[1]]) / np.sqrt(2.0 * (1.0 + n[2]))
+    return _max_over_chi(h4, phi)
 
 
 def capacity_rate_factor(p, base="e", k=1):
@@ -341,31 +303,6 @@ def maximizing_rate_state(p: float) -> BipartitePureState:
     """The two-qubit state sqrt(p)|01> + i sqrt(1-p)|10> achieving the maximal capacity rate."""
     amps = np.array([0.0, np.sqrt(p), 1j * np.sqrt(1.0 - p), 0.0])
     return BipartitePureState(amps, 2, 2)
-
-
-def maximize_scalar(f, lo: float, hi: float, tol: float = 1e-10) -> tuple[float, float]:
-    """Golden-section maximization of a continuous scalar function on [lo, hi]."""
-    if not lo < hi:
-        raise DomainError("need lo < hi")
-    a, b = lo, hi
-    c = b - GOLDEN * (b - a)
-    d = a + GOLDEN * (b - a)
-    fc, fd = float(f(c)), float(f(d))
-    if not (np.isfinite(fc) and np.isfinite(fd)):
-        raise DomainError("objective returned a non-finite value")
-    while (b - a) > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - GOLDEN * (b - a)
-            fc = float(f(c))
-        else:
-            a, c, fc = c, d, fd
-            d = a + GOLDEN * (b - a)
-            fd = float(f(d))
-        if not (np.isfinite(fc) and np.isfinite(fd)):
-            raise DomainError("objective returned a non-finite value")
-    x = 0.5 * (a + b)
-    return x, float(f(x))
 
 
 @dataclass(frozen=True)

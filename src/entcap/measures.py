@@ -12,6 +12,7 @@ from .core import (
     DomainError,
     Spectrum,
     _bisect,
+    _entropy_terms,
     _partial_trace_matrix,
     _trace_distance,
     _von_neumann_entropy,
@@ -70,13 +71,8 @@ def _spectrum_capacity(w: np.ndarray, base="e") -> tuple[np.ndarray, np.ndarray]
     """
     if w.min() < -1e-12 or np.abs(w.sum(axis=-1) - 1.0).max() > 1e-10:
         raise DomainError("weights must be non-negative and sum to 1")
-    scale = log_scale(base)
-    pos = w > 0.0
-    nz = np.maximum(w, 1e-300)  # entries <= 0 are masked out of both sums
-    logs = np.log(nz) / scale
-    entropy = -np.sum(np.where(pos, nz * logs, 0.0), axis=-1)
-    second = np.sum(np.where(pos, nz * logs**2, 0.0), axis=-1)
-    capacity = second - entropy**2
+    entropy, p, logs = _entropy_terms(w, base)
+    capacity = np.sum(p * logs**2, axis=-1) - entropy**2
     return np.where(capacity < 0.0, 0.0, capacity), np.where(entropy < 0.0, 0.0, entropy)
 
 

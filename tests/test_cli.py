@@ -177,7 +177,7 @@ class TestMaximize:
         fields = dict(line.split("=", 1) for line in out.read_text().splitlines()
                       if "=" in line and not line.startswith("#"))
         assert float(fields["analytic"]) == 1.5
-        assert float(fields["numeric"]) == pytest.approx(1.5, abs=1e-6)
+        assert float(fields["numeric"]) == pytest.approx(1.5, abs=1e-12)
 
     def test_unknown_target(self):
         assert main(["--command", "maximize", "--target", "nope"]) == 2
@@ -206,7 +206,7 @@ class TestVerify:
             "# command=verify suite=properties n_samples=50 seed=7 log_base=e\n"
             "PASS hard partial-trace-factor-recovery max_dev=2.220e-16\n"
             "PASS hard schmidt-equals-reduced-spectrum max_dev=2.220e-16\n"
-            "PASS hard entropy-base-conversion max_dev=0.000e+00\n"
+            "PASS hard entropy-base-conversion max_dev=2.220e-16\n"
             "PASS hard relative-entropy-nonnegative min_value=1.759e-01\n"
             "PASS hard capacity-additivity max_dev=1.554e-15\n"
             "PASS hard capacity-positivity min_value=1.529e-01\n"
