@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    SUPPORT_CUTOFF,
     BipartitePureState,
     ConfigurationError,
     DensityOperator,
@@ -59,8 +60,8 @@ def is_ppt(rho: DensityOperator, tol: float = PPT_TOL) -> bool:
 class SeparableApproximation:
     """Candidate closest separable state with its achieved relative entropy.
 
-    ``objective_trace`` holds (barrier_weight, objective) pairs for every
-    accepted solver step; analytic constructions leave it empty.
+    ``method`` names the path taken.  ``objective_trace`` holds
+    (barrier_weight, objective) pairs for every accepted barrier step.
     """
 
     sigma_star: DensityOperator
@@ -74,12 +75,8 @@ class SeparableApproximation:
 def closest_separable_pure(state: BipartitePureState, base="e") -> SeparableApproximation:
     """Dephasing in the Schmidt basis: the known minimizer for pure states."""
     weights, basis_a, basis_b = schmidt_decompose(state)
-    d = state.dim
-    sigma = np.zeros((d, d), dtype=complex)
-    for w, a_col, b_col in zip(weights, basis_a.T, basis_b.T):
-        v = np.kron(a_col, b_col)
-        sigma += w * np.outer(v, v.conj())
-    sigma_star = DensityOperator(hermitize(sigma), d_a=state.d_a, d_b=state.d_b)
+    v = (basis_a[:, None] * basis_b).reshape(state.dim, -1)  # columns a_n ⊗ b_n
+    sigma_star = DensityOperator(hermitize((v * weights) @ v.conj().T), d_a=state.d_a, d_b=state.d_b)
     e_r = relative_entropy(density_from_pure(state), sigma_star, base)
     return SeparableApproximation(sigma_star, e_r, 0, "analytic-pure")
 
@@ -177,12 +174,10 @@ def _proj_trace(m: np.ndarray) -> np.ndarray:
 def project_separable(m: np.ndarray, iters: int = 120, tol: float = 1e-12) -> np.ndarray:
     """Dykstra projection onto {PSD} ∩ {PPT} ∩ {tr = 1} for two qubits.
 
-    The input is first moved onto the hyperplane tr = 1, which holds the whole
-    set: the projection is unchanged and the sweeps cannot stall at zero on
-    inputs of trace <= 0.  The result is exactly PSD and unit trace; its PPT
-    defect is at the Dykstra tolerance, or larger when ``iters`` sweeps run out
-    far from the set.  A PSD projection already in the PPT set is the exact
-    answer and is returned directly.  The REE solver does not use it.
+    The input is first moved onto tr = 1, which holds the whole set, so the
+    sweeps cannot stall at zero.  The result is exactly PSD and unit trace; its
+    PPT defect is at the tolerance, or larger when ``iters`` sweeps run out.
+    A PSD projection already in the PPT set is returned directly.
     """
     x = _proj_trace(np.asarray(m, dtype=complex))
     y = _proj_psd(x)
@@ -220,7 +215,7 @@ _MU_LEVELS = 10.0 ** -np.arange(14.0)  # barrier weights 1, 0.1, ..., 1e-13
 _DECREMENT_TOL = 1e-12
 _LEVEL_STEPS = 50
 _RIDGE = 1e-10 * np.eye(15)
-_LOWER = np.tril(np.ones((15, 15)))
+_UPPER = np.triu(np.ones((15, 15)))
 _PAIR = np.sort(np.indices((4, 4)), axis=0)  # (min, max) of each index pair
 _TRIPLE = np.sort(np.indices((4, 4, 4)), axis=0)
 _F1_PAIRS = 4 * _TRIPLE[:2] + _TRIPLE[1:]  # flat (lo, mid) and (mid, hi)
@@ -265,7 +260,7 @@ def _log_divided_differences(w: np.ndarray, lw: np.ndarray):
 
 
 def _entropy_factor(nf2: np.ndarray, r: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """c (16, 15) with Re(c^† c) the Hessian of -tr rho log sigma; r = V^† rho V, b[a] = V^† B_a V.
+    """c (16, n) with Re(c^† c) the Hessian of -tr rho log sigma; r = V^† rho V, b[a] = V^† B_a V.
 
     The Hessian is 2 Re sum_k A_k^T M_k conj(A_k), A_k[i, a] = b[a, i, k] and
     M_k[i, j] = -f2[i, k, j] r[j, i]: the Hadamard product of r^T and
@@ -274,69 +269,69 @@ def _entropy_factor(nf2: np.ndarray, r: np.ndarray, b: np.ndarray) -> np.ndarray
     c_k = sqrt(2) L_k^T A_k.
     """
     lam, u = np.linalg.eigh(nf2 * r.T)  # M_k on the first axis (f2 is symmetric)
-    c = u.transpose(0, 2, 1) @ b.reshape(15, 4, 4).transpose(2, 1, 0)
-    return (np.sqrt(2.0 * np.maximum(lam, 0.0))[:, :, None] * c).reshape(16, 15)
+    c = u.transpose(0, 2, 1) @ b.reshape(-1, 4, 4).transpose(2, 1, 0)
+    return (np.sqrt(2.0 * np.maximum(lam, 0.0))[:, :, None] * c).reshape(16, -1)
 
 
 def _newton_system(mu: float, w: np.ndarray, v: np.ndarray, lw: np.ndarray, r: np.ndarray):
-    """Gradient, its barrier part, and a factor (l, s) of F_mu's Hessian h = j^T j.
+    """R, s, Q^T c, Q^T e from the QR of [j s, c, e]; F_mu's Hessian is h = j^T j.
 
     j has 32 rows for -tr rho log sigma (_entropy_factor) and 16 per log det;
-    l l^T = (j s)^T (j s) + 1e-20 from a QR, s the column scale.  h is never
-    formed: near the PPT boundary its barrier curvature reaches 1/mu, and
-    rounding at that scale would swamp curvatures near mu elsewhere.  The ridge
-    keeps steps finite where h is singular, as for the Bell state.
+    R^T R = (j s)^T (j s) + 1e-20.  h is never formed: near the PPT boundary
+    its curvature reaches 1/mu, and rounding there would swamp curvatures near
+    mu.  The ridge keeps steps finite where h is near singular.
+    c = -j vec(sigma) and e is its log det rows; as D^2 log_s[X, s] = -Dlog_s[X],
+    j^T c = g, the gradient, j^T e = g_bar, its barrier part, h^-1 g = s R^-1 Q^T c.
     """
     # each B_a in the eigenbases of sigma and sigma^Γ: row-major vec(V^† B V) = (V^† ⊗ V^T) vec(B)
     kv = (v.conj()[:, :, None, :, None] * v[:, None, :, None, :]).reshape(2, 16, 16)
     bt = _BASES.reshape(2, 15, 16) @ kv
-    j = np.empty((79, 15))
-    rows = j[:64].reshape(4, 16, 15)
-    # -mu log det s: Hessian mu tr(P_a P_b), P_a = s^-1/2 B_a s^-1/2; gradient -mu tr P_a
+    j = np.zeros((79, 17))
+    rows = j[:64].reshape(4, 16, 17)
+    # -mu log det s: Hessian mu tr(P_a P_b), P_a = s^-1/2 B_a s^-1/2; P_sigma = I
     wi, wj = w.reshape(8)[_HERM_IJ]
-    rows[2:] = bt.view(float).reshape(960)[_BAR] * (math.sqrt(mu) * _HERM_W / np.sqrt(wi * wj))[:, :, None]
-    g_bar = -math.sqrt(mu) * rows[2:, :4].sum((0, 1))
-    # -tr rho log sigma through the Daleckii-Krein formulas: the gradient is -tr(B_a Dlog[rho])
-    f1, nf2 = _log_divided_differences(w[0], lw[0])
-    g = g_bar - (bt[0] @ (f1 * r.T).reshape(16)).real
-    c = _entropy_factor(nf2, r, bt[0])
-    rows[0], rows[1] = c.real, c.imag
-    s = 1.0 / np.sqrt(np.einsum("ij,ij->j", j[:64], j[:64]))
-    j[:64] *= s
-    j[64:] = _RIDGE
-    return g, g_bar, (_LOWER * np.linalg.qr(j, mode="raw")[0][:, :15], s)
-
-
-def _newton_solve(factor, rhs: np.ndarray) -> np.ndarray:
-    """h^-1 rhs from the factor of _newton_system."""
-    l, s = factor
-    return np.linalg.solve(l.T, np.linalg.solve(l, rhs * s)) * s
+    rows[2:, :, :15] = bt.view(float).reshape(960)[_BAR] * (math.sqrt(mu) * _HERM_W / np.sqrt(wi * wj))[:, :, None]
+    rows[2:, :4, 15:] = -math.sqrt(mu)
+    # -tr rho log sigma (Daleckii-Krein); sigma = diag(w) in its eigenbasis
+    nf2 = _log_divided_differences(w[0], lw[0])[1]
+    c = _entropy_factor(nf2, r, np.concatenate((bt[0], -np.diag(w[0]).reshape(1, 16))))
+    rows[0, :, :16], rows[1, :, :16] = c.real, c.imag
+    s = 1.0 / np.sqrt(np.einsum("ij,ij->j", j[:64, :15], j[:64, :15]))
+    j[:64, :15] *= s
+    j[64:, :15] = _RIDGE
+    h = np.linalg.qr(j, mode="raw")[0]
+    return _UPPER * h[:15, :15].T, s, h[15, :15], h[16, :15]
 
 
 def closest_separable_numeric(rho: DensityOperator, base="e") -> SeparableApproximation:
     """Minimize S(rho || sigma) over two-qubit PPT density operators.
 
-    A PPT input is separable (Peres-Horodecki) and is its own closest state,
-    E_R = 0.  Otherwise a log-barrier method minimizes F_mu = -tr rho log sigma
-    - mu (log det sigma + log det sigma^Γ) over sigma's 15 Pauli coordinates,
-    lowering mu from 1 to 1e-13 by factors of 10.  Each level takes damped
-    Newton steps, each from one eigh of four 4x4 blocks and one QR
-    (``_newton_system``), backtracking to keep sigma and sigma^Γ positive
-    definite and to pass an Armijo test, until the squared Newton decrement is
-    at most 1e-12.  The next level reuses the last eigensystems and starts from
-    the central path's tangent step, halved until it lowers the new objective.
-    Every iterate is strictly feasible and the duality gap is 8 mu, so E_R
-    overshoots by about 1e-12 at most.
+    ``method`` names the path.  ``exact-ppt``: a PPT input is separable
+    (Peres-Horodecki) and its own closest state.  ``exact-pure``: a pure input
+    (one eigenvalue above the support cutoff) gets its Schmidt dephasing
+    (Vedral & Plenio, PRA 57, 1619 (1998)).  ``numeric-ppt``: a log-barrier
+    method minimizes F_mu = -tr rho log sigma - mu (log det sigma + log det
+    sigma^Γ) over sigma's 15 Pauli coordinates, mu from 1 to 1e-13 by factors
+    of 10.  Each level takes damped Newton steps, each one eigh of four 4x4
+    blocks, one QR (``_newton_system``) and one triangular solve, backtracking
+    to keep sigma and sigma^Γ positive definite and to pass an Armijo test,
+    until the squared Newton decrement is at most 1e-12.  The next level
+    starts from the central path's tangent step, halved until it lowers the
+    new objective.  The duality gap is 8 mu, so E_R overshoots by 1e-12 at most.
 
     ``iterations`` counts accepted steps; ``converged`` is False when a level
-    runs out of steps or backtracking before its decrement test passes.  The
-    value is the support-checked relative entropy at the final iterate.
+    runs out of steps or backtracking.  E_R is S(rho || sigma*), support-checked.
     """
     if rho.split() != (2, 2):
         raise DomainError("the numeric solver handles two qubits only")
+    if is_ppt(rho, 0.0):
+        return SeparableApproximation(rho, 0.0, 0, "exact-ppt")
     r = rho.matrix
-    if np.linalg.eigvalsh(partial_transpose(r)).min() >= 0.0:
-        return SeparableApproximation(rho, 0.0, 0, "numeric-ppt")
+    w, v = np.linalg.eigh(r)
+    if w[2] <= SUPPORT_CUTOFF * w[3]:
+        sigma = closest_separable_pure(BipartitePureState(v[:, 3], 2, 2)).sigma_star
+        value = relative_entropy(rho, sigma, base)
+        return SeparableApproximation(sigma, value, 0, "exact-pure", math.isfinite(value))
     x = np.zeros(15)
     point = _barrier_point(r, x)
     converged = True
@@ -356,17 +351,17 @@ def closest_separable_numeric(rho: DensityOperator, base="e") -> SeparableApprox
                 tangent = tangent / 2.0
         centred = False
         for _ in range(_LEVEL_STEPS):
-            g, g_bar, factor = _newton_system(mu, *point)
-            dx = _newton_solve(factor, -g)
-            slope = float(g @ dx)
-            if -slope <= _DECREMENT_TOL:
+            upper, s, qc, qe = _newton_system(mu, *point)
+            decrement = float(qc @ qc)
+            if decrement <= _DECREMENT_TOL:
                 centred = True
                 break
+            dx = -s * np.linalg.solve(upper, qc)
             t = 1.0
             for _ in range(60):
                 cand = _barrier_point(r, x + t * dx)
                 fc = _barrier_objective(cand, mu)
-                if fc <= f + 0.25 * t * slope:
+                if fc <= f - 0.25 * t * decrement:
                     break
                 t /= 2.0
             else:
@@ -374,9 +369,8 @@ def closest_separable_numeric(rho: DensityOperator, base="e") -> SeparableApprox
             x, f, point = x + t * dx, fc, cand
             trace.append((float(mu), f))
         converged = converged and centred
-        # the centre x*(mu) has dx*/dmu = h^-1 g_bar / mu, and the next level
-        # lowers mu by 0.9 mu
-        tangent = 0.9 * _newton_solve(factor, g_bar) if centred else None
+        # the centre x*(mu) has dx*/dmu = h^-1 g_bar / mu; the next level lowers mu by 0.9 mu
+        tangent = 0.9 * s * np.linalg.solve(upper, qe) if centred and mu > _MU_LEVELS[-1] else None
     sigma_star = DensityOperator((x @ _COORDS[:, :16]).reshape(4, 4) + _CENTRE, d_a=2, d_b=2)
     value = relative_entropy(rho, sigma_star, base)
     return SeparableApproximation(sigma_star, value, len(trace), "numeric-ppt",

@@ -13,8 +13,10 @@ from entcap.core import (
     DomainError,
     density_from_pure,
     haar_random_pure,
+    partial_trace,
     relative_entropy,
     trace_distance,
+    von_neumann_entropy,
 )
 from entcap.measures import capacity_pure
 from entcap.mixed import (
@@ -223,7 +225,7 @@ class TestNumericSolver:
         # PPT is separable for two qubits, so the input is its own closest state
         assert result.relative_entropy == 0.0
         assert result.sigma_star is rho
-        assert result.converged
+        assert result.converged and result.method == "exact-ppt"
 
     def test_family1_midpoint(self):
         rho = family1_state(0.5)
@@ -269,17 +271,24 @@ class TestNumericSolver:
         # reuses the last one), one of the four 4x4 relative-entropy blocks per
         # Newton step, no 15x15 Hessian eigh and no projection.  The
         # formed-Hessian solver made 51 and 56 point eighs; the Dykstra solver
-        # made 2,590 eigh calls on the first input and 93,103 on the second
+        # made 2,590 eigh calls on the first input and 93,103 on the second.
+        # One triangular solve per Newton system: a step, or at a centred
+        # level's last system the next level's tangent; the last level has no
+        # next.  Two LU solves per system and two per centred level before
         def no_projection(m):
             raise AssertionError("closest_separable_numeric called project_separable")
 
         monkeypatch.setattr(mixed, "project_separable", no_projection)
-        eigh, newton_system = np.linalg.eigh, mixed._newton_system
+        eigh, solve, newton_system = np.linalg.eigh, np.linalg.solve, mixed._newton_system
         shapes: Counter = Counter()
 
         def counted_eigh(m):
             shapes[np.shape(m)] += 1
             return eigh(m)
+
+        def counted_solve(a, b):
+            shapes["solve"] += 1
+            return solve(a, b)
 
         def counted_system(*args):
             shapes["newton"] += 1
@@ -287,6 +296,7 @@ class TestNumericSolver:
 
         inputs = ((family2_state(0.095), 38), (random_state(np.random.default_rng(17), 2), 43))
         monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+        monkeypatch.setattr(np.linalg, "solve", counted_solve)
         monkeypatch.setattr(mixed, "_newton_system", counted_system)
         for rho, point_eighs in inputs:
             shapes.clear()
@@ -295,6 +305,12 @@ class TestNumericSolver:
             assert shapes[(15, 15)] == 0
             assert shapes[(2, 4, 4)] == point_eighs
             assert shapes[(4, 4, 4)] == shapes["newton"] > 0
+            assert shapes["solve"] == shapes["newton"] - 1
+        # a pure input takes the Schmidt dephasing: no barrier point, no Newton system
+        shapes.clear()
+        result = closest_separable_numeric(random_state(np.random.default_rng(17), 1))
+        assert result.method == "exact-pure" and result.iterations == 0
+        assert shapes[(2, 4, 4)] == shapes[(4, 4, 4)] == shapes["newton"] == shapes["solve"] == 0
 
     def test_objective_monotone_within_stage(self):
         result = closest_separable_numeric(family1_state(0.4))
@@ -362,6 +378,38 @@ class TestEntropyFactor:
             assert -nf2[i, j, k] == pytest.approx(second, rel=1e-12)
 
 
+def direct_gradient(point, mu):
+    """Gradient of F_mu in the Pauli coordinates and its barrier part (Daleckii-Krein),
+    -tr(B_a Dlog_sigma[rho]) - mu tr(sigma^-1 B_a) - mu tr((sigma^Γ)^-1 B_a^Γ) with
+    Dlog_sigma[rho] = V (f1 ∘ V^† rho V) V^†, each with the summed magnitude of its terms."""
+    w, v, lw, r = point
+    b = v[:, None].conj().transpose(0, 1, 3, 2) @ mixed._BASES @ v[:, None]
+    bar = mu * b.diagonal(axis1=-2, axis2=-1).real / w[:, None]
+    f1 = mixed._log_divided_differences(w[0], lw[0])[0]
+    ent = np.einsum("aij,ji,ji->aij", b[0], f1, r).real
+    g_bar, bar_size = -bar.sum((0, 2)), np.abs(bar).sum((0, 2))
+    return (g_bar - ent.sum((1, 2)), bar_size + np.abs(ent).sum((1, 2))), (g_bar, bar_size)
+
+
+class TestGradientColumns:
+    # the two columns appended to the QR carry the gradient without a solve:
+    # R^T Q^T c = (j s)^T c = s g and R^T Q^T e = s g_bar, from c = -j vec(sigma)
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    @pytest.mark.parametrize("scale", [0.0, 1e-7, 0.02, 0.08])
+    def test_columns_reproduce_direct_gradient(self, rank, scale):
+        rng = np.random.default_rng(100 * rank + int(1e3 * scale))
+        for mu in np.repeat(mixed._MU_LEVELS[::3], 2):
+            point = interior_point(random_state(rng, rank), rng, scale)
+            upper, s, qc, qe = mixed._newton_system(mu, *point)
+            (g, g_size), (g_bar, bar_size) = direct_gradient(point, mu)
+            # a spectrum spread under 1e-5 takes f''/2 at the mean for every second
+            # divided difference, which -j vec(sigma) inherits: (spread / w)^2 bounds it
+            spread = 1.0 - point[0][0, 0] / point[0][0, -1]
+            tol = 1e-13 + (spread**2 if spread < 1e-5 else 0.0)
+            assert np.abs(upper.T @ qc - s * g).max() <= tol * (s * g_size).max()
+            assert np.abs(upper.T @ qe - s * g_bar).max() <= 1e-13 * (s * bar_size).max()
+
+
 # (name, E_R, iterations, converged) recorded with the formed-Hessian solver
 SOLVER_PANEL = [
     ("family1-0.095", 0.002369749194139773, 42, True),
@@ -374,9 +422,6 @@ SOLVER_PANEL = [
     ("family2-0.7", 0.28209593891628126, 37, True),
     ("family1-0.95", 0.52678825353254, 38, True),
     ("family2-0.95", 0.577407324096147, 36, True),
-    ("rank1-1", 0.47411052812684695, 38, True),
-    ("rank1-2", 0.49452449833977735, 35, True),
-    ("rank1-3", 0.3924607124509414, 38, True),
     ("rank2-1", 0.08068291938320632, 38, True),
     ("rank2-2", 0.11279293517047784, 41, True),
     ("rank2-3", 0.04464338848872108, 40, True),
@@ -399,7 +444,8 @@ def panel_state(name):
 
 class TestSolverPanel:
     # the block-factored step changes rounding only: the same steps, converged
-    # flags and E_R to 1e-13 on both families, pure, rank-2 and entangled full-rank states
+    # flags and E_R to 1e-13 on both families, rank-2 and entangled full-rank
+    # states.  Pure states left the panel with the exact pure path (TestPurePath)
     @pytest.mark.parametrize("name,e_r,iterations,converged", SOLVER_PANEL)
     def test_matches_recorded_solves(self, name, e_r, iterations, converged):
         result = closest_separable_numeric(panel_state(name))
@@ -461,12 +507,58 @@ class TestFrameInvariance:
             if kind == "rank4":
                 rho = DensityOperator(0.4 * rho.matrix + 0.6 * density_from_pure(BELL).matrix, d_a=2, d_b=2)
         base = closest_separable_numeric(rho)
-        assert base.converged and base.iterations > 0
+        # a pure input takes the exact path, every other kind the barrier
+        assert base.converged and (base.iterations > 0) == (kind != "rank1")
         for _ in range(3):
             turned = closest_separable_numeric(rotated(rho, local_unitary(rng)))
             assert turned.converged
             assert abs(turned.relative_entropy - base.relative_entropy) <= 1e-10
             assert abs(turned.iterations - base.iterations) <= 2
+
+
+def pure_inputs(seed):
+    """Haar states, locally rotated Bell states and locally rotated product states."""
+    rng = np.random.default_rng(seed)
+    for ket in (BELL.amplitudes, np.array([1.0, 0, 0, 0]), haar_random_pure(2, 2, rng).amplitudes):
+        yield BipartitePureState(local_unitary(rng) @ ket, 2, 2)
+
+
+class TestPurePath:
+    # Vedral & Plenio: a pure state's closest separable state is its Schmidt
+    # dephasing, so E_R = S(rho_A) and capacity_mixed = capacity_pure exactly.
+    # The barrier landed 4e-13 and 6.8e-10 from them
+    @pytest.mark.parametrize("seed", range(8))
+    def test_exact_values(self, seed):
+        for psi in pure_inputs(seed):
+            rho = density_from_pure(psi)
+            result = closest_separable_numeric(rho)
+            exact = capacity_pure(psi, "e")
+            assert result.iterations == 0 and result.converged
+            assert abs(result.relative_entropy - exact.entropy) <= 1e-14
+            assert abs(capacity_mixed(rho, result.sigma_star, "e") - exact.capacity) <= 1e-13
+            if result.method == "exact-pure":  # a product state may pass the PPT test first
+                sigma = closest_separable_pure(psi).sigma_star.matrix
+                assert np.abs(result.sigma_star.matrix - sigma).max() <= 1e-14
+
+    # the rank-1 rows of SOLVER_PANEL, with the E_R the barrier reached in 38, 35 and 38 steps
+    @pytest.mark.parametrize("name,barrier_e_r", [
+        ("rank1-1", 0.47411052812684695),
+        ("rank1-2", 0.49452449833977735),
+        ("rank1-3", 0.3924607124509414),
+    ])
+    def test_panel_states(self, name, barrier_e_r):
+        rho = panel_state(name)
+        result = closest_separable_numeric(rho)
+        assert result.method == "exact-pure" and result.objective_trace == ()
+        assert abs(result.relative_entropy - von_neumann_entropy(partial_trace(rho, "A"))) <= 1e-14
+        # the barrier stopped above the minimum, within its duality gap 8 mu = 8e-13
+        assert 0.0 <= barrier_e_r - result.relative_entropy <= 1e-12
+        assert is_ppt(result.sigma_star)
+
+    def test_bell_in_base_two(self):
+        result = closest_separable_numeric(density_from_pure(BELL), base=2)
+        assert result.method == "exact-pure"
+        assert result.relative_entropy == pytest.approx(1.0, abs=1e-15)
 
 
 class TestCapacityMixed:
