@@ -72,13 +72,16 @@ class SeparableApproximation:
     objective_trace: tuple = ()
 
 
-def closest_separable_pure(state: BipartitePureState, base="e") -> SeparableApproximation:
-    """Dephasing in the Schmidt basis: the known minimizer for pure states."""
+def _schmidt_dephasing(state: BipartitePureState) -> DensityOperator:
     weights, basis_a, basis_b = schmidt_decompose(state)
     v = (basis_a[:, None] * basis_b).reshape(state.dim, -1)  # columns a_n ⊗ b_n
-    sigma_star = DensityOperator(hermitize((v * weights) @ v.conj().T), d_a=state.d_a, d_b=state.d_b)
-    e_r = relative_entropy(density_from_pure(state), sigma_star, base)
-    return SeparableApproximation(sigma_star, e_r, 0, "analytic-pure")
+    return DensityOperator(hermitize((v * weights) @ v.conj().T), d_a=state.d_a, d_b=state.d_b)
+
+
+def closest_separable_pure(state: BipartitePureState, base="e") -> SeparableApproximation:
+    """Dephasing in the Schmidt basis: the known minimizer for pure states."""
+    sigma = _schmidt_dephasing(state)
+    return SeparableApproximation(sigma, relative_entropy(density_from_pure(state), sigma, base), 0, "analytic-pure")
 
 
 def _bell_mixture(lam: float, ket: int) -> DensityOperator:
@@ -211,7 +214,7 @@ _BASIS = (_PAULI[:, None, :, None, :, None] * _PAULI[None, :, None, :, None, :])
 _PT_SIGN = np.tile([1.0, 1.0, -1.0, 1.0], 4)[1:]
 _BASES = np.stack([_BASIS, _PT_SIGN[:, None, None] * _BASIS])  # for sigma and for sigma^Γ
 _COORDS = _BASES.transpose(1, 0, 2, 3).reshape(15, 32)
-_MU_LEVELS = 10.0 ** -np.arange(14.0)  # barrier weights 1, 0.1, ..., 1e-13
+_MU_LEVELS = (1.0, 1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-13)
 _DECREMENT_TOL = 1e-12
 _LEVEL_STEPS = 50
 _RIDGE = 1e-10 * np.eye(15)
@@ -311,13 +314,14 @@ def closest_separable_numeric(rho: DensityOperator, base="e") -> SeparableApprox
     (one eigenvalue above the support cutoff) gets its Schmidt dephasing
     (Vedral & Plenio, PRA 57, 1619 (1998)).  ``numeric-ppt``: a log-barrier
     method minimizes F_mu = -tr rho log sigma - mu (log det sigma + log det
-    sigma^Γ) over sigma's 15 Pauli coordinates, mu from 1 to 1e-13 by factors
-    of 10.  Each level takes damped Newton steps, each one eigh of four 4x4
-    blocks, one QR (``_newton_system``) and one triangular solve, backtracking
-    to keep sigma and sigma^Γ positive definite and to pass an Armijo test,
-    until the squared Newton decrement is at most 1e-12.  The next level
-    starts from the central path's tangent step, halved until it lowers the
-    new objective.  The duality gap is 8 mu, so E_R overshoots by 1e-12 at most.
+    sigma^Γ) over sigma's 15 Pauli coordinates, with long steps in mu (Boyd &
+    Vandenberghe, Convex Optimization, 11.3): 1 to 1e-10 by factors of 100,
+    then 1e-13.  Each level takes damped Newton steps (``_newton_system``),
+    backtracking to keep sigma and sigma^Γ positive definite and to pass an
+    Armijo test, until the squared Newton decrement is at most 1e-12.  The
+    next level starts from the central path's tangent, scaled by 1 - mu_next/mu
+    and halved until it lowers the new objective.  The duality gap is 8 mu, so
+    E_R overshoots by 1e-12 at most.
 
     ``iterations`` counts accepted steps; ``converged`` is False when a level
     runs out of steps or backtracking.  E_R is S(rho || sigma*), support-checked.
@@ -329,24 +333,23 @@ def closest_separable_numeric(rho: DensityOperator, base="e") -> SeparableApprox
     r = rho.matrix
     w, v = np.linalg.eigh(r)
     if w[2] <= SUPPORT_CUTOFF * w[3]:
-        sigma = closest_separable_pure(BipartitePureState(v[:, 3], 2, 2)).sigma_star
+        sigma = _schmidt_dephasing(BipartitePureState(v[:, 3], 2, 2))
         value = relative_entropy(rho, sigma, base)
         return SeparableApproximation(sigma, value, 0, "exact-pure", math.isfinite(value))
     x = np.zeros(15)
     point = _barrier_point(r, x)
     converged = True
-    trace: list = []  # one per accepted step
+    trace: list = []
     tangent = None
-    for mu in _MU_LEVELS:
+    for mu, mu_next in zip(_MU_LEVELS, _MU_LEVELS[1:] + (0.0,)):
         f = _barrier_objective(point, mu)
         if tangent is not None:
-            # first-order prediction of the new centre, halved until it beats x
             for _ in range(10):
                 cand = _barrier_point(r, x + tangent)
                 fp = _barrier_objective(cand, mu)
                 if fp < f:
                     x, f, point = x + tangent, fp, cand
-                    trace.append((float(mu), f))
+                    trace.append((mu, f))
                     break
                 tangent = tangent / 2.0
         centred = False
@@ -367,10 +370,10 @@ def closest_separable_numeric(rho: DensityOperator, base="e") -> SeparableApprox
             else:
                 break
             x, f, point = x + t * dx, fc, cand
-            trace.append((float(mu), f))
+            trace.append((mu, f))
         converged = converged and centred
-        # the centre x*(mu) has dx*/dmu = h^-1 g_bar / mu; the next level lowers mu by 0.9 mu
-        tangent = 0.9 * s * np.linalg.solve(upper, qe) if centred and mu > _MU_LEVELS[-1] else None
+        # the centre x*(mu) has dx*/dmu = h^-1 g_bar / mu; mu falls by mu - mu_next
+        tangent = (1.0 - mu_next / mu) * s * np.linalg.solve(upper, qe) if centred and mu_next else None
     sigma_star = DensityOperator((x @ _COORDS[:, :16]).reshape(4, 4) + _CENTRE, d_a=2, d_b=2)
     value = relative_entropy(rho, sigma_star, base)
     return SeparableApproximation(sigma_star, value, len(trace), "numeric-ppt",
