@@ -46,8 +46,8 @@ for name, psi in [("Bell", bell), ("lopsided", lopsided)]:
     k = modular_hamiltonian(rho_a, "e")
     s = von_neumann_entropy(rho_a, "e")
     result = capacity_pure(psi, "e")
-    print(f"{name:10s} S = {s:.6f}  <K> = {np.trace(rho_a.matrix @ k.matrix).real:.6f}  "
-          f"C_E = {result.capacity:.6f}  Var(K) = {observable_variance(k.matrix, rho_a):.6f}")
+    print(f"{name:10s} S = {s:.6f}  <K> = {np.trace(rho_a.matrix @ k).real:.6f}  "
+          f"C_E = {result.capacity:.6f}  Var(K) = {observable_variance(k, rho_a):.6f}")
 
 banner("Flat spectra have zero capacity")
 for spec in ([0.5, 0.5], [0.25] * 4, [0.7, 0.3]):

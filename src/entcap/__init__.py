@@ -11,7 +11,6 @@ from .core import (
     ConfigurationError,
     DensityOperator,
     DomainError,
-    Spectrum,
     density_from_pure,
     haar_random_pure,
     log_on_support,
@@ -19,13 +18,11 @@ from .core import (
     relative_entropy,
     schmidt_decompose,
     spectrum_entropy,
-    spectrum_of,
     trace_distance,
     von_neumann_entropy,
 )
 from .measures import (
     CapacityResult,
-    ModularHamiltonian,
     capacity_from_spectrum,
     capacity_of,
     capacity_pure,
@@ -34,7 +31,6 @@ from .measures import (
     modular_hamiltonian,
     observable_variance,
     solve_max_variance_spectrum,
-    uncertainty,
 )
 from .dynamics import (
     NonlocalHamiltonian,
@@ -42,7 +38,6 @@ from .dynamics import (
     canonical_form,
     capacity_rate_factor,
     capacity_rate_factor_maximum,
-    evolve_exact,
     evolved_schmidt_weights,
     max_capacity_rate,
     max_entangling_element,

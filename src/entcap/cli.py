@@ -87,7 +87,6 @@ class RunConfig:
     grid: dict = _option({}, parse_grid_spec, "comma-separated name=lo:hi:count specs")
     theta: float = _option(1.0, float)
     theta_list: tuple = _option((0.5, 1.0), _floats, "comma-separated figure2 thetas")
-    t_max: float = _option(0.45, float)
     family: int = _option(1, int)
     lambda_count: int = _option(101, int)
     method: str = _option("analytic", str, choices=("analytic", "numeric"))
@@ -170,8 +169,8 @@ def cmd_figure1(cfg: RunConfig) -> int:
 
 
 def cmd_figure2(cfg: RunConfig) -> int:
-    t_count = int(cfg.grid.get("T", (0.0, cfg.t_max, 45))[2])
-    durations = np.linspace(cfg.t_max / t_count, cfg.t_max, t_count)
+    t_lo, t_hi, t_count = cfg.grid.get("T", (0.0, 0.45, 45))
+    durations = np.linspace(t_lo + (t_hi - t_lo) / t_count, t_hi, t_count)  # count durations in (lo, hi]
     rows = []
     for theta in cfg.theta_list:
         tqsl = family_qsl_curve(1.0, theta, durations, base=cfg.log_base)

@@ -132,29 +132,6 @@ class DensityOperator:
         return self.d_a, self.d_b
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Descending eigenvalues with the matching orthonormal eigenvector columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.eigenvalues, dtype=float)
-        v = np.asarray(self.eigenvectors, dtype=complex)
-        w.setflags(write=False)
-        v.setflags(write=False)
-        object.__setattr__(self, "eigenvalues", w)
-        object.__setattr__(self, "eigenvectors", v)
-
-
-def spectrum_of(rho: DensityOperator) -> Spectrum:
-    """Eigendecomposition of a density operator, sorted descending."""
-    w, v = np.linalg.eigh(rho.matrix)
-    order = np.argsort(w)[::-1]
-    return Spectrum(w[order], v[:, order])
-
-
 def _pure_density(amps: np.ndarray) -> np.ndarray:
     """Outer products |psi><psi| of amplitude vectors (..., d), as (..., d, d)."""
     return amps[..., :, None] * amps[..., None, :].conj()
@@ -213,14 +190,6 @@ def log_on_support(rho: DensityOperator, base="e") -> np.ndarray:
     return _log_on_support(rho.matrix, base)
 
 
-def support_projector(rho: DensityOperator) -> np.ndarray:
-    """Projector onto the eigenspaces above the relative support cutoff."""
-    w, v = np.linalg.eigh(rho.matrix)
-    keep = w > SUPPORT_CUTOFF * w.max()
-    vs = v[:, keep]
-    return hermitize(vs @ vs.conj().T)
-
-
 def _entropy_terms(w: np.ndarray, base="e") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(S, p, log p) for probability vectors w along the last axis, with 0·log 0 = 0.
 
@@ -243,9 +212,15 @@ def spectrum_entropy(weights, base="e"):
     return float(out) if out.ndim == 0 else out
 
 
+def _density_weights(m: np.ndarray) -> np.ndarray:
+    """Eigenvalues of density matrices (..., d, d), clipped at 0 and renormalized."""
+    w = np.clip(np.linalg.eigvalsh(m), 0.0, None)
+    return w / w.sum(axis=-1, keepdims=True)
+
+
 def _von_neumann_entropy(m: np.ndarray, base="e") -> np.ndarray:
-    """-tr(m log m) of density matrices (..., d, d); lies in [0, log d]."""
-    return np.maximum(spectrum_entropy(np.clip(np.linalg.eigvalsh(m), 0.0, None), base), 0.0)
+    """-tr(m log m) of density matrices (..., d, d), from ``_density_weights``; lies in [0, log d]."""
+    return np.maximum(spectrum_entropy(_density_weights(m), base), 0.0)
 
 
 def von_neumann_entropy(rho: DensityOperator, base="e") -> float:

@@ -124,16 +124,6 @@ def evolve_matrix(h_matrix: np.ndarray, amplitudes: np.ndarray, t: float) -> np.
     return v @ (np.exp(-1j * w * t) * (v.conj().T @ amplitudes))
 
 
-def evolve_exact(hamiltonian, psi0: BipartitePureState, t: float) -> BipartitePureState:
-    """Two-qubit unitary evolution; hbar = 1."""
-    h = _as_matrix(hamiltonian)
-    if psi0.d_a != 2 or psi0.d_b != 2 or h.shape != (4, 4):
-        raise DomainError("evolve_exact handles the 4x4 two-qubit case")
-    amps = evolve_matrix(h, psi0.amplitudes, t)
-    amps = amps / np.linalg.norm(amps)
-    return BipartitePureState(amps, 2, 2)
-
-
 def evolved_schmidt_weights(p: float, theta: float, t: float):
     """Closed-form Schmidt pair under the canonical interaction from sqrt(p)|00>+sqrt(1-p)|11>."""
     if np.any(np.asarray(p) < 0.0) or np.any(np.asarray(p) > 1.0):
@@ -146,36 +136,6 @@ def qubit_orthocomplement(v: np.ndarray) -> np.ndarray:
     """Canonical state orthogonal to a qubit vector (a, b) -> (-conj(b), conj(a))."""
     v = np.asarray(v, dtype=complex).reshape(2)
     return np.array([-v[1].conjugate(), v[0].conjugate()])
-
-
-def entangling_element(hamiltonian, phi: np.ndarray, chi: np.ndarray) -> complex:
-    """Matrix element <phi,chi|H|phi_perp,chi_perp> with canonical orthocomplements.
-
-    This is the quantity whose magnitude, together with the Schmidt-weight rate
-    factor, sets the entanglement and capacity rates.
-    """
-    h = _as_matrix(hamiltonian)
-    phi = np.asarray(phi, dtype=complex).reshape(2)
-    chi = np.asarray(chi, dtype=complex).reshape(2)
-    bra = np.outer(phi, chi).ravel().conj()
-    ket = np.outer(qubit_orthocomplement(phi), qubit_orthocomplement(chi)).ravel()
-    return complex(bra @ h @ ket)
-
-
-def schmidt_weight_rate(hamiltonian, phi, chi, phi_perp, chi_perp, p: float) -> float:
-    """dp/dt = 2 sqrt(p(1-p)) Im <phi,chi|H|phi_perp,chi_perp>."""
-    h = _as_matrix(hamiltonian)
-    phi = np.asarray(phi, dtype=complex).reshape(2)
-    chi = np.asarray(chi, dtype=complex).reshape(2)
-    phi_perp = np.asarray(phi_perp, dtype=complex).reshape(2)
-    chi_perp = np.asarray(chi_perp, dtype=complex).reshape(2)
-    if abs(np.vdot(phi, phi_perp)) > 1e-10 or abs(np.vdot(chi, chi_perp)) > 1e-10:
-        raise DomainError("phi_perp/chi_perp must be orthogonal to phi/chi")
-    if p < 0.0 or p > 1.0:
-        raise DomainError("p must lie in [0, 1]")
-    bra = np.kron(phi, chi).conj()
-    ket = np.kron(phi_perp, chi_perp)
-    return float(2.0 * np.sqrt(p * (1.0 - p)) * (bra @ h @ ket).imag)
 
 
 def max_entangling_element(hamiltonian: NonlocalHamiltonian) -> float:
@@ -275,34 +235,6 @@ def max_capacity_rate(p: float, mu1: float, mu2: float, base="e") -> float:
     Attained from sqrt(p)|01> + i sqrt(1-p)|10> under the canonical interaction.
     """
     return float((mu1 + mu2) * capacity_rate_factor(p, base))
-
-
-def capacity_gradient(weights, base="e") -> np.ndarray:
-    """Partial derivatives of the capacity with respect to each weight."""
-    scale = log_scale(base)
-    w = np.clip(np.asarray(weights, dtype=float), 1e-300, None)
-    lw = np.log(w)
-    entropy = -np.sum(w * lw)
-    return (lw**2 + 2.0 * lw + 2.0 * entropy * (lw + 1.0)) / scale**2
-
-
-def spectrum_capacity_rate(weights, weight_rates, base="e") -> float:
-    """Capacity rate sum_n (dC/d lambda_n)(d lambda_n/dt) for a multilevel spectrum.
-
-    The pairwise-difference rewriting (1/N) sum_{n,m} [dC/dl_n - dC/dl_m] dl_n/dt
-    coincides with this form exactly when the weight rates sum to zero.
-    """
-    grad = capacity_gradient(weights, base)
-    rates = np.asarray(weight_rates, dtype=float)
-    if rates.shape != grad.shape:
-        raise DomainError("weights and weight rates must have equal length")
-    return float(np.dot(grad, rates))
-
-
-def maximizing_rate_state(p: float) -> BipartitePureState:
-    """The two-qubit state sqrt(p)|01> + i sqrt(1-p)|10> achieving the maximal capacity rate."""
-    amps = np.array([0.0, np.sqrt(p), 1j * np.sqrt(1.0 - p), 0.0])
-    return BipartitePureState(amps, 2, 2)
 
 
 @dataclass(frozen=True)

@@ -10,17 +10,15 @@ from .core import (
     BipartitePureState,
     DensityOperator,
     DomainError,
-    Spectrum,
     _bisect,
+    _density_weights,
     _entropy_terms,
     _partial_trace_matrix,
     _trace_distance,
     _von_neumann_entropy,
-    hermitize,
     log_on_support,
     log_scale,
     schmidt_decompose,
-    support_projector,
     SUPPORT_CUTOFF,
 )
 
@@ -28,38 +26,16 @@ FLATNESS_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class ModularHamiltonian:
-    """K = -log(rho) on the support, together with the support projector."""
-
-    matrix: np.ndarray
-    base: object
-    support_projector: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        """exp(-K) in the stored base, compressed to the support block."""
-        scale = log_scale(self.base)
-        w, v = np.linalg.eigh(self.matrix)
-        rho = (v * np.exp(-w * scale)) @ v.conj().T
-        p = self.support_projector
-        return hermitize(p @ rho @ p)
-
-
-@dataclass(frozen=True)
 class CapacityResult:
-    """Capacity (modular-Hamiltonian variance) with the entropy and spectrum used."""
+    """Capacity (modular-Hamiltonian variance) with the entropy (its mean)."""
 
     capacity: float
     entropy: float
-    spectrum: Spectrum
 
 
-def modular_hamiltonian(rho: DensityOperator, base="e") -> ModularHamiltonian:
-    """K = -log rho on the support of rho."""
-    return ModularHamiltonian(
-        matrix=-log_on_support(rho, base),
-        base=base,
-        support_projector=support_projector(rho),
-    )
+def modular_hamiltonian(rho: DensityOperator, base="e") -> np.ndarray:
+    """The matrix K = -log rho on the support of rho; null directions map to 0."""
+    return -log_on_support(rho, base)
 
 
 def _spectrum_capacity(w: np.ndarray, base="e") -> tuple[np.ndarray, np.ndarray]:
@@ -78,23 +54,14 @@ def _spectrum_capacity(w: np.ndarray, base="e") -> tuple[np.ndarray, np.ndarray]
 
 def capacity_from_spectrum(weights, base="e") -> CapacityResult:
     """Capacity sum_i w_i log^2 w_i - S^2 for a probability vector (0·log^2 0 = 0)."""
-    w = np.asarray(weights, dtype=float)
-    capacity, entropy = _spectrum_capacity(w, base)
-    order = np.argsort(w)[::-1]
-    spec = Spectrum(w[order], np.eye(len(w))[:, order])
-    return CapacityResult(float(capacity), float(entropy), spec)
+    capacity, entropy = _spectrum_capacity(np.asarray(weights, dtype=float), base)
+    return CapacityResult(float(capacity), float(entropy))
 
 
 def capacity_pure(state: BipartitePureState, base="e") -> CapacityResult:
     """Capacity of entanglement of a bipartite pure state from its Schmidt weights."""
     weights, _, _ = schmidt_decompose(state)
     return capacity_from_spectrum(weights, base)
-
-
-def _density_weights(m: np.ndarray) -> np.ndarray:
-    """Eigenvalues of density matrices (..., d, d), clipped at 0 and renormalized."""
-    w = np.clip(np.linalg.eigvalsh(m), 0.0, None)
-    return w / w.sum(axis=-1, keepdims=True)
 
 
 def _density_capacity(m: np.ndarray, base="e") -> np.ndarray:
@@ -142,13 +109,8 @@ def observable_variance(obs: np.ndarray, rho: DensityOperator) -> float:
     return float(_variance(obs, rho.matrix))
 
 
-def uncertainty(obs: np.ndarray, rho: DensityOperator) -> float:
-    """Standard deviation sqrt(tr(rho O^2) - tr(rho O)^2)."""
-    return float(np.sqrt(observable_variance(obs, rho)))
-
-
 def solve_max_variance_spectrum(d: int) -> tuple[float, np.ndarray]:
-    """Spectrum (1-r, r/(d-1), ..., r/(d-1)) maximizing the capacity at dimension d.
+    """The spectrum (1-r, r/(d-1), ..., r/(d-1)) maximizing the capacity at dimension d.
 
     r is the root of (1-2r) ln((1-r)(d-1)/r) = 2 in (0, 1/2), found by bisection.
     """

@@ -60,8 +60,7 @@ def is_ppt(rho: DensityOperator, tol: float = PPT_TOL) -> bool:
 class SeparableApproximation:
     """Candidate closest separable state with its achieved relative entropy.
 
-    ``method`` names the path taken.  ``objective_trace`` holds
-    (barrier_weight, objective) pairs for every accepted barrier step.
+    ``method`` names the path taken; ``iterations`` counts accepted barrier steps.
     """
 
     sigma_star: DensityOperator
@@ -69,7 +68,6 @@ class SeparableApproximation:
     iterations: int
     method: str
     converged: bool = True
-    objective_trace: tuple = ()
 
 
 def _schmidt_dephasing(state: BipartitePureState) -> DensityOperator:
@@ -339,7 +337,7 @@ def closest_separable_numeric(rho: DensityOperator, base="e") -> SeparableApprox
     x = np.zeros(15)
     point = _barrier_point(r, x)
     converged = True
-    trace: list = []
+    steps = 0
     tangent = None
     for mu, mu_next in zip(_MU_LEVELS, _MU_LEVELS[1:] + (0.0,)):
         f = _barrier_objective(point, mu)
@@ -349,7 +347,7 @@ def closest_separable_numeric(rho: DensityOperator, base="e") -> SeparableApprox
                 fp = _barrier_objective(cand, mu)
                 if fp < f:
                     x, f, point = x + tangent, fp, cand
-                    trace.append((mu, f))
+                    steps += 1
                     break
                 tangent = tangent / 2.0
         centred = False
@@ -370,14 +368,13 @@ def closest_separable_numeric(rho: DensityOperator, base="e") -> SeparableApprox
             else:
                 break
             x, f, point = x + t * dx, fc, cand
-            trace.append((mu, f))
+            steps += 1
         converged = converged and centred
         # the centre x*(mu) has dx*/dmu = h^-1 g_bar / mu; mu falls by mu - mu_next
         tangent = (1.0 - mu_next / mu) * s * np.linalg.solve(upper, qe) if centred and mu_next else None
     sigma_star = DensityOperator((x @ _COORDS[:, :16]).reshape(4, 4) + _CENTRE, d_a=2, d_b=2)
     value = relative_entropy(rho, sigma_star, base)
-    return SeparableApproximation(sigma_star, value, len(trace), "numeric-ppt",
-                                  converged and math.isfinite(value), tuple(trace))
+    return SeparableApproximation(sigma_star, value, steps, "numeric-ppt", converged and math.isfinite(value))
 
 
 def capacity_mixed(rho: DensityOperator, sigma_star: DensityOperator, base="e") -> float:

@@ -29,11 +29,6 @@ class SelfInverseHamiltonian:
     def matrix(self) -> np.ndarray:
         return np.kron(self.x_a, self.x_b)
 
-    def unitary(self, t: float) -> np.ndarray:
-        """U(t) = cos(t) I - i sin(t) H, exact for involutory H."""
-        d = self.x_a.shape[0] * self.x_b.shape[0]
-        return np.cos(t) * np.eye(d) - 1j * np.sin(t) * self.matrix()
-
 
 def _check_involution(x: np.ndarray, name: str) -> np.ndarray:
     """x as a complex array, checked Hermitian and involutory; a stack (..., d, d) is checked whole."""

@@ -121,7 +121,7 @@ def run_properties(n_samples: int, seed: int, base="e") -> list[CheckResult]:
     flat_ok = flat_dev <= 1e-10 and is_flat([0.5, 0.5, 0.0, 0.0]) and not is_flat([0.6, 0.4])
     results.append(CheckResult("flat-state-zero-capacity", True, flat_ok, f"max_dev={flat_dev:.3e}"))
 
-    # uncertainty convexity and the linear-perturbation bound, in a fixed state
+    # convexity of the standard deviation and the linear-perturbation bound, in a fixed state
     tau = _random_density(rng, 3, m)
     k1 = -_log_on_support(_random_density(rng, 3, m), base)
     k2 = -_log_on_support(_random_density(rng, 3, m), base)

@@ -104,10 +104,18 @@ class TestFigure2:
 
     def test_small_duration_no_blowup(self, tmp_path):
         out = tmp_path / "fig2s.csv"
-        assert main(["--command", "figure2", "--t-max", "0.01", "--out", str(out)]) == 0
+        assert main(["--command", "figure2", "--grid", "T=0:0.01:45", "--out", str(out)]) == 0
         _, _, rows = read_csv(out)
         for row in rows:
             assert all(math.isfinite(float(x)) for x in row)
+
+    def test_grid_sets_duration_range(self, tmp_path):
+        # count durations spaced evenly over (lo, hi], for each theta
+        out = tmp_path / "fig2g.csv"
+        assert main(["--command", "figure2", "--grid", "T=0.1:0.5:4", "--out", str(out)]) == 0
+        _, _, rows = read_csv(out)
+        durations = [float(row[1]) for row in rows]
+        assert durations == pytest.approx([0.2, 0.3, 0.4, 0.5] * 2, abs=1e-15)
 
 
 class TestFigures34:

@@ -3,26 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from entcap.core import BipartitePureState, DomainError, density_from_pure, haar_random_pure, partial_trace, spectrum_of
+from entcap.core import BipartitePureState, DomainError, haar_random_pure, spectrum_entropy
 from entcap.dynamics import (
     NonlocalHamiltonian,
     _canonical_matrices,
     canonical_form,
-    capacity_gradient,
     capacity_rate_factor,
     capacity_rate_factor_maximum,
-    entangling_element,
-    evolve_exact,
+    evolve_matrix,
     evolved_schmidt_weights,
     max_capacity_rate,
     max_entangling_element,
     max_entangling_element_ancilla,
     max_entangling_element_numeric,
-    maximizing_rate_state,
     qubit_orthocomplement,
-    schmidt_weight_rate,
     simulate_trajectory,
-    spectrum_capacity_rate,
 )
 from entcap.measures import capacity_from_spectrum
 
@@ -33,6 +28,11 @@ BELL = BipartitePureState(np.array([1.0, 0, 0, 1.0]) / np.sqrt(2), 2, 2)
 
 def two_term_state(p):
     return BipartitePureState(np.array([np.sqrt(p), 0, 0, np.sqrt(1 - p)]), 2, 2)
+
+
+def max_rate_amplitudes(p):
+    """sqrt(p)|01> + i sqrt(1-p)|10>, which attains the largest rates at Schmidt weight p."""
+    return np.array([0.0, np.sqrt(p), 1j * np.sqrt(1.0 - p), 0.0])
 
 
 def random_rotation(rng):
@@ -97,42 +97,42 @@ class TestCanonicalForm:
                     + 0.2 * np.kron(PAULI_Z, PAULI_Z))
         assert np.allclose(ham.canonical_matrix(), expected, atol=1e-14)
         # the negative branch still evolves unitarily
-        evolved = evolve_exact(ham, haar_random_pure(2, 2, 8), 0.7)
-        assert abs(np.linalg.norm(evolved.amplitudes) - 1.0) < 1e-12
+        psi = haar_random_pure(2, 2, 8)
+        evolved = evolve_matrix(ham.canonical_matrix(), psi.amplitudes, 0.7)
+        assert abs(np.linalg.norm(evolved) - 1.0) < 1e-12
+        assert np.abs(simulate_trajectory(ham, psi, [0.7]).amplitudes[0] - evolved).max() < 1e-12
 
 
 class TestEvolution:
     def test_identity_at_zero(self):
         ham = NonlocalHamiltonian(mu=(1.0, 0.5, 0.2))
         psi = haar_random_pure(2, 2, 3)
-        assert np.allclose(evolve_exact(ham, psi, 0.0).amplitudes, psi.amplitudes, atol=1e-14)
+        assert np.allclose(simulate_trajectory(ham, psi, [0.0]).amplitudes[0], psi.amplitudes, atol=1e-14)
 
     def test_closed_form_weights(self):
         ham = NonlocalHamiltonian(mu=(1.0, 0.45, 0.3))
         p = 0.3
-        for t in (0.2, 0.7, 1.9):
-            evolved = evolve_exact(ham, two_term_state(p), t)
-            spec = spectrum_of(partial_trace(density_from_pure(evolved), "A")).eigenvalues
+        traj = simulate_trajectory(ham, two_term_state(p), [0.2, 0.7, 1.9])
+        for t, spec in zip(traj.times, traj.schmidt_weights):
             l1, l2 = evolved_schmidt_weights(p, ham.theta, t)
             assert np.abs(np.sort(spec) - np.sort([l1, l2])).max() < 1e-10
 
     def test_heisenberg_point_fixes_bell(self):
         ham = NonlocalHamiltonian(mu=(1.0, 1.0, 1.0))
-        for t in (0.3, 1.1, 2.5):
-            evolved = evolve_exact(ham, BELL, t)
-            spec = spectrum_of(partial_trace(density_from_pure(evolved), "A")).eigenvalues
-            assert np.allclose(spec, [0.5, 0.5], atol=1e-10)
+        traj = simulate_trajectory(ham, BELL, [0.3, 1.1, 2.5])
+        assert np.allclose(traj.schmidt_weights, 0.5, atol=1e-10)
 
     def test_norm_preserved(self):
         ham = NonlocalHamiltonian(mu=(1.7, 0.6, 0.1))
         psi = haar_random_pure(2, 2, 4)
-        evolved = evolve_exact(ham, psi, 2.3)
-        assert abs(np.linalg.norm(evolved.amplitudes) - 1.0) < 1e-12
+        evolved = evolve_matrix(ham.canonical_matrix(), psi.amplitudes, 2.3)
+        assert abs(np.linalg.norm(evolved) - 1.0) < 1e-12
+        assert np.abs(simulate_trajectory(ham, psi, [2.3]).amplitudes[0] - evolved).max() < 1e-12
 
     def test_dimension_guard(self):
         ham = NonlocalHamiltonian(mu=(1.0, 0.5, 0.2))
         with pytest.raises(DomainError):
-            evolve_exact(ham, haar_random_pure(2, 3, 0), 0.1)
+            simulate_trajectory(ham, haar_random_pure(2, 3, 0), [0.1])
 
 
 class TestEvolvedWeights:
@@ -150,40 +150,35 @@ class TestEvolvedWeights:
 
 
 class TestSchmidtWeightRate:
+    # the trajectory's exact entropy rate Gamma = (dlam/dt) ln(lam_+/lam_-)
     def test_diagonal_hamiltonian_zero(self):
         h = np.kron(np.diag([1.0, -1.0]), np.diag([1.0, -1.0]))
-        assert schmidt_weight_rate(h, KET0, KET0, KET1, KET1, 0.3) == 0.0
+        traj = simulate_trajectory(h, two_term_state(0.3), np.linspace(0.0, 2.0, 5))
+        assert np.abs(traj.gamma).max() <= 1e-15 and np.abs(traj.gamma_capacity).max() <= 1e-15
 
     def test_pauli_arithmetic_value(self):
+        # from sqrt(p)|01> + i sqrt(1-p)|10>, dp/dt = 2 sqrt(p(1-p)) (mu1 + mu2)
         ham = NonlocalHamiltonian(mu=(1.0, 0.5, 0.2))
-        rate = schmidt_weight_rate(ham, KET0, KET1, KET1, 1j * KET0, 0.5)
-        assert rate == pytest.approx(1.5, abs=1e-12)
+        for p in (0.1, 0.3, 0.45):
+            gamma = simulate_trajectory(ham, max_rate_amplitudes(p), [0.0]).gamma[0]
+            assert gamma / math.log((1 - p) / p) == pytest.approx(1.5 * 2 * math.sqrt(p * (1 - p)), abs=1e-12)
 
     @pytest.mark.parametrize("p", [0.0, 1.0])
     def test_extreme_weights_zero(self, p):
         ham = NonlocalHamiltonian(mu=(1.0, 0.5, 0.2))
-        assert schmidt_weight_rate(ham, KET0, KET1, KET1, 1j * KET0, p) == 0.0
-
-    def test_orthogonality_guard(self):
-        ham = NonlocalHamiltonian(mu=(1.0, 0.5, 0.2))
-        with pytest.raises(DomainError):
-            schmidt_weight_rate(ham, KET0, KET0, KET0, KET1, 0.5)
+        traj = simulate_trajectory(ham, max_rate_amplitudes(p), [0.0])
+        assert traj.gamma[0] == traj.gamma_capacity[0] == 0.0
 
     def test_matches_finite_difference(self):
-        # evolve the diagonal family and compare the rate formula, with the
-        # Schmidt phases carried on the A vectors, against d(lambda_1)/dt
+        # the diagonal family's entropy rate against a central difference of
+        # the closed-form weights
         ham = NonlocalHamiltonian(mu=(1.2, 0.4, 0.15))
         p0, step = 0.3, 1e-6
-        for t in (0.15, 0.6, 1.4):
-            evolved = evolve_exact(ham, two_term_state(p0), t)
-            a0, a1 = evolved.amplitudes[0], evolved.amplitudes[3]
-            lam1 = abs(a0) ** 2
-            phi = (a0 / abs(a0)) * KET0
-            phi_perp = (a1 / abs(a1)) * KET1
-            rate = schmidt_weight_rate(ham, phi, KET0, phi_perp, KET1, lam1)
-            lp = evolved_schmidt_weights(p0, ham.theta, t + step)[0]
-            lm = evolved_schmidt_weights(p0, ham.theta, t - step)[0]
-            assert rate == pytest.approx((lp - lm) / (2 * step), abs=1e-6)
+        traj = simulate_trajectory(ham, two_term_state(p0), [0.15, 0.6, 1.4])
+        for t, gamma in zip(traj.times, traj.gamma):
+            sp = spectrum_entropy(evolved_schmidt_weights(p0, ham.theta, t + step))
+            sm = spectrum_entropy(evolved_schmidt_weights(p0, ham.theta, t - step))
+            assert gamma == pytest.approx((sp - sm) / (2 * step), abs=1e-6)
 
 
 class TestEntanglingElement:
@@ -195,23 +190,19 @@ class TestEntanglingElement:
 
     def test_magnitude_reaches_mu_sum(self):
         ham = NonlocalHamiltonian(mu=(1.0, 0.5, 0.2))
-        val = entangling_element(ham, KET0, KET1)
-        assert abs(val) == pytest.approx(1.5, abs=1e-12)
+        h4 = ham.canonical_matrix().reshape(2, 2, 2, 2)
+        val = np.einsum("i,j,ijkl,k,l->", KET0, KET1, h4, qubit_orthocomplement(KET0), qubit_orthocomplement(KET1))
         # canonical orthocomplement of |1> is -|0>, flipping the element's sign
         assert val == pytest.approx(-1.5, abs=1e-12)
 
     def test_zero_hamiltonian(self):
-        assert entangling_element(np.zeros((4, 4)), KET0, KET1) == 0.0
+        assert max_entangling_element_numeric(np.zeros((4, 4))) == 0.0
 
     def test_local_terms_do_not_contribute(self):
-        ham = canonical_form(np.array([0.3, -0.4, 1.0]), np.array([0.2, 0.8, -0.5]), np.zeros((3, 3)))
         rng = np.random.default_rng(5)
         for _ in range(20):
-            phi = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            chi = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            phi /= np.linalg.norm(phi)
-            chi /= np.linalg.norm(chi)
-            assert abs(entangling_element(ham.raw_matrix(), phi, chi)) < 1e-12
+            ham = canonical_form(rng.standard_normal(3), rng.standard_normal(3), np.zeros((3, 3)))
+            assert max_entangling_element_numeric(ham.raw_matrix()) < 1e-12
 
     def test_bounded_by_max(self):
         rng = np.random.default_rng(6)
@@ -337,65 +328,27 @@ class TestMaxCapacityRate:
             2.0 * capacity_rate_factor(0.0045, "e"), abs=1e-12
         )
 
-    def test_finite_difference_at_zero(self):
-        # d(C_E)/dt at t=0 from the maximizing state, 4th-order stencil
+    def test_trajectory_rate_at_zero(self):
+        # the exact dC/dt of simulate_trajectory from the maximizing state
         mu1, mu2, mu3 = 1.0, 0.5, 0.2
         ham = NonlocalHamiltonian(mu=(mu1, mu2, mu3))
-        for p in (0.0045, 0.1, 0.35):
-            psi = maximizing_rate_state(p)
-
-            def cap_at(t):
-                evolved = evolve_exact(ham, psi, t)
-                spec = spectrum_of(partial_trace(density_from_pure(evolved), "A")).eigenvalues
-                return capacity_from_spectrum(np.clip(spec, 0, None) / spec.sum(), "e").capacity
-
-            h = 1e-3
-            fd = (-cap_at(2 * h) + 8 * cap_at(h) - 8 * cap_at(-h) + cap_at(-2 * h)) / (12 * h)
-            assert fd == pytest.approx(max_capacity_rate(p, mu1, mu2, "e"), abs=1e-5)
+        for p in (0.0045, 0.1, 0.35, 0.6, 0.9):
+            rate = simulate_trajectory(ham, max_rate_amplitudes(p), [0.0]).gamma_capacity[0]
+            assert abs(rate - max_capacity_rate(p, mu1, mu2, "e")) <= 1e-13
 
 
 class TestSpectrumCapacityRate:
-    def test_gradient_matches_finite_difference(self):
-        rng = np.random.default_rng(13)
-        w = rng.dirichlet(np.ones(4))
-        grad = capacity_gradient(w, "e")
-        h = 1e-7
-        for n in range(4):
-            # unnormalized directional derivative of sum(w log^2 w) - S^2
-            def cap_raw(weights):
-                nz = np.clip(weights, 1e-300, None)
-                s = -np.sum(nz * np.log(nz))
-                return np.sum(nz * np.log(nz) ** 2) - s**2
-
-            e = np.zeros(4)
-            e[n] = h
-            fd = (cap_raw(w + e) - cap_raw(w - e)) / (2 * h)
-            assert grad[n] == pytest.approx(fd, abs=1e-5)
-
-    def test_pairwise_form_agrees_when_rates_sum_to_zero(self):
-        rng = np.random.default_rng(14)
-        for _ in range(20):
-            w = rng.dirichlet(np.ones(4))
-            rates = rng.standard_normal(4)
-            rates -= rates.mean()
-            grad = capacity_gradient(w, "e")
-            n = len(w)
-            pairwise = sum(
-                (grad[i] - grad[j]) * rates[i] for i in range(n) for j in range(n)
-            ) / n
-            assert spectrum_capacity_rate(w, rates, "e") == pytest.approx(pairwise, abs=1e-10)
-
     def test_reproduces_ancilla_factor(self):
         # lambda = (p, q/3, q/3, q/3) with dp/dt scaled out reproduces the
-        # ancilla rate factor
+        # ancilla rate factor through the capacity gradient
+        # dC/dlambda_n = log^2 lambda_n + 2 log lambda_n + 2 S (log lambda_n + 1)
         for p in (0.1, 0.45, 0.6036, 0.9):
             q = 1.0 - p
             w = np.array([p, q / 3, q / 3, q / 3])
-            dp = 2.0 * math.sqrt(p * q / 3.0)
-            rates = dp * np.array([1.0, -1 / 3, -1 / 3, -1 / 3])
-            assert spectrum_capacity_rate(w, rates, "e") == pytest.approx(
-                capacity_rate_factor(p, "e", k=3), abs=1e-10
-            )
+            lw = np.log(w)
+            grad = lw**2 + 2.0 * lw + 2.0 * spectrum_entropy(w) * (lw + 1.0)
+            rates = 2.0 * math.sqrt(p * q / 3.0) * np.array([1.0, -1 / 3, -1 / 3, -1 / 3])
+            assert grad @ rates == pytest.approx(capacity_rate_factor(p, "e", k=3), abs=1e-10)
 
 
 class TestClosedFormConsistency:

@@ -24,8 +24,8 @@ from entcap.measures import (
     smallest_continuity_constant,
     smallest_subadditivity_constant,
     solve_max_variance_spectrum,
-    uncertainty,
 )
+from entcap.verify import _random_density
 
 BELL = BipartitePureState(np.array([1.0, 0, 0, 1.0]) / np.sqrt(2), 2, 2)
 
@@ -40,18 +40,23 @@ def two_term_state(p):
     return BipartitePureState(np.array([np.sqrt(p), 0, 0, np.sqrt(1 - p)]), 2, 2)
 
 
+def std(obs, rho):
+    """Standard deviation of an observable in a state."""
+    return math.sqrt(observable_variance(obs, rho))
+
+
 class TestModularHamiltonian:
     def test_uniform(self):
         k = modular_hamiltonian(DensityOperator(np.eye(2) / 2), "e")
-        assert np.allclose(k.matrix, np.log(2) * np.eye(2), atol=1e-12)
+        assert np.allclose(k, np.log(2) * np.eye(2), atol=1e-12)
 
     def test_pure_projector_zero_on_support(self):
         k = modular_hamiltonian(DensityOperator(np.diag([1.0, 0.0])), "e")
-        assert np.allclose(k.matrix, np.zeros((2, 2)), atol=1e-14)
+        assert np.allclose(k, np.zeros((2, 2)), atol=1e-14)
 
     def test_scalar_logs_base2(self):
         k = modular_hamiltonian(DensityOperator(np.diag([0.25, 0.75])), 2)
-        assert np.allclose(k.matrix, np.diag([2.0, -math.log2(0.75)]), atol=1e-12)
+        assert np.allclose(k, np.diag([2.0, -math.log2(0.75)]), atol=1e-12)
 
     def test_expectation_is_entropy(self):
         rng = np.random.default_rng(0)
@@ -59,7 +64,7 @@ class TestModularHamiltonian:
             for _ in range(10):
                 rho = random_density(rng, 4)
                 k = modular_hamiltonian(rho, base)
-                assert np.trace(rho.matrix @ k.matrix).real == pytest.approx(
+                assert np.trace(rho.matrix @ k).real == pytest.approx(
                     von_neumann_entropy(rho, base), abs=1e-10
                 )
 
@@ -68,9 +73,15 @@ class TestModularHamiltonian:
         for base in (2, "e"):
             rho = random_density(rng, 3)
             k = modular_hamiltonian(rho, base)
-            comm = k.matrix @ rho.matrix - rho.matrix @ k.matrix
+            comm = k @ rho.matrix - rho.matrix @ k
             assert np.abs(comm).max() < 1e-10
-            assert np.abs(k.reconstruct() - rho.matrix).max() < 1e-8
+            # exp(-K) in the base, compressed to the support of rho, is rho
+            w, v = np.linalg.eigh(k)
+            rebuilt = (v * np.exp(-w * (math.log(2) if base == 2 else 1.0))) @ v.conj().T
+            wr, vr = np.linalg.eigh(rho.matrix)
+            vs = vr[:, wr > 1e-12 * wr.max()]
+            support = vs @ vs.conj().T
+            assert np.abs(support @ rebuilt @ support - rho.matrix).max() < 1e-8
 
 
 class TestCapacity:
@@ -92,11 +103,19 @@ class TestCapacity:
     def test_capacity_recomputable_from_spectrum(self):
         rng = np.random.default_rng(2)
         for _ in range(20):
-            res = capacity_of(random_density(rng, 4), "e")
-            w = res.spectrum.eigenvalues
+            rho = random_density(rng, 4)
+            res = capacity_of(rho, "e")
+            w = np.linalg.eigvalsh(rho.matrix)
             nz = w[w > 0]
             second = np.sum(nz * np.log(nz) ** 2)
             assert res.capacity == pytest.approx(second - res.entropy**2, abs=1e-10)
+
+    @pytest.mark.parametrize("base", ["e", 2])
+    def test_entropy_is_von_neumann_entropy_bit_for_bit(self, base):
+        # both entropy routes read the same clipped and renormalized spectrum
+        for m in _random_density(np.random.default_rng(0), 4, 300):
+            rho = DensityOperator(m)
+            assert von_neumann_entropy(rho, base) == capacity_of(rho, base).entropy
 
     def test_subsystem_symmetry(self):
         rng = np.random.default_rng(3)
@@ -173,7 +192,7 @@ class TestObservableVariance:
         for _ in range(10):
             rho = random_density(rng, 4)
             k = modular_hamiltonian(rho, "e")
-            assert observable_variance(k.matrix, rho) == pytest.approx(
+            assert observable_variance(k, rho) == pytest.approx(
                 capacity_of(rho, "e").capacity, abs=1e-10
             )
 
@@ -216,20 +235,20 @@ class TestUncertaintyRelations:
         rng = np.random.default_rng(7)
         for _ in range(50):
             tau = random_density(rng, 3)
-            k1 = modular_hamiltonian(random_density(rng, 3), "e").matrix
-            k2 = modular_hamiltonian(random_density(rng, 3), "e").matrix
+            k1 = modular_hamiltonian(random_density(rng, 3), "e")
+            k2 = modular_hamiltonian(random_density(rng, 3), "e")
             p = rng.uniform()
-            mixed = uncertainty(p * k1 + (1 - p) * k2, tau)
-            assert mixed <= p * uncertainty(k1, tau) + (1 - p) * uncertainty(k2, tau) + 1e-10
+            mixed = std(p * k1 + (1 - p) * k2, tau)
+            assert mixed <= p * std(k1, tau) + (1 - p) * std(k2, tau) + 1e-10
 
     def test_perturbation(self):
         rng = np.random.default_rng(8)
         for _ in range(50):
             tau = random_density(rng, 3)
-            k = modular_hamiltonian(random_density(rng, 3), "e").matrix
-            v = modular_hamiltonian(random_density(rng, 3), "e").matrix
+            k = modular_hamiltonian(random_density(rng, 3), "e")
+            v = modular_hamiltonian(random_density(rng, 3), "e")
             x = rng.uniform(0.0, 3.0)
-            assert uncertainty(k + x * v, tau) <= uncertainty(k, tau) + x * uncertainty(v, tau) + 1e-10
+            assert std(k + x * v, tau) <= std(k, tau) + x * std(v, tau) + 1e-10
 
 
 class TestEmpiricalConstants:

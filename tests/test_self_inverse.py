@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from entcap.core import BipartitePureState, DensityOperator, DomainError, density_from_pure, haar_random_pure, partial_trace, spectrum_of, von_neumann_entropy
+from entcap.core import BipartitePureState, DensityOperator, DomainError, density_from_pure, haar_random_pure, partial_trace, von_neumann_entropy
 from entcap.dynamics import evolve_matrix
 from entcap.self_inverse import (
     CapacityRateBounds,
@@ -97,15 +97,6 @@ class TestEvolution:
             closed = evolve_self_inverse(ham, psi, t).amplitudes
             generic = evolve_matrix(ham.matrix(), psi.amplitudes, t)
             assert np.abs(closed - generic).max() < 1e-10
-
-    def test_unitary_closed_form(self):
-        ham = build_self_inverse(SX, SX)
-        for t in (0.0, 0.4, 1.7, 3.3):
-            u = ham.unitary(t)
-            assert np.abs(u @ u.conj().T - np.eye(4)).max() < 1e-10
-            w, v = np.linalg.eigh(ham.matrix())
-            u_exact = (v * np.exp(-1j * w * t)) @ v.conj().T
-            assert np.abs(u - u_exact).max() < 1e-10
 
     def test_ising_plus_plus_entropy_cross_path(self):
         plus = np.array([1.0, 1.0]) / math.sqrt(2)

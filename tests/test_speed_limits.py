@@ -303,14 +303,12 @@ class TestQSLTimeDependent:
         assert repr(report.entropy_change) == "-0.09969227321093159"
 
     def test_time_stepping_matches_exact_for_constant(self):
-        from entcap.dynamics import evolve_exact
-
         ham = NonlocalHamiltonian(mu=(1.1, 0.4, 0.2))
         h = ham.canonical_matrix()
         psi = haar_random_pure(2, 2, 5)
         times = np.linspace(0.0, 0.7, 101)
         amps = _step_time_dependent(lambda t: h, psi.amplitudes, times)
         assert amps.shape == (101, 4)
-        exact = evolve_exact(ham, psi, 0.7)
-        overlap = abs(np.vdot(amps[-1], exact.amplitudes))
+        exact = simulate_trajectory(ham, psi, [0.7]).amplitudes[0]
+        overlap = abs(np.vdot(amps[-1], exact))
         assert overlap == pytest.approx(1.0, abs=1e-10)
