@@ -31,7 +31,7 @@ for _ in range(200):
     mu = np.sort(rng.uniform(0, 2, 3))[::-1]
     ham = NonlocalHamiltonian(mu=tuple(mu))
     psi = haar_random_pure(2, 2, rng)
-    check = rate_bound_check(ham, simulate_trajectory(ham, psi, times, base="e"))
+    check = rate_bound_check(simulate_trajectory(ham, psi, times, base="e"))
     violations += check.violations
     worst = min(worst, check.margins.min())
     total += len(times)

@@ -26,9 +26,7 @@ from .mixed import (
     closest_separable_family1,
     closest_separable_family2,
     closest_separable_numeric,
-    family1_relative_entropy,
     family1_state,
-    family2_relative_entropy,
     family2_state,
 )
 from .self_inverse import max_entropy_rate_constant
@@ -42,6 +40,12 @@ EXIT_OK = 0
 EXIT_HARD_FAILURE = 1
 EXIT_CONFIG = 2
 EXIT_IO = 3
+
+# the grid axes each command reads, with their default (lo, hi, count); other commands read none
+GRID_AXES = {
+    "figure1": {"p": (0.0, 1.0, 101), "t": (0.0, 3.0, 101)},
+    "figure2": {"T": (0.0, 0.45, 45)},
+}
 
 
 def parse_grid_spec(value) -> dict:
@@ -87,7 +91,7 @@ class RunConfig:
     grid: dict = _option({}, parse_grid_spec, "comma-separated name=lo:hi:count specs")
     theta: float = _option(1.0, float)
     theta_list: tuple = _option((0.5, 1.0), _floats, "comma-separated figure2 thetas")
-    family: int = _option(1, int)
+    family: int = _option(1, int, choices=(1, 2))
     lambda_count: int = _option(101, int)
     method: str = _option("analytic", str, choices=("analytic", "numeric"))
     target: str = _option("", str, "maximize target: rate-factor, ancilla-factor, beta or h-max")
@@ -100,7 +104,10 @@ class RunConfig:
 
     @classmethod
     def from_values(cls, values: dict) -> "RunConfig":
-        """Config from raw flag strings or JSON values; None keeps a field's default."""
+        """Config from raw flag strings or JSON values; None keeps a field's default.
+
+        A grid axis that the command does not read (``GRID_AXES``) is an error.
+        """
         schema = {f.name: f for f in fields(cls)}
         kwargs = {}
         for key, value in values.items():
@@ -114,8 +121,13 @@ class RunConfig:
             except (TypeError, ValueError) as exc:
                 raise ConfigurationError(f"bad value for {key}: {value!r} ({exc})") from exc
             if meta["choices"] and kwargs[key] not in meta["choices"]:
-                raise ConfigurationError(f"{key} must be one of {', '.join(meta['choices'])}, got {value!r}")
-        return cls(**kwargs)
+                raise ConfigurationError(f"{key} must be one of {', '.join(map(str, meta['choices']))}, got {value!r}")
+        cfg = cls(**kwargs)
+        axes = GRID_AXES.get(cfg.command, {})
+        if unread := sorted(set(cfg.grid) - set(axes)):
+            raise ConfigurationError(f"command {cfg.command!r} reads grid axes {{{', '.join(axes)}}}, "
+                                     f"got {', '.join(unread)}")
+        return cfg
 
     @classmethod
     def from_json(cls, text: str) -> "RunConfig":
@@ -151,25 +163,19 @@ def write_csv(path: str | None, metadata: dict, header: list[str], rows) -> None
 
 
 def cmd_figure1(cfg: RunConfig) -> int:
-    p_lo, p_hi, p_count = cfg.grid.get("p", (0.0, 1.0, 101))
-    t_lo, t_hi, t_count = cfg.grid.get("t", (0.0, 3.0, 101))
-    ps = np.linspace(p_lo, p_hi, p_count)
-    ts = np.linspace(t_lo, t_hi, t_count)
-    theta = cfg.theta
-    rows = []
-    for p in ps:
-        cap = family_sqrt_capacity(p, theta, ts, cfg.log_base) ** 2
-        ent = family_entropy(p, theta, ts, cfg.log_base)
-        for t, c, s in zip(ts, cap, ent):
-            rows.append((float(p), float(t), float(c), float(s)))
+    grid = {**GRID_AXES["figure1"], **cfg.grid}
+    p, t = np.meshgrid(np.linspace(*grid["p"]), np.linspace(*grid["t"]), indexing="ij")
+    cap = family_sqrt_capacity(p, cfg.theta, t, cfg.log_base) ** 2
+    ent = family_entropy(p, cfg.theta, t, cfg.log_base)
+    rows = np.stack([p, t, cap, ent], axis=-1).reshape(-1, 4).tolist()
     write_csv(cfg.out, {"command": "figure1", "log_base": cfg.log_base, "seed": cfg.seed,
-                        "theta": _fmt(theta)},
+                        "theta": _fmt(cfg.theta)},
               ["p", "t", "C_E", "S_EE"], rows)
     return EXIT_OK
 
 
 def cmd_figure2(cfg: RunConfig) -> int:
-    t_lo, t_hi, t_count = cfg.grid.get("T", (0.0, 0.45, 45))
+    t_lo, t_hi, t_count = cfg.grid.get("T", GRID_AXES["figure2"]["T"])
     durations = np.linspace(t_lo + (t_hi - t_lo) / t_count, t_hi, t_count)  # count durations in (lo, hi]
     rows = []
     for theta in cfg.theta_list:
@@ -183,12 +189,8 @@ def cmd_figure2(cfg: RunConfig) -> int:
 
 
 def cmd_figures34(cfg: RunConfig) -> int:
-    if cfg.family == 1:
-        state_of, analytic_of, closed = family1_state, closest_separable_family1, family1_relative_entropy
-    elif cfg.family == 2:
-        state_of, analytic_of, closed = family2_state, closest_separable_family2, family2_relative_entropy
-    else:
-        raise ConfigurationError(f"family must be 1 or 2, got {cfg.family}")
+    state_of, analytic_of = ((family1_state, closest_separable_family1) if cfg.family == 1
+                             else (family2_state, closest_separable_family2))
     if cfg.lambda_count < 1:
         raise ConfigurationError(f"lambda_count must be positive, got {cfg.lambda_count}")
     lams = np.linspace(0.0, 1.0, cfg.lambda_count)
@@ -197,10 +199,8 @@ def cmd_figures34(cfg: RunConfig) -> int:
         rho = state_of(float(lam))
         if cfg.method == "analytic":
             approx = analytic_of(float(lam), cfg.log_base)
-        elif cfg.method == "numeric":
-            approx = closest_separable_numeric(rho, base=cfg.log_base)
         else:
-            raise ConfigurationError(f"method must be analytic or numeric, got {cfg.method!r}")
+            approx = closest_separable_numeric(rho, base=cfg.log_base)
         cap = capacity_mixed(rho, approx.sigma_star, cfg.log_base)
         rows.append((float(lam), float(approx.relative_entropy), float(cap),
                      approx.method, int(approx.converged)))
@@ -262,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     for f in fields(RunConfig):
         choices = f.metadata["choices"]
         parser.add_argument("--" + f.name.replace("_", "-"), help=f.metadata["help"],
-                            metavar="{" + ",".join(choices) + "}" if choices else None)
+                            metavar="{" + ",".join(map(str, choices)) + "}" if choices else None)
     parser.add_argument("--config", help="JSON config document (keys are the flag names with "
                                          "underscores) used in place of all other flags")
     return parser

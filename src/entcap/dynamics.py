@@ -6,12 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NORM_TOL, BipartitePureState, DomainError, _bisect, log_scale
+from .core import NORM_TOL, _PAULI, _PAULI_PAIRS, BipartitePureState, DomainError, _bisect, log_scale
 
-PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-PAULIS = (PAULI_X, PAULI_Y, PAULI_Z)
+PAULI_X, PAULI_Y, PAULI_Z = _PAULI[1:]
 
 
 @dataclass(frozen=True)
@@ -35,11 +32,6 @@ class NonlocalHamiltonian:
         if self.sign not in (1, -1):
             raise DomainError("sign must be +1 or -1")
 
-    @property
-    def theta(self) -> float:
-        """Difference mu1 - mu2 setting the two-qubit oscillation rate."""
-        return self.mu[0] - self.mu[1]
-
     def canonical_matrix(self) -> np.ndarray:
         return _canonical_matrices(self.mu, self.sign)
 
@@ -47,14 +39,9 @@ class NonlocalHamiltonian:
         """Full Hamiltonian including local fields; requires the raw form."""
         if self.gamma is None:
             raise DomainError("no raw (alpha, beta, gamma) form recorded")
-        out = np.zeros((4, 4), dtype=complex)
-        eye = np.eye(2)
-        for k in range(3):
-            out += self.alpha[k] * np.kron(PAULIS[k], eye)
-            out += self.beta[k] * np.kron(eye, PAULIS[k])
-            for j in range(3):
-                out += self.gamma[k, j] * np.kron(PAULIS[k], PAULIS[j])
-        return out
+        coef = np.zeros((4, 4))  # coefficient of s_a ⊗ s_b
+        coef[1:, 0], coef[0, 1:], coef[1:, 1:] = self.alpha, self.beta, self.gamma
+        return np.tensordot(coef.ravel(), _PAULI_PAIRS, 1)
 
 
 def _check_couplings(mu) -> np.ndarray:
@@ -159,7 +146,7 @@ def _max_over_chi(h4: np.ndarray, phi: np.ndarray) -> float:
     Local terms only add to m0, so this holds for any 4x4 H.
     """
     partial = np.einsum("i,ijkl,k->jl", phi.conj(), h4, qubit_orthocomplement(phi))
-    xy = 0.5 * np.einsum("jl,clj->c", partial, np.array(PAULIS))
+    xy = 0.5 * np.einsum("jl,clj->c", partial, _PAULI[1:])
     x, y = xy.real, xy.imag
     return float(np.sqrt(x @ x + y @ y + 2.0 * np.linalg.norm(np.cross(x, y))))
 
@@ -178,8 +165,7 @@ def max_entangling_element_numeric(hamiltonian) -> float:
     or any Hermitian 4x4 matrix.
     """
     h4 = _as_matrix(hamiltonian).reshape(2, 2, 2, 2)
-    paulis = np.array(PAULIS)
-    gamma = 0.25 * np.einsum("ijkl,aki,blj->ab", h4, paulis, paulis).real
+    gamma = 0.25 * np.einsum("ijkl,aki,blj->ab", h4, _PAULI[1:], _PAULI[1:]).real
     n = np.linalg.svd(gamma)[0][:, 2]
     n = n if n[2] >= 0.0 else -n  # -n is as good; this sign keeps 1 + n_z away from 0
     phi = np.array([1.0 + n[2], n[0] + 1j * n[1]]) / np.sqrt(2.0 * (1.0 + n[2]))
@@ -255,7 +241,6 @@ class Trajectory:
     gamma: np.ndarray
     gamma_capacity: np.ndarray
     delta_h: np.ndarray
-    base: object = "e"
 
 
 def _apply(m: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -381,4 +366,4 @@ def simulate_trajectory(hamiltonian, psi0, times, base="e") -> Trajectory:
     )
     if single:
         fields = {k: a[0] for k, a in fields.items()}
-    return Trajectory(times=times, base=base, **fields)
+    return Trajectory(times=times, **fields)

@@ -84,11 +84,11 @@ def capacity_two_qubit_closed(p: float, base="e") -> float:
     return float(p * (1.0 - p) * (np.log(p / (1.0 - p)) / scale) ** 2)
 
 
-def is_flat(spectrum, tol: float = FLATNESS_TOL) -> bool:
-    """True iff all eigenvalues above the support cutoff agree to relative tol."""
+def is_flat(spectrum) -> bool:
+    """True iff all eigenvalues above the support cutoff agree to relative FLATNESS_TOL."""
     w = np.asarray(spectrum, dtype=float)
     nz = w[w > SUPPORT_CUTOFF * w.max()]
-    return bool((nz.max() - nz.min()) <= tol * nz.max())
+    return bool((nz.max() - nz.min()) <= FLATNESS_TOL * nz.max())
 
 
 def _variance(obs: np.ndarray, m: np.ndarray) -> np.ndarray:

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    _PAULI_PAIRS,
     SUPPORT_CUTOFF,
     BipartitePureState,
     ConfigurationError,
@@ -29,8 +30,8 @@ _BELL_PHI_PLUS = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / np.sqrt(2.0)
 _BELL = np.outer(_BELL_PHI_PLUS, _BELL_PHI_PLUS.conj())
 
 
-def partial_transpose(rho, subsystem: str = "B") -> np.ndarray:
-    """Transpose one tensor factor; exact involution."""
+def partial_transpose(rho) -> np.ndarray:
+    """Transpose the B tensor factor; exact involution."""
     if isinstance(rho, DensityOperator):
         d_a, d_b = rho.split()
         m = rho.matrix
@@ -40,14 +41,7 @@ def partial_transpose(rho, subsystem: str = "B") -> np.ndarray:
         if d * d != m.shape[0]:
             raise ConfigurationError("partial transpose of a raw matrix needs a square split")
         d_a = d_b = d
-    r = m.reshape(d_a, d_b, d_a, d_b)
-    if subsystem == "B":
-        out = r.transpose(0, 3, 2, 1)
-    elif subsystem == "A":
-        out = r.transpose(2, 1, 0, 3)
-    else:
-        raise ConfigurationError(f"subsystem must be 'A' or 'B', got {subsystem!r}")
-    return out.reshape(d_a * d_b, d_a * d_b)
+    return m.reshape(d_a, d_b, d_a, d_b).transpose(0, 3, 2, 1).reshape(d_a * d_b, d_a * d_b)
 
 
 def is_ppt(rho: DensityOperator, tol: float = PPT_TOL) -> bool:
@@ -207,8 +201,7 @@ def project_separable(m: np.ndarray, iters: int = 120, tol: float = 1e-12) -> np
 # sigma = I/4 + sum_a x_a B_a, B_a = s_i ⊗ s_j / 2 over the Pauli pairs (i, j) != (0, 0):
 # an orthonormal basis of the traceless Hermitian matrices, so tr sigma = 1.  sigma^Γ
 # is the same sum with the x_a of the pairs (i, y) negated: s_y^T = -s_y.
-_PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
-_BASIS = (_PAULI[:, None, :, None, :, None] * _PAULI[None, :, None, :, None, :]).reshape(16, 4, 4)[1:] / 2.0
+_BASIS = _PAULI_PAIRS[1:] / 2.0
 _PT_SIGN = np.tile([1.0, 1.0, -1.0, 1.0], 4)[1:]
 _BASES = np.stack([_BASIS, _PT_SIGN[:, None, None] * _BASIS])  # for sigma and for sigma^Γ
 _COORDS = _BASES.transpose(1, 0, 2, 3).reshape(15, 32)

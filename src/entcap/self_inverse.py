@@ -99,24 +99,21 @@ class CapacityRateBounds:
 
     entanglement_rate_bound: float   # 2 |Gamma| (1 + log d_A)
     speed_bound: float               # 2 sqrt(C) V (1 + log d_A)
-    norm_bound: float                # 2 c ||H|| log d (1 + log d_A)
+    norm_bound: float                # 2 ||H|| log d (1 + log d_A)
     self_inverse_bound: float        # 2 beta (1 + log d)
 
 
-def capacity_rate_bounds(d_a: int, *, gamma, capacity, speed, op_norm,
-                         c: float = 1.0, d: int, base="e") -> CapacityRateBounds:
+def capacity_rate_bounds(d_a: int, *, gamma, capacity, speed, op_norm, d: int, base="e") -> CapacityRateBounds:
     """Evaluate all four capacity-rate bounds for comparison with a measured rate.
 
     ``gamma``, ``capacity``, ``speed`` and ``op_norm`` are scalars or arrays
-    that broadcast together; array inputs give array bounds.  ``c`` is the
-    ancilla-unassisted rate constant in [0, 1]; 1 is the most conservative
-    choice.
+    that broadcast together; array inputs give array bounds.  The norm bound
+    takes the ancilla-unassisted rate constant at 1, its most conservative
+    value.
     """
     inputs = [np.abs(gamma), capacity, speed, op_norm]
     if min(np.min(x, initial=np.inf) for x in inputs) < 0:
         raise DomainError("bound inputs must be non-negative")
-    if not 0.0 <= c <= 1.0:
-        raise DomainError("c must lie in [0, 1]")
     scale = log_scale(base)
     log_da = np.log(d_a) / scale
     log_d = np.log(d) / scale
@@ -128,6 +125,6 @@ def capacity_rate_bounds(d_a: int, *, gamma, capacity, speed, op_norm,
     return CapacityRateBounds(
         entanglement_rate_bound=out(np.abs(2.0 * gamma * (1.0 + log_da))),
         speed_bound=out(2.0 * np.sqrt(capacity) * speed * (1.0 + log_da)),
-        norm_bound=out(2.0 * c * op_norm * log_d * (1.0 + log_da)),
+        norm_bound=out(2.0 * op_norm * log_d * (1.0 + log_da)),
         self_inverse_bound=float(2.0 * beta * (1.0 + log_d)),
     )

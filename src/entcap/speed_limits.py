@@ -166,7 +166,7 @@ class RateBoundCheck:
         return int((~self.satisfied).sum())
 
 
-def rate_bound_check(hamiltonian, trajectory: Trajectory, margin: float = 1e-12) -> RateBoundCheck:
+def rate_bound_check(trajectory: Trajectory, margin: float = 1e-12) -> RateBoundCheck:
     """Check the entanglement-rate bound along a sampled unitary trajectory.
 
     The rates are exact, so ``margin`` only absorbs rounding.

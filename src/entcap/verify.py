@@ -177,7 +177,7 @@ def _rate_bound(rng: np.random.Generator, n_samples: int, base) -> CheckResult:
     psis = _haar_amplitudes(rng, 4, n_samples)
     hams = _canonical_matrices(np.sort(mu, axis=-1)[:, ::-1])
     traj = simulate_trajectory(hams, psis, np.linspace(0.05, 0.5, 4), base)
-    check = rate_bound_check(hams, traj)
+    check = rate_bound_check(traj)
     worst_margin = float(check.margins.min(initial=np.inf))
     return CheckResult("entanglement-rate-bound", True, check.violations == 0,
                        f"violations={check.violations},min_margin={worst_margin:.3e}")
@@ -202,7 +202,7 @@ def _capacity_rate_chain(rng: np.random.Generator, n_samples: int, base) -> Chec
     traj = simulate_trajectory(hams, psis, np.array([0.1, 0.3, 0.7]), base)
     bounds = capacity_rate_bounds(
         2, gamma=np.abs(traj.gamma), capacity=traj.capacity, speed=2.0 * traj.delta_h,
-        op_norm=operator_norm(hams)[:, None], c=1.0, d=2, base=base,
+        op_norm=operator_norm(hams)[:, None], d=2, base=base,
     )
     vals = (bounds.entanglement_rate_bound, bounds.speed_bound,
             bounds.norm_bound, bounds.self_inverse_bound)

@@ -129,7 +129,7 @@ def test_criterion_06_rate_bound_ensemble():
         mu = np.sort(rng.uniform(0.0, 2.0, 3))[::-1]
         ham = NonlocalHamiltonian(mu=tuple(mu))
         psi = haar_random_pure(2, 2, rng)
-        check = rate_bound_check(ham, simulate_trajectory(ham, psi, times, base="e"), margin=1e-8)
+        check = rate_bound_check(simulate_trajectory(ham, psi, times, base="e"), margin=1e-8)
         violations += check.violations
         worst_margin = min(worst_margin, float(check.margins.min()))
     ok = violations == 0

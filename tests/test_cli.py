@@ -6,6 +6,7 @@ import pytest
 
 from entcap.cli import RunConfig, main, parse_grid_spec
 from entcap.core import ConfigurationError
+from entcap.speed_limits import family_entropy, family_sqrt_capacity
 
 
 def read_csv(path):
@@ -47,6 +48,15 @@ class TestGridSpec:
         (["--command", "verify", "--n-samples", "0"], None),
         (["--command", "figures34", "--lambda-count", "0"], None),
         (["--command", "figures34", "--lambda-count", "-3"], None),
+        # grid axes the command does not read
+        (["--command", "figure2", "--grid", "t=0:1:3"], None),
+        (["--command", "figure1", "--grid", "T=0:1:3"], None),
+        (["--command", "verify", "--grid", "p=0:1:3"], None),
+        (None, {"command": "figure2", "grid": {"t": [0, 1, 3]}}),
+        # values outside a field's choices
+        (["--command", "figure1", "--log-base", "3"], None),
+        (["--command", "figures34", "--method", "foo"], None),
+        (None, {"command": "figures34", "family": 3}),
     ])
     def test_malformed_value_exit_code(self, tmp_path, capsys, argv, config):
         if config is not None:
@@ -76,6 +86,12 @@ class TestFigure1:
             if t == 0.0 and 0.0 < p < 1.0:
                 expected = -(p * math.log2(p) + (1 - p) * math.log2(1 - p))
                 assert ent == pytest.approx(expected, abs=1e-10)
+        # the (p, t) mesh gives each p row the bits of a call on the t grid alone
+        table = np.array(rows, dtype=float).reshape(11, 9, 4)
+        ts = np.linspace(0.0, 2.0, 9)
+        for p, block in zip(np.linspace(0.0, 1.0, 11), table):
+            assert np.array_equal(block[:, 2], family_sqrt_capacity(p, 1.0, ts, "2") ** 2)
+            assert np.array_equal(block[:, 3], family_entropy(p, 1.0, ts, "2"))
 
     def test_desk_scale_runtime(self, tmp_path):
         import time

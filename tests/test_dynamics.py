@@ -89,6 +89,19 @@ class TestCanonicalForm:
         ham = canonical_form(np.zeros(3), np.zeros(3), np.diag([1.0, 0.5, 0.2]))
         assert np.allclose(ham.raw_matrix(), ham.canonical_matrix(), atol=1e-12)
 
+    def test_raw_matrix_is_the_pauli_sum(self):
+        from entcap.dynamics import PAULI_X, PAULI_Y, PAULI_Z
+
+        rng = np.random.default_rng(3)
+        alpha, beta, gamma = rng.standard_normal(3), rng.standard_normal(3), rng.standard_normal((3, 3))
+        paulis, eye = (PAULI_X, PAULI_Y, PAULI_Z), np.eye(2)
+        expected = sum(alpha[k] * np.kron(paulis[k], eye) + beta[k] * np.kron(eye, paulis[k])
+                       + sum(gamma[k, j] * np.kron(paulis[k], paulis[j]) for j in range(3))
+                       for k in range(3))
+        # summed in another order: a few ulps of the largest entry
+        dev = np.abs(canonical_form(alpha, beta, gamma).raw_matrix() - expected).max()
+        assert dev <= 8 * np.finfo(float).eps * np.abs(expected).max()
+
     def test_negative_branch_matrix(self):
         from entcap.dynamics import PAULI_X, PAULI_Y, PAULI_Z
 
@@ -114,7 +127,7 @@ class TestEvolution:
         p = 0.3
         traj = simulate_trajectory(ham, two_term_state(p), [0.2, 0.7, 1.9])
         for t, spec in zip(traj.times, traj.schmidt_weights):
-            l1, l2 = evolved_schmidt_weights(p, ham.theta, t)
+            l1, l2 = evolved_schmidt_weights(p, ham.mu[0] - ham.mu[1], t)
             assert np.abs(np.sort(spec) - np.sort([l1, l2])).max() < 1e-10
 
     def test_heisenberg_point_fixes_bell(self):
@@ -176,8 +189,8 @@ class TestSchmidtWeightRate:
         p0, step = 0.3, 1e-6
         traj = simulate_trajectory(ham, two_term_state(p0), [0.15, 0.6, 1.4])
         for t, gamma in zip(traj.times, traj.gamma):
-            sp = spectrum_entropy(evolved_schmidt_weights(p0, ham.theta, t + step))
-            sm = spectrum_entropy(evolved_schmidt_weights(p0, ham.theta, t - step))
+            sp = spectrum_entropy(evolved_schmidt_weights(p0, ham.mu[0] - ham.mu[1], t + step))
+            sm = spectrum_entropy(evolved_schmidt_weights(p0, ham.mu[0] - ham.mu[1], t - step))
             assert gamma == pytest.approx((sp - sm) / (2 * step), abs=1e-6)
 
 
@@ -378,8 +391,8 @@ class TestTrajectory:
         # rates agree with the closed-form time derivatives
         for i, t in enumerate(times):
             step = 1e-6
-            sp = capacity_from_spectrum(evolved_schmidt_weights(0.85, ham.theta, t + step), 2)
-            sm = capacity_from_spectrum(evolved_schmidt_weights(0.85, ham.theta, t - step), 2)
+            sp = capacity_from_spectrum(evolved_schmidt_weights(0.85, ham.mu[0] - ham.mu[1], t + step), 2)
+            sm = capacity_from_spectrum(evolved_schmidt_weights(0.85, ham.mu[0] - ham.mu[1], t - step), 2)
             assert traj.gamma[i] == pytest.approx((sp.entropy - sm.entropy) / (2 * step), abs=1e-4)
             assert traj.gamma_capacity[i] == pytest.approx((sp.capacity - sm.capacity) / (2 * step), abs=1e-4)
 

@@ -64,13 +64,6 @@ class TestPartialTranspose:
         twice = partial_transpose(partial_transpose(rho))
         assert np.array_equal(twice, rho.matrix)
 
-    def test_subsystem_a(self):
-        rho = density_from_pure(BELL)
-        rho = DensityOperator(rho.matrix, d_a=2, d_b=2)
-        wa = np.linalg.eigvalsh(partial_transpose(rho, "A"))
-        wb = np.linalg.eigvalsh(partial_transpose(rho, "B"))
-        assert np.allclose(wa, wb, atol=1e-12)
-
 
 class TestIsPPT:
     def test_maximally_mixed(self):

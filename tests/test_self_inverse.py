@@ -185,10 +185,6 @@ class TestBounds:
         assert np.allclose(np.sort(w), [-1.7, -0.3, 0.7, 1.3], atol=1e-12)
         assert operator_norm(ham.canonical_matrix()) == pytest.approx(1.7, abs=1e-12)
 
-    def test_c_range_guard(self):
-        with pytest.raises(DomainError):
-            capacity_rate_bounds(2, gamma=0.1, capacity=0.1, speed=1.0, op_norm=1.0, c=1.5, d=2)
-
 
 class TestBoundSweep:
     def test_rate_bound_rigorous_along_self_inverse(self):

@@ -42,7 +42,7 @@ class TestFluctuation:
         for p, theta in ((0.0, 1.0), (0.25, 0.6), (0.9, 1.3)):
             ham = NonlocalHamiltonian(mu=(theta + 0.2, 0.2, 0.1))
             assert hamiltonian_fluctuation(ham, two_term_state(p)) == pytest.approx(
-                ham.theta * abs(1 - 2 * p), abs=1e-12
+                (ham.mu[0] - ham.mu[1]) * abs(1 - 2 * p), abs=1e-12
             )
 
     def test_balanced_zero(self):
@@ -119,14 +119,14 @@ class TestRateBound:
         ham = NonlocalHamiltonian(mu=(1.0, 1.0, 1.0))
         bell = BipartitePureState(np.array([1.0, 0, 0, 1]) / np.sqrt(2), 2, 2)
         traj = simulate_trajectory(ham, bell, np.linspace(0.0, 1.0, 5), base=2)
-        check = rate_bound_check(ham, traj)
+        check = rate_bound_check(traj)
         assert check.violations == 0
         assert np.abs(traj.gamma).max() < 1e-6
 
     def test_family_sweep(self):
         ham = NonlocalHamiltonian(mu=(0.7, 0.2, 0.05))
         traj = simulate_trajectory(ham, two_term_state(1.0), np.linspace(0.01, 0.45, 20), base=2)
-        check = rate_bound_check(ham, traj, margin=1e-8)
+        check = rate_bound_check(traj, margin=1e-8)
         assert check.violations == 0
 
     def test_haar_ensemble(self):
@@ -136,7 +136,7 @@ class TestRateBound:
             mu = np.sort(rng.uniform(0, 2, 3))[::-1]
             ham = NonlocalHamiltonian(mu=tuple(mu))
             psi = haar_random_pure(2, 2, rng)
-            check = rate_bound_check(ham, simulate_trajectory(ham, psi, times, base="e"), margin=1e-8)
+            check = rate_bound_check(simulate_trajectory(ham, psi, times, base="e"), margin=1e-8)
             assert check.violations == 0
 
 
