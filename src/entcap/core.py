@@ -180,13 +180,18 @@ def schmidt_decompose(
     return _schmidt(state.as_matrix())
 
 
+def _support_log(m: np.ndarray, base="e") -> tuple[np.ndarray, np.ndarray]:
+    """(log, kernel) of PSD matrices (..., d, d) from one eigh: the operator log on the
+    support, null directions mapped to 0, and the eigenvectors with the support's columns zeroed."""
+    w, v = np.linalg.eigh(m)
+    support = w > SUPPORT_CUTOFF * w.max(axis=-1, keepdims=True)
+    lw = np.where(support, np.log(np.where(support, w, 1.0)) / log_scale(base), 0.0)
+    return hermitize((v * lw[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)), v * ~support[..., None, :]
+
+
 def _log_on_support(m: np.ndarray, base="e") -> np.ndarray:
     """Operator log of PSD matrices (..., d, d) on their supports; null directions map to 0."""
-    scale = log_scale(base)
-    w, v = np.linalg.eigh(m)
-    cutoff = SUPPORT_CUTOFF * w.max(axis=-1, keepdims=True)
-    lw = np.where(w > cutoff, np.log(np.where(w > cutoff, w, 1.0)) / scale, 0.0)
-    return hermitize((v * lw[..., None, :]) @ np.swapaxes(v.conj(), -1, -2))
+    return _support_log(m, base)[0]
 
 
 def log_on_support(rho: DensityOperator, base="e") -> np.ndarray:
@@ -232,17 +237,17 @@ def von_neumann_entropy(rho: DensityOperator, base="e") -> float:
     return float(_von_neumann_entropy(rho.matrix, base))
 
 
-def _leaves_support(r: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """True where r puts weight above 1e-10 on the null space of s, for matrices (..., d, d)."""
-    ws, vs = np.linalg.eigh(s)
-    vn = vs * (ws <= SUPPORT_CUTOFF * ws.max(axis=-1, keepdims=True))[..., None, :]
-    return np.einsum("...ji,...jk,...ki->...", vn.conj(), r, vn).real > 1e-10
+def _leaves_support(r: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """True where r puts weight above 1e-10 on the columns of a ``_support_log`` kernel,
+    for matrices (..., d, d)."""
+    return np.einsum("...ji,...jk,...ki->...", kernel.conj(), r, kernel).real > 1e-10
 
 
 def _relative_entropy(r: np.ndarray, s: np.ndarray, base="e") -> np.ndarray:
     """Umegaki D(r||s) of density matrices (..., d, d); inf where supp(r) ⊄ supp(s)."""
-    val = np.trace(r @ (_log_on_support(r, base) - _log_on_support(s, base)), axis1=-2, axis2=-1).real
-    return np.where(_leaves_support(r, s), np.inf, np.maximum(val, 0.0))
+    log_s, kernel = _support_log(s, base)
+    val = np.trace(r @ (_log_on_support(r, base) - log_s), axis1=-2, axis2=-1).real
+    return np.where(_leaves_support(r, kernel), np.inf, np.maximum(val, 0.0))
 
 
 def relative_entropy(rho: DensityOperator, sigma: DensityOperator, base="e") -> float:

@@ -15,6 +15,7 @@ from .core import (
     DensityOperator,
     DomainError,
     _leaves_support,
+    _support_log,
     density_from_pure,
     hermitize,
     log_on_support,
@@ -205,7 +206,7 @@ _BASIS = _PAULI_PAIRS[1:] / 2.0
 _PT_SIGN = np.tile([1.0, 1.0, -1.0, 1.0], 4)[1:]
 _BASES = np.stack([_BASIS, _PT_SIGN[:, None, None] * _BASIS])  # for sigma and for sigma^Γ
 _COORDS = _BASES.transpose(1, 0, 2, 3).reshape(15, 32)
-_MU_LEVELS = (1.0, 1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-13)
+_MU_LEVELS = (1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-13)
 _DECREMENT_TOL = 1e-12
 _LEVEL_STEPS = 50
 _RIDGE = 1e-10 * np.eye(15)
@@ -222,19 +223,19 @@ _HERM_IJ = np.array(np.divmod(_HERM // 2, 4))[:, None] + np.arange(0, 8, 4)[:, N
 
 
 def _barrier_point(rho: np.ndarray, x: np.ndarray):
-    """(w, v) of sigma and sigma^Γ (stacked) at x, log w and V^† rho V; None unless w > 0."""
+    """(w, v) of sigma and sigma^Γ (stacked) at x, log w, V^† rho V, -tr rho log sigma and
+    log det sigma + log det sigma^Γ; None unless w > 0."""
     w, v = np.linalg.eigh((x @ _COORDS).reshape(2, 4, 4) + _CENTRE)
     if min(w[0, 0], w[1, 0]) <= 0.0:
         return None
-    return w, v, np.log(w), v[0].conj().T @ rho @ v[0]
+    lw = np.log(w)
+    r = v[0].conj().T @ rho @ v[0]
+    return w, v, lw, r, float(-r.diagonal().real @ lw[0]), float(lw.sum())
 
 
 def _barrier_objective(point, mu: float) -> float:
     """F_mu = -tr rho log sigma - mu (log det sigma + log det sigma^Γ) at a _barrier_point."""
-    if point is None:
-        return math.inf
-    _, _, lw, r = point
-    return float(-r.diagonal().real @ lw[0] - mu * lw.sum())
+    return math.inf if point is None else point[4] - mu * point[5]
 
 
 def _log_divided_differences(w: np.ndarray, lw: np.ndarray):
@@ -306,20 +307,25 @@ def closest_separable_numeric(rho: DensityOperator, base="e") -> SeparableApprox
     (Vedral & Plenio, PRA 57, 1619 (1998)).  ``numeric-ppt``: a log-barrier
     method minimizes F_mu = -tr rho log sigma - mu (log det sigma + log det
     sigma^Γ) over sigma's 15 Pauli coordinates, with long steps in mu (Boyd &
-    Vandenberghe, Convex Optimization, 11.3): 1 to 1e-10 by factors of 100,
-    then 1e-13.  Each level takes damped Newton steps (``_newton_system``),
-    backtracking to keep sigma and sigma^Γ positive definite and to pass an
-    Armijo test, until the squared Newton decrement is at most 1e-12.  The
-    next level starts from the central path's tangent, scaled by 1 - mu_next/mu
-    and halved until it lowers the new objective.  The duality gap is 8 mu, so
-    E_R overshoots by 1e-12 at most.
+    Vandenberghe, Convex Optimization, 11.3-11.4) over 6 levels: 1e-2 to 1e-10
+    by factors of 100, then 1e-13.  It starts at (rho + alpha I)/(1 + 4 alpha),
+    alpha = 0.02 - lambda_min(rho^Γ): rho mixed with I/4 just inside the PPT
+    cone, so sigma and sigma^Γ are positive definite and local unitaries act
+    on the start as on rho.  Each level takes damped Newton steps
+    (``_newton_system``), backtracking to keep sigma and sigma^Γ positive
+    definite and to pass an Armijo test, until the squared Newton decrement is
+    at most 1e-12.  The next level starts from the central path's tangent,
+    scaled by 1 - mu_next/mu and halved until it lowers the new objective.  The
+    duality gap is 8 mu, so E_R overshoots by 1e-12 at most.
 
     ``iterations`` counts accepted steps; ``converged`` is False when a level
-    runs out of steps or backtracking.  E_R is S(rho || sigma*), support-checked.
+    runs out of steps or backtracking.  E_R is S(rho || sigma*), from rho's
+    spectrum and the last point's -tr rho log sigma*; sigma* is positive definite.
     """
     if rho.split() != (2, 2):
         raise DomainError("the numeric solver handles two qubits only")
-    if is_ppt(rho, 0.0):
+    pt_min = np.linalg.eigvalsh(partial_transpose(rho))[0]
+    if pt_min >= 0.0:
         return SeparableApproximation(rho, 0.0, 0, "exact-ppt")
     r = rho.matrix
     w, v = np.linalg.eigh(r)
@@ -327,7 +333,9 @@ def closest_separable_numeric(rho: DensityOperator, base="e") -> SeparableApprox
         sigma = _schmidt_dephasing(BipartitePureState(v[:, 3], 2, 2))
         value = relative_entropy(rho, sigma, base)
         return SeparableApproximation(sigma, value, 0, "exact-pure", math.isfinite(value))
-    x = np.zeros(15)
+    # (rho + alpha I)/(1 + 4 alpha): rho^Γ's least eigenvalue becomes 0.02/(1 + 4 alpha)
+    alpha = 0.02 - pt_min
+    x = (_COORDS[:, :16].conj() @ r.reshape(16)).real / (1.0 + 4.0 * alpha)
     point = _barrier_point(r, x)
     converged = True
     steps = 0
@@ -345,7 +353,7 @@ def closest_separable_numeric(rho: DensityOperator, base="e") -> SeparableApprox
                 tangent = tangent / 2.0
         centred = False
         for _ in range(_LEVEL_STEPS):
-            upper, s, qc, qe = _newton_system(mu, *point)
+            upper, s, qc, qe = _newton_system(mu, *point[:4])
             decrement = float(qc @ qc)
             if decrement <= _DECREMENT_TOL:
                 centred = True
@@ -366,8 +374,10 @@ def closest_separable_numeric(rho: DensityOperator, base="e") -> SeparableApprox
         # the centre x*(mu) has dx*/dmu = h^-1 g_bar / mu; mu falls by mu - mu_next
         tangent = (1.0 - mu_next / mu) * s * np.linalg.solve(upper, qe) if centred and mu_next else None
     sigma_star = DensityOperator((x @ _COORDS[:, :16]).reshape(4, 4) + _CENTRE, d_a=2, d_b=2)
-    value = relative_entropy(rho, sigma_star, base)
-    return SeparableApproximation(sigma_star, value, steps, "numeric-ppt", converged and math.isfinite(value))
+    # sigma* is positive definite, so S(rho || sigma*) = tr rho log rho - tr rho log sigma*
+    support = w[w > SUPPORT_CUTOFF * w[3]]
+    value = max(point[4] + float(support @ np.log(support)), 0.0) / log_scale(base)
+    return SeparableApproximation(sigma_star, value, steps, "numeric-ppt", converged)
 
 
 def capacity_mixed(rho: DensityOperator, sigma_star: DensityOperator, base="e") -> float:
@@ -379,6 +389,7 @@ def capacity_mixed(rho: DensityOperator, sigma_star: DensityOperator, base="e") 
     """
     if rho.dim != sigma_star.dim:
         raise DomainError("state and separable reference dimensions differ")
-    if _leaves_support(rho.matrix, sigma_star.matrix):
+    log_sigma, kernel = _support_log(sigma_star.matrix, base)
+    if _leaves_support(rho.matrix, kernel):
         raise DomainError("supp(rho) is not contained in supp(sigma*)")
-    return float(_variance(log_on_support(rho, base) - log_on_support(sigma_star, base), rho.matrix))
+    return float(_variance(log_on_support(rho, base) - log_sigma, rho.matrix))

@@ -45,6 +45,8 @@ def _family_schmidt(p, theta, t):
     p = np.asarray(p, dtype=float)
     if not ((p >= 0.0) & (p <= 1.0)).all():
         raise DomainError("p must lie in [0, 1]")
+    if not np.isfinite(theta).all():
+        raise DomainError("theta must be finite")
     x = theta * np.asarray(t, dtype=float)
     a = np.abs(1.0 - 2.0 * p)
     lam_minus = np.minimum(p, 1.0 - p) + a * np.minimum(np.sin(x) ** 2, np.cos(x) ** 2)

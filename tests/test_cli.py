@@ -102,6 +102,13 @@ class TestFigure1:
                      "--grid", "p=0:1:101,t=0:3:101"]) == 0
         assert time.monotonic() - start < 5.0
 
+    @pytest.mark.parametrize("theta", ["nan", "inf", "-inf"])
+    def test_non_finite_theta_exit_code(self, tmp_path, theta):
+        # a configuration error, as figure2 treats a bad theta; no CSV is written
+        out = tmp_path / "fig1_bad.csv"
+        assert main(["--command", "figure1", f"--theta={theta}", "--out", str(out)]) == 2
+        assert not out.exists()
+
 
 class TestFigure2:
     def test_bound_and_ratio(self, tmp_path):

@@ -262,10 +262,11 @@ class TestNumericSolver:
     def test_eigh_count(self, monkeypatch):
         # one batched eigh of sigma and sigma^Γ per new point (a change of mu
         # reuses the last one), one of the four 4x4 relative-entropy blocks per
-        # Newton step, no 15x15 Hessian eigh and no projection.  The factor-10
-        # mu schedule made 38 and 43 point eighs, the formed-Hessian solver
-        # 51 and 56; the Dykstra solver made 2,590 eigh calls on the first
-        # input and 93,103 on the second.
+        # Newton step, one of rho, no 15x15 Hessian eigh and no projection: E_R
+        # comes from the last point and rho's spectrum.  Started at I/4 and
+        # mu = 1 the barrier made 37 and 41 point eighs, the factor-10 mu
+        # schedule 38 and 43, the formed-Hessian solver 51 and 56; the Dykstra
+        # solver made 2,590 eigh calls on the first input and 93,103 on the second.
         # One triangular solve per Newton system: a step, or at a centred
         # level's last system the next level's tangent; the last level has no
         # next.  Two LU solves per system and two per centred level before
@@ -288,7 +289,7 @@ class TestNumericSolver:
             shapes["newton"] += 1
             return newton_system(*args)
 
-        inputs = ((family2_state(0.095), 37), (random_state(np.random.default_rng(17), 2), 41))
+        inputs = ((family2_state(0.095), 28), (random_state(np.random.default_rng(17), 2), 32))
         monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
         monkeypatch.setattr(np.linalg, "solve", counted_solve)
         monkeypatch.setattr(mixed, "_newton_system", counted_system)
@@ -298,6 +299,7 @@ class TestNumericSolver:
             assert result.converged and result.iterations > 0
             assert shapes[(15, 15)] == 0
             assert shapes[(2, 4, 4)] == point_eighs
+            assert shapes[(4, 4)] == 1
             assert shapes[(4, 4, 4)] == shapes["newton"] > 0
             assert shapes["solve"] == shapes["newton"] - 1
         # a pure input takes the Schmidt dephasing: no barrier point, no Newton system
@@ -332,7 +334,7 @@ class TestEntropyFactor:
         rng = np.random.default_rng(100 * rank + int(1e3 * scale))
         for _ in range(10):
             rho = random_state(rng, rank)
-            w, v, lw, r = interior_point(rho, rng, scale)
+            w, v, lw, r, *_ = interior_point(rho, rng, scale)
             b = v[0].conj().T @ mixed._BASIS @ v[0]
             _, nf2 = mixed._log_divided_differences(w[0], lw[0])
             c = mixed._entropy_factor(nf2, r, b)
@@ -344,7 +346,7 @@ class TestEntropyFactor:
         rng = np.random.default_rng(rank)
         for scale in (0.0, 1e-7, 0.02, 0.08):
             for _ in range(10):
-                w, _, lw, r = interior_point(random_state(rng, rank), rng, scale)
+                w, _, lw, r, *_ = interior_point(random_state(rng, rank), rng, scale)
                 lam = np.linalg.eigvalsh(mixed._log_divided_differences(w[0], lw[0])[1] * r.T)
                 assert (lam[:, 0] >= -1e-12 * lam[:, -1]).all()
 
@@ -366,7 +368,7 @@ def direct_gradient(point, mu):
     """Gradient of F_mu in the Pauli coordinates and its barrier part (Daleckii-Krein),
     -tr(B_a Dlog_sigma[rho]) - mu tr(sigma^-1 B_a) - mu tr((sigma^Γ)^-1 B_a^Γ) with
     Dlog_sigma[rho] = V (f1 ∘ V^† rho V) V^†, each with the summed magnitude of its terms."""
-    w, v, lw, r = point
+    w, v, lw, r, *_ = point
     b = v[:, None].conj().transpose(0, 1, 3, 2) @ mixed._BASES @ v[:, None]
     bar = mu * b.diagonal(axis1=-2, axis2=-1).real / w[:, None]
     f1 = mixed._log_divided_differences(w[0], lw[0])[0]
@@ -384,7 +386,7 @@ class TestGradientColumns:
         rng = np.random.default_rng(100 * rank + int(1e3 * scale))
         for mu in np.repeat(10.0 ** -np.arange(0.0, 13.0, 3.0), 2):  # 1, 1e-3, ..., 1e-12
             point = interior_point(random_state(rng, rank), rng, scale)
-            upper, s, qc, qe = mixed._newton_system(mu, *point)
+            upper, s, qc, qe = mixed._newton_system(mu, *point[:4])
             (g, g_size), (g_bar, bar_size) = direct_gradient(point, mu)
             # a spectrum spread under 1e-5 takes f''/2 at the mean for every second
             # divided difference, which -j vec(sigma) inherits: (spread / w)^2 bounds it
@@ -394,26 +396,27 @@ class TestGradientColumns:
             assert np.abs(upper.T @ qe - s * g_bar).max() <= 1e-13 * (s * bar_size).max()
 
 
-# (name, E_R, accepted steps, converged) with mu falling by factors of 100.  The
-# last number in each test id is the step count of the factor-10 schedule; the ids
-# are kept as they were so that the test names stay stable
+# (name, E_R, accepted steps, converged) with the barrier started at mu = 1e-2 from
+# rho mixed just inside the PPT cone and mu falling by factors of 100.  The last
+# number in each test id is the step count of the factor-10 schedule; the ids are
+# kept as they were so that the test names stay stable
 SOLVER_PANEL = [
-    pytest.param("family1-0.095", 0.002369749194139773, 29, True, id="family1-0.095-0.002369749194139773-42-True"),
-    pytest.param("family2-0.095", 0.00752419061134689, 25, True, id="family2-0.095-0.00752419061134689-35-True"),
-    pytest.param("family1-0.25", 0.017918382754278338, 29, True, id="family1-0.25-0.017918382754278338-41-True"),
-    pytest.param("family2-0.25", 0.04144846783551798, 29, True, id="family2-0.25-0.04144846783551798-34-True"),
-    pytest.param("family1-0.49", 0.08096094773267903, 26, True, id="family1-0.49-0.08096094773267903-35-True"),
-    pytest.param("family2-0.49", 0.14040423860106088, 30, True, id="family2-0.49-0.14040423860106088-35-True"),
-    pytest.param("family1-0.7", 0.19882594962260947, 22, True, id="family1-0.7-0.19882594962260947-34-True"),
-    pytest.param("family2-0.7", 0.28209593891628126, 24, True, id="family2-0.7-0.28209593891628126-37-True"),
-    pytest.param("family1-0.95", 0.52678825353254, 25, True, id="family1-0.95-0.52678825353254-38-True"),
-    pytest.param("family2-0.95", 0.577407324096147, 26, True, id="family2-0.95-0.577407324096147-36-True"),
-    pytest.param("rank2-1", 0.08068291938320632, 29, True, id="rank2-1-0.08068291938320632-38-True"),
-    pytest.param("rank2-2", 0.11279293517047784, 29, True, id="rank2-2-0.11279293517047784-41-True"),
-    pytest.param("rank2-3", 0.04464338848872108, 37, True, id="rank2-3-0.04464338848872108-40-True"),
-    pytest.param("rank4-1", 0.06623020581814715, 21, True, id="rank4-1-0.06623020581814715-32-True"),
-    pytest.param("rank4-2", 0.09813402706558755, 20, True, id="rank4-2-0.09813402706558755-32-True"),
-    pytest.param("rank4-3", 0.0959581090872067, 26, True, id="rank4-3-0.0959581090872067-33-True"),
+    pytest.param("family1-0.095", 0.002369749194139773, 22, True, id="family1-0.095-0.002369749194139773-42-True"),
+    pytest.param("family2-0.095", 0.00752419061134689, 18, True, id="family2-0.095-0.00752419061134689-35-True"),
+    pytest.param("family1-0.25", 0.017918382754278338, 25, True, id="family1-0.25-0.017918382754278338-41-True"),
+    pytest.param("family2-0.25", 0.04144846783551798, 21, True, id="family2-0.25-0.04144846783551798-34-True"),
+    pytest.param("family1-0.49", 0.08096094773267903, 22, True, id="family1-0.49-0.08096094773267903-35-True"),
+    pytest.param("family2-0.49", 0.14040423860106088, 20, True, id="family2-0.49-0.14040423860106088-35-True"),
+    pytest.param("family1-0.7", 0.19882594962260947, 19, True, id="family1-0.7-0.19882594962260947-34-True"),
+    pytest.param("family2-0.7", 0.28209593891628126, 18, True, id="family2-0.7-0.28209593891628126-37-True"),
+    pytest.param("family1-0.95", 0.52678825353254, 19, True, id="family1-0.95-0.52678825353254-38-True"),
+    pytest.param("family2-0.95", 0.577407324096147, 20, True, id="family2-0.95-0.577407324096147-36-True"),
+    pytest.param("rank2-1", 0.08068291938320632, 23, True, id="rank2-1-0.08068291938320632-38-True"),
+    pytest.param("rank2-2", 0.11279293517047784, 25, True, id="rank2-2-0.11279293517047784-41-True"),
+    pytest.param("rank2-3", 0.04464338848872108, 29, True, id="rank2-3-0.04464338848872108-40-True"),
+    pytest.param("rank4-1", 0.06623020581814715, 15, True, id="rank4-1-0.06623020581814715-32-True"),
+    pytest.param("rank4-2", 0.09813402706558755, 15, True, id="rank4-2-0.09813402706558755-32-True"),
+    pytest.param("rank4-3", 0.0959581090872067, 18, True, id="rank4-3-0.0959581090872067-33-True"),
 ]
 
 
@@ -481,8 +484,9 @@ class TestSolverReferences:
 class TestSeededSweep:
     # random rank-2, -3 and -4 states and a Bell state with a full-rank admixture
     # of weight 1e-4 to 0.3, four solves per seed.  Over seeds 0-9 the most Newton
-    # systems one solve takes is 38; with mu falling by factors of 10 it was 46
-    NEWTON_SYSTEMS = 38
+    # systems one solve takes is 32; started at I/4 and mu = 1 it was 38, with mu
+    # falling by factors of 10 it was 46
+    NEWTON_SYSTEMS = 32
 
     @pytest.mark.parametrize("seed", range(10))
     def test_converges_within_newton_bound(self, seed, monkeypatch):
@@ -503,6 +507,39 @@ class TestSeededSweep:
             result = closest_separable_numeric(rho)
             assert result.converged and is_ppt(result.sigma_star)
             assert count["newton"] <= self.NEWTON_SYSTEMS
+
+
+class TestWarmStart:
+    # the barrier starts from rho mixed with I/4 just inside the PPT cone, at
+    # mu = 1e-2: inputs at the PPT edge, at rho^Γ's far end (-1/2, near-Bell),
+    # of every rank, and family states in a random local frame
+    @pytest.mark.parametrize("kind", ["edge", "near-bell", "rank", "family"])
+    def test_converges_to_ppt_sigma(self, kind):
+        rng = np.random.default_rng(sum(map(ord, kind)))
+        bell = density_from_pure(BELL).matrix
+        cases = []  # (rho, closed-form E_R or None)
+        if kind == "edge":
+            # mixing with I/4 moves every eigenvalue of rho^Γ towards 1/4 alike
+            for target in -(10.0 ** rng.uniform(-9.0, -1.0, 6)):
+                base = rotated(DensityOperator(0.9 * bell + 0.1 * random_state(rng, 4).matrix, d_a=2, d_b=2),
+                               local_unitary(rng)).matrix
+                least = np.linalg.eigvalsh(partial_transpose(base))[0]
+                t = (target - least) / (0.25 - least)
+                cases.append((DensityOperator((1 - t) * base + t * np.eye(4) / 4, d_a=2, d_b=2), None))
+        elif kind == "near-bell":
+            for p in 10.0 ** rng.uniform(-6.0, -2.0, 4):
+                cases.append((DensityOperator((1 - p) * bell + p * random_state(rng, 4).matrix, d_a=2, d_b=2), None))
+        elif kind == "rank":
+            cases = [(random_state(rng, rank), None) for rank in (2, 3, 4) for _ in range(4)]
+        else:
+            for state, closed in ((family1_state, family1_relative_entropy), (family2_state, family2_relative_entropy)):
+                for lam in np.r_[1e-3, 0.999, rng.uniform(0.01, 0.99, 4)]:
+                    cases.append((rotated(state(lam), local_unitary(rng)), closed(lam)))
+        for rho, closed in cases:
+            result = closest_separable_numeric(rho)
+            assert result.converged and is_ppt(result.sigma_star)
+            if closed is not None:
+                assert abs(result.relative_entropy - closed) <= 1e-12
 
 
 class TestFrameInvariance:
@@ -613,6 +650,22 @@ class TestCapacityMixed:
     def test_positive_midpoint(self):
         cap = capacity_mixed(family2_state(0.5), family2_closest(0.5), "e")
         assert cap > 0.01
+
+    def test_one_eigh_of_sigma(self, monkeypatch):
+        # sigma's one eigendecomposition gives both its log and the support check:
+        # two eigh calls per call, one of rho and one of sigma
+        eigh, calls = np.linalg.eigh, Counter()
+
+        def counted_eigh(m):
+            calls["eigh"] += 1
+            return eigh(m)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+        rho, sigma = family1_state(0.6), family1_closest(0.6)
+        for measure in (capacity_mixed, relative_entropy):
+            calls.clear()
+            measure(rho, sigma, "e")
+            assert calls["eigh"] == 2
 
 
 class TestFigureCurves:
