@@ -14,48 +14,43 @@ import numpy as np
 from entcap import (
     capacity_mixed,
     capacity_pure,
+    closest_separable_family,
     closest_separable_numeric,
     closest_separable_pure,
     density_from_pure,
     DensityOperator,
-    family1_relative_entropy,
-    family1_state,
-    family2_relative_entropy,
-    family2_state,
+    family_relative_entropy,
+    family_state,
     haar_random_pure,
     is_ppt,
     partial_transpose,
+    relative_entropy,
     trace_distance,
 )
-from entcap.mixed import family1_closest, family2_closest
 
 print("Entanglement detection by partial transpose")
-bell_rho = family1_state(1.0)
+bell_rho = family_state(1, 1.0)
 print(f"  Bell state: PPT = {is_ppt(bell_rho)}, "
       f"min PT eigenvalue = {np.linalg.eigvalsh(partial_transpose(bell_rho)).min():+.4f}")
-print(f"  product state: PPT = {is_ppt(family1_state(0.0))}")
+print(f"  product state: PPT = {is_ppt(family_state(1, 0.0))}")
 
 print()
 print("Analytic families: closed form vs direct relative entropy")
-for name, state_of, closest_of, closed in (
-    ("Bell/|01> mixture", family1_state, family1_closest, family1_relative_entropy),
-    ("Bell/|00> mixture", family2_state, family2_closest, family2_relative_entropy),
-):
+for family, name in ((1, "Bell/|01> mixture"), (2, "Bell/|00> mixture")):
     print(f"  {name}")
     for lam in (0.25, 0.5, 0.75, 1.0):
-        from entcap import relative_entropy
-
-        numeric = relative_entropy(state_of(lam), closest_of(lam), "e")
-        print(f"    lam = {lam}: closed = {closed(lam):.8f}, direct = {numeric:.8f}")
+        sigma = closest_separable_family(family, lam).sigma_star
+        numeric = relative_entropy(family_state(family, lam), sigma, "e")
+        print(f"    lam = {lam}: closed = {family_relative_entropy(family, lam):.8f}, direct = {numeric:.8f}")
 
 print()
 print("Numeric solver against the analytic minimizers")
 for lam in (0.3, 0.6):
-    rho = family1_state(lam)
-    result = closest_separable_numeric(rho)
+    result = closest_separable_numeric(family_state(1, lam))
+    sigma = closest_separable_family(1, lam).sigma_star
     print(f"  lam = {lam}: solver E_R = {result.relative_entropy:.9f} "
-          f"(analytic {family1_relative_entropy(lam):.9f}), "
-          f"distance to analytic sigma* = {trace_distance(result.sigma_star, family1_closest(lam)):.2e}, "
+          f"(analytic {family_relative_entropy(1, lam):.9f}), "
+          f"distance to analytic sigma* = {trace_distance(result.sigma_star, sigma):.2e}, "
           f"iterations = {result.iterations}")
 
 print()
@@ -71,6 +66,6 @@ for k in range(3):
 print()
 print("Capacity along the Bell/|00> mixture (vanishes at both flat endpoints)")
 for lam in np.linspace(0.0, 1.0, 11):
-    cap = capacity_mixed(family2_state(lam), family2_closest(lam), "e")
+    cap = capacity_mixed(family_state(2, lam), closest_separable_family(2, lam).sigma_star, "e")
     bar = "#" * int(round(60 * cap / 0.45))
     print(f"  lam = {lam:4.2f}  C_E = {cap:.6f} {bar}")

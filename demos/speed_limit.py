@@ -57,7 +57,7 @@ print(f"  at T = 0.2, theta = 1: T_qsl = {report.t_qsl:.9f} "
 
 print()
 print("Time-dependent drive g(t) = sin(t) on the same interaction")
-h = ham.canonical_matrix()
+h = ham.matrix()
 psi = haar_random_pure(2, 2, 7)
 report = qsl_time_dependent(lambda t: np.sin(t) * h, psi, 0.8, samples=2001)
 print(f"  duration 0.8 -> bound {report.t_qsl:.6f} "

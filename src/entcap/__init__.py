@@ -68,14 +68,11 @@ from .self_inverse import (
 from .mixed import (
     SeparableApproximation,
     capacity_mixed,
-    closest_separable_family1,
-    closest_separable_family2,
+    closest_separable_family,
     closest_separable_numeric,
     closest_separable_pure,
-    family1_relative_entropy,
-    family1_state,
-    family2_relative_entropy,
-    family2_state,
+    family_relative_entropy,
+    family_state,
     is_ppt,
     partial_transpose,
 )

@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .core import ConfigurationError, DomainError
+from .core import ConfigurationError, DensityOperator, DomainError, _checked_density, _relative_entropy
 from .dynamics import (
     capacity_rate_factor_maximum,
     max_entangling_element,
@@ -21,14 +21,7 @@ from .dynamics import (
     NonlocalHamiltonian,
 )
 from .measures import capacity_from_spectrum, capacity_two_qubit_closed
-from .mixed import (
-    capacity_mixed,
-    closest_separable_family1,
-    closest_separable_family2,
-    closest_separable_numeric,
-    family1_state,
-    family2_state,
-)
+from .mixed import _capacity_mixed, _family_matrices, closest_separable_numeric
 from .self_inverse import max_entropy_rate_constant
 from .speed_limits import family_entropy, family_qsl_curve, family_sqrt_capacity
 from .verify import format_report, hard_failures, run_suite
@@ -189,21 +182,23 @@ def cmd_figure2(cfg: RunConfig) -> int:
 
 
 def cmd_figures34(cfg: RunConfig) -> int:
-    state_of, analytic_of = ((family1_state, closest_separable_family1) if cfg.family == 1
-                             else (family2_state, closest_separable_family2))
+    """E_R and C_E over every lambda at once; only the numeric solver runs per lambda."""
     if cfg.lambda_count < 1:
         raise ConfigurationError(f"lambda_count must be positive, got {cfg.lambda_count}")
     lams = np.linspace(0.0, 1.0, cfg.lambda_count)
-    rows = []
-    for lam in lams:
-        rho = state_of(float(lam))
-        if cfg.method == "analytic":
-            approx = analytic_of(float(lam), cfg.log_base)
-        else:
-            approx = closest_separable_numeric(rho, base=cfg.log_base)
-        cap = capacity_mixed(rho, approx.sigma_star, cfg.log_base)
-        rows.append((float(lam), float(approx.relative_entropy), float(cap),
-                     approx.method, int(approx.converged)))
+    raw_rho, raw_sigma = _family_matrices(cfg.family, lams)
+    rho = _checked_density(raw_rho)
+    if cfg.method == "analytic":
+        sigma = _checked_density(raw_sigma)
+        e_r = _relative_entropy(rho, sigma, cfg.log_base)
+        methods, converged = [f"analytic-family-{cfg.family}"] * len(lams), [1] * len(lams)
+    else:
+        approx = [closest_separable_numeric(DensityOperator(m, d_a=2, d_b=2), cfg.log_base) for m in raw_rho]
+        sigma = np.stack([a.sigma_star.matrix for a in approx])
+        e_r = [a.relative_entropy for a in approx]
+        methods, converged = [a.method for a in approx], [int(a.converged) for a in approx]
+    cap = _capacity_mixed(rho, sigma, cfg.log_base)
+    rows = zip(lams.tolist(), np.asarray(e_r, dtype=float).tolist(), cap.tolist(), methods, converged)
     write_csv(cfg.out, {"command": "figures34", "log_base": cfg.log_base, "seed": cfg.seed,
                         "family": cfg.family, "method": cfg.method},
               ["lambda", "E_R", "C_E", "method", "converged"], rows)

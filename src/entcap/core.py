@@ -60,6 +60,16 @@ def hermitize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + np.swapaxes(a.conj(), -1, -2))
 
 
+def _hamiltonian_matrix(hamiltonian) -> np.ndarray:
+    """``hamiltonian.matrix()`` of a Hamiltonian type, else square matrices (..., d, d) as a complex array."""
+    if callable(getattr(hamiltonian, "matrix", None)):
+        return hamiltonian.matrix()
+    h = np.asarray(hamiltonian, dtype=complex)
+    if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
+        raise DomainError("Hamiltonian must be a square matrix or a stack of them")
+    return h
+
+
 @dataclass(frozen=True)
 class BipartitePureState:
     """Unit-norm pure state of an A⊗B system with explicit subsystem dimensions."""
@@ -91,6 +101,31 @@ class BipartitePureState:
         return self.amplitudes.reshape(self.d_a, self.d_b)
 
 
+def _checked_density(m: np.ndarray) -> np.ndarray:
+    """Hermitian parts of complex matrices (..., d, d); DomainError unless each is Hermitian,
+    of unit trace and PSD to the tolerances.  Round-off negatives are clamped and the matrix
+    renormalized, which moves last bits: check a matrix once, on its raw form."""
+    dev = np.abs(m - m.conj().swapaxes(-1, -2)).max()
+    if dev > HERMITIAN_TOL:
+        raise DomainError(f"matrix deviates from Hermitian by {dev:.3e}")
+    m = hermitize(m)
+    tr = m.trace(axis1=-2, axis2=-1).real
+    off = abs(tr - 1.0)
+    if off.max() > TRACE_TOL:
+        raise DomainError(f"trace {tr.flat[off.argmax()]!r} deviates from 1 beyond {TRACE_TOL}")
+    least = np.linalg.eigvalsh(m)[..., 0]
+    low = least.min()
+    if low < -EIG_CLAMP:
+        raise DomainError(f"negative eigenvalue {low:.3e} below clamp threshold")
+    if low < 0.0:
+        # round-off negatives: clamp to zero and renormalize, where there are any
+        w, v = np.linalg.eigh(m)
+        w = np.clip(w, 0.0, None)
+        clamped = (v * (w / w.sum(axis=-1, keepdims=True))[..., None, :]) @ v.conj().swapaxes(-1, -2)
+        np.copyto(m, clamped, where=(least < 0.0)[..., None, None])
+    return m
+
+
 @dataclass(frozen=True)
 class DensityOperator:
     """Hermitian, PSD, unit-trace operator, optionally carrying a bipartite split."""
@@ -108,21 +143,7 @@ class DensityOperator:
             raise ConfigurationError("d_a and d_b must be given together")
         if self.d_a is not None and self.d_a * self.d_b != d:
             raise ConfigurationError(f"split {self.d_a}x{self.d_b} does not match size {d}")
-        dev = np.abs(m - m.conj().T).max()
-        if dev > HERMITIAN_TOL:
-            raise DomainError(f"matrix deviates from Hermitian by {dev:.3e}")
-        m = hermitize(m)
-        tr = np.trace(m).real
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise DomainError(f"trace {tr!r} deviates from 1 beyond {TRACE_TOL}")
-        w = np.linalg.eigvalsh(m)
-        if w.min() < -EIG_CLAMP:
-            raise DomainError(f"negative eigenvalue {w.min():.3e} below clamp threshold")
-        if w.min() < 0.0:
-            # round-off negatives: clamp to zero and renormalize
-            w2, v = np.linalg.eigh(m)
-            w2 = np.clip(w2, 0.0, None)
-            m = (v * (w2 / w2.sum())) @ v.conj().T
+        m = _checked_density(m)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 

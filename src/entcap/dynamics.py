@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NORM_TOL, _PAULI, _PAULI_PAIRS, BipartitePureState, DomainError, _bisect, log_scale
+from .core import NORM_TOL, _PAULI, _PAULI_PAIRS, BipartitePureState, DomainError, _bisect, _hamiltonian_matrix, log_scale
 
 PAULI_X, PAULI_Y, PAULI_Z = _PAULI[1:]
 
@@ -32,7 +32,7 @@ class NonlocalHamiltonian:
         if self.sign not in (1, -1):
             raise DomainError("sign must be +1 or -1")
 
-    def canonical_matrix(self) -> np.ndarray:
+    def matrix(self) -> np.ndarray:
         return _canonical_matrices(self.mu, self.sign)
 
     def raw_matrix(self) -> np.ndarray:
@@ -96,15 +96,6 @@ def canonical_form(alpha, beta, gamma) -> NonlocalHamiltonian:
     )
 
 
-def _as_matrix(hamiltonian) -> np.ndarray:
-    if isinstance(hamiltonian, NonlocalHamiltonian):
-        return hamiltonian.canonical_matrix()
-    m = np.asarray(hamiltonian, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DomainError("Hamiltonian must be a square matrix")
-    return m
-
-
 def evolve_matrix(h_matrix: np.ndarray, amplitudes: np.ndarray, t: float) -> np.ndarray:
     """exp(-iHt)|psi> through the eigendecomposition of Hermitian H."""
     w, v = np.linalg.eigh(h_matrix)
@@ -161,10 +152,10 @@ def max_entangling_element_numeric(hamiltonian) -> float:
     gamma^T [m m'], which by Ky Fan's maximum principle is at most s1 + s2 of
     gamma (mu1 + mu2), with equality when n is the singular vector of gamma's
     smallest singular value.  So phi is put there, with no search, and the
-    closed form over chi is evaluated at it.  Accepts a NonlocalHamiltonian
-    or any Hermitian 4x4 matrix.
+    closed form over chi is evaluated at it.  Accepts a NonlocalHamiltonian,
+    a SelfInverseHamiltonian or any Hermitian 4x4 matrix.
     """
-    h4 = _as_matrix(hamiltonian).reshape(2, 2, 2, 2)
+    h4 = _hamiltonian_matrix(hamiltonian).reshape(2, 2, 2, 2)
     gamma = 0.25 * np.einsum("ijkl,aki,blj->ab", h4, _PAULI[1:], _PAULI[1:]).real
     n = np.linalg.svd(gamma)[0][:, 2]
     n = n if n[2] >= 0.0 else -n  # -n is as good; this sign keeps 1 + n_z away from 0
@@ -306,8 +297,8 @@ def _two_qubit_capacity(lam_minus, log_ratio, base="e"):
 def simulate_trajectory(hamiltonian, psi0, times, base="e") -> Trajectory:
     """Evolve exactly and record weights, entropies, capacities, and their exact rates.
 
-    ``hamiltonian`` is a NonlocalHamiltonian (its canonical matrix), a 4x4
-    matrix or a stack of N 4x4 Hermitian matrices; ``psi0`` a two-qubit
+    ``hamiltonian`` is a Hamiltonian type (its ``matrix()``), a 4x4 matrix
+    or a stack of N 4x4 Hermitian matrices; ``psi0`` a two-qubit
     BipartitePureState or unit-norm amplitudes, (4,) or stacked (N, 4) to
     match.  One batched ``eigh`` diagonalizes every H; the states are
     psi(t) = psi0 + V ((e^{-iwt} - 1) * V^dagger psi0), exact at t = 0, then
@@ -320,10 +311,7 @@ def simulate_trajectory(hamiltonian, psi0, times, base="e") -> Trajectory:
 
     finite as s -> 0 (artanh(s)/s -> 1) and exactly 0 at lam_- = 0.
     """
-    if np.ndim(hamiltonian) == 3:
-        h = np.asarray(hamiltonian, dtype=complex)
-    else:
-        h = _as_matrix(hamiltonian)
+    h = _hamiltonian_matrix(hamiltonian)
     if isinstance(psi0, BipartitePureState):
         if psi0.d_a != 2 or psi0.d_b != 2:
             raise DomainError("simulate_trajectory handles two-qubit states")

@@ -14,11 +14,12 @@ from .core import (
     ConfigurationError,
     DensityOperator,
     DomainError,
+    _entropy_terms,
     _leaves_support,
+    _log_on_support,
     _support_log,
     density_from_pure,
     hermitize,
-    log_on_support,
     log_scale,
     relative_entropy,
     schmidt_decompose,
@@ -77,74 +78,68 @@ def closest_separable_pure(state: BipartitePureState, base="e") -> SeparableAppr
     return SeparableApproximation(sigma, relative_entropy(density_from_pure(state), sigma, base), 0, "analytic-pure")
 
 
-def _bell_mixture(lam: float, ket: int) -> DensityOperator:
-    if lam < 0.0 or lam > 1.0:
+def _family_lambda(family: int, lam) -> np.ndarray:
+    """lam as a float array; DomainError unless family is 1 or 2 and every lam lies in [0, 1]."""
+    if family not in (1, 2):
+        raise DomainError(f"family must be 1 or 2, got {family!r}")
+    lam = np.asarray(lam, dtype=float)
+    if not ((lam >= 0.0) & (lam <= 1.0)).all():
         raise DomainError("lam must lie in [0, 1]")
-    m = lam * _BELL
-    m[ket, ket] += 1.0 - lam
-    return DensityOperator(m, d_a=2, d_b=2)
+    return lam
 
 
-def family1_state(lam: float) -> DensityOperator:
-    """lam |Phi+><Phi+| + (1-lam) |01><01|."""
-    return _bell_mixture(lam, 1)
+def _family_matrices(family: int, lam) -> tuple[np.ndarray, np.ndarray]:
+    """(rho, sigma*) of a Bell-mixture family, unchecked, stacked over lam's shape.
 
-
-def family1_closest(lam: float) -> DensityOperator:
-    """Closest separable state of the first mixture family."""
-    a = lam / 2.0 * (1.0 - lam / 2.0)
-    m = np.diag(np.array([a, (1.0 - lam / 2.0) ** 2, lam**2 / 4.0, a], dtype=complex))
-    m[0, 3] = m[3, 0] = a
-    return DensityOperator(m, d_a=2, d_b=2)
-
-
-def family1_relative_entropy(lam: float, base="e") -> float:
-    """(lam-2) ln(1 - lam/2) + (1-lam) ln(1-lam), converted to the requested base."""
-    scale = log_scale(base)
-    val = (lam - 2.0) * math.log(1.0 - lam / 2.0)
-    if lam < 1.0:
-        val += (1.0 - lam) * math.log(1.0 - lam)
-    return val / scale
-
-
-def family2_state(lam: float) -> DensityOperator:
-    """lam |Phi+><Phi+| + (1-lam) |00><00|."""
-    return _bell_mixture(lam, 0)
-
-
-def family2_closest(lam: float) -> DensityOperator:
-    """(1 - lam/2)|00><00| + (lam/2)|11><11|."""
-    m = np.diag(np.array([1.0 - lam / 2.0, 0.0, 0.0, lam / 2.0], dtype=complex))
-    return DensityOperator(m, d_a=2, d_b=2)
-
-
-def family2_relative_entropy(lam: float, base="e") -> float:
-    """Exact relative entropy to the second family's closest separable state.
-
-    s± = (1 ± sqrt(1 - 2 lam (1 - lam)))/2 are the state's eigenvalues; the
-    cross term uses the diagonal weights (1 - lam/2, lam/2) of the minimizer.
+    rho = lam |Phi+><Phi+| + (1-lam)|01><01| (family 1) or + (1-lam)|00><00| (family 2).
+    sigma* (Vedral & Plenio, PRA 57, 1619 (1998)): family 1 has (lam/2)(1 - lam/2) on all
+    four |00>, |11> entries, (1 - lam/2)^2 at |01> and lam^2/4 at |10>; family 2 is
+    (1 - lam/2)|00><00| + (lam/2)|11><11|.
     """
-    scale = log_scale(base)
+    lam = _family_lambda(family, lam)
+    rho = lam[..., None, None] * _BELL
+    rho[..., 2 - family, 2 - family] += 1.0 - lam  # at |01> or |00>
+    sigma = np.zeros(rho.shape, dtype=complex)
+    half = lam / 2.0
+    if family == 1:
+        a = half * (1.0 - half)
+        sigma[..., 0, 0] = sigma[..., 0, 3] = sigma[..., 3, 0] = sigma[..., 3, 3] = a
+        sigma[..., 1, 1] = (1.0 - half) ** 2
+        sigma[..., 2, 2] = lam**2 / 4.0
+    else:
+        sigma[..., 0, 0] = 1.0 - half
+        sigma[..., 3, 3] = half
+    return rho, sigma
 
-    def xlx(x: float) -> float:
-        return x * math.log(x) if x > 0.0 else 0.0
 
-    disc = math.sqrt(max(1.0 - 2.0 * lam * (1.0 - lam), 0.0))
-    s_plus, s_minus = (1.0 + disc) / 2.0, (1.0 - disc) / 2.0
-    val = xlx(s_plus) + xlx(s_minus) - xlx(1.0 - lam / 2.0) - xlx(lam / 2.0)
-    return val / scale
+def family_state(family: int, lam: float) -> DensityOperator:
+    """lam |Phi+><Phi+| + (1-lam)|01><01| (family 1) or + (1-lam)|00><00| (family 2)."""
+    return DensityOperator(_family_matrices(family, lam)[0], d_a=2, d_b=2)
 
 
-def closest_separable_family1(lam: float, base="e") -> SeparableApproximation:
-    """Analytic closest separable state for the Bell/|01> mixture."""
-    sigma = family1_closest(lam)
-    return SeparableApproximation(sigma, relative_entropy(family1_state(lam), sigma, base), 0, "analytic-family-1")
+def family_relative_entropy(family: int, lam, base="e"):
+    """Closed-form E_R of a Bell-mixture family, stacked over lam's shape; a scalar lam gives a float.
+
+    Family 1: (lam-2) ln(1 - lam/2) + (1-lam) ln(1-lam).  Family 2: the entropy of sigma*'s
+    weights (1 - lam/2, lam/2) minus that of rho's eigenvalues (1 ± sqrt(1 - 2 lam (1-lam)))/2.
+    """
+    lam = _family_lambda(family, lam)
+    half = lam / 2.0
+    if family == 1:
+        val = (lam - 2.0) * np.log(1.0 - half) - _entropy_terms((1.0 - lam)[..., None])[0]
+    else:
+        disc = np.sqrt(np.maximum(1.0 - 2.0 * lam * (1.0 - lam), 0.0))
+        val = (_entropy_terms(np.stack([1.0 - half, half], axis=-1))[0]
+               - _entropy_terms(np.stack([1.0 + disc, 1.0 - disc], axis=-1) / 2.0)[0])
+    val = val / log_scale(base)
+    return float(val) if val.ndim == 0 else val
 
 
-def closest_separable_family2(lam: float, base="e") -> SeparableApproximation:
-    """Analytic closest separable state for the Bell/|00> mixture."""
-    sigma = family2_closest(lam)
-    return SeparableApproximation(sigma, relative_entropy(family2_state(lam), sigma, base), 0, "analytic-family-2")
+def closest_separable_family(family: int, lam: float, base="e") -> SeparableApproximation:
+    """Analytic closest separable state of a Bell-mixture family, method ``analytic-family-<family>``."""
+    sigma = DensityOperator(_family_matrices(family, lam)[1], d_a=2, d_b=2)
+    value = relative_entropy(family_state(family, lam), sigma, base)
+    return SeparableApproximation(sigma, value, 0, f"analytic-family-{family}")
 
 
 # Projection onto the PPT ∩ density set (Dykstra)
@@ -380,6 +375,15 @@ def closest_separable_numeric(rho: DensityOperator, base="e") -> SeparableApprox
     return SeparableApproximation(sigma_star, value, steps, "numeric-ppt", converged)
 
 
+def _capacity_mixed(r: np.ndarray, s: np.ndarray, base="e") -> np.ndarray:
+    """Var_r(log r - log s) of density matrices (..., d, d), logs on their supports;
+    DomainError where supp(r) is not inside supp(s)."""
+    log_sigma, kernel = _support_log(s, base)
+    if _leaves_support(r, kernel).any():
+        raise DomainError("supp(rho) is not contained in supp(sigma*)")
+    return _variance(_log_on_support(r, base) - log_sigma, r)
+
+
 def capacity_mixed(rho: DensityOperator, sigma_star: DensityOperator, base="e") -> float:
     """Variance of log(rho) - log(sigma*) in rho: the mixed-state capacity.
 
@@ -389,7 +393,4 @@ def capacity_mixed(rho: DensityOperator, sigma_star: DensityOperator, base="e") 
     """
     if rho.dim != sigma_star.dim:
         raise DomainError("state and separable reference dimensions differ")
-    log_sigma, kernel = _support_log(sigma_star.matrix, base)
-    if _leaves_support(rho.matrix, kernel):
-        raise DomainError("supp(rho) is not contained in supp(sigma*)")
-    return float(_variance(log_on_support(rho, base) - log_sigma, rho.matrix))
+    return float(_capacity_mixed(rho.matrix, sigma_star.matrix, base))

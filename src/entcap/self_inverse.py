@@ -12,6 +12,7 @@ from .core import (
     DensityOperator,
     DomainError,
     _bisect,
+    _hamiltonian_matrix,
     hermitize,
     log_scale,
 )
@@ -63,7 +64,7 @@ def evolve_self_inverse(hamiltonian: SelfInverseHamiltonian, psi0: BipartitePure
 
 def liouville_rhs(hamiltonian, rho: DensityOperator) -> np.ndarray:
     """-i[H, rho]: the generator of the density-operator flow.  Traceless Hermitian."""
-    h = hamiltonian.matrix() if isinstance(hamiltonian, SelfInverseHamiltonian) else np.asarray(hamiltonian, dtype=complex)
+    h = _hamiltonian_matrix(hamiltonian)
     if h.shape != rho.matrix.shape:
         raise DomainError("Hamiltonian and state dimensions do not match")
     comm = h @ rho.matrix - rho.matrix @ h
@@ -84,11 +85,12 @@ def max_entropy_rate_constant(base="e") -> float:
 
 
 def operator_norm(hamiltonian):
-    """Largest absolute eigenvalue of a Hermitian matrix (Schatten-∞ norm).
+    """Largest absolute eigenvalue of a Hamiltonian (Schatten-∞ norm).
 
-    A stack of matrices (N, d, d) gives an array of N norms.
+    Takes a Hamiltonian type or a Hermitian matrix; a stack of matrices
+    (N, d, d) gives an array of N norms.
     """
-    h = hamiltonian.matrix() if isinstance(hamiltonian, SelfInverseHamiltonian) else np.asarray(hamiltonian, dtype=complex)
+    h = _hamiltonian_matrix(hamiltonian)
     norms = np.abs(np.linalg.eigvalsh(h)).max(axis=-1)
     return float(norms) if norms.ndim == 0 else norms
 

@@ -6,10 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BipartitePureState, DomainError
+from .core import BipartitePureState, DomainError, _hamiltonian_matrix
 from .dynamics import (
     Trajectory,
-    _as_matrix,
     _two_qubit_capacity,
     _two_qubit_entropy,
     _two_qubit_log_ratio,
@@ -21,7 +20,7 @@ from .dynamics import (
 
 def hamiltonian_fluctuation(hamiltonian, psi: BipartitePureState) -> float:
     """Energy standard deviation sqrt(<H^2> - <H>^2) in a pure state."""
-    h = _as_matrix(hamiltonian)
+    h = _hamiltonian_matrix(hamiltonian)
     if h.shape[0] != psi.dim:
         raise DomainError("Hamiltonian and state dimensions do not match")
     return state_fluctuation(h, psi.amplitudes)
@@ -113,8 +112,8 @@ def _family_qsl(p, theta: float, durations, base):
     """
     p = np.asarray(p, dtype=float)
     durations = np.asarray(durations, dtype=float)
-    if not theta > 0.0:
-        raise DomainError("theta must be positive")
+    if not (theta > 0.0 and np.isfinite(theta)):
+        raise DomainError("theta must be positive and finite")
     if not np.all(np.isfinite(durations) & (durations > 0.0)):
         raise DomainError("durations must be positive and finite")
     ends = 2.0 * theta * durations

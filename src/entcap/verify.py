@@ -32,7 +32,7 @@ from .measures import (
     smallest_subadditivity_constant,
     solve_max_variance_spectrum,
 )
-from .mixed import family1_closest, family2_closest, is_ppt
+from .mixed import closest_separable_family, is_ppt
 from .self_inverse import (
     _check_involution,
     capacity_rate_bounds,
@@ -152,11 +152,7 @@ def run_properties(n_samples: int, seed: int, base="e") -> list[CheckResult]:
     results.append(CheckResult("max-variance-bracket", True, ok, ",".join(details)))
 
     # analytic family references stay PPT
-    ppt_ok = all(
-        is_ppt(f(lam))
-        for f in (family1_closest, family2_closest)
-        for lam in (0.0, 0.3, 0.7, 1.0)
-    )
+    ppt_ok = all(is_ppt(closest_separable_family(f, lam).sigma_star) for f in (1, 2) for lam in (0.0, 0.3, 0.7, 1.0))
     results.append(CheckResult("family-closest-states-ppt", True, ppt_ok, "lam in {0,0.3,0.7,1}"))
 
     # empirical constants (reporters, not gates)
@@ -269,8 +265,7 @@ def format_report(results: list[CheckResult]) -> str:
         status = "PASS" if r.passed else "FAIL"
         kind = "hard" if r.hard else "soft"
         lines.append(f"{status} {kind} {r.name} {r.detail}")
-    hard_fail = sum(1 for r in results if r.hard and not r.passed)
-    lines.append(f"SUMMARY checks={len(results)} hard_failures={hard_fail}")
+    lines.append(f"SUMMARY checks={len(results)} hard_failures={hard_failures(results)}")
     return "\n".join(lines) + "\n"
 
 

@@ -34,13 +34,10 @@ from entcap.measures import (
 from entcap.mixed import (
     capacity_mixed,
     closest_separable_numeric,
+    closest_separable_family,
     closest_separable_pure,
-    family1_closest,
-    family1_relative_entropy,
-    family1_state,
-    family2_closest,
-    family2_relative_entropy,
-    family2_state,
+    family_relative_entropy,
+    family_state,
 )
 from entcap.self_inverse import max_entropy_rate_constant
 from entcap.speed_limits import family_entropy, family_qsl_curve, family_sqrt_capacity, rate_bound_check
@@ -143,15 +140,19 @@ def test_criterion_07_rate_constant():
     report(7, ok, f"base2={b2:.6f} base_e={be:.6f} ratio_dev={abs(be - b2 * math.log(2)):.2e}")
 
 
+def family_closest(family, lam):
+    return closest_separable_family(family, lam).sigma_star
+
+
 def test_criterion_08_analytic_families():
-    worst1 = worst2 = 0.0
-    for lam in np.linspace(0.0, 1.0, 101):
-        n1 = relative_entropy(family1_state(lam), family1_closest(lam), "e")
-        worst1 = max(worst1, abs(n1 - family1_relative_entropy(lam)))
-        n2 = relative_entropy(family2_state(lam), family2_closest(lam), "e")
-        worst2 = max(worst2, abs(n2 - family2_relative_entropy(lam)))
-    endpoint = abs(family1_relative_entropy(1.0) - math.log(2))
-    numeric_endpoint = abs(relative_entropy(family1_state(1.0), family1_closest(1.0), "e") - math.log(2))
+    worst = {1: 0.0, 2: 0.0}
+    for family in (1, 2):
+        for lam in np.linspace(0.0, 1.0, 101):
+            direct = relative_entropy(family_state(family, lam), family_closest(family, lam), "e")
+            worst[family] = max(worst[family], abs(direct - family_relative_entropy(family, lam)))
+    worst1, worst2 = worst[1], worst[2]
+    endpoint = abs(family_relative_entropy(1, 1.0) - math.log(2))
+    numeric_endpoint = abs(relative_entropy(family_state(1, 1.0), family_closest(1, 1.0), "e") - math.log(2))
     ok = worst1 <= 1e-8 and worst2 <= 1e-8 and endpoint <= 1e-10 and numeric_endpoint <= 1e-10
     report(8, ok, f"family1 max dev={worst1:.2e}, family2 max dev={worst2:.2e}, "
                   f"E_R(1)-ln2={endpoint:.2e}")
@@ -161,11 +162,10 @@ def test_criterion_09_numeric_solver():
     start = time.monotonic()
     worst = 0.0
     worst_below = 0.0
-    for fam_state, fam_er in ((family1_state, family1_relative_entropy),
-                              (family2_state, family2_relative_entropy)):
+    for family in (1, 2):
         for lam in (0.1, 0.3, 0.5, 0.7, 0.9):
-            result = closest_separable_numeric(fam_state(lam))
-            gap = result.relative_entropy - fam_er(lam)
+            result = closest_separable_numeric(family_state(family, lam))
+            gap = result.relative_entropy - family_relative_entropy(family, lam)
             worst = max(worst, abs(gap))
             worst_below = min(worst_below, gap)
     rng = np.random.default_rng(4242)
@@ -191,10 +191,9 @@ def test_criterion_10_mixed_to_pure_reduction():
         sigma = closest_separable_pure(psi).sigma_star
         worst = max(worst, abs(capacity_mixed(rho, sigma, "e") - capacity_pure(psi, "e").capacity))
     endpoint = 0.0
-    for fam_state, fam_closest in ((family1_state, family1_closest),
-                                   (family2_state, family2_closest)):
+    for family in (1, 2):
         for lam in (0.0, 1.0):
-            endpoint = max(endpoint, capacity_mixed(fam_state(lam), fam_closest(lam), "e"))
+            endpoint = max(endpoint, capacity_mixed(family_state(family, lam), family_closest(family, lam), "e"))
     ok = worst <= 1e-8 and endpoint <= 1e-8
     report(10, ok, f"max |mixed - pure| = {worst:.2e} over 200 states, "
                    f"max endpoint capacity={endpoint:.2e}")

@@ -1,12 +1,22 @@
 import json
 import math
+import os
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from entcap.cli import RunConfig, main, parse_grid_spec
 from entcap.core import ConfigurationError
+from entcap.mixed import capacity_mixed, closest_separable_family, family_state
 from entcap.speed_limits import family_entropy, family_sqrt_capacity
+
+
+def counted(function, calls):
+    def wrapper(*args, **kwargs):
+        calls[function.__name__] += 1
+        return function(*args, **kwargs)
+    return wrapper
 
 
 def read_csv(path):
@@ -132,6 +142,13 @@ class TestFigure2:
         for row in rows:
             assert all(math.isfinite(float(x)) for x in row)
 
+    @pytest.mark.parametrize("theta", ["nan", "inf", "-inf"])
+    def test_bad_theta_exit_code(self, tmp_path, theta):
+        # a non-finite theta once built arrays of unbounded size and ended in a traceback
+        out = tmp_path / "fig2_bad.csv"
+        assert main(["--command", "figure2", "--theta-list", f"0.5,{theta}", "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_grid_sets_duration_range(self, tmp_path):
         # count durations spaced evenly over (lo, hi], for each theta
         out = tmp_path / "fig2g.csv"
@@ -167,6 +184,38 @@ class TestFigures34:
         for ra, rn in zip(rows_a, rows_n):
             assert float(rn[1]) == pytest.approx(float(ra[1]), abs=1e-5)
             assert rn[4] == "1"
+
+    @pytest.mark.parametrize("base", ["2", "e"])
+    @pytest.mark.parametrize("family", [1, 2])
+    def test_stacked_rows_match_one_lambda_calls(self, tmp_path, family, base):
+        # one stacked check, relative entropy and capacity over every lambda
+        # give each row's bits of the one-lambda public functions
+        out = tmp_path / "fig34.csv"
+        assert main(["--command", "figures34", "--family", str(family), "--log-base", base,
+                     "--lambda-count", "37", "--out", str(out)]) == 0
+        _, _, rows = read_csv(out)
+        assert len(rows) == 37
+        for row, lam in zip(rows, np.linspace(0.0, 1.0, 37)):
+            approx = closest_separable_family(family, float(lam), base)
+            cap = capacity_mixed(family_state(family, float(lam)), approx.sigma_star, base)
+            assert row == [repr(float(lam)), repr(approx.relative_entropy), repr(cap), approx.method, "1"]
+
+    @pytest.mark.parametrize("family", [1, 2])
+    def test_analytic_linalg_calls_do_not_grow_with_lambda_count(self, monkeypatch, family):
+        # two stacked density checks (one eigvalsh each, plus one eigh where
+        # some matrix needs the round-off clamp), two eigh for E_R, two for C_E,
+        # whatever the number of lambda.  Family 2's rho needs the clamp at 1001
+        # lambda but not at 11
+        calls = Counter()
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name), calls))
+        counts = []
+        for count in ("11", "1001"):
+            calls.clear()
+            assert main(["--command", "figures34", "--family", str(family), "--lambda-count", count,
+                         "--out", os.devnull]) == 0
+            counts.append(sum(calls.values()))
+        assert counts == ([8, 8] if family == 1 else [6, 7])
 
     def test_bad_family(self):
         assert main(["--command", "figures34", "--family", "3"]) == 2
@@ -226,6 +275,14 @@ class TestVerify:
         text = out1.read_text()
         assert "PASS hard" in text
         assert "FAIL hard" not in text
+
+    def test_summary_counts_hard_failures_only(self):
+        from entcap.verify import CheckResult, format_report, hard_failures
+
+        results = [CheckResult("a", True, False, ""), CheckResult("b", False, False, ""),
+                   CheckResult("c", True, True, "")]
+        assert hard_failures(results) == 1
+        assert format_report(results).endswith("SUMMARY checks=3 hard_failures=1\n")
 
     def test_properties_report_pinned(self, tmp_path):
         # pins the RNG draw order of every properties ensemble (each drawn

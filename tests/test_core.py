@@ -14,6 +14,7 @@ from entcap.core import (
     ConfigurationError,
     DensityOperator,
     DomainError,
+    _checked_density,
     density_from_pure,
     haar_random_pure,
     log_on_support,
@@ -61,6 +62,39 @@ class TestStateTypes:
             rho.split()
         with pytest.raises(ConfigurationError):
             DensityOperator(np.eye(4) / 4, d_a=3, d_b=2)
+
+
+class TestStackedDensityCheck:
+    # DensityOperator runs the same stacked check on one matrix, so a stack is
+    # checked row by row to the last bit, round-off clamp included
+    def test_rows_match_one_matrix_construction(self):
+        rng = np.random.default_rng(21)
+        g = rng.standard_normal((40, 4, 2)) + 1j * rng.standard_normal((40, 4, 2))
+        m = g @ np.swapaxes(g.conj(), -1, -2)
+        m = m / np.trace(m, axis1=-2, axis2=-1).real[:, None, None]
+        m[::3] = np.eye(4) / 4  # rows that need no clamp beside rank-2 rows that do
+        stacked = _checked_density(m.reshape(2, 20, 4, 4)).reshape(40, 4, 4)
+        assert (np.linalg.eigvalsh(m)[:, 0] < 0.0).any()
+        for row, raw in zip(stacked, m):
+            assert np.array_equal(row, DensityOperator(raw).matrix)
+
+    def test_one_bad_matrix_rejects_the_stack(self):
+        good = np.stack([np.eye(2) / 2] * 3)
+        for bad, message in ((np.array([[0.5, 0.2], [0.3, 0.5]]), "Hermitian"),
+                             (np.diag([0.6, 0.6]), "trace"),
+                             (np.diag([1.5, -0.5]), "negative eigenvalue")):
+            stack = good.copy().astype(complex)
+            stack[1] = bad
+            with pytest.raises(DomainError, match=message):
+                _checked_density(stack)
+
+    def test_raw_input_left_unchanged(self):
+        m = np.stack([np.diag([1.0 + 5e-11, -5e-11, 0.0, 0.0]), np.eye(4) / 4]).astype(complex)
+        before = m.copy()
+        out = _checked_density(m)
+        assert np.array_equal(m, before)
+        assert np.linalg.eigvalsh(out).min() >= 0.0
+        assert np.array_equal(out[1], np.eye(4) / 4)
 
 
 class TestDensityFromPure:

@@ -76,7 +76,7 @@ class TestCanonicalForm:
         stack = _canonical_matrices(mu, sign)
         assert stack.shape == (7, 4, 4)
         for m, h in zip(mu, stack):
-            assert np.array_equal(h, NonlocalHamiltonian(mu=tuple(m.tolist()), sign=sign).canonical_matrix())
+            assert np.array_equal(h, NonlocalHamiltonian(mu=tuple(m.tolist()), sign=sign).matrix())
 
     def test_stack_with_one_unordered_row_rejected(self):
         mu = np.array([[1.0, 0.5, 0.2], [0.5, 1.0, 0.2], [1.0, 0.5, 0.2]])
@@ -87,7 +87,7 @@ class TestCanonicalForm:
 
     def test_raw_matrix_matches_canonical_for_diagonal(self):
         ham = canonical_form(np.zeros(3), np.zeros(3), np.diag([1.0, 0.5, 0.2]))
-        assert np.allclose(ham.raw_matrix(), ham.canonical_matrix(), atol=1e-12)
+        assert np.allclose(ham.raw_matrix(), ham.matrix(), atol=1e-12)
 
     def test_raw_matrix_is_the_pauli_sum(self):
         from entcap.dynamics import PAULI_X, PAULI_Y, PAULI_Z
@@ -108,10 +108,10 @@ class TestCanonicalForm:
         ham = NonlocalHamiltonian(mu=(1.0, 0.5, 0.2), sign=-1)
         expected = (np.kron(PAULI_X, PAULI_X) - 0.5 * np.kron(PAULI_Y, PAULI_Y)
                     + 0.2 * np.kron(PAULI_Z, PAULI_Z))
-        assert np.allclose(ham.canonical_matrix(), expected, atol=1e-14)
+        assert np.allclose(ham.matrix(), expected, atol=1e-14)
         # the negative branch still evolves unitarily
         psi = haar_random_pure(2, 2, 8)
-        evolved = evolve_matrix(ham.canonical_matrix(), psi.amplitudes, 0.7)
+        evolved = evolve_matrix(ham.matrix(), psi.amplitudes, 0.7)
         assert abs(np.linalg.norm(evolved) - 1.0) < 1e-12
         assert np.abs(simulate_trajectory(ham, psi, [0.7]).amplitudes[0] - evolved).max() < 1e-12
 
@@ -138,7 +138,7 @@ class TestEvolution:
     def test_norm_preserved(self):
         ham = NonlocalHamiltonian(mu=(1.7, 0.6, 0.1))
         psi = haar_random_pure(2, 2, 4)
-        evolved = evolve_matrix(ham.canonical_matrix(), psi.amplitudes, 2.3)
+        evolved = evolve_matrix(ham.matrix(), psi.amplitudes, 2.3)
         assert abs(np.linalg.norm(evolved) - 1.0) < 1e-12
         assert np.abs(simulate_trajectory(ham, psi, [2.3]).amplitudes[0] - evolved).max() < 1e-12
 
@@ -203,7 +203,7 @@ class TestEntanglingElement:
 
     def test_magnitude_reaches_mu_sum(self):
         ham = NonlocalHamiltonian(mu=(1.0, 0.5, 0.2))
-        h4 = ham.canonical_matrix().reshape(2, 2, 2, 2)
+        h4 = ham.matrix().reshape(2, 2, 2, 2)
         val = np.einsum("i,j,ijkl,k,l->", KET0, KET1, h4, qubit_orthocomplement(KET0), qubit_orthocomplement(KET1))
         # canonical orthocomplement of |1> is -|0>, flipping the element's sign
         assert val == pytest.approx(-1.5, abs=1e-12)
@@ -222,7 +222,7 @@ class TestEntanglingElement:
         for _ in range(3):
             mu = np.sort(rng.uniform(0, 2, 3))[::-1]
             ham = NonlocalHamiltonian(mu=tuple(mu))
-            h4 = ham.canonical_matrix().reshape(2, 2, 2, 2)
+            h4 = ham.matrix().reshape(2, 2, 2, 2)
             bound = max_entangling_element(ham)
             phis = rng.standard_normal((10000, 2)) + 1j * rng.standard_normal((10000, 2))
             chis = rng.standard_normal((10000, 2)) + 1j * rng.standard_normal((10000, 2))
@@ -279,7 +279,7 @@ class TestMaxEntanglingElement:
         for mu in [(2.0, 1e-9, 0.0), (1.0, 0.0, 0.0), (1.0, 1.0, 0.0), (1.0, 1.0, 1.0), (0.0, 0.0, 0.0)]:
             for sign in (1, -1):
                 u = np.kron(haar_su2(), haar_su2())
-                h = u @ NonlocalHamiltonian(mu=mu, sign=sign).canonical_matrix() @ u.conj().T
+                h = u @ NonlocalHamiltonian(mu=mu, sign=sign).matrix() @ u.conj().T
                 assert abs(max_entangling_element_numeric(h) - (mu[0] + mu[1])) <= 1e-12
         for _ in range(6):
             ham = canonical_form(rng.standard_normal(3), rng.standard_normal(3), rng.standard_normal((3, 3)))

@@ -22,22 +22,21 @@ from entcap.measures import capacity_pure
 from entcap.mixed import (
     PPT_TOL,
     capacity_mixed,
-    closest_separable_family1,
-    closest_separable_family2,
+    closest_separable_family,
     closest_separable_numeric,
     closest_separable_pure,
-    family1_closest,
-    family1_relative_entropy,
-    family1_state,
-    family2_closest,
-    family2_relative_entropy,
-    family2_state,
+    family_relative_entropy,
+    family_state,
     is_ppt,
     partial_transpose,
     project_separable,
 )
 
 BELL = BipartitePureState(np.array([1.0, 0, 0, 1.0]) / np.sqrt(2), 2, 2)
+
+
+def family_closest(family, lam):
+    return closest_separable_family(family, lam).sigma_star
 
 
 def two_term_state(p):
@@ -74,12 +73,12 @@ class TestIsPPT:
         assert not is_ppt(rho)
 
     def test_family1_product_endpoint(self):
-        assert is_ppt(family1_state(0.0))
+        assert is_ppt(family_state(1, 0.0))
 
     def test_family_closest_states_are_ppt(self):
         for lam in (0.0, 0.3, 0.7, 1.0):
-            assert is_ppt(family1_closest(lam))
-            assert is_ppt(family2_closest(lam))
+            assert is_ppt(family_closest(1, lam))
+            assert is_ppt(family_closest(2, lam))
 
 
 def random_hermitian(rng, scale, shift):
@@ -178,35 +177,62 @@ class TestClosestSeparablePure:
 
 class TestAnalyticFamilies:
     def test_family1_endpoints(self):
-        assert closest_separable_family1(0.0).relative_entropy == pytest.approx(0.0, abs=1e-12)
-        assert closest_separable_family1(1.0).relative_entropy == pytest.approx(math.log(2), abs=1e-10)
-        assert family1_relative_entropy(1.0) == pytest.approx(math.log(2), abs=1e-14)
+        assert closest_separable_family(1, 0.0).relative_entropy == pytest.approx(0.0, abs=1e-12)
+        assert closest_separable_family(1, 1.0).relative_entropy == pytest.approx(math.log(2), abs=1e-10)
+        assert family_relative_entropy(1, 1.0) == pytest.approx(math.log(2), abs=1e-14)
 
     def test_family1_closed_form_matches_numeric(self):
         for lam in np.linspace(0.0, 1.0, 101):
-            numeric = relative_entropy(family1_state(lam), family1_closest(lam), "e")
-            assert numeric == pytest.approx(family1_relative_entropy(lam), abs=1e-8)
+            numeric = relative_entropy(family_state(1, lam), family_closest(1, lam), "e")
+            assert numeric == pytest.approx(family_relative_entropy(1, lam), abs=1e-8)
 
     def test_family2_closed_form_matches_numeric(self):
         for lam in np.linspace(0.0, 1.0, 101):
-            numeric = relative_entropy(family2_state(lam), family2_closest(lam), "e")
-            assert numeric == pytest.approx(family2_relative_entropy(lam), abs=1e-8)
+            numeric = relative_entropy(family_state(2, lam), family_closest(2, lam), "e")
+            assert numeric == pytest.approx(family_relative_entropy(2, lam), abs=1e-8)
 
     def test_family2_endpoint_is_bell_value(self):
         # lam = 1 reduces to the Bell state, so the value must match the
         # pure-state relative entropy of entanglement
-        assert family2_relative_entropy(1.0) == pytest.approx(math.log(2), abs=1e-14)
-        assert closest_separable_family2(1.0).relative_entropy == pytest.approx(math.log(2), abs=1e-10)
+        assert family_relative_entropy(2, 1.0) == pytest.approx(math.log(2), abs=1e-14)
+        assert closest_separable_family(2, 1.0).relative_entropy == pytest.approx(math.log(2), abs=1e-10)
 
     def test_printed_weights_normalize(self):
         for lam in (0.2, 0.5, 0.9):
-            assert np.trace(family1_closest(lam).matrix).real == pytest.approx(1.0, abs=1e-12)
-            assert np.trace(family2_closest(lam).matrix).real == pytest.approx(1.0, abs=1e-12)
+            assert np.trace(family_closest(1, lam).matrix).real == pytest.approx(1.0, abs=1e-12)
+            assert np.trace(family_closest(2, lam).matrix).real == pytest.approx(1.0, abs=1e-12)
 
     def test_base_conversion(self):
-        assert family1_relative_entropy(0.7, 2) == pytest.approx(
-            family1_relative_entropy(0.7, "e") / math.log(2), abs=1e-12
+        assert family_relative_entropy(1, 0.7, 2) == pytest.approx(
+            family_relative_entropy(1, 0.7, "e") / math.log(2), abs=1e-12
         )
+
+
+    @pytest.mark.parametrize("lam", [math.nan, -1e-12, 1.0 + 1e-12, math.inf])
+    def test_lambda_outside_unit_interval_rejected(self, lam):
+        # nan once reached LAPACK (family_state) or came back as nan (the closed form)
+        for family in (1, 2):
+            for call in (family_state, family_relative_entropy, closest_separable_family):
+                with pytest.raises(DomainError):
+                    call(family, lam)
+            with pytest.raises(DomainError):
+                mixed._family_matrices(family, np.array([0.5, lam]))
+
+    def test_unknown_family_rejected(self):
+        with pytest.raises(DomainError):
+            family_state(3, 0.5)
+
+    @pytest.mark.parametrize("family", [1, 2])
+    def test_stacked_over_lambda(self, family):
+        lams = np.linspace(0.0, 1.0, 12).reshape(3, 4)
+        rho, sigma = mixed._family_matrices(family, lams)
+        closed = family_relative_entropy(family, lams)
+        assert rho.shape == sigma.shape == (3, 4, 4, 4) and closed.shape == (3, 4)
+        for idx in np.ndindex(lams.shape):
+            lam = float(lams[idx])
+            assert np.array_equal(family_state(family, lam).matrix, DensityOperator(rho[idx]).matrix)
+            assert np.array_equal(family_closest(family, lam).matrix, DensityOperator(sigma[idx]).matrix)
+            assert closed[idx] == family_relative_entropy(family, lam)
 
 
 class TestNumericSolver:
@@ -221,10 +247,10 @@ class TestNumericSolver:
         assert result.converged and result.method == "exact-ppt"
 
     def test_family1_midpoint(self):
-        rho = family1_state(0.5)
+        rho = family_state(1, 0.5)
         result = closest_separable_numeric(rho)
-        assert result.relative_entropy == pytest.approx(family1_relative_entropy(0.5), abs=1e-5)
-        assert trace_distance(result.sigma_star, family1_closest(0.5)) <= 1e-3
+        assert result.relative_entropy == pytest.approx(family_relative_entropy(1, 0.5), abs=1e-5)
+        assert trace_distance(result.sigma_star, family_closest(1, 0.5)) <= 1e-3
 
     def test_bell(self):
         rho = DensityOperator(density_from_pure(BELL).matrix, d_a=2, d_b=2)
@@ -232,32 +258,27 @@ class TestNumericSolver:
         assert result.relative_entropy == pytest.approx(math.log(2), abs=1e-5)
 
     def test_never_beats_analytic_families(self):
-        for fam_state, fam_er in ((family1_state, family1_relative_entropy),
-                                  (family2_state, family2_relative_entropy)):
+        for family in (1, 2):
             for lam in (0.25, 0.5, 0.75):
-                result = closest_separable_numeric(fam_state(lam))
-                analytic = fam_er(lam)
+                result = closest_separable_numeric(family_state(family, lam))
+                analytic = family_relative_entropy(family, lam)
                 assert result.relative_entropy >= analytic - 1e-6
                 assert result.relative_entropy <= analytic + 1e-6
 
     def test_sigma_star_feasible(self):
-        result = closest_separable_numeric(family2_state(0.6))
+        result = closest_separable_numeric(family_state(2, 0.6))
         sigma = result.sigma_star
         assert np.linalg.eigvalsh(partial_transpose(sigma)).min() >= -1e-8
         assert np.trace(sigma.matrix).real == pytest.approx(1.0, abs=1e-12)
 
-    @pytest.mark.parametrize("fam_state,fam_er,lam", [
-        (family1_state, family1_relative_entropy, 0.01),
-        (family1_state, family1_relative_entropy, 0.99),
-        (family2_state, family2_relative_entropy, 0.095),
-    ])
-    def test_family_edge_cases(self, fam_state, fam_er, lam):
+    @pytest.mark.parametrize("family,lam", [(1, 0.01), (1, 0.99), (2, 0.095)])
+    def test_family_edge_cases(self, family, lam):
         # family 1 near either end is where backtracking along the feasible
         # segment reports convergence far from the minimum; family 2 at 0.095
         # is where plain step halving needs hundreds of iterations
-        result = closest_separable_numeric(fam_state(lam))
+        result = closest_separable_numeric(family_state(family, lam))
         assert result.converged
-        assert result.relative_entropy == pytest.approx(fam_er(lam), abs=1e-6)
+        assert result.relative_entropy == pytest.approx(family_relative_entropy(family, lam), abs=1e-6)
 
     def test_eigh_count(self, monkeypatch):
         # one batched eigh of sigma and sigma^Γ per new point (a change of mu
@@ -289,7 +310,7 @@ class TestNumericSolver:
             shapes["newton"] += 1
             return newton_system(*args)
 
-        inputs = ((family2_state(0.095), 28), (random_state(np.random.default_rng(17), 2), 32))
+        inputs = ((family_state(2, 0.095), 28), (random_state(np.random.default_rng(17), 2), 32))
         monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
         monkeypatch.setattr(np.linalg, "solve", counted_solve)
         monkeypatch.setattr(mixed, "_newton_system", counted_system)
@@ -423,7 +444,7 @@ SOLVER_PANEL = [
 def panel_state(name):
     kind, arg = name.split("-")
     if kind.startswith("family"):
-        return (family1_state if kind == "family1" else family2_state)(float(arg))
+        return family_state(int(kind[-1]), float(arg))
     rho = random_state(np.random.default_rng(int(arg)), int(kind[-1]))
     if kind == "rank4":
         # a Bell admixture keeps the full-rank states entangled
@@ -532,9 +553,10 @@ class TestWarmStart:
         elif kind == "rank":
             cases = [(random_state(rng, rank), None) for rank in (2, 3, 4) for _ in range(4)]
         else:
-            for state, closed in ((family1_state, family1_relative_entropy), (family2_state, family2_relative_entropy)):
+            for family in (1, 2):
                 for lam in np.r_[1e-3, 0.999, rng.uniform(0.01, 0.99, 4)]:
-                    cases.append((rotated(state(lam), local_unitary(rng)), closed(lam)))
+                    cases.append((rotated(family_state(family, lam), local_unitary(rng)),
+                                  family_relative_entropy(family, lam)))
         for rho, closed in cases:
             result = closest_separable_numeric(rho)
             assert result.converged and is_ppt(result.sigma_star)
@@ -549,8 +571,7 @@ class TestFrameInvariance:
     def test_local_unitary(self, kind):
         rng = np.random.default_rng(sum(map(ord, kind)))
         if kind.startswith("family"):
-            state = family1_state if kind == "family1" else family2_state
-            rho = state(0.05 + 0.9 * rng.random())
+            rho = family_state(int(kind[-1]), 0.05 + 0.9 * rng.random())
         else:
             # a Bell admixture keeps the random full-rank states entangled
             rho = random_state(rng, int(kind[-1]))
@@ -624,18 +645,17 @@ class TestCapacityMixed:
             )
 
     def test_family_flat_endpoints(self):
-        for fam_state, fam_closest in ((family1_state, family1_closest),
-                                       (family2_state, family2_closest)):
+        for family in (1, 2):
             for lam in (0.0, 1.0):
-                cap = capacity_mixed(fam_state(lam), fam_closest(lam), "e")
+                cap = capacity_mixed(family_state(family, lam), family_closest(family, lam), "e")
                 assert cap == pytest.approx(0.0, abs=1e-8)
 
     def test_matches_observable_variance(self):
         from entcap.core import log_on_support
         from entcap.measures import observable_variance
 
-        rho = family1_state(0.6)
-        sigma = family1_closest(0.6)
+        rho = family_state(1, 0.6)
+        sigma = family_closest(1, 0.6)
         shift = log_on_support(rho, "e") - log_on_support(sigma, "e")
         assert capacity_mixed(rho, sigma, "e") == pytest.approx(
             observable_variance(shift, rho), abs=1e-10
@@ -648,7 +668,7 @@ class TestCapacityMixed:
             capacity_mixed(rho, sigma, "e")
 
     def test_positive_midpoint(self):
-        cap = capacity_mixed(family2_state(0.5), family2_closest(0.5), "e")
+        cap = capacity_mixed(family_state(2, 0.5), family_closest(2, 0.5), "e")
         assert cap > 0.01
 
     def test_one_eigh_of_sigma(self, monkeypatch):
@@ -661,7 +681,7 @@ class TestCapacityMixed:
             return eigh(m)
 
         monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
-        rho, sigma = family1_state(0.6), family1_closest(0.6)
+        rho, sigma = family_state(1, 0.6), family_closest(1, 0.6)
         for measure in (capacity_mixed, relative_entropy):
             calls.clear()
             measure(rho, sigma, "e")
@@ -669,17 +689,14 @@ class TestCapacityMixed:
 
 
 class TestFigureCurves:
-    @pytest.mark.parametrize("fam_state,fam_closest", [
-        (family1_state, family1_closest),
-        (family2_state, family2_closest),
-    ])
-    def test_continuity_and_endpoints(self, fam_state, fam_closest):
+    @pytest.mark.parametrize("family", [1, 2])
+    def test_continuity_and_endpoints(self, family):
         # the capacity curve falls like (1-lam) log^2(1-lam) near lam = 1, so
         # adjacent jumps stay below 0.05 only at 1e-3 spacing, not at the
         # 101-point figure resolution
         lams = np.linspace(0.0, 1.0, 1001)
-        caps = np.array([capacity_mixed(fam_state(l), fam_closest(l), "e") for l in lams])
-        ers = np.array([relative_entropy(fam_state(l), fam_closest(l), "e") for l in lams])
+        caps = np.array([capacity_mixed(family_state(family, l), family_closest(family, l), "e") for l in lams])
+        ers = np.array([relative_entropy(family_state(family, l), family_closest(family, l), "e") for l in lams])
         assert caps[0] == pytest.approx(0.0, abs=1e-8)
         assert caps[-1] == pytest.approx(0.0, abs=1e-8)
         assert ers[0] == pytest.approx(0.0, abs=1e-10)

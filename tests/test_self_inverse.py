@@ -138,6 +138,44 @@ class TestLiouville:
         assert np.abs(fd - liouville_rhs(ham, rho_t)).max() < 1e-6
 
 
+class TestHamiltonianTypes:
+    # every function that takes a Hamiltonian takes either Hamiltonian type or
+    # its matrix, and gives the same numbers for all three
+    def test_self_inverse_in_dynamics_and_speed_limits(self):
+        from entcap.dynamics import max_entangling_element_numeric, simulate_trajectory
+        from entcap.speed_limits import fubini_study_speed, hamiltonian_fluctuation
+
+        ham = build_self_inverse(SX, SZ)
+        psi = haar_random_pure(2, 2, 8)
+        ts = np.linspace(0.0, 2.0, 9)
+        traj = simulate_trajectory(ham, psi, ts)
+        for t, entropy in zip(ts, traj.entropy):
+            evolved = density_from_pure(evolve_self_inverse(ham, psi, t))
+            assert abs(entropy - von_neumann_entropy(partial_trace(evolved, "A"))) <= 1e-12
+        assert np.array_equal(traj.entropy, simulate_trajectory(ham.matrix(), psi, ts).entropy)
+        assert hamiltonian_fluctuation(ham, psi) == hamiltonian_fluctuation(ham.matrix(), psi)
+        assert fubini_study_speed(ham, psi) == fubini_study_speed(ham.matrix(), psi)
+        assert max_entangling_element_numeric(ham) == max_entangling_element_numeric(ham.matrix())
+
+    def test_nonlocal_in_self_inverse(self):
+        from entcap.dynamics import NonlocalHamiltonian
+
+        ham = NonlocalHamiltonian(mu=(1.0, 0.5, 0.2), sign=-1)
+        rng = np.random.default_rng(6)
+        g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        rho = DensityOperator((g @ g.conj().T) / np.trace(g @ g.conj().T).real, d_a=2, d_b=2)
+        assert np.array_equal(liouville_rhs(ham, rho), liouville_rhs(ham.matrix(), rho))
+        assert operator_norm(ham) == operator_norm(ham.matrix()) == pytest.approx(1.7, abs=1e-12)
+
+    def test_non_square_matrix_rejected(self):
+        from entcap.speed_limits import hamiltonian_fluctuation
+
+        with pytest.raises(DomainError):
+            operator_norm(np.ones(4))
+        with pytest.raises(DomainError):
+            hamiltonian_fluctuation(np.ones((4, 2)), haar_random_pure(2, 2, 1))
+
+
 class TestRateConstant:
     def test_base2_value(self):
         assert max_entropy_rate_constant(2) == pytest.approx(1.9123, abs=1e-4)
@@ -181,9 +219,9 @@ class TestBounds:
         from entcap.dynamics import NonlocalHamiltonian
 
         ham = NonlocalHamiltonian(mu=(1.0, 0.5, 0.2))
-        w = np.linalg.eigvalsh(ham.canonical_matrix())
+        w = np.linalg.eigvalsh(ham.matrix())
         assert np.allclose(np.sort(w), [-1.7, -0.3, 0.7, 1.3], atol=1e-12)
-        assert operator_norm(ham.canonical_matrix()) == pytest.approx(1.7, abs=1e-12)
+        assert operator_norm(ham.matrix()) == pytest.approx(1.7, abs=1e-12)
 
 
 class TestBoundSweep:

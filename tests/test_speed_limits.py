@@ -272,19 +272,19 @@ class TestFamilyQuadrature:
 
 class TestQSLTimeDependent:
     def test_zero_change(self):
-        h = NonlocalHamiltonian(mu=(1.0, 1.0, 1.0)).canonical_matrix()
+        h = NonlocalHamiltonian(mu=(1.0, 1.0, 1.0)).matrix()
         bell = BipartitePureState(np.array([1.0, 0, 0, 1]) / np.sqrt(2), 2, 2)
         report = qsl_time_dependent(lambda t: h, bell, 0.5, samples=201)
         assert report.t_qsl == 0.0
 
     def test_constant_hamiltonian_bound_holds(self):
-        h = NonlocalHamiltonian(mu=(1.0, 0.0, 0.0)).canonical_matrix()
+        h = NonlocalHamiltonian(mu=(1.0, 0.0, 0.0)).matrix()
         for T in (0.1, 0.3, 0.45):
             report = qsl_time_dependent(lambda t: h, two_term_state(1.0), T, samples=2001)
             assert report.t_qsl <= T + 1e-6
 
     def test_modulated_hamiltonian_bound_holds(self):
-        h = NonlocalHamiltonian(mu=(1.0, 0.3, 0.1)).canonical_matrix()
+        h = NonlocalHamiltonian(mu=(1.0, 0.3, 0.1)).matrix()
         rng = np.random.default_rng(2)
         for _ in range(5):
             z = rng.standard_normal(4) + 1j * rng.standard_normal(4)
@@ -295,7 +295,7 @@ class TestQSLTimeDependent:
 
     def test_demo_report_pinned(self):
         # the demo's drive; stepping, Schmidt data and both averages are pinned to the bit
-        h = NonlocalHamiltonian(mu=(1.0, 0.3, 0.1)).canonical_matrix()
+        h = NonlocalHamiltonian(mu=(1.0, 0.3, 0.1)).matrix()
         report = qsl_time_dependent(lambda t: np.sin(t) * h, haar_random_pure(2, 2, 7), 0.8, samples=2001)
         assert repr(float(report.t_qsl)) == "0.1709025561655923"
         assert repr(report.mean_sqrt_capacity) == "0.7854838279640183"
@@ -304,7 +304,7 @@ class TestQSLTimeDependent:
 
     def test_time_stepping_matches_exact_for_constant(self):
         ham = NonlocalHamiltonian(mu=(1.1, 0.4, 0.2))
-        h = ham.canonical_matrix()
+        h = ham.matrix()
         psi = haar_random_pure(2, 2, 5)
         times = np.linspace(0.0, 0.7, 101)
         amps = _step_time_dependent(lambda t: h, psi.amplitudes, times)

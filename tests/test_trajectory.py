@@ -78,7 +78,7 @@ bases = st.sampled_from(["e", 2])
 class TestAgainstScalarReference:
     @given(couplings, st.sampled_from([1, -1]), seeds, time_lists, bases)
     def test_canonical(self, mu, sign, seed, times, base):
-        h = NonlocalHamiltonian(mu=mu, sign=sign).canonical_matrix()
+        h = NonlocalHamiltonian(mu=mu, sign=sign).matrix()
         assert_matches_reference(h, haar_random_pure(2, 2, seed).amplitudes, times, base)
 
     @given(seeds, time_lists, bases)
@@ -124,7 +124,7 @@ class TestEdgeCases:
     def test_single_equals_slice_of_stack(self):
         rng = np.random.default_rng(21)
         raw = canonical_form(rng.standard_normal(3), rng.standard_normal(3), rng.standard_normal((3, 3)))
-        hams = [NonlocalHamiltonian(mu=(1.1, 0.5, 0.3)).canonical_matrix(),
+        hams = [NonlocalHamiltonian(mu=(1.1, 0.5, 0.3)).matrix(),
                 raw.raw_matrix(),
                 build_self_inverse(random_involution(rng), random_involution(rng)).matrix()]
         psis = [haar_random_pure(2, 2, rng).amplitudes for _ in hams]
@@ -230,7 +230,7 @@ def per_sample_ensembles(seed, n_samples):
         return q @ np.diag(signs) @ q.conj().T
 
     mu = rng.uniform(0.0, 2.0, (n_samples, 3))
-    rate = ([NonlocalHamiltonian(mu=tuple(np.sort(m)[::-1].tolist())).canonical_matrix() for m in mu],
+    rate = ([NonlocalHamiltonian(mu=tuple(np.sort(m)[::-1].tolist())).matrix() for m in mu],
             states(n_samples))
     n = max(n_samples // 5, 20)
     normals = rng.standard_normal((n, 2, 2, 2, 2))
