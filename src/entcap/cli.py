@@ -34,10 +34,15 @@ EXIT_HARD_FAILURE = 1
 EXIT_CONFIG = 2
 EXIT_IO = 3
 
-# the grid axes each command reads, with their default (lo, hi, count); other commands read none
-GRID_AXES = {
-    "figure1": {"p": (0.0, 1.0, 101), "t": (0.0, 3.0, 101)},
-    "figure2": {"T": (0.0, 0.45, 45)},
+# what each command reads: its RunConfig fields beyond COMMON_FIELDS, and its
+# grid axes with their default (lo, hi, count).  Any other field given is an error
+COMMON_FIELDS = ("command", "log_base", "seed", "out")
+COMMAND_READS = {
+    "figure1": (("theta", "grid"), {"p": (0.0, 1.0, 101), "t": (0.0, 3.0, 101)}),
+    "figure2": (("theta_list", "grid"), {"T": (0.0, 0.45, 45)}),
+    "figures34": (("family", "lambda_count", "method"), {}),
+    "maximize": (("target", "mu"), {}),
+    "verify": (("suite", "n_samples"), {}),
 }
 
 
@@ -77,7 +82,7 @@ def _option(default, convert, help=None, choices=None):
 class RunConfig:
     """Flat, JSON-serializable description of one CLI run; each field is one flag."""
 
-    command: str = _option("", str, choices=("figure1", "figure2", "figures34", "maximize", "verify"))
+    command: str = _option("", str, choices=tuple(COMMAND_READS))
     log_base: str = _option("e", str, choices=("2", "e"))
     seed: int = _option(0, int)
     out: str | None = _option(None, str, "output path (default: stdout)")
@@ -92,14 +97,21 @@ class RunConfig:
     suite: str = _option("all", str, choices=("bounds", "properties", "all"))
     n_samples: int = _option(200, int)
 
+    def _read_fields(self) -> set:
+        """Names of the fields the command reads."""
+        return set(COMMON_FIELDS) | set(COMMAND_READS.get(self.command, ((), {}))[0])
+
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, indent=2)
+        """The fields the command reads, as a document ``from_json`` takes back."""
+        names = self._read_fields()
+        return json.dumps({k: v for k, v in asdict(self).items() if k in names}, sort_keys=True, indent=2)
 
     @classmethod
     def from_values(cls, values: dict) -> "RunConfig":
         """Config from raw flag strings or JSON values; None keeps a field's default.
 
-        A grid axis that the command does not read (``GRID_AXES``) is an error.
+        A field given a value, or a grid axis, that the command does not read
+        (``COMMAND_READS``) is an error.
         """
         schema = {f.name: f for f in fields(cls)}
         kwargs = {}
@@ -116,7 +128,11 @@ class RunConfig:
             if meta["choices"] and kwargs[key] not in meta["choices"]:
                 raise ConfigurationError(f"{key} must be one of {', '.join(map(str, meta['choices']))}, got {value!r}")
         cfg = cls(**kwargs)
-        axes = GRID_AXES.get(cfg.command, {})
+        if not cfg.command:
+            return cfg
+        if unread := sorted(set(kwargs) - cfg._read_fields()):
+            raise ConfigurationError(f"command {cfg.command!r} does not read {', '.join(unread)}")
+        axes = COMMAND_READS[cfg.command][1]
         if unread := sorted(set(cfg.grid) - set(axes)):
             raise ConfigurationError(f"command {cfg.command!r} reads grid axes {{{', '.join(axes)}}}, "
                                      f"got {', '.join(unread)}")
@@ -156,7 +172,7 @@ def write_csv(path: str | None, metadata: dict, header: list[str], rows) -> None
 
 
 def cmd_figure1(cfg: RunConfig) -> int:
-    grid = {**GRID_AXES["figure1"], **cfg.grid}
+    grid = {**COMMAND_READS["figure1"][1], **cfg.grid}
     p, t = np.meshgrid(np.linspace(*grid["p"]), np.linspace(*grid["t"]), indexing="ij")
     cap = family_sqrt_capacity(p, cfg.theta, t, cfg.log_base) ** 2
     ent = family_entropy(p, cfg.theta, t, cfg.log_base)
@@ -168,7 +184,7 @@ def cmd_figure1(cfg: RunConfig) -> int:
 
 
 def cmd_figure2(cfg: RunConfig) -> int:
-    t_lo, t_hi, t_count = cfg.grid.get("T", GRID_AXES["figure2"]["T"])
+    t_lo, t_hi, t_count = cfg.grid.get("T", COMMAND_READS["figure2"][1]["T"])
     durations = np.linspace(t_lo + (t_hi - t_lo) / t_count, t_hi, t_count)  # count durations in (lo, hi]
     rows = []
     for theta in cfg.theta_list:

@@ -16,12 +16,19 @@ class NonlocalHamiltonian:
     """Canonical two-qubit interaction sum_k mu_k sigma_k ⊗ sigma_k.
 
     ``sign`` selects the branch with -mu_2 on the sigma_y ⊗ sigma_y term
-    (sign of det of the raw coupling matrix).  The raw local fields and
-    coupling matrix are kept when the canonical form was derived from them;
-    local terms never enter the canonical matrix.
+    (sign of det of the raw coupling matrix).  ``mu`` is one triple or an
+    (N, 3) stack of them, which ``matrix()`` turns into (N, 4, 4) and
+    ``simulate_trajectory`` evolves as N Hamiltonians.  Every one is
+    diagonal in the Bell basis Phi+, Phi-, Psi+, Psi- with the eigenvalues
+
+        mu1 - s mu2 + mu3,  -mu1 + s mu2 + mu3,  mu1 + s mu2 - mu3,  -mu1 - s mu2 - mu3
+
+    (s = ``sign``).  The raw local fields and coupling matrix are kept when
+    the canonical form was derived from them; local terms never enter the
+    canonical matrix.
     """
 
-    mu: tuple[float, float, float]
+    mu: tuple[float, float, float] | np.ndarray
     sign: int = 1
     alpha: np.ndarray | None = None
     beta: np.ndarray | None = None
@@ -71,6 +78,27 @@ def _canonical_matrices(mu, sign: int = 1) -> np.ndarray:
     out[..., 0, 3] = out[..., 3, 0] = m1 - sign * m2
     out[..., 1, 2] = out[..., 2, 1] = m1 + sign * m2
     return out
+
+
+# columns Phi+, Phi-, Psi+, Psi- = (|00> +- |11>)/sqrt2, (|01> +- |10>)/sqrt2: the common
+# eigenbasis of every canonical interaction; complex, so products with states need no cast
+_BELL = np.sqrt(0.5) * np.array([[1, 1, 0, 0], [0, 0, 1, 1], [0, 0, 1, -1], [1, -1, 0, 0]], dtype=complex)
+
+
+def _eigensystem(hamiltonian) -> tuple[np.ndarray, np.ndarray]:
+    """(w, V) with H = V diag(w) V^dagger, for one Hamiltonian or a stack of them.
+
+    A ``NonlocalHamiltonian`` (its mu a triple or an (N, 3) stack) gets its
+    eigenvalues (..., 4) in closed form and the one Bell basis (4, 4) shared
+    by the whole stack, with no LAPACK call.  Any other Hamiltonian type, or
+    a matrix or a stack of them, gets one batched ``eigh``: w (..., d) and
+    V (..., d, d).
+    """
+    if isinstance(hamiltonian, NonlocalHamiltonian):
+        mu = np.asarray(hamiltonian.mu, dtype=float)
+        m1, m2, m3 = mu[..., 0], hamiltonian.sign * mu[..., 1], mu[..., 2]
+        return np.stack([m1 - m2 + m3, -m1 + m2 + m3, m1 + m2 - m3, -m1 - m2 - m3], axis=-1), _BELL
+    return np.linalg.eigh(_hamiltonian_matrix(hamiltonian))
 
 
 def canonical_form(alpha, beta, gamma) -> NonlocalHamiltonian:
@@ -239,18 +267,37 @@ def _apply(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (m @ v[..., None])[..., 0]
 
 
-def state_fluctuation(h_matrix: np.ndarray, amplitudes: np.ndarray):
-    """sqrt(<H^2> - <H>^2) in a pure state given as a unit amplitude vector.
+def _rows_times(x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """x @ m for row vectors x (N, T, d).
+
+    A shared m (d, d) takes one (N*T, d) @ (d, d) product; a stack m
+    (N, d, d) takes one (T, d) @ (d, d) product per leading index.  Both are
+    the same BLAS product on T rows, so a stack's row keeps the bits of its
+    one-sample call (for T >= 2; one row alone is a matrix-vector product).
+    """
+    if m.ndim == 2:
+        return (x.reshape(-1, x.shape[-1]) @ m).reshape(x.shape)
+    return x @ m
+
+
+def _fluctuation(amplitudes: np.ndarray, h_amplitudes: np.ndarray) -> np.ndarray:
+    """sqrt(<H^2> - <H>^2) from unit amplitudes psi and H psi, both (..., d).
 
     Taken as the norm of the residual (H - <H>) psi, which is exact to
     round-off where the difference of moments would leave sqrt(eps) ~ 1e-8
-    at an eigenstate.  Stacks broadcast over the leading axes and give an
-    array.
+    at an eigenstate.
+    """
+    mean = (amplitudes.conj() * h_amplitudes).sum(axis=-1).real
+    return np.linalg.norm(h_amplitudes - mean[..., None] * amplitudes, axis=-1)
+
+
+def state_fluctuation(h_matrix: np.ndarray, amplitudes: np.ndarray):
+    """sqrt(<H^2> - <H>^2) in a pure state given as a unit amplitude vector.
+
+    Stacks broadcast over the leading axes and give an array.
     """
     amplitudes = np.asarray(amplitudes, dtype=complex)
-    hv = _apply(h_matrix, amplitudes)
-    mean = (amplitudes.conj() * hv).sum(axis=-1).real
-    out = np.linalg.norm(hv - mean[..., None] * amplitudes, axis=-1)
+    out = _fluctuation(amplitudes, _apply(h_matrix, amplitudes))
     return float(out) if out.ndim == 0 else out
 
 
@@ -297,21 +344,25 @@ def _two_qubit_capacity(lam_minus, log_ratio, base="e"):
 def simulate_trajectory(hamiltonian, psi0, times, base="e") -> Trajectory:
     """Evolve exactly and record weights, entropies, capacities, and their exact rates.
 
-    ``hamiltonian`` is a Hamiltonian type (its ``matrix()``), a 4x4 matrix
-    or a stack of N 4x4 Hermitian matrices; ``psi0`` a two-qubit
+    ``hamiltonian`` is a Hamiltonian type, a 4x4 matrix or a stack of N 4x4
+    Hermitian matrices; a ``NonlocalHamiltonian`` whose mu is an (N, 3)
+    stack stands for N Hamiltonians.  ``psi0`` is a two-qubit
     BipartitePureState or unit-norm amplitudes, (4,) or stacked (N, 4) to
-    match.  One batched ``eigh`` diagonalizes every H; the states are
-    psi(t) = psi0 + V ((e^{-iwt} - 1) * V^dagger psi0), exact at t = 0, then
-    renormalized.  Schmidt weights come in closed form from D = det C
-    (``_two_qubit_schmidt``).  Rates are exact: with D = det C, dD/dt taken along
-    dC/dt = -i (H psi) and r = Re(conj(D) dD/dt),
+    match.  Each H is used only through its eigensystem H = V diag(w)
+    V^dagger (``_eigensystem``): in closed form in the shared Bell basis for
+    a ``NonlocalHamiltonian``, else from one batched ``eigh``.  The states
+    are psi(t) = psi0 + V ((e^{-iwt} - 1) * V^dagger psi0), exact at t = 0,
+    then renormalized, and every product with H is H psi = V (w * V^dagger
+    psi).  Schmidt weights come in closed form from D = det C
+    (``_two_qubit_schmidt``).  Rates are exact: with D = det C, dD/dt taken
+    along dC/dt = -i (H psi) and r = Re(conj(D) dD/dt),
 
         dlam_-/dt = 2 r / s,    Gamma = dS/dt = 4 r artanh(s) / s,
         dC/dt = sum_n (dC/dlam_n)(dlam_n/dt) = -Gamma (2 - 2 s artanh(s)),
 
     finite as s -> 0 (artanh(s)/s -> 1) and exactly 0 at lam_- = 0.
     """
-    h = _hamiltonian_matrix(hamiltonian)
+    w, v = _eigensystem(hamiltonian)
     if isinstance(psi0, BipartitePureState):
         if psi0.d_a != 2 or psi0.d_b != 2:
             raise DomainError("simulate_trajectory handles two-qubit states")
@@ -320,22 +371,26 @@ def simulate_trajectory(hamiltonian, psi0, times, base="e") -> Trajectory:
         amps0 = np.asarray(psi0, dtype=complex)
         if np.abs(np.linalg.norm(amps0, axis=-1) - 1.0).max(initial=0.0) > NORM_TOL:
             raise DomainError("initial amplitudes must have unit norm")
-    if h.shape[-2:] != (4, 4) or amps0.shape != h.shape[:-1]:
+    if w.shape[-1] != 4 or amps0.shape != w.shape:
         raise DomainError("need 4x4 Hamiltonians and length-4 amplitudes with matching leading axes")
-    single = h.ndim == 2
+    single = w.ndim == 1
     if single:
-        h, amps0 = h[None], amps0[None]
+        w, amps0 = w[None], amps0[None]
     times = np.asarray(times, dtype=float)
+    # row-vector products: V^dagger x is x @ conj(V), V c is c @ V^T
+    v_dag, v_t = v.conj(), np.swapaxes(v, -1, -2)
 
-    w, v = np.linalg.eigh(h)
-    coeffs = _apply(np.swapaxes(v.conj(), -1, -2), amps0)
+    # one row per sample: summed elementwise, so that a row's bits do not
+    # depend on how many samples share one BLAS product
+    coeffs = (amps0[:, :, None] * v_dag).sum(axis=-2)[:, None, :]
     wt = w[:, None, :] * times[:, None]
     phase_minus_one = -2.0 * np.sin(0.5 * wt) ** 2 - 1j * np.sin(wt)  # e^{-iwt} - 1
-    psi = amps0[:, None, :] + _apply(v[:, None], phase_minus_one * coeffs[:, None, :])
+    psi = amps0[:, None, :] + _rows_times(phase_minus_one * coeffs, v_t)
     psi /= np.linalg.norm(psi, axis=-1, keepdims=True)
+    h_psi = _rows_times(w[:, None, :] * _rows_times(psi, v_dag), v_t)
 
     det, s, lam_minus, log_ratio = _two_qubit_schmidt(psi)
-    dpsi = -1j * _apply(h[:, None], psi)
+    dpsi = -1j * h_psi
     det_rate = (dpsi[..., 0] * psi[..., 3] + psi[..., 0] * dpsi[..., 3]
                 - dpsi[..., 1] * psi[..., 2] - psi[..., 1] * dpsi[..., 2])
     r = (det.conj() * det_rate).real
@@ -350,7 +405,7 @@ def simulate_trajectory(hamiltonian, psi0, times, base="e") -> Trajectory:
         capacity=_two_qubit_capacity(lam_minus, log_ratio, base),
         gamma=gamma_nats / scale,
         gamma_capacity=-gamma_nats * (2.0 - s * log_ratio) / scale**2,
-        delta_h=state_fluctuation(h[:, None], psi),
+        delta_h=_fluctuation(psi, h_psi),
     )
     if single:
         fields = {k: a[0] for k, a in fields.items()}

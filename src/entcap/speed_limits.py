@@ -95,6 +95,9 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
 # for 32 levels, from pi/4 down to 2e-19
 _GL_NODES, _GL_WEIGHTS = _gauss_legendre(12)
 _GRADED_OFFSETS = (np.pi / 4.0) * 0.25 ** np.arange(32.0)
+# largest 2 theta max(T): about 29,000 panels, 351,000 nodes (2.8 MB) per p.
+# The figures, demos and verify suite reach 6 at most
+_MAX_PHASE = 1000.0
 
 
 def _family_qsl(p, theta: float, durations, base):
@@ -106,7 +109,8 @@ def _family_qsl(p, theta: float, durations, base):
     and the window ends 2 theta T are panel edges, so one composite
     Gauss-Legendre pass gives the integral up to every duration exactly
     (no snapping).  Durations may come in any order; the cost grows with
-    theta * max(durations).  The panels do not depend on p, so an array of
+    theta * max(durations), so 2 theta max(durations) above ``_MAX_PHASE``
+    is a DomainError.  The panels do not depend on p, so an array of
     p shares them: the first three results then have shape
     p.shape + durations.shape.
     """
@@ -118,6 +122,8 @@ def _family_qsl(p, theta: float, durations, base):
         raise DomainError("durations must be positive and finite")
     ends = 2.0 * theta * durations
     x_max = float(ends.max(initial=0.0))
+    if x_max > _MAX_PHASE:
+        raise DomainError(f"2 theta max(T) = {x_max!r} exceeds {_MAX_PHASE!r}")
     breaks = (np.pi / 2.0) * np.arange(np.floor(x_max / (np.pi / 2.0)) + 2.0)
     graded = breaks[:, None] + np.concatenate([_GRADED_OFFSETS, -_GRADED_OFFSETS])
     edges = np.unique(np.concatenate([[0.0], ends.ravel(), breaks, graded.ravel()]))

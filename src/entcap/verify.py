@@ -21,7 +21,7 @@ from .core import (
     _von_neumann_entropy,
     hermitize,
 )
-from .dynamics import _canonical_matrices, evolved_schmidt_weights, simulate_trajectory
+from .dynamics import NonlocalHamiltonian, evolved_schmidt_weights, simulate_trajectory
 from .measures import (
     _density_capacity,
     _spectrum_capacity,
@@ -167,11 +167,13 @@ def _rate_bound(rng: np.random.Generator, n_samples: int, base) -> CheckResult:
     """Heisenberg-Robertson rate bound along random canonical evolutions.
 
     The ensemble is drawn whole: all couplings in one uniform((N, 3)) call,
-    then all initial states in one standard_normal((N, 2, 4)) call.
+    then all initial states in one standard_normal((N, 2, 4)) call.  The N
+    canonical Hamiltonians are one stacked ``NonlocalHamiltonian``, evolved
+    in their closed-form Bell-basis eigensystem.
     """
     mu = rng.uniform(0.0, 2.0, (n_samples, 3))
     psis = _haar_amplitudes(rng, 4, n_samples)
-    hams = _canonical_matrices(np.sort(mu, axis=-1)[:, ::-1])
+    hams = NonlocalHamiltonian(mu=np.sort(mu, axis=-1)[:, ::-1])
     traj = simulate_trajectory(hams, psis, np.linspace(0.05, 0.5, 4), base)
     check = rate_bound_check(traj)
     worst_margin = float(check.margins.min(initial=np.inf))

@@ -67,6 +67,15 @@ class TestGridSpec:
         (["--command", "figure1", "--log-base", "3"], None),
         (["--command", "figures34", "--method", "foo"], None),
         (None, {"command": "figures34", "family": 3}),
+        # fields the command does not read, on a flag or as a config key
+        (["--command", "figure2", "--theta", "0.3"], None),
+        (["--command", "figure2", "--family", "2"], None),
+        (["--command", "figure2", "--mu", "3,2,1"], None),
+        (["--command", "figure1", "--theta-list", "9"], None),
+        (["--command", "maximize", "--target", "beta", "--n-samples", "5"], None),
+        (None, {"command": "verify", "theta": 1.0}),
+        # 2 theta max(T) above the quadrature's panel cap
+        (["--command", "figure2", "--theta-list", "1e12"], None),
     ])
     def test_malformed_value_exit_code(self, tmp_path, capsys, argv, config):
         if config is not None:
@@ -321,10 +330,23 @@ class TestVerify:
 
 class TestConfig:
     def test_round_trip(self, tmp_path):
-        cfg = RunConfig(command="figure1", log_base="2", seed=5, theta=0.7,
-                        grid={"p": (0.0, 1.0, 11)}, mu=(2.0, 1.0, 0.5))
-        rebuilt = RunConfig.from_json(cfg.to_json())
-        assert rebuilt == cfg
+        # to_json writes only the fields the command reads
+        for cfg in (RunConfig(command="figure1", log_base="2", seed=5, theta=0.7, grid={"p": (0.0, 1.0, 11)}),
+                    RunConfig(command="maximize", target="h-max", mu=(2.0, 1.0, 0.5))):
+            rebuilt = RunConfig.from_json(cfg.to_json())
+            assert rebuilt == cfg
+
+    @pytest.mark.parametrize("argv", [
+        ["--command", "figure1", "--grid", "p=0:1:3,t=0:1:3"],
+        ["--command", "figure2", "--grid", "T=0:0.1:3"],
+        ["--command", "figures34", "--lambda-count", "3"],
+        ["--command", "maximize", "--target", "beta"],
+        ["--command", "verify", "--suite", "properties", "--n-samples", "10"],
+    ])
+    def test_every_command_reads_seed_base_and_out(self, tmp_path, argv):
+        out = tmp_path / "out.txt"
+        assert main(argv + ["--seed", "3", "--log-base", "2", "--out", str(out)]) == 0
+        assert out.exists()
 
     def test_config_file_overrides_flags(self, tmp_path):
         out = tmp_path / "from_config.csv"

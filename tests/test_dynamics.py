@@ -7,6 +7,7 @@ from entcap.core import BipartitePureState, DomainError, haar_random_pure, spect
 from entcap.dynamics import (
     NonlocalHamiltonian,
     _canonical_matrices,
+    _eigensystem,
     canonical_form,
     capacity_rate_factor,
     capacity_rate_factor_maximum,
@@ -77,6 +78,22 @@ class TestCanonicalForm:
         assert stack.shape == (7, 4, 4)
         for m, h in zip(mu, stack):
             assert np.array_equal(h, NonlocalHamiltonian(mu=tuple(m.tolist()), sign=sign).matrix())
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_bell_eigensystem_rebuilds_the_matrix(self, sign):
+        # closed-form eigenvalues in the one shared Bell basis, for one triple
+        # and for a stack, at degenerate and near-degenerate couplings too
+        rng = np.random.default_rng(4)
+        mu = np.sort(rng.uniform(0.0, 2.0, (9, 3)), axis=-1)[:, ::-1]
+        mu[:3] = [(1.0, 1.0, 1.0), (1.0, 0.0, 0.0), (2.0, 1e-9, 0.0)]
+        w, v = _eigensystem(NonlocalHamiltonian(mu=mu, sign=sign))
+        assert w.shape == (9, 4) and v.shape == (4, 4)
+        assert np.abs(v.conj().T @ v - np.eye(4)).max() <= 1e-15
+        assert np.abs((v * w[:, None, :]) @ v.conj().T - _canonical_matrices(mu, sign)).max() <= 1e-15
+        for m, w_row in zip(mu, w):
+            w_one, v_one = _eigensystem(NonlocalHamiltonian(mu=tuple(m.tolist()), sign=sign))
+            assert np.array_equal(w_one, w_row) and v_one is v
+            assert np.abs((v * w_one) @ v.conj().T - _canonical_matrices(m, sign)).max() <= 1e-15
 
     def test_stack_with_one_unordered_row_rejected(self):
         mu = np.array([[1.0, 0.5, 0.2], [0.5, 1.0, 0.2], [1.0, 0.5, 0.2]])

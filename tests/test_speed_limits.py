@@ -232,6 +232,16 @@ class TestFamilyQuadrature:
         with pytest.raises(DomainError):
             family_qsl_curve(1.0, theta, [0.1])
 
+    def test_phase_cap(self):
+        # the panel count grows with 2 theta max(T): up to the cap it runs,
+        # one ulp above it nothing is built
+        cap = speed_limits._MAX_PHASE
+        assert family_qsl_curve(1.0, 1.0, [0.1, cap / 2.0]).shape == (2,)
+        with pytest.raises(DomainError, match="exceeds"):
+            family_qsl_curve(1.0, 1.0, [0.1, np.nextafter(cap / 2.0, np.inf)])
+        with pytest.raises(DomainError, match="exceeds"):
+            family_qsl_report(0.3, np.nextafter(cap, np.inf), 0.5)
+
     @pytest.mark.parametrize("theta", [0.5, 1.0])
     def test_array_of_p_gives_one_row_per_p(self, theta):
         ps = np.linspace(0.0, 1.0, 20)

@@ -57,7 +57,7 @@ def reference(h, amps0, times, base):
 
 def assert_matches_reference(h, amps0, times, base):
     traj = simulate_trajectory(h, amps0, times, base)
-    ref = reference(h, amps0, times, base)
+    ref = reference(core._hamiltonian_matrix(h), amps0, times, base)
     for name in ("schmidt_weights", "entropy", "capacity", "delta_h"):
         np.testing.assert_allclose(getattr(traj, name), ref[name], rtol=0, atol=1e-12, err_msg=name)
     for name in ("gamma", "gamma_capacity"):
@@ -78,6 +78,12 @@ bases = st.sampled_from(["e", 2])
 class TestAgainstScalarReference:
     @given(couplings, st.sampled_from([1, -1]), seeds, time_lists, bases)
     def test_canonical(self, mu, sign, seed, times, base):
+        # evolved through the closed-form Bell-basis eigensystem
+        ham = NonlocalHamiltonian(mu=mu, sign=sign)
+        assert_matches_reference(ham, haar_random_pure(2, 2, seed).amplitudes, times, base)
+
+    @given(couplings, st.sampled_from([1, -1]), seeds, time_lists, bases)
+    def test_canonical_matrix(self, mu, sign, seed, times, base):
         h = NonlocalHamiltonian(mu=mu, sign=sign).matrix()
         assert_matches_reference(h, haar_random_pure(2, 2, seed).amplitudes, times, base)
 
@@ -136,11 +142,39 @@ class TestEdgeCases:
                 assert getattr(single, name).shape == getattr(stacked, name).shape[1:]
                 assert np.array_equal(getattr(single, name), getattr(stacked, name)[i]), name
 
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_canonical_stack_matches_its_matrices(self, sign):
+        # the closed-form eigensystem against one eigh of each matrix; the
+        # difference is eigh's rounding, largest in gamma_capacity near
+        # product states, and grows with t
+        rng = np.random.default_rng(0)
+        mu = np.sort(rng.uniform(0.0, 2.0, (64, 3)), axis=-1)[:, ::-1]
+        mu[:4] = [(1.0, 1.0, 1.0), (1.0, 0.0, 0.0), (2.0, 1e-9, 0.0), (0.0, 0.0, 0.0)]
+        psis = core._haar_amplitudes(rng, 4, 64)
+        ham = NonlocalHamiltonian(mu=mu, sign=sign)
+        times = np.linspace(0.0, 1.0, 6)
+        closed, dense = simulate_trajectory(ham, psis, times), simulate_trajectory(ham.matrix(), psis, times)
+        for name in FIELDS:
+            assert np.abs(getattr(closed, name) - getattr(dense, name)).max() <= 1e-13, name
+
+    def test_canonical_stack_row_equals_single_call(self):
+        rng = np.random.default_rng(22)
+        mu = np.sort(rng.uniform(0.0, 2.0, (5, 3)), axis=-1)[:, ::-1]
+        psis = core._haar_amplitudes(rng, 4, 5)
+        times = rng.uniform(0.0, 2.0, 6)
+        stacked = simulate_trajectory(NonlocalHamiltonian(mu=mu, sign=-1), psis, times)
+        for i, (m, psi) in enumerate(zip(mu, psis)):
+            single = simulate_trajectory(NonlocalHamiltonian(mu=tuple(m.tolist()), sign=-1), psi, times)
+            for name in FIELDS:
+                assert np.array_equal(getattr(single, name), getattr(stacked, name)[i]), name
+
     def test_rejects_mismatched_stacks(self):
         with pytest.raises(DomainError):
             simulate_trajectory(np.zeros((3, 4, 4)), np.tile(BELL, (2, 1)), [0.1])
         with pytest.raises(DomainError):
             simulate_trajectory(np.zeros((2, 4, 4)), 2.0 * np.tile(BELL, (2, 1)), [0.1])
+        with pytest.raises(DomainError):
+            simulate_trajectory(NonlocalHamiltonian(mu=np.ones((3, 3))), np.tile(BELL, (2, 1)), [0.1])
 
 
 class TestRunBoundsLinalgCount:
@@ -155,11 +189,14 @@ class TestRunBoundsLinalgCount:
 
             monkeypatch.setattr(np.linalg, name, counted)
         seen = []
-        for n_samples in (20, 200):
+        for n_samples in (1, 20, 200):
             counts.update(eigh=0, svd=0)
             assert verify.hard_failures(verify.run_bounds(n_samples, seed=9)) == 0
             seen.append(dict(counts))
-        assert seen[0] == seen[1]
+        # the one eigh is the capacity-rate chain's stack; the rate-bound
+        # ensemble's canonical Hamiltonians take their closed-form eigensystem
+        assert seen[0]["eigh"] == 1
+        assert seen[0] == seen[1] == seen[2]
 
     def test_ensemble_work_is_batched(self, monkeypatch):
         # every check is one array evaluation, so no count below grows with
@@ -254,7 +291,8 @@ class TestRunBoundsGolden:
         monkeypatch.setattr(verify, "simulate_trajectory", spy)
         verify.run_bounds(n_samples, seed)
         for (hams, psis), (ref_hams, ref_psis) in zip(evolved, per_sample_ensembles(seed, n_samples), strict=True):
-            assert np.array_equal(hams, ref_hams) and np.array_equal(psis, ref_psis)
+            # the rate-bound ensemble passes one stacked NonlocalHamiltonian
+            assert np.array_equal(core._hamiltonian_matrix(hams), ref_hams) and np.array_equal(psis, ref_psis)
 
     def test_report_at_fixed_seed(self):
         # pins the RNG draw order of both ensembles (each drawn whole, one
