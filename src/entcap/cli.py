@@ -1,30 +1,20 @@
 """Command-line front end: figure data as CSV, maximizer reports, verification suites.
 
 Exit codes: 0 success, 1 hard-invariant failure, 2 configuration error,
-3 I/O error.
+3 I/O error.  Each command imports only the entcap modules it runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .core import ConfigurationError, DensityOperator, DomainError, _checked_density, _relative_entropy
-from .dynamics import (
-    capacity_rate_factor_maximum,
-    max_entangling_element,
-    max_entangling_element_numeric,
-    NonlocalHamiltonian,
-)
-from .measures import capacity_from_spectrum, capacity_two_qubit_closed
-from .mixed import _capacity_mixed, _family_matrices, closest_separable_numeric
-from .self_inverse import max_entropy_rate_constant
-from .speed_limits import family_entropy, family_qsl_curve, family_sqrt_capacity
-from .verify import format_report, hard_failures, run_suite
+from .core import ConfigurationError, DomainError
 
 REPORTED_RATE_FACTOR = 1.2108      # reference value; direct evaluation gives twice this
 REPORTED_ANCILLA_FACTOR = 1.4459
@@ -54,7 +44,16 @@ def parse_grid_spec(value) -> dict:
     specs = {name: (float(lo), float(hi), int(count)) for name, (lo, hi, count) in dict(value).items()}
     if any(count < 1 for _, _, count in specs.values()):
         raise ValueError("grid counts must be positive")
+    if not all(math.isfinite(lo) and math.isfinite(hi) for lo, hi, _ in specs.values()):
+        raise ValueError("grid ends must be finite")
     return specs
+
+
+def _seed(value) -> int:
+    seed = int(value)
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
+    return seed
 
 
 def _floats(value) -> tuple:
@@ -84,7 +83,7 @@ class RunConfig:
 
     command: str = _option("", str, choices=tuple(COMMAND_READS))
     log_base: str = _option("e", str, choices=("2", "e"))
-    seed: int = _option(0, int)
+    seed: int = _option(0, _seed)
     out: str | None = _option(None, str, "output path (default: stdout)")
     grid: dict = _option({}, parse_grid_spec, "comma-separated name=lo:hi:count specs")
     theta: float = _option(1.0, float)
@@ -172,6 +171,8 @@ def write_csv(path: str | None, metadata: dict, header: list[str], rows) -> None
 
 
 def cmd_figure1(cfg: RunConfig) -> int:
+    from .speed_limits import family_entropy, family_sqrt_capacity
+
     grid = {**COMMAND_READS["figure1"][1], **cfg.grid}
     p, t = np.meshgrid(np.linspace(*grid["p"]), np.linspace(*grid["t"]), indexing="ij")
     cap = family_sqrt_capacity(p, cfg.theta, t, cfg.log_base) ** 2
@@ -184,6 +185,8 @@ def cmd_figure1(cfg: RunConfig) -> int:
 
 
 def cmd_figure2(cfg: RunConfig) -> int:
+    from .speed_limits import family_qsl_curve
+
     t_lo, t_hi, t_count = cfg.grid.get("T", COMMAND_READS["figure2"][1]["T"])
     durations = np.linspace(t_lo + (t_hi - t_lo) / t_count, t_hi, t_count)  # count durations in (lo, hi]
     rows = []
@@ -199,6 +202,9 @@ def cmd_figure2(cfg: RunConfig) -> int:
 
 def cmd_figures34(cfg: RunConfig) -> int:
     """E_R and C_E over every lambda at once; only the numeric solver runs per lambda."""
+    from .core import DensityOperator, _checked_density, _relative_entropy
+    from .mixed import _capacity_mixed, _family_matrices, closest_separable_numeric
+
     if cfg.lambda_count < 1:
         raise ConfigurationError(f"lambda_count must be positive, got {cfg.lambda_count}")
     lams = np.linspace(0.0, 1.0, cfg.lambda_count)
@@ -222,6 +228,15 @@ def cmd_figures34(cfg: RunConfig) -> int:
 
 
 def cmd_maximize(cfg: RunConfig) -> int:
+    from .dynamics import (
+        capacity_rate_factor_maximum,
+        max_entangling_element,
+        max_entangling_element_numeric,
+        NonlocalHamiltonian,
+    )
+    from .measures import capacity_from_spectrum, capacity_two_qubit_closed
+    from .self_inverse import max_entropy_rate_constant
+
     base = cfg.log_base
     lines = [f"# command=maximize target={cfg.target} log_base={base}"]
     if cfg.target in ("rate-factor", "ancilla-factor"):
@@ -257,6 +272,8 @@ def cmd_maximize(cfg: RunConfig) -> int:
 
 
 def cmd_verify(cfg: RunConfig) -> int:
+    from .verify import format_report, hard_failures, run_suite
+
     results = run_suite(cfg.suite, cfg.n_samples, cfg.seed, cfg.log_base)
     report = f"# command=verify suite={cfg.suite} n_samples={cfg.n_samples} seed={cfg.seed} log_base={cfg.log_base}\n"
     report += format_report(results)

@@ -52,15 +52,16 @@ class NonlocalHamiltonian:
 
 
 def _check_couplings(mu) -> np.ndarray:
-    """Canonical couplings (..., 3) as a float array; DomainError unless mu1 >= mu2 >= mu3 >= 0 in every row."""
+    """Canonical couplings (..., 3) as a float array; DomainError unless every row is finite with mu1 >= mu2 >= mu3 >= 0."""
     mu = np.asarray(mu, dtype=float)
     if mu.shape[-1:] != (3,):
         raise DomainError(f"canonical couplings need 3 entries, got shape {mu.shape}")
     rows = mu.reshape(-1, 3)
-    bad = ~((rows[:, 0] >= rows[:, 1]) & (rows[:, 1] >= rows[:, 2]) & (rows[:, 2] >= 0.0))
+    ordered = (rows[:, 0] >= rows[:, 1]) & (rows[:, 1] >= rows[:, 2]) & (rows[:, 2] >= 0.0)
+    bad = ~(ordered & np.isfinite(rows).all(axis=1))
     if bad.any():
         got = tuple(rows[bad][0].tolist())
-        raise DomainError(f"canonical couplings must satisfy mu1 >= mu2 >= mu3 >= 0, got {got}")
+        raise DomainError(f"canonical couplings must be finite with mu1 >= mu2 >= mu3 >= 0, got {got}")
     return mu
 
 

@@ -76,6 +76,10 @@ class TestGridSpec:
         (None, {"command": "verify", "theta": 1.0}),
         # 2 theta max(T) above the quadrature's panel cap
         (["--command", "figure2", "--theta-list", "1e12"], None),
+        # a negative seed, an infinite coupling and an infinite grid end
+        (None, {"command": "verify", "seed": -1}),
+        (["--command", "maximize", "--target", "h-max", "--mu", "inf,0,0"], None),
+        (["--command", "figure1", "--grid", "p=0:1:2,t=0:inf:3"], None),
     ])
     def test_malformed_value_exit_code(self, tmp_path, capsys, argv, config):
         if config is not None:

@@ -297,9 +297,57 @@ def _fresh_python(code: str) -> str:
 
 
 def test_import_loads_no_scipy():
-    # numpy is the only declared dependency; a fresh interpreter shows what importing entcap pulls in
-    code = "import sys, entcap; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    # numpy is the only declared dependency; a fresh interpreter shows what loading every module pulls in
+    code = ("import sys, entcap, entcap.cli, entcap.verify; [getattr(entcap, n) for n in entcap.__all__]; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     assert _fresh_python(code) == "[]"
+
+
+def _loaded_submodules(code: str) -> list:
+    """The entcap submodules a fresh interpreter holds after running ``code``."""
+    return _fresh_python(code + "\nimport sys; print(*sorted(m for m in sys.modules if m.startswith('entcap.')))").split()
+
+
+def test_import_loads_no_submodule():
+    assert _loaded_submodules("import entcap") == []
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["--command", "figure1"], ("dynamics", "speed_limits")),
+    (["--command", "figure2"], ("dynamics", "speed_limits")),
+    (["--command", "figures34", "--method", "analytic"], ("measures", "mixed")),
+    (["--command", "figures34", "--method", "numeric", "--lambda-count", "3"], ("measures", "mixed")),
+    (["--command", "maximize", "--target", "rate-factor"], ("dynamics", "measures", "self_inverse")),
+    (["--command", "maximize", "--target", "ancilla-factor"], ("dynamics", "measures", "self_inverse")),
+    (["--command", "maximize", "--target", "beta"], ("dynamics", "measures", "self_inverse")),
+    (["--command", "maximize", "--target", "h-max"], ("dynamics", "measures", "self_inverse")),
+    (["--command", "verify", "--suite", "properties", "--n-samples", "5"],
+     ("dynamics", "measures", "mixed", "self_inverse", "speed_limits", "verify")),
+])
+def test_cli_command_loads_only_what_it_runs(argv, loaded):
+    code = ("import contextlib, io, entcap.cli\n"
+            f"with contextlib.redirect_stdout(io.StringIO()): assert entcap.cli.main({argv!r}) == 0")
+    assert _loaded_submodules(code) == sorted(f"entcap.{m}" for m in ("cli", "core", *loaded))
+
+
+def test_exports_resolve_to_their_modules():
+    code = ("import importlib, entcap\n"
+            "for n in entcap.__all__:\n"
+            "    value = getattr(entcap, n)\n"
+            "    assert value is getattr(importlib.import_module(value.__module__), n), n\n"
+            "print(len(entcap.__all__), len(set(entcap.__all__)))")
+    assert _fresh_python(code) == "58 58"
+
+
+def test_lazy_namespace():
+    code = ("import entcap\n"
+            "assert set(entcap.__all__) <= set(dir(entcap))\n"
+            "assert entcap.mixed.capacity_mixed is entcap.capacity_mixed\n"
+            "assert not hasattr(entcap, 'no_such_name')  # only AttributeError makes hasattr False\n"
+            "names = {}\n"
+            "exec('from entcap import *', names)\n"
+            "print(sorted(set(names) - {'__builtins__'}) == sorted(entcap.__all__))")
+    assert _fresh_python(code) == "True"
 
 
 def test_bounds_suite_allocates_no_large_arrays():
