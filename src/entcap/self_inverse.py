@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -71,6 +72,13 @@ def liouville_rhs(hamiltonian, rho: DensityOperator) -> np.ndarray:
     return hermitize(-1j * comm)
 
 
+@functools.cache
+def _max_entropy_rate_constant_nat() -> float:
+    """The natural-log rate cap, bisected once per process."""
+    u = _bisect(lambda u: u * math.tanh(u) - 1.0, 1.0, 2.0)
+    return 2.0 * u / math.cosh(u)
+
+
 def max_entropy_rate_constant(base="e") -> float:
     """2 max_x sqrt(x(1-x)) |log(x/(1-x))|: the self-inverse entanglement-rate cap.
 
@@ -80,8 +88,7 @@ def max_entropy_rate_constant(base="e") -> float:
     last bit of u out of the value.  Computed in natural log and converted, so
     the two bases agree exactly up to the ln(2) factor.
     """
-    u = _bisect(lambda u: u * math.tanh(u) - 1.0, 1.0, 2.0)
-    return 2.0 * u / math.cosh(u) / log_scale(base)
+    return _max_entropy_rate_constant_nat() / log_scale(base)
 
 
 def operator_norm(hamiltonian):
@@ -114,8 +121,9 @@ def capacity_rate_bounds(d_a: int, *, gamma, capacity, speed, op_norm, d: int, b
     value.
     """
     inputs = [np.abs(gamma), capacity, speed, op_norm]
-    if min(np.min(x, initial=np.inf) for x in inputs) < 0:
-        raise DomainError("bound inputs must be non-negative")
+    # written as "not >= 0" so that NaN is rejected too
+    if not all(np.all(np.asarray(x) >= 0.0) for x in inputs):
+        raise DomainError("bound inputs must be non-negative and not NaN")
     scale = log_scale(base)
     log_da = np.log(d_a) / scale
     log_d = np.log(d) / scale

@@ -100,27 +100,32 @@ _GRADED_OFFSETS = (np.pi / 4.0) * 0.25 ** np.arange(32.0)
 _MAX_PHASE = 1000.0
 
 
-def _family_qsl(p, theta: float, durations, base):
-    """(T_qsl, ΔS, time-averaged sqrt(C), nodes evaluated) for every p and duration.
+def _family_qsl(p, theta, durations, base):
+    """(T_qsl, ΔS, time-averaged sqrt(C), nodes evaluated) for every theta, p and duration.
 
-    In x = 2 theta t the integrand is g(a cos x) with a = |1 - 2p|; it has a
-    log singularity (|eta| = 1 when a = 1) or a kink (eta = 0) only at
-    x = k pi/2.  Panels are graded geometrically toward each of those points,
-    and the window ends 2 theta T are panel edges, so one composite
-    Gauss-Legendre pass gives the integral up to every duration exactly
-    (no snapping).  Durations may come in any order; the cost grows with
-    theta * max(durations), so 2 theta max(durations) above ``_MAX_PHASE``
-    is a DomainError.  The panels do not depend on p, so an array of
-    p shares them: the first three results then have shape
-    p.shape + durations.shape.
+    In x = 2 theta t the integrand is g(a cos x) with a = |1 - 2p|, whatever
+    theta; it has a log singularity (|eta| = 1 when a = 1) or a kink
+    (eta = 0) only at x = k pi/2.  Panels are graded geometrically toward
+    each of those points, and every window end 2 theta T is a panel edge, so
+    one composite Gauss-Legendre pass, evaluated at theta t = x/2, gives the
+    integral up to every duration of every theta exactly (no snapping).
+    Durations may come in any order; the cost grows with max(theta) *
+    max(durations), so 2 theta max(durations) above ``_MAX_PHASE`` for any
+    theta is a DomainError.  The panels depend on neither p nor theta, so
+    arrays of both share them: theta is a scalar or a 1-D array of K values,
+    and the first three results have shape
+    theta.shape + p.shape + durations.shape.
     """
     p = np.asarray(p, dtype=float)
+    theta = np.asarray(theta, dtype=float)
     durations = np.asarray(durations, dtype=float)
-    if not (theta > 0.0 and np.isfinite(theta)):
+    if theta.ndim > 1:
+        raise DomainError("theta must be a scalar or a 1-D array")
+    if not np.all(np.isfinite(theta) & (theta > 0.0)):
         raise DomainError("theta must be positive and finite")
     if not np.all(np.isfinite(durations) & (durations > 0.0)):
         raise DomainError("durations must be positive and finite")
-    ends = 2.0 * theta * durations
+    ends = 2.0 * theta.reshape(theta.shape + (1,) * durations.ndim) * durations
     x_max = float(ends.max(initial=0.0))
     if x_max > _MAX_PHASE:
         raise DomainError(f"2 theta max(T) = {x_max!r} exceeds {_MAX_PHASE!r}")
@@ -130,10 +135,14 @@ def _family_qsl(p, theta: float, durations, base):
     edges = edges[(edges >= 0.0) & (edges <= x_max)]
     mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
     x = mid[:, None] + half[:, None] * _GL_NODES
-    sqrt_cap = family_sqrt_capacity(p[..., None, None], theta, x / (2.0 * theta), base)
+    # theta = 1/2 at time x is the phase x/2 exactly
+    sqrt_cap = family_sqrt_capacity(p[..., None, None], 0.5, x, base)
     panel_sums = half * (sqrt_cap @ _GL_WEIGHTS)
     cum = np.concatenate([np.zeros(panel_sums.shape[:-1] + (1,)), np.cumsum(panel_sums, axis=-1)], axis=-1)
     mean_sqrt = cum[..., np.searchsorted(edges, ends)] / ends
+    if theta.ndim:  # p.shape + (K,) + durations.shape -> (K,) + p.shape + durations.shape
+        mean_sqrt = np.moveaxis(mean_sqrt, p.ndim, 0)
+    theta = theta.reshape(theta.shape + (1,) * (p.ndim + durations.ndim))
     p = p.reshape(p.shape + (1,) * durations.ndim)
     ds = family_entropy(p, theta, durations, base) - family_entropy(p, theta, 0.0, base)
     dh = theta * np.abs(1.0 - 2.0 * p)
@@ -143,11 +152,15 @@ def _family_qsl(p, theta: float, durations, base):
     return t_qsl, ds, mean_sqrt, sqrt_cap.size
 
 
-def family_qsl_curve(p, theta: float, durations, base="2") -> np.ndarray:
+def family_qsl_curve(p, theta, durations, base="2") -> np.ndarray:
     """T_qsl of the closed-form family at every duration, in the order given.
 
     A scalar p gives durations.shape; a 1-D array of P values gives one row
     per p, shape (P, T) for T durations, each row equal to the scalar call.
+    A 1-D array of K values of theta adds a leading axis, shape (K, T) or
+    (K, P, T): all theta share one quadrature pass in x = 2 theta t, so each
+    row agrees with its scalar-theta call to an ulp, not bit for bit (a
+    1-element array gives the scalar call exactly).
     At p in {0, 1} the rate bound is saturated while S is monotone
     (2 theta T <= pi/2), so T_qsl equals T there to rounding.
     """
@@ -205,8 +218,13 @@ def qsl_time_dependent(h_of_t, psi0: BipartitePureState, duration: float,
 
     with ΔH_bar the time-averaged fluctuation.  Note the inner average enters
     under a square root, so this is generally a different (weaker) bound than
-    the time-independent formula even for constant H.
+    the time-independent formula even for constant H.  The window needs a
+    positive, finite ``duration`` and ``samples >= 2`` (both ends).
     """
+    if not (np.isfinite(duration) and duration > 0.0):
+        raise DomainError("duration must be positive and finite")
+    if samples < 2:
+        raise DomainError(f"samples must be at least 2, got {samples}")
     ts = np.linspace(0.0, duration, samples)
     amps = _step_time_dependent(h_of_t, psi0.amplitudes, ts)
     _, _, lam_minus, log_ratio = _two_qubit_schmidt(amps)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from entcap import core, self_inverse
 from entcap.core import BipartitePureState, DensityOperator, DomainError, density_from_pure, haar_random_pure, partial_trace, von_neumann_entropy
 from entcap.dynamics import evolve_matrix
 from entcap.self_inverse import (
@@ -196,6 +197,17 @@ class TestRateConstant:
         assert abs(u * math.tanh(u) - 1.0) <= 1e-15
         assert abs(beta - 1.3254868386983631) <= 4.4e-16
 
+    @pytest.mark.parametrize("base", [2, "2", "e"])
+    def test_cached_value_equals_fresh_bisection(self, monkeypatch, base):
+        # the cached natural-log value divided by the base's scale keeps the
+        # bits of the one-expression, uncached form
+        u = core._bisect(lambda u: u * math.tanh(u) - 1.0, 1.0, 2.0)
+        assert max_entropy_rate_constant(base) == 2.0 * u / math.cosh(u) / core.log_scale(base)
+        calls = []
+        monkeypatch.setattr(self_inverse, "_bisect", lambda *a: calls.append(a))
+        max_entropy_rate_constant(base)
+        assert calls == []
+
 
 class TestBounds:
     def test_zero_rate_zero_first_bound(self):
@@ -206,6 +218,16 @@ class TestBounds:
         b = capacity_rate_bounds(2, gamma=0.1, capacity=0.3, speed=1.0, op_norm=1.0, d=2, base=2)
         assert b.self_inverse_bound == pytest.approx(4 * 1.9123, abs=4e-4)
         assert b.self_inverse_bound == pytest.approx(7.649, abs=2e-3)
+
+    @pytest.mark.parametrize("field, bad", [("capacity", -0.1), ("op_norm", -1.0)] + [
+        (field, bad) for field in ("gamma", "capacity", "speed", "op_norm")
+        for bad in (np.nan, np.array([0.2, np.nan]))
+    ])
+    def test_negative_or_nan_input_rejected(self, field, bad):
+        # NaN fails every comparison, so it must not slip past the sign check
+        inputs = {**dict(gamma=0.1, capacity=0.3, speed=1.0, op_norm=1.0), field: bad}
+        with pytest.raises(DomainError, match="non-negative"):
+            capacity_rate_bounds(2, **inputs, d=2, base=2)
 
     def test_operator_norm(self):
         assert operator_norm(np.eye(3)) == 1.0

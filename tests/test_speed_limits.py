@@ -241,6 +241,11 @@ class TestFamilyQuadrature:
             family_qsl_curve(1.0, 1.0, [0.1, np.nextafter(cap / 2.0, np.inf)])
         with pytest.raises(DomainError, match="exceeds"):
             family_qsl_report(0.3, np.nextafter(cap, np.inf), 0.5)
+        # a theta array is capped by its largest theta
+        thetas = np.array([0.5, 1.0])
+        assert family_qsl_curve(1.0, thetas, [0.1, cap / 2.0]).shape == (2, 2)
+        with pytest.raises(DomainError, match="exceeds"):
+            family_qsl_curve(1.0, thetas, [0.1, np.nextafter(cap / 2.0, np.inf)])
 
     @pytest.mark.parametrize("theta", [0.5, 1.0])
     def test_array_of_p_gives_one_row_per_p(self, theta):
@@ -250,6 +255,33 @@ class TestFamilyQuadrature:
         assert rows.shape == (ps.size, durations.size)
         for p, row in zip(ps, rows):
             assert np.array_equal(row, family_qsl_curve(float(p), theta, durations))
+
+    @pytest.mark.parametrize("ps", [0.3, np.linspace(0.0, 1.0, 7)])
+    def test_array_of_theta_gives_one_row_per_theta(self, ps):
+        # every theta shares one panel set, so each row matches its scalar
+        # call to an ulp; durations may come in any order
+        thetas = np.array([0.5, 1.0, 0.3, 1.3, 3.0])
+        durations = np.array([0.45, 0.01, 0.2, 0.33, 0.07, 0.45])
+        rows = family_qsl_curve(ps, thetas, durations)
+        assert rows.shape == thetas.shape + np.shape(ps) + durations.shape
+        for theta, row in zip(thetas, rows):
+            np.testing.assert_allclose(row, family_qsl_curve(ps, float(theta), durations), rtol=2e-15, atol=0)
+
+    @pytest.mark.parametrize("theta", [0.5, 0.3, 1.3])
+    def test_one_element_theta_array_equals_scalar_call(self, theta):
+        ps = np.linspace(0.0, 1.0, 5)
+        durations = np.linspace(0.01, 0.45, 9)
+        assert np.array_equal(family_qsl_curve(ps, np.array([theta]), durations)[0],
+                              family_qsl_curve(ps, theta, durations))
+
+    @pytest.mark.parametrize("bad", [0.0, -0.5, np.nan, np.inf])
+    def test_any_bad_theta_in_array_rejected(self, bad):
+        with pytest.raises(DomainError, match="theta"):
+            family_qsl_curve(0.3, np.array([0.5, bad, 1.0]), [0.1, 0.2])
+
+    def test_theta_of_two_dimensions_rejected(self):
+        with pytest.raises(DomainError, match="1-D"):
+            family_qsl_curve(0.3, np.ones((2, 2)), [0.1])
 
     @pytest.mark.parametrize("bad", [-1e-12, 1.0 + 1e-12, np.nan])
     def test_out_of_range_p_in_array_rejected(self, bad):
@@ -311,6 +343,14 @@ class TestQSLTimeDependent:
         assert repr(report.mean_sqrt_capacity) == "0.7854838279640183"
         assert repr(report.mean_fluctuation) == "0.32908972361951094"
         assert repr(report.entropy_change) == "-0.09969227321093159"
+
+    @pytest.mark.parametrize("duration, samples", [
+        (-1.0, 201), (0.0, 201), (np.nan, 201), (np.inf, 201), (0.5, 1), (0.5, 0),
+    ])
+    def test_impossible_window_rejected(self, duration, samples):
+        h = NonlocalHamiltonian(mu=(1.0, 0.3, 0.1)).matrix()
+        with pytest.raises(DomainError):
+            qsl_time_dependent(lambda t: h, two_term_state(1.0), duration, samples=samples)
 
     def test_time_stepping_matches_exact_for_constant(self):
         ham = NonlocalHamiltonian(mu=(1.1, 0.4, 0.2))

@@ -179,7 +179,7 @@ class TestEdgeCases:
 
 class TestRunBoundsLinalgCount:
     def test_eigh_and_svd_calls_do_not_grow_with_samples(self, monkeypatch):
-        counts = {"eigh": 0, "svd": 0}
+        counts = {"eigh": 0, "eigvalsh": 0, "svd": 0}
         for name in counts:
             original = getattr(np.linalg, name)
 
@@ -190,12 +190,14 @@ class TestRunBoundsLinalgCount:
             monkeypatch.setattr(np.linalg, name, counted)
         seen = []
         for n_samples in (1, 20, 200):
-            counts.update(eigh=0, svd=0)
+            counts.update(dict.fromkeys(counts, 0))
             assert verify.hard_failures(verify.run_bounds(n_samples, seed=9)) == 0
             seen.append(dict(counts))
         # the one eigh is the capacity-rate chain's stack; the rate-bound
-        # ensemble's canonical Hamiltonians take their closed-form eigensystem
+        # ensemble's canonical Hamiltonians take their closed-form eigensystem,
+        # and the chain's ||X_A (x) X_B|| = 1 needs no eigvalsh
         assert seen[0]["eigh"] == 1
+        assert seen[0]["eigvalsh"] == 0
         assert seen[0] == seen[1] == seen[2]
 
     def test_ensemble_work_is_batched(self, monkeypatch):
@@ -222,7 +224,8 @@ class TestRunBoundsLinalgCount:
             assert verify.hard_failures(verify.run_bounds(n_samples, seed=9)) == 0
             seen.append(dict(counts))
         assert (seen[0]["qr"], seen[0]["states"]) == (seen[1]["qr"], seen[1]["states"])
-        assert max(s["qsl"] for s in seen) <= 2
+        # one quadrature for both theta of the speed-limit grid
+        assert [s["qsl"] for s in seen] == [1, 1]
         assert max(s["spectrum"] for s in seen) == 0
 
     def test_generator_calls_do_not_grow_with_samples(self, monkeypatch):
@@ -299,7 +302,7 @@ class TestRunBoundsGolden:
         # generator call per quantity): any other order moves these digits
         expected = (
             "PASS hard entanglement-rate-bound violations=0,min_margin=1.996e-03\n"
-            "PASS hard qsl-validity max_excess=1.665e-16\n"
+            "PASS hard qsl-validity max_excess=1.110e-16\n"
             "PASS soft qsl-tightness min_ratio=1.000000\n"
             "PASS hard closed-form-consistency max_dev=1.221e-15\n"
             "PASS soft capacity-rate-bound-chain samples=180,violations=rate:0,speed:0,norm:0,selfinv:0\n"
