@@ -35,7 +35,7 @@ _EXPORTS = {name: module for module, names in {
         "hamiltonian_fluctuation", "qsl_time_dependent", "rate_bound_check",
     ),
     "self_inverse": (
-        "CapacityRateBounds", "SelfInverseHamiltonian", "build_self_inverse", "capacity_rate_bounds",
+        "CapacityRateBounds", "SelfInverseHamiltonian", "capacity_rate_bounds",
         "evolve_self_inverse", "liouville_rhs", "max_entropy_rate_constant", "operator_norm",
     ),
     "mixed": (

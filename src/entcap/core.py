@@ -60,13 +60,17 @@ def hermitize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + np.swapaxes(a.conj(), -1, -2))
 
 
-def _hamiltonian_matrix(hamiltonian) -> np.ndarray:
-    """``hamiltonian.matrix()`` of a Hamiltonian type, else square matrices (..., d, d) as a complex array."""
-    if callable(getattr(hamiltonian, "matrix", None)):
-        return hamiltonian.matrix()
-    h = np.asarray(hamiltonian, dtype=complex)
+def _hamiltonian_matrix(hamiltonian, dim: int | None = None) -> np.ndarray:
+    """``hamiltonian.matrix()`` of a Hamiltonian type, else square matrices (..., d, d) as a complex array.
+
+    With a state's dimension ``dim``, DomainError unless d == dim: the one
+    check that a Hamiltonian or an observable, or each of a stack, acts on the state.
+    """
+    h = hamiltonian.matrix() if callable(getattr(hamiltonian, "matrix", None)) else np.asarray(hamiltonian, dtype=complex)
     if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
-        raise DomainError("Hamiltonian must be a square matrix or a stack of them")
+        raise DomainError("operator must be a square matrix or a stack of them")
+    if dim is not None and h.shape[-1] != dim:
+        raise DomainError(f"operator acts on dimension {h.shape[-1]}, the state has dimension {dim}")
     return h
 
 
@@ -210,14 +214,9 @@ def _support_log(m: np.ndarray, base="e") -> tuple[np.ndarray, np.ndarray]:
     return hermitize((v * lw[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)), v * ~support[..., None, :]
 
 
-def _log_on_support(m: np.ndarray, base="e") -> np.ndarray:
-    """Operator log of PSD matrices (..., d, d) on their supports; null directions map to 0."""
-    return _support_log(m, base)[0]
-
-
 def log_on_support(rho: DensityOperator, base="e") -> np.ndarray:
     """Operator log restricted to the support; null directions map to 0."""
-    return _log_on_support(rho.matrix, base)
+    return _support_log(rho.matrix, base)[0]
 
 
 def _entropy_terms(w: np.ndarray, base="e") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -267,7 +266,7 @@ def _leaves_support(r: np.ndarray, kernel: np.ndarray) -> np.ndarray:
 def _relative_entropy(r: np.ndarray, s: np.ndarray, base="e") -> np.ndarray:
     """Umegaki D(r||s) of density matrices (..., d, d); inf where supp(r) ⊄ supp(s)."""
     log_s, kernel = _support_log(s, base)
-    val = np.trace(r @ (_log_on_support(r, base) - log_s), axis1=-2, axis2=-1).real
+    val = np.trace(r @ (_support_log(r, base)[0] - log_s), axis1=-2, axis2=-1).real
     return np.where(_leaves_support(r, kernel), np.inf, np.maximum(val, 0.0))
 
 

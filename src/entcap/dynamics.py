@@ -195,18 +195,18 @@ def max_entangling_element_numeric(hamiltonian) -> float:
 def capacity_rate_factor(p, base="e", k=1):
     """State factor of the capacity rate for the spectrum (p, (1-p)/k, ..., (1-p)/k).
 
-    2 sqrt(p(1-p)/k) [(1-2p) log^2 r + 2 log r] with r = k p/(1-p); k = 1 is a
+    2 sqrt(p(1-p)/k) [(1-2p) ln^2 r + 2 ln r] / ln^2(base) with r = k p/(1-p):
+    the rate is formed in nats and scaled as the capacity is.  k = 1 is a
     bare qubit pair, k = 3 a qubit with maximally entangled qubit ancillas.
     Vanishes by continuity at p = 0, 1/(k+1), 1.  Accepts scalars or arrays.
     """
-    scale = log_scale(base)
     p_arr = np.asarray(p, dtype=float)
     if np.any(p_arr < 0.0) or np.any(p_arr > 1.0):
         raise DomainError("p must lie in [0, 1]")
     inner = (p_arr > 0.0) & (p_arr < 1.0)
     safe = np.where(inner, p_arr, 0.5)
-    log_r = np.log(k * safe / (1.0 - safe)) / scale
-    val = 2.0 * np.sqrt(safe * (1.0 - safe) / k) * ((1.0 - 2.0 * safe) * log_r**2 + 2.0 * log_r)
+    log_r = np.log(k * safe / (1.0 - safe))
+    val = 2.0 * np.sqrt(safe * (1.0 - safe) / k) * ((1.0 - 2.0 * safe) * log_r**2 + 2.0 * log_r) / log_scale(base) ** 2
     out = np.where(inner, val, 0.0)
     return float(out) if np.isscalar(p) else out
 
@@ -214,19 +214,19 @@ def capacity_rate_factor(p, base="e", k=1):
 def capacity_rate_factor_maximum(base="e", k=1) -> tuple[float, float]:
     """(p0, value) of the largest ``capacity_rate_factor(p, base, k)`` over p in [0, 1].
 
-    In L = ln(k p/(1-p)), with l = L / ln(base) and q = 1 - p, the factor is
-    stationary exactly where
+    In L = ln(k p/(1-p)), with q = 1 - p, the factor is stationary exactly where
 
-        Q(L) = (1 - 8pq) l^2 / 2 + (q - p)(1 + 2/ln b) l + 2/ln b = 0.
+        Q(L) = (1 - 8pq) L^2 / 2 + 3 (q - p) L + 2 = 0.
 
-    Each sign change of Q on a 161-point grid over L in [-40, 40] is bisected,
-    and the stationary point with the largest factor is returned.
+    The base only scales the factor by 1/ln^2(base), so p0 is the same in
+    every base.  Each sign change of Q on a 161-point grid over L in
+    [-40, 40] is bisected, and the stationary point with the largest factor
+    is returned.
     """
-    scale = log_scale(base)
 
     def stationarity(L):
-        p, ell = 1.0 / (1.0 + k * np.exp(-L)), L / scale
-        return 0.5 * (1.0 - 8.0 * p * (1.0 - p)) * ell**2 + (1.0 - 2.0 * p) * (1.0 + 2.0 / scale) * ell + 2.0 / scale
+        p = 1.0 / (1.0 + k * np.exp(-L))
+        return 0.5 * (1.0 - 8.0 * p * (1.0 - p)) * L**2 + (1.0 - 2.0 * p) * 3.0 * L + 2.0
 
     grid = np.linspace(-40.0, 40.0, 161)
     signs = np.signbit(stationarity(grid))
@@ -290,16 +290,6 @@ def _fluctuation(amplitudes: np.ndarray, h_amplitudes: np.ndarray) -> np.ndarray
     """
     mean = (amplitudes.conj() * h_amplitudes).sum(axis=-1).real
     return np.linalg.norm(h_amplitudes - mean[..., None] * amplitudes, axis=-1)
-
-
-def state_fluctuation(h_matrix: np.ndarray, amplitudes: np.ndarray):
-    """sqrt(<H^2> - <H>^2) in a pure state given as a unit amplitude vector.
-
-    Stacks broadcast over the leading axes and give an array.
-    """
-    amplitudes = np.asarray(amplitudes, dtype=complex)
-    out = _fluctuation(amplitudes, _apply(h_matrix, amplitudes))
-    return float(out) if out.ndim == 0 else out
 
 
 def _two_qubit_schmidt(amplitudes):

@@ -13,6 +13,7 @@ from .core import (
     _bisect,
     _density_weights,
     _entropy_terms,
+    _hamiltonian_matrix,
     _partial_trace_matrix,
     _trace_distance,
     _von_neumann_entropy,
@@ -102,11 +103,9 @@ def _variance(obs: np.ndarray, m: np.ndarray) -> np.ndarray:
 
 
 def observable_variance(obs: np.ndarray, rho: DensityOperator) -> float:
-    """tr(rho O^2) - tr(rho O)^2, clamped at 0 against round-off."""
-    obs = np.asarray(obs, dtype=complex)
-    if obs.shape != rho.matrix.shape:
-        raise DomainError("observable and state dimensions do not match")
-    return float(_variance(obs, rho.matrix))
+    """tr(rho O^2) - tr(rho O)^2, clamped at 0 against round-off; a stack of N observables gives N values."""
+    out = _variance(_hamiltonian_matrix(obs, rho.dim), rho.matrix)
+    return float(out) if out.ndim == 0 else out
 
 
 def solve_max_variance_spectrum(d: int) -> tuple[float, np.ndarray]:

@@ -16,7 +16,6 @@ from .core import (
     DomainError,
     _entropy_terms,
     _leaves_support,
-    _log_on_support,
     _support_log,
     density_from_pure,
     hermitize,
@@ -46,10 +45,10 @@ def partial_transpose(rho) -> np.ndarray:
     return m.reshape(d_a, d_b, d_a, d_b).transpose(0, 3, 2, 1).reshape(d_a * d_b, d_a * d_b)
 
 
-def is_ppt(rho: DensityOperator, tol: float = PPT_TOL) -> bool:
-    """Peres-Horodecki test: partial transpose PSD within tol."""
+def is_ppt(rho: DensityOperator) -> bool:
+    """Peres-Horodecki test: partial transpose PSD within ``PPT_TOL``."""
     w = np.linalg.eigvalsh(partial_transpose(rho))
-    return bool(w.min() >= -tol)
+    return bool(w.min() >= -PPT_TOL)
 
 
 @dataclass(frozen=True)
@@ -381,7 +380,7 @@ def _capacity_mixed(r: np.ndarray, s: np.ndarray, base="e") -> np.ndarray:
     log_sigma, kernel = _support_log(s, base)
     if _leaves_support(r, kernel).any():
         raise DomainError("supp(rho) is not contained in supp(sigma*)")
-    return _variance(_log_on_support(r, base) - log_sigma, r)
+    return _variance(_support_log(r, base)[0] - log_sigma, r)
 
 
 def capacity_mixed(rho: DensityOperator, sigma_star: DensityOperator, base="e") -> float:

@@ -21,17 +21,6 @@ from .core import (
 INVOLUTION_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class SelfInverseHamiltonian:
-    """Product of Hermitian involutions, so that H^2 = identity."""
-
-    x_a: np.ndarray
-    x_b: np.ndarray
-
-    def matrix(self) -> np.ndarray:
-        return np.kron(self.x_a, self.x_b)
-
-
 def _check_involution(x: np.ndarray, name: str) -> np.ndarray:
     """x as a complex array, checked Hermitian and involutory; a stack (..., d, d) is checked whole."""
     x = np.asarray(x, dtype=complex)
@@ -45,19 +34,42 @@ def _check_involution(x: np.ndarray, name: str) -> np.ndarray:
     return x
 
 
-def build_self_inverse(x_a, x_b) -> SelfInverseHamiltonian:
-    """Validated H = X_A ⊗ X_B with each factor Hermitian and its own inverse."""
-    for x, name in ((x_a, "X_A"), (x_b, "X_B")):
-        if np.ndim(x) != 2:
-            raise DomainError(f"{name} must be a square matrix")
-    return SelfInverseHamiltonian(_check_involution(x_a, "X_A"), _check_involution(x_b, "X_B"))
+@dataclass(frozen=True)
+class SelfInverseHamiltonian:
+    """H = X_A ⊗ X_B of Hermitian involutions, checked at construction, so that H^2 = identity.
+
+    Each factor is a matrix (d, d) or a stack (N, d, d) with the other's
+    leading axes; a stack is N Hamiltonians, as an (N, 3) mu is for
+    ``NonlocalHamiltonian``.  The factors are kept as read-only complex copies,
+    so the check holds for the object's lifetime.
+    """
+
+    x_a: np.ndarray
+    x_b: np.ndarray
+
+    def __post_init__(self):
+        for attr, name in (("x_a", "X_A"), ("x_b", "X_B")):
+            x = _check_involution(np.array(getattr(self, attr), dtype=complex), name)
+            x.setflags(write=False)
+            object.__setattr__(self, attr, x)
+        a, b = self.x_a.shape, self.x_b.shape
+        if a[:-2] != b[:-2]:
+            raise DomainError(f"X_A and X_B need the same leading axes, got shapes {a} and {b}")
+
+    def matrix(self) -> np.ndarray:
+        a, b = self.x_a, self.x_b
+        d = a.shape[-1] * b.shape[-1]
+        return (a[..., :, None, :, None] * b[..., None, :, None, :]).reshape(a.shape[:-2] + (d, d))
 
 
 def evolve_self_inverse(hamiltonian: SelfInverseHamiltonian, psi0: BipartitePureState, t: float) -> BipartitePureState:
-    """Closed-form evolution cos(t)|psi> - i sin(t) H|psi>; period 2 pi."""
-    h = hamiltonian.matrix()
-    if h.shape[0] != psi0.dim:
-        raise DomainError("Hamiltonian and state dimensions do not match")
+    """Closed-form evolution cos(t)|psi> - i sin(t) H|psi>; period 2 pi.
+
+    It needs H^2 = I: any Hamiltonian but one unstacked ``SelfInverseHamiltonian`` is a DomainError.
+    """
+    if not isinstance(hamiltonian, SelfInverseHamiltonian) or hamiltonian.x_a.ndim != 2:
+        raise DomainError("evolve_self_inverse needs one unstacked SelfInverseHamiltonian")
+    h = _hamiltonian_matrix(hamiltonian, psi0.dim)
     amps = np.cos(t) * psi0.amplitudes - 1j * np.sin(t) * (h @ psi0.amplitudes)
     amps = amps / np.linalg.norm(amps)
     return BipartitePureState(amps, psi0.d_a, psi0.d_b)
@@ -65,9 +77,7 @@ def evolve_self_inverse(hamiltonian: SelfInverseHamiltonian, psi0: BipartitePure
 
 def liouville_rhs(hamiltonian, rho: DensityOperator) -> np.ndarray:
     """-i[H, rho]: the generator of the density-operator flow.  Traceless Hermitian."""
-    h = _hamiltonian_matrix(hamiltonian)
-    if h.shape != rho.matrix.shape:
-        raise DomainError("Hamiltonian and state dimensions do not match")
+    h = _hamiltonian_matrix(hamiltonian, rho.dim)
     comm = h @ rho.matrix - rho.matrix @ h
     return hermitize(-1j * comm)
 

@@ -13,11 +13,11 @@ import numpy as np
 from .core import (
     DomainError,
     _haar_amplitudes,
-    _log_on_support,
     _partial_trace_matrix,
     _pure_density,
     _relative_entropy,
     _schmidt,
+    _support_log,
     _von_neumann_entropy,
     hermitize,
 )
@@ -33,11 +33,7 @@ from .measures import (
     solve_max_variance_spectrum,
 )
 from .mixed import closest_separable_family, is_ppt
-from .self_inverse import (
-    _check_involution,
-    capacity_rate_bounds,
-    max_entropy_rate_constant,
-)
+from .self_inverse import SelfInverseHamiltonian, capacity_rate_bounds, max_entropy_rate_constant
 from .speed_limits import (
     family_entropy,
     family_qsl_curve,
@@ -122,8 +118,8 @@ def run_properties(n_samples: int, seed: int, base="e") -> list[CheckResult]:
 
     # convexity of the standard deviation and the linear-perturbation bound, in a fixed state
     tau = _random_density(rng, 3, m)
-    k1 = -_log_on_support(_random_density(rng, 3, m), base)
-    k2 = -_log_on_support(_random_density(rng, 3, m), base)
+    k1 = -_support_log(_random_density(rng, 3, m), base)[0]
+    k2 = -_support_log(_random_density(rng, 3, m), base)[0]
     p, x = rng.uniform(0.0, 1.0, m), rng.uniform(0.0, 2.0, m)
     u1, u2 = np.sqrt(_variance(k1, tau)), np.sqrt(_variance(k2, tau))
     pm, xm = p[:, None, None], x[:, None, None]
@@ -186,9 +182,10 @@ def _capacity_rate_chain(rng: np.random.Generator, n_samples: int, base) -> Chec
     The ensemble is drawn whole, one generator call per quantity: the normals
     of every X_A and X_B (sample, factor, real/imaginary, 2x2), then the
     uniforms that pick their spectra, then the initial states.
-    X = Q diag(1, +-1) Q^dagger with Q from the QR of the normals.  Each H is
-    a product of two involutions checked to ``INVOLUTION_TOL``, so its
-    spectrum is +-1 and ||H|| = 1 needs no eigensolve.
+    X = Q diag(1, +-1) Q^dagger with Q from the QR of the normals.  The N
+    Hamiltonians are one stacked ``SelfInverseHamiltonian``, whose factors
+    are checked involutions, so each spectrum is +-1 and ||H|| = 1 needs no
+    eigensolve.
     """
     n = max(n_samples // 5, 20)
     normals = rng.standard_normal((n, 2, 2, 2, 2))
@@ -196,8 +193,8 @@ def _capacity_rate_chain(rng: np.random.Generator, n_samples: int, base) -> Chec
     psis = _haar_amplitudes(rng, 4, n)
     q, _ = np.linalg.qr(normals[:, :, 0] + 1j * normals[:, :, 1])
     signs = np.where(flips[..., None] < 0.5, [1.0, -1.0], [1.0, 1.0])
-    x = _check_involution((q * signs[..., None, :]) @ np.swapaxes(q.conj(), -1, -2), "sampled X")
-    hams = (x[:, 0, :, None, :, None] * x[:, 1, None, :, None, :]).reshape(n, 4, 4)
+    x = (q * signs[..., None, :]) @ np.swapaxes(q.conj(), -1, -2)
+    hams = SelfInverseHamiltonian(x[:, 0], x[:, 1])
     traj = simulate_trajectory(hams, psis, np.array([0.1, 0.3, 0.7]), base)
     bounds = capacity_rate_bounds(
         2, gamma=np.abs(traj.gamma), capacity=traj.capacity, speed=2.0 * traj.delta_h,

@@ -359,12 +359,14 @@ class TestMaxCapacityRate:
         )
 
     def test_trajectory_rate_at_zero(self):
-        # the exact dC/dt of simulate_trajectory from the maximizing state
+        # the exact dC/dt of simulate_trajectory from the maximizing state, in
+        # both bases: the base-2 factor is the rate of the capacity in bits
         mu1, mu2, mu3 = 1.0, 0.5, 0.2
         ham = NonlocalHamiltonian(mu=(mu1, mu2, mu3))
-        for p in (0.0045, 0.1, 0.35, 0.6, 0.9):
-            rate = simulate_trajectory(ham, max_rate_amplitudes(p), [0.0]).gamma_capacity[0]
-            assert abs(rate - max_capacity_rate(p, mu1, mu2, "e")) <= 1e-13
+        for base in (2, "e"):
+            for p in (0.0045, 0.1, 0.35, 0.6, 0.9):
+                rate = simulate_trajectory(ham, max_rate_amplitudes(p), [0.0], base).gamma_capacity[0]
+                assert abs(rate - max_capacity_rate(p, mu1, mu2, base)) <= 1e-13
 
 
 class TestSpectrumCapacityRate:

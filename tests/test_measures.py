@@ -206,6 +206,12 @@ class TestObservableVariance:
         with pytest.raises(DomainError):
             observable_variance(np.eye(3), DensityOperator(np.eye(2) / 2))
 
+    def test_stack_gives_one_value_per_observable(self):
+        # the same dimension check as a Hamiltonian's: the stack's length is not compared
+        rho = random_density(np.random.default_rng(2), 3)
+        obs = np.stack([np.eye(3), np.diag([1.0, 0.0, -1.0]), np.diag([0.0, 2.0, 0.0])])
+        assert np.array_equal(observable_variance(obs, rho), [observable_variance(o, rho) for o in obs])
+
 
 class TestMaxVarianceSpectrum:
     def test_residual(self):

@@ -8,8 +8,8 @@ from entcap.core import BipartitePureState, DensityOperator, DomainError, densit
 from entcap.dynamics import evolve_matrix
 from entcap.self_inverse import (
     CapacityRateBounds,
+    SelfInverseHamiltonian,
     _check_involution,
-    build_self_inverse,
     capacity_rate_bounds,
     evolve_self_inverse,
     liouville_rhs,
@@ -24,25 +24,51 @@ HADAMARD_LIKE = (SX + SZ) / math.sqrt(2)
 
 class TestConstruction:
     def test_ising(self):
-        ham = build_self_inverse(SZ, SZ)
+        ham = SelfInverseHamiltonian(SZ, SZ)
         assert np.allclose(ham.matrix(), np.kron(SZ, SZ))
         assert np.abs(ham.matrix() @ ham.matrix() - np.eye(4)).max() < 1e-9
 
     def test_hadamard_like_accepted(self):
-        ham = build_self_inverse(HADAMARD_LIKE, SX)
+        ham = SelfInverseHamiltonian(HADAMARD_LIKE, SX)
         assert np.abs(ham.matrix() @ ham.matrix() - np.eye(4)).max() < 1e-9
 
     def test_non_involutory_rejected_with_name(self):
-        with pytest.raises(DomainError, match="X_A"):
-            build_self_inverse(np.diag([1.0, 2.0]), SZ)
-        with pytest.raises(DomainError, match="X_B"):
-            build_self_inverse(SZ, np.diag([1.0, 2.0]))
+        # checked at construction: H = diag(2, 1) ⊗ I does not square to I, so
+        # its closed-form evolution would be wrong
+        with pytest.raises(DomainError, match="X_A is not involutory"):
+            SelfInverseHamiltonian(np.diag([2.0, 1.0]), np.eye(2))
+        with pytest.raises(DomainError, match="X_B is not involutory"):
+            SelfInverseHamiltonian(SZ, np.diag([1.0, 2.0]))
+        with pytest.raises(DomainError, match="X_B is not Hermitian"):
+            SelfInverseHamiltonian(SZ, np.array([[0.0, 1.0], [-1.0, 0.0]]))
 
     def test_scalar_factors_must_be_matrices(self):
-        with pytest.raises(DomainError, match="X_A must be a square matrix"):
-            build_self_inverse(np.stack([SZ, SX]), SZ)
+        # a stacked factor needs a stacked partner with the same leading axes
+        with pytest.raises(DomainError, match="same leading axes"):
+            SelfInverseHamiltonian(np.stack([SZ, SX]), SZ)
         with pytest.raises(DomainError, match="X_B must be a square matrix"):
-            build_self_inverse(SZ, np.ones((2, 3)))
+            SelfInverseHamiltonian(SZ, np.ones((2, 3)))
+
+    def test_factors_are_frozen_copies(self):
+        # changing the caller's array afterwards cannot undo the involution check
+        x = SZ.astype(complex)
+        ham = SelfInverseHamiltonian(x, SX)
+        x[0, 0] = 2.0
+        assert np.array_equal(ham.matrix(), np.kron(SZ, SX))
+        with pytest.raises(ValueError):
+            ham.x_a[0, 0] = 2.0
+
+    def test_stacked_matrix_is_kron_per_pair(self):
+        rng = np.random.default_rng(11)
+        x = TestStackedInvolutionCheck.stack()
+        x_a, x_b = x, x[rng.permutation(len(x))]
+        h = SelfInverseHamiltonian(x_a, x_b).matrix()
+        assert h.shape == (len(x), 4, 4)
+        for k in range(len(x)):
+            assert np.array_equal(h[k], np.kron(x_a[k], x_b[k]))
+            assert np.array_equal(SelfInverseHamiltonian(x_a[k], x_b[k]).matrix(), np.kron(x_a[k], x_b[k]))
+        # a 2x2 factor with a 3x3 one: the product is 6x6
+        assert np.array_equal(SelfInverseHamiltonian(SX, np.eye(3)).matrix(), np.kron(SX, np.eye(3)))
 
 
 class TestStackedInvolutionCheck:
@@ -73,25 +99,35 @@ class TestStackedInvolutionCheck:
 
 class TestEvolution:
     def test_time_zero_identity(self):
-        ham = build_self_inverse(SZ, SX)
+        ham = SelfInverseHamiltonian(SZ, SX)
         psi = haar_random_pure(2, 2, 0)
         assert np.allclose(evolve_self_inverse(ham, psi, 0.0).amplitudes, psi.amplitudes)
 
     def test_half_period_global_phase(self):
-        ham = build_self_inverse(SZ, SX)
+        ham = SelfInverseHamiltonian(SZ, SX)
         psi = haar_random_pure(2, 2, 1)
         out = evolve_self_inverse(ham, psi, math.pi)
         assert np.allclose(out.amplitudes, -psi.amplitudes, atol=1e-12)
 
     def test_full_period(self):
-        ham = build_self_inverse(HADAMARD_LIKE, HADAMARD_LIKE)
+        ham = SelfInverseHamiltonian(HADAMARD_LIKE, HADAMARD_LIKE)
         psi = haar_random_pure(2, 2, 2)
         out = evolve_self_inverse(ham, psi, 2 * math.pi)
         assert np.allclose(out.amplitudes, psi.amplitudes, atol=1e-12)
 
+    def test_needs_one_self_inverse_hamiltonian(self):
+        from entcap.dynamics import NonlocalHamiltonian
+
+        psi = haar_random_pure(2, 2, 4)
+        stack = TestStackedInvolutionCheck.stack()
+        for ham in (NonlocalHamiltonian(mu=(1.0, 0.5, 0.2)), np.kron(SZ, SX),
+                    SelfInverseHamiltonian(stack, stack)):
+            with pytest.raises(DomainError, match="unstacked SelfInverseHamiltonian"):
+                evolve_self_inverse(ham, psi, 0.7)
+
     def test_matches_eigendecomposition_path(self):
         rng = np.random.default_rng(3)
-        ham = build_self_inverse(SZ, HADAMARD_LIKE)
+        ham = SelfInverseHamiltonian(SZ, HADAMARD_LIKE)
         for _ in range(10):
             psi = haar_random_pure(2, 2, rng)
             t = rng.uniform(0.0, 4.0)
@@ -102,7 +138,7 @@ class TestEvolution:
     def test_ising_plus_plus_entropy_cross_path(self):
         plus = np.array([1.0, 1.0]) / math.sqrt(2)
         psi = BipartitePureState(np.kron(plus, plus), 2, 2)
-        ham = build_self_inverse(SZ, SZ)
+        ham = SelfInverseHamiltonian(SZ, SZ)
         t = math.pi / 4
         closed = evolve_self_inverse(ham, psi, t)
         generic = evolve_matrix(ham.matrix(), psi.amplitudes, t)
@@ -123,13 +159,13 @@ class TestLiouville:
         rng = np.random.default_rng(4)
         g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         rho = DensityOperator((g @ g.conj().T) / np.trace(g @ g.conj().T).real, d_a=2, d_b=2)
-        ham = build_self_inverse(SZ, SX)
+        ham = SelfInverseHamiltonian(SZ, SX)
         rhs = liouville_rhs(ham, rho)
         assert abs(np.trace(rhs)) < 1e-12
         assert np.abs(rhs - rhs.conj().T).max() < 1e-12
 
     def test_finite_difference_of_evolution(self):
-        ham = build_self_inverse(SZ, HADAMARD_LIKE)
+        ham = SelfInverseHamiltonian(SZ, HADAMARD_LIKE)
         psi = haar_random_pure(2, 2, 5)
         t, h = 0.6, 1e-6
         rho_t = density_from_pure(evolve_self_inverse(ham, psi, t))
@@ -146,7 +182,7 @@ class TestHamiltonianTypes:
         from entcap.dynamics import max_entangling_element_numeric, simulate_trajectory
         from entcap.speed_limits import fubini_study_speed, hamiltonian_fluctuation
 
-        ham = build_self_inverse(SX, SZ)
+        ham = SelfInverseHamiltonian(SX, SZ)
         psi = haar_random_pure(2, 2, 8)
         ts = np.linspace(0.0, 2.0, 9)
         traj = simulate_trajectory(ham, psi, ts)
@@ -233,7 +269,7 @@ class TestBounds:
         assert operator_norm(np.eye(3)) == 1.0
         assert operator_norm(np.kron(SZ, SZ)) == 1.0
         assert operator_norm(np.diag([3.0, -5.0])) == 5.0
-        assert operator_norm(build_self_inverse(SZ, SX)) == pytest.approx(1.0, abs=1e-12)
+        assert operator_norm(SelfInverseHamiltonian(SZ, SX)) == pytest.approx(1.0, abs=1e-12)
 
     def test_operator_norm_canonical_interaction(self):
         # eigen oracle: the 4x4 canonical matrix with mu = (1, 0.5, 0.2) has
@@ -264,7 +300,7 @@ class TestBoundSweep:
             g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
             q, _ = np.linalg.qr(g)
             x_b = q @ np.diag([1.0, -1.0]) @ q.conj().T
-            ham = build_self_inverse(0.5 * (x_a + x_a.conj().T), 0.5 * (x_b + x_b.conj().T))
+            ham = SelfInverseHamiltonian(0.5 * (x_a + x_a.conj().T), 0.5 * (x_b + x_b.conj().T))
             psi = haar_random_pure(2, 2, rng)
             for t in (0.2, 0.8):
                 step = 1e-6

@@ -50,6 +50,32 @@ class TestFluctuation:
         assert hamiltonian_fluctuation(ham, two_term_state(0.5)) == pytest.approx(0.0, abs=1e-12)
 
 
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_stack_gives_one_value_per_hamiltonian(self, n):
+        # the stack's length is never compared with the state's dimension
+        mu = np.sort(np.random.default_rng(n).uniform(0.0, 2.0, (n, 3)), axis=-1)[:, ::-1]
+        psi = haar_random_pure(2, 2, 3)
+        single = [hamiltonian_fluctuation(NonlocalHamiltonian(mu=tuple(m)), psi) for m in mu]
+        for ham in (NonlocalHamiltonian(mu=mu), NonlocalHamiltonian(mu=mu).matrix()):
+            np.testing.assert_array_equal(hamiltonian_fluctuation(ham, psi), single)
+            np.testing.assert_array_equal(fubini_study_speed(ham, psi), 2.0 * np.array(single))
+
+    def test_wrong_dimension_rejected_everywhere(self):
+        # a 2x2 H for a two-qubit state, by every function that pairs a Hamiltonian with a state
+        from entcap.core import density_from_pure
+        from entcap.self_inverse import SelfInverseHamiltonian, evolve_self_inverse, liouville_rhs
+
+        psi = haar_random_pure(2, 2, 1)
+        ham = SelfInverseHamiltonian(np.diag([1.0, -1.0]), np.eye(1))
+        assert ham.matrix().shape == (2, 2)
+        calls = (lambda: hamiltonian_fluctuation(ham, psi), lambda: hamiltonian_fluctuation(ham.matrix(), psi),
+                 lambda: fubini_study_speed(ham, psi), lambda: liouville_rhs(ham, density_from_pure(psi)),
+                 lambda: evolve_self_inverse(ham, psi, 0.3))
+        for call in calls:
+            with pytest.raises(DomainError, match="acts on dimension 2, the state has dimension 4"):
+                call()
+
+
 class TestFubiniStudySpeed:
     def test_eigenstate(self):
         h = np.diag([1.0, 2.0, 3.0, 4.0])
@@ -344,11 +370,14 @@ class TestQSLTimeDependent:
         assert repr(report.mean_fluctuation) == "0.32908972361951094"
         assert repr(report.entropy_change) == "-0.09969227321093159"
 
-    @pytest.mark.parametrize("duration, samples", [
-        (-1.0, 201), (0.0, 201), (np.nan, 201), (np.inf, 201), (0.5, 1), (0.5, 0),
-    ])
-    def test_impossible_window_rejected(self, duration, samples):
-        h = NonlocalHamiltonian(mu=(1.0, 0.3, 0.1)).matrix()
+    # the window, the sample count and the drive's dimension are checked
+    # before any stepping; a 2x2 drive does not act on a two-qubit state
+    @pytest.mark.parametrize("duration, samples, h", [
+        pytest.param(duration, samples, NonlocalHamiltonian(mu=(1.0, 0.3, 0.1)).matrix(), id=f"{duration}-{samples}")
+        for duration, samples in ((-1.0, 201), (0.0, 201), (np.nan, 201), (np.inf, 201), (0.5, 1), (0.5, 0),
+                                  (0.5, 2.5), (0.5, np.float64(3.0)))
+    ] + [pytest.param(0.5, 201, np.diag([1.0, -1.0]), id="2x2-drive")])
+    def test_impossible_window_rejected(self, duration, samples, h):
         with pytest.raises(DomainError):
             qsl_time_dependent(lambda t: h, two_term_state(1.0), duration, samples=samples)
 

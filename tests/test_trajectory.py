@@ -16,7 +16,7 @@ from entcap import core, measures, speed_limits, verify
 from entcap.core import BipartitePureState, DomainError, haar_random_pure, spectrum_entropy
 from entcap.dynamics import NonlocalHamiltonian, canonical_form, simulate_trajectory
 from entcap.measures import capacity_from_spectrum
-from entcap.self_inverse import build_self_inverse
+from entcap.self_inverse import SelfInverseHamiltonian
 
 FIELDS = ("amplitudes", "schmidt_weights", "entropy", "capacity", "gamma", "gamma_capacity", "delta_h")
 FD_STEP = 1e-6
@@ -96,7 +96,7 @@ class TestAgainstScalarReference:
     @given(seeds, time_lists, bases)
     def test_self_inverse(self, seed, times, base):
         rng = np.random.default_rng(seed)
-        h = build_self_inverse(random_involution(rng), random_involution(rng)).matrix()
+        h = SelfInverseHamiltonian(random_involution(rng), random_involution(rng)).matrix()
         assert_matches_reference(h, haar_random_pure(2, 2, rng).amplitudes, times, base)
 
     @given(seeds, time_lists)
@@ -132,7 +132,7 @@ class TestEdgeCases:
         raw = canonical_form(rng.standard_normal(3), rng.standard_normal(3), rng.standard_normal((3, 3)))
         hams = [NonlocalHamiltonian(mu=(1.1, 0.5, 0.3)).matrix(),
                 raw.raw_matrix(),
-                build_self_inverse(random_involution(rng), random_involution(rng)).matrix()]
+                SelfInverseHamiltonian(random_involution(rng), random_involution(rng)).matrix()]
         psis = [haar_random_pure(2, 2, rng).amplitudes for _ in hams]
         times = rng.uniform(0.0, 2.0, 6)
         stacked = simulate_trajectory(np.array(hams), np.array(psis), times)
@@ -275,7 +275,7 @@ def per_sample_ensembles(seed, n_samples):
     n = max(n_samples // 5, 20)
     normals = rng.standard_normal((n, 2, 2, 2, 2))
     flips = rng.random((n, 2))
-    chain = ([build_self_inverse(involution(a[0], f[0]), involution(a[1], f[1])).matrix()
+    chain = ([SelfInverseHamiltonian(involution(a[0], f[0]), involution(a[1], f[1])).matrix()
               for a, f in zip(normals, flips)],
              states(n))
     return [(np.array(hams), np.array(psis)) for hams, psis in (rate, chain)]
