@@ -23,8 +23,10 @@ class NonlocalHamiltonian:
 
         mu1 - s mu2 + mu3,  -mu1 + s mu2 + mu3,  mu1 + s mu2 - mu3,  -mu1 - s mu2 - mu3
 
-    (s = ``sign``).  The raw local fields and coupling matrix are kept when
-    the canonical form was derived from them; local terms never enter the
+    (s = ``sign``).  ``mu`` is checked once and kept as a read-only float
+    copy, so changing the caller's array later cannot reach the evolution
+    unchecked.  The raw local fields and coupling matrix are kept when the
+    canonical form was derived from them; local terms never enter the
     canonical matrix.
     """
 
@@ -35,7 +37,9 @@ class NonlocalHamiltonian:
     gamma: np.ndarray | None = None
 
     def __post_init__(self):
-        _check_couplings(self.mu)
+        mu = _check_couplings(np.array(self.mu, dtype=float))
+        mu.setflags(write=False)
+        object.__setattr__(self, "mu", mu)
         if self.sign not in (1, -1):
             raise DomainError("sign must be +1 or -1")
 

@@ -6,6 +6,7 @@ constants, violation counts for the derivational capacity-rate bounds).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -182,18 +183,21 @@ def _capacity_rate_chain(rng: np.random.Generator, n_samples: int, base) -> Chec
     The ensemble is drawn whole, one generator call per quantity: the normals
     of every X_A and X_B (sample, factor, real/imaginary, 2x2), then the
     uniforms that pick their spectra, then the initial states.
-    X = Q diag(1, +-1) Q^dagger with Q from the QR of the normals.  The N
-    Hamiltonians are one stacked ``SelfInverseHamiltonian``, whose factors
-    are checked involutions, so each spectrum is +-1 and ||H|| = 1 needs no
-    eigensolve.
+    X = Q diag(1, s) Q^dagger, with Q from the QR of a normal matrix and
+    s = +-1, equals s I + (1 - s) u u^dagger, where u is the matrix's first
+    column normalized (Q's first column up to a phase); so only those columns
+    are read, and no QR is taken.  The N Hamiltonians are one stacked
+    ``SelfInverseHamiltonian``, whose factors are checked involutions, so each
+    spectrum is +-1 and ||H|| = 1 needs no eigensolve.
     """
     n = max(n_samples // 5, 20)
     normals = rng.standard_normal((n, 2, 2, 2, 2))
     flips = rng.random((n, 2))
     psis = _haar_amplitudes(rng, 4, n)
-    q, _ = np.linalg.qr(normals[:, :, 0] + 1j * normals[:, :, 1])
-    signs = np.where(flips[..., None] < 0.5, [1.0, -1.0], [1.0, 1.0])
-    x = (q * signs[..., None, :]) @ np.swapaxes(q.conj(), -1, -2)
+    a = normals[..., 0, :, 0] + 1j * normals[..., 1, :, 0]
+    u = a / np.sqrt(np.sum(a.real**2 + a.imag**2, axis=-1, keepdims=True))
+    s = np.where(flips < 0.5, -1.0, 1.0)[..., None, None]
+    x = s * np.eye(2) + (1.0 - s) * (u[..., :, None] * u[..., None, :].conj())
     hams = SelfInverseHamiltonian(x[:, 0], x[:, 1])
     traj = simulate_trajectory(hams, psis, np.array([0.1, 0.3, 0.7]), base)
     bounds = capacity_rate_bounds(
@@ -209,6 +213,31 @@ def _capacity_rate_chain(rng: np.random.Generator, n_samples: int, base) -> Chec
     )
 
 
+@functools.cache
+def _reference_checks() -> tuple[CheckResult, ...]:
+    """qsl-validity, qsl-tightness and closed-form-consistency on fixed base-2 grids.
+
+    They read neither the seed, the ensemble size nor the base, so a process
+    computes them once, as ``max_entropy_rate_constant`` does its constants.
+    """
+    # speed-limit validity on the closed-form family grid: one quadrature for both theta
+    ps = np.linspace(0.0, 1.0, 20)
+    t_grid = np.linspace(0.45 / 45.0, 0.45, 45)
+    tqsl = family_qsl_curve(ps, np.array([0.5, 1.0]), t_grid)
+    worst = float((tqsl - t_grid).max())
+    min_ratio = float((tqsl[:, [0, -1]] / t_grid).min())  # rows p = 0 and p = 1
+    validity = CheckResult("qsl-validity", True, worst <= 1e-9, f"max_excess={worst:.3e}")
+    tightness = CheckResult("qsl-tightness", False, min_ratio >= 0.95, f"min_ratio={min_ratio:.6f}")
+
+    # closed forms match the generic spectrum code on a (p, theta, t) grid
+    p, theta, t = np.ix_(np.linspace(0.0, 1.0, 11), [0.5, 1.0], np.linspace(0.0, 1.5, 11))
+    capacity, entropy = _spectrum_capacity(np.stack(evolved_schmidt_weights(p, theta, t), axis=-1), 2)
+    dev = float(max(np.abs(capacity - family_sqrt_capacity(p, theta, t) ** 2).max(),
+                    np.abs(entropy - family_entropy(p, theta, t)).max()))
+    consistency = CheckResult("closed-form-consistency", True, dev <= 1e-10, f"max_dev={dev:.3e}")
+    return validity, tightness, consistency
+
+
 def run_bounds(n_samples: int, seed: int, base="e") -> list[CheckResult]:
     """Rate-bound, speed-limit and capacity-rate checks on seeded ensembles.
 
@@ -218,26 +247,8 @@ def run_bounds(n_samples: int, seed: int, base="e") -> list[CheckResult]:
     """
     rng = np.random.default_rng(seed)
     # each ensemble's stacked trajectories are freed before the next check runs
-    results = [_rate_bound(rng, n_samples, base)]
-
-    # speed-limit validity on the closed-form family grid: one quadrature for both theta
-    ps = np.linspace(0.0, 1.0, 20)
-    t_grid = np.linspace(0.45 / 45.0, 0.45, 45)
-    tqsl = family_qsl_curve(ps, np.array([0.5, 1.0]), t_grid)
-    worst = float((tqsl - t_grid).max())
-    min_ratio = float((tqsl[:, [0, -1]] / t_grid).min())  # rows p = 0 and p = 1
-    results.append(CheckResult("qsl-validity", True, worst <= 1e-9, f"max_excess={worst:.3e}"))
-    results.append(CheckResult("qsl-tightness", False, min_ratio >= 0.95,
-                               f"min_ratio={min_ratio:.6f}"))
-
-    # closed forms match the generic spectrum code on a (p, theta, t) grid
-    p, theta, t = np.ix_(np.linspace(0.0, 1.0, 11), [0.5, 1.0], np.linspace(0.0, 1.5, 11))
-    capacity, entropy = _spectrum_capacity(np.stack(evolved_schmidt_weights(p, theta, t), axis=-1), 2)
-    dev = float(max(np.abs(capacity - family_sqrt_capacity(p, theta, t) ** 2).max(),
-                    np.abs(entropy - family_entropy(p, theta, t)).max()))
-    results.append(CheckResult("closed-form-consistency", True, dev <= 1e-10, f"max_dev={dev:.3e}"))
-
-    results.append(_capacity_rate_chain(rng, n_samples, base))
+    results = [_rate_bound(rng, n_samples, base), *_reference_checks(),
+               _capacity_rate_chain(rng, n_samples, base)]
 
     beta2 = max_entropy_rate_constant(2)
     betae = max_entropy_rate_constant("e")

@@ -57,7 +57,7 @@ class TestCanonicalForm:
 
     def test_zero_coupling(self):
         ham = canonical_form(np.ones(3), np.ones(3), np.zeros((3, 3)))
-        assert ham.mu == (0.0, 0.0, 0.0)
+        assert np.array_equal(ham.mu, (0.0, 0.0, 0.0))
         assert ham.sign == 1
 
     def test_negative_determinant(self):
@@ -101,6 +101,22 @@ class TestCanonicalForm:
             _canonical_matrices(mu)
         with pytest.raises(DomainError):
             _canonical_matrices(np.array([[1.0, 0.5, -1e-300]]))
+
+    def test_couplings_are_a_frozen_copy(self):
+        # the caller's array is checked once and copied: changing it later, or
+        # writing to the kept stack, cannot reach the evolution unchecked
+        mu = np.array([[1.0, 0.5, 0.2], [2.0, 1.0, 0.0]])
+        ham = NonlocalHamiltonian(mu=mu)
+        mu[0] = (-3.0, 2.0, 5.0)
+        assert np.array_equal(ham.mu, [[1.0, 0.5, 0.2], [2.0, 1.0, 0.0]])
+        with pytest.raises(ValueError, match="read-only"):
+            ham.mu[0, 0] = -3.0
+        triple = np.array([1.0, 0.5, 0.2])
+        single = NonlocalHamiltonian(mu=triple)
+        triple[0] = -3.0
+        assert np.array_equal(single.mu, (1.0, 0.5, 0.2))
+        with pytest.raises(ValueError, match="read-only"):
+            single.mu[0] = -3.0
 
     def test_raw_matrix_matches_canonical_for_diagonal(self):
         ham = canonical_form(np.zeros(3), np.zeros(3), np.diag([1.0, 0.5, 0.2]))

@@ -19,7 +19,6 @@ from entcap.speed_limits import (
     qsl_time_dependent,
     rate_bound_check,
 )
-from entcap.verify import run_bounds
 
 
 def two_term_state(p):
@@ -331,9 +330,9 @@ class TestFamilyQuadrature:
         report = family_qsl_report(0.3, 1.0, 0.4)
         assert report.samples == sum(evaluated) > 0
 
-    def test_verify_grid_evaluation_count(self, evaluated):
+    def test_verify_grid_evaluation_count(self, evaluated, fresh_run_bounds):
         # 40 curves of 200001 trapezoid nodes made 8,000,040 evaluations
-        results = run_bounds(20, 0)
+        results = fresh_run_bounds(20, 0)
         assert all(r.passed for r in results if r.hard)
         assert 0 < sum(evaluated) <= 100_000
 
@@ -346,12 +345,15 @@ class TestQSLTimeDependent:
         assert report.t_qsl == 0.0
 
     def test_constant_hamiltonian_bound_holds(self):
+        # pins this drive's T_qsl <= T; the printed formula is no bound in
+        # general (see test_late_pulse_exceeds_its_window)
         h = NonlocalHamiltonian(mu=(1.0, 0.0, 0.0)).matrix()
         for T in (0.1, 0.3, 0.45):
             report = qsl_time_dependent(lambda t: h, two_term_state(1.0), T, samples=2001)
             assert report.t_qsl <= T + 1e-6
 
     def test_modulated_hamiltonian_bound_holds(self):
+        # pins T_qsl <= T for this drive and these five states only, not a bound
         h = NonlocalHamiltonian(mu=(1.0, 0.3, 0.1)).matrix()
         rng = np.random.default_rng(2)
         for _ in range(5):
@@ -360,6 +362,16 @@ class TestQSLTimeDependent:
             psi = BipartitePureState(z, 2, 2)
             report = qsl_time_dependent(lambda t: np.sin(t) * h, psi, 0.8, samples=2001)
             assert report.t_qsl <= 0.8 + 1e-6
+
+    @pytest.mark.parametrize("base, ratio", [("2", 3.92460), ("e", 3.26744)])
+    def test_late_pulse_exceeds_its_window(self, base, ratio):
+        # H(t) = 10 XX on [0.95, 1] only, from |00>: the printed formula is not
+        # a lower bound on T, as qsl_time_dependent's docstring says
+        h = 10.0 * NonlocalHamiltonian(mu=(1.0, 0.0, 0.0)).matrix()
+        off = np.zeros((4, 4))
+        report = qsl_time_dependent(lambda t: h if t >= 0.95 else off, two_term_state(1.0), 1.0,
+                                    samples=2001, base=base)
+        assert report.t_qsl / report.duration == pytest.approx(ratio, rel=0, abs=5e-6)
 
     def test_demo_report_pinned(self):
         # the demo's drive; stepping, Schmidt data and both averages are pinned to the bit

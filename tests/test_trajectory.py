@@ -200,9 +200,9 @@ class TestRunBoundsLinalgCount:
         assert seen[0]["eigvalsh"] == 0
         assert seen[0] == seen[1] == seen[2]
 
-    def test_ensemble_work_is_batched(self, monkeypatch):
+    def test_ensemble_work_is_batched(self, monkeypatch, fresh_run_bounds):
         # every check is one array evaluation, so no count below grows with
-        # the ensemble size
+        # the ensemble size; each counted call recomputes the reference grid
         counts = dict.fromkeys(("qr", "states", "qsl", "spectrum"), 0)
 
         def counted(key, original):
@@ -221,9 +221,11 @@ class TestRunBoundsLinalgCount:
         seen = []
         for n_samples in (20, 200):
             counts.update(dict.fromkeys(counts, 0))
-            assert verify.hard_failures(verify.run_bounds(n_samples, seed=9)) == 0
+            assert verify.hard_failures(fresh_run_bounds(n_samples, seed=9)) == 0
             seen.append(dict(counts))
         assert (seen[0]["qr"], seen[0]["states"]) == (seen[1]["qr"], seen[1]["states"])
+        # the sampled involutions are closed forms in their normals' first columns
+        assert seen[0]["qr"] == 0
         # one quadrature for both theta of the speed-limit grid
         assert [s["qsl"] for s in seen] == [1, 1]
         assert max(s["spectrum"] for s in seen) == 0
@@ -265,9 +267,11 @@ def per_sample_ensembles(seed, n_samples):
         return amps
 
     def involution(normals, flip):
-        q, _ = np.linalg.qr(normals[0] + 1j * normals[1])
-        signs = [1.0, -1.0] if flip < 0.5 else [1.0, 1.0]
-        return q @ np.diag(signs) @ q.conj().T
+        # Q diag(1, s) Q^dagger = s I + (1 - s) u u^dagger, u the normalized first column
+        a = normals[0][:, 0] + 1j * normals[1][:, 0]
+        u = a / np.sqrt(np.sum(a.real**2 + a.imag**2))
+        s = -1.0 if flip < 0.5 else 1.0
+        return s * np.eye(2) + (1.0 - s) * np.outer(u, u.conj())
 
     mu = rng.uniform(0.0, 2.0, (n_samples, 3))
     rate = ([NonlocalHamiltonian(mu=tuple(np.sort(m)[::-1].tolist())).matrix() for m in mu],
@@ -279,6 +283,31 @@ def per_sample_ensembles(seed, n_samples):
               for a, f in zip(normals, flips)],
              states(n))
     return [(np.array(hams), np.array(psis)) for hams, psis in (rate, chain)]
+
+
+class TestReferenceChecksCache:
+    def test_second_suite_makes_no_quadrature_call(self, monkeypatch):
+        verify._reference_checks.cache_clear()
+        first = verify.run_suite("bounds", 20, 1)
+        calls = []
+        inner = speed_limits._family_qsl
+
+        def counted(*args):
+            calls.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(speed_limits, "_family_qsl", counted)
+        second = verify.run_suite("bounds", 30, 2, base=2)
+        assert calls == []
+        assert [r.name for r in second[1:4]] == ["qsl-validity", "qsl-tightness", "closed-form-consistency"]
+        assert all(a is b for a, b in zip(first[1:4], second[1:4], strict=True))
+
+    @pytest.mark.parametrize("base", [2, "e"])
+    def test_report_after_cache_clear_is_identical(self, base):
+        verify._reference_checks()
+        cached = verify.format_report(verify.run_suite("bounds", 300, 4099, base))
+        verify._reference_checks.cache_clear()
+        assert verify.format_report(verify.run_suite("bounds", 300, 4099, base)) == cached
 
 
 class TestRunBoundsGolden:
@@ -296,6 +325,27 @@ class TestRunBoundsGolden:
         for (hams, psis), (ref_hams, ref_psis) in zip(evolved, per_sample_ensembles(seed, n_samples), strict=True):
             # the rate-bound ensemble passes one stacked NonlocalHamiltonian
             assert np.array_equal(core._hamiltonian_matrix(hams), ref_hams) and np.array_equal(psis, ref_psis)
+
+    @pytest.mark.parametrize("seed", [1, 4099])
+    def test_involutions_equal_qr_construction(self, monkeypatch, seed):
+        # the chain's closed form s I + (1 - s) u u^dagger against
+        # Q diag(1, s) Q^dagger, Q from the QR of the same normals
+        built = []
+        inner = verify.SelfInverseHamiltonian
+
+        def spy(x_a, x_b):
+            built.append(np.stack([x_a, x_b], axis=1))
+            return inner(x_a, x_b)
+
+        monkeypatch.setattr(verify, "SelfInverseHamiltonian", spy)
+        verify._capacity_rate_chain(np.random.default_rng(seed), 1000, "e")
+        rng = np.random.default_rng(seed)
+        normals = rng.standard_normal((200, 2, 2, 2, 2))
+        flips = rng.random((200, 2))
+        q, _ = np.linalg.qr(normals[:, :, 0] + 1j * normals[:, :, 1])
+        signs = np.where(flips[..., None] < 0.5, [1.0, -1.0], [1.0, 1.0])
+        x_qr = (q * signs[..., None, :]) @ np.swapaxes(q.conj(), -1, -2)
+        assert np.abs(built[0] - x_qr).max() <= 4e-15
 
     def test_report_at_fixed_seed(self):
         # pins the RNG draw order of both ensembles (each drawn whole, one
