@@ -60,5 +60,5 @@ print("Time-dependent drive g(t) = sin(t) on the same interaction")
 h = ham.matrix()
 psi = haar_random_pure(2, 2, 7)
 report = qsl_time_dependent(lambda t: np.sin(t) * h, psi, 0.8, samples=2001)
-print(f"  duration 0.8 -> bound {report.t_qsl:.6f} "
-      f"(mean fluctuation {report.mean_fluctuation:.6f}); bound holds: {report.t_qsl <= 0.8}")
+print(f"  duration 0.8 -> T_qsl = {report.t_qsl:.6f}, T_qsl/T = {report.t_qsl / 0.8:.6f} "
+      f"(mean fluctuation {report.mean_fluctuation:.6f}; the printed formula, not a lower bound)")

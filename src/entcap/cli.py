@@ -8,13 +8,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .core import ConfigurationError, DomainError
+from .core import ConfigurationError, DomainError, _checked_real
 
 REPORTED_RATE_FACTOR = 1.2108      # reference value; direct evaluation gives twice this
 REPORTED_ANCILLA_FACTOR = 1.4459
@@ -44,8 +43,7 @@ def parse_grid_spec(value) -> dict:
     specs = {name: (float(lo), float(hi), int(count)) for name, (lo, hi, count) in dict(value).items()}
     if any(count < 1 for _, _, count in specs.values()):
         raise ValueError("grid counts must be positive")
-    if not all(math.isfinite(lo) and math.isfinite(hi) for lo, hi, _ in specs.values()):
-        raise ValueError("grid ends must be finite")
+    _checked_real([end for lo, hi, _ in specs.values() for end in (lo, hi)], "grid ends must be finite")
     return specs
 
 
@@ -292,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
         parser.add_argument("--" + f.name.replace("_", "-"), help=f.metadata["help"],
                             metavar="{" + ",".join(map(str, choices)) + "}" if choices else None)
     parser.add_argument("--config", help="JSON config document (keys are the flag names with "
-                                         "underscores) used in place of all other flags")
+                                         "underscores); no other flag may be given with it")
     return parser
 
 
@@ -301,6 +299,8 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     path = values.pop("config")
     if path is None:
         cfg = RunConfig.from_values(values)
+    elif given := ["--" + name.replace("_", "-") for name, value in values.items() if value is not None]:
+        raise ConfigurationError(f"--config takes no other flag, got {', '.join(given)}")
     else:
         try:
             with open(path, encoding="utf-8") as fh:

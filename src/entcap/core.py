@@ -55,6 +55,17 @@ def _bisect(g, lo: float, hi: float) -> float:
     return mid
 
 
+def _checked_real(x, message: str, lo: float = -math.inf, hi: float = math.inf, positive: bool = False) -> np.ndarray:
+    """x as a float array; DomainError(message) unless every entry is finite, in [lo, hi] and, if ``positive``,
+    above 0.  The one range test of a real input: it passes only values that satisfy it, so NaN fails it."""
+    x = np.asarray(x, dtype=float)
+    if x.size:  # one NaN makes the min and the max NaN, which fails every comparison
+        low, high = x.min(), x.max()
+        if not (lo <= low and high <= hi and math.isfinite(low) and math.isfinite(high) and (low > 0.0 or not positive)):
+            raise DomainError(message)
+    return x
+
+
 def hermitize(a: np.ndarray) -> np.ndarray:
     """Hermitian part (A + A†)/2 of a matrix or of each matrix in a stack (..., d, d)."""
     return 0.5 * (a + np.swapaxes(a.conj(), -1, -2))
@@ -63,10 +74,13 @@ def hermitize(a: np.ndarray) -> np.ndarray:
 def _hamiltonian_matrix(hamiltonian, dim: int | None = None) -> np.ndarray:
     """``hamiltonian.matrix()`` of a Hamiltonian type, else square matrices (..., d, d) as a complex array.
 
-    With a state's dimension ``dim``, DomainError unless d == dim: the one
+    DomainError unless every entry is finite and, with a state's dimension ``dim``, d == dim: the one
     check that a Hamiltonian or an observable, or each of a stack, acts on the state.
     """
-    h = hamiltonian.matrix() if callable(getattr(hamiltonian, "matrix", None)) else np.asarray(hamiltonian, dtype=complex)
+    if callable(getattr(hamiltonian, "matrix", None)):
+        h = hamiltonian.matrix()  # finite: each Hamiltonian type checks its parameters at construction
+    elif not np.isfinite(h := np.asarray(hamiltonian, dtype=complex)).all():
+        raise DomainError("operator entries must be finite")
     if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
         raise DomainError("operator must be a square matrix or a stack of them")
     if dim is not None and h.shape[-1] != dim:
@@ -92,7 +106,7 @@ class BipartitePureState:
                 f"amplitude vector has length {amps.size}, expected {self.d_a * self.d_b}"
             )
         norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > NORM_TOL:
+        if not abs(norm - 1.0) <= NORM_TOL:
             raise DomainError(f"state norm {norm!r} deviates from 1 beyond {NORM_TOL}")
         amps.setflags(write=False)
 
@@ -110,16 +124,16 @@ def _checked_density(m: np.ndarray) -> np.ndarray:
     of unit trace and PSD to the tolerances.  Round-off negatives are clamped and the matrix
     renormalized, which moves last bits: check a matrix once, on its raw form."""
     dev = np.abs(m - m.conj().swapaxes(-1, -2)).max()
-    if dev > HERMITIAN_TOL:
+    if not dev <= HERMITIAN_TOL:
         raise DomainError(f"matrix deviates from Hermitian by {dev:.3e}")
     m = hermitize(m)
     tr = m.trace(axis1=-2, axis2=-1).real
     off = abs(tr - 1.0)
-    if off.max() > TRACE_TOL:
+    if not off.max() <= TRACE_TOL:
         raise DomainError(f"trace {tr.flat[off.argmax()]!r} deviates from 1 beyond {TRACE_TOL}")
     least = np.linalg.eigvalsh(m)[..., 0]
     low = least.min()
-    if low < -EIG_CLAMP:
+    if not low >= -EIG_CLAMP:
         raise DomainError(f"negative eigenvalue {low:.3e} below clamp threshold")
     if low < 0.0:
         # round-off negatives: clamp to zero and renormalize, where there are any
@@ -235,9 +249,9 @@ def _entropy_terms(w: np.ndarray, base="e") -> tuple[np.ndarray, np.ndarray, np.
 def spectrum_entropy(weights, base="e"):
     """Shannon entropy of probability vectors along the last axis, with 0·log 0 = 0.
 
-    Entries <= 0 add nothing.  One vector gives a float, a stack (..., d) an array.
+    Entries <= 0 add nothing, a non-finite one is a DomainError.  One vector gives a float, a stack (..., d) an array.
     """
-    out = _entropy_terms(np.asarray(weights, dtype=float), base)[0]
+    out = _entropy_terms(_checked_real(weights, "weights must be finite"), base)[0]
     return float(out) if out.ndim == 0 else out
 
 

@@ -6,12 +6,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NORM_TOL, _PAULI, _PAULI_PAIRS, BipartitePureState, DomainError, _bisect, _hamiltonian_matrix, log_scale
+from .core import (NORM_TOL, _PAULI, _PAULI_PAIRS, BipartitePureState, DomainError, _bisect, _checked_real,
+                   _hamiltonian_matrix, log_scale)
 
 PAULI_X, PAULI_Y, PAULI_Z = _PAULI[1:]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NonlocalHamiltonian:
     """Canonical two-qubit interaction sum_k mu_k sigma_k ⊗ sigma_k.
 
@@ -115,9 +116,7 @@ def canonical_form(alpha, beta, gamma) -> NonlocalHamiltonian:
     """
     alpha = np.asarray(alpha, dtype=float).reshape(3)
     beta = np.asarray(beta, dtype=float).reshape(3)
-    gamma = np.asarray(gamma, dtype=float).reshape(3, 3)
-    if not np.isfinite(gamma).all():
-        raise DomainError("coupling matrix must be finite")
+    gamma = _checked_real(gamma, "coupling matrix must be finite").reshape(3, 3)
     mu = np.linalg.svd(gamma, compute_uv=False)
     sign = 1 if np.linalg.det(gamma) >= 0.0 else -1
     return NonlocalHamiltonian(
@@ -137,8 +136,9 @@ def evolve_matrix(h_matrix: np.ndarray, amplitudes: np.ndarray, t: float) -> np.
 
 def evolved_schmidt_weights(p: float, theta: float, t: float):
     """Closed-form Schmidt pair under the canonical interaction from sqrt(p)|00>+sqrt(1-p)|11>."""
-    if np.any(np.asarray(p) < 0.0) or np.any(np.asarray(p) > 1.0):
-        raise DomainError("p must lie in [0, 1]")
+    _checked_real(p, "p must lie in [0, 1]", 0.0, 1.0)
+    _checked_real(theta, "theta must be finite")
+    _checked_real(t, "t must be finite")
     lam1 = 0.5 * (1.0 - (1.0 - 2.0 * p) * np.cos(2.0 * theta * t))
     return lam1, 1.0 - lam1
 
@@ -204,9 +204,7 @@ def capacity_rate_factor(p, base="e", k=1):
     bare qubit pair, k = 3 a qubit with maximally entangled qubit ancillas.
     Vanishes by continuity at p = 0, 1/(k+1), 1.  Accepts scalars or arrays.
     """
-    p_arr = np.asarray(p, dtype=float)
-    if np.any(p_arr < 0.0) or np.any(p_arr > 1.0):
-        raise DomainError("p must lie in [0, 1]")
+    p_arr = _checked_real(p, "p must lie in [0, 1]", 0.0, 1.0)
     inner = (p_arr > 0.0) & (p_arr < 1.0)
     safe = np.where(inner, p_arr, 0.5)
     log_r = np.log(k * safe / (1.0 - safe))
@@ -364,14 +362,14 @@ def simulate_trajectory(hamiltonian, psi0, times, base="e") -> Trajectory:
         amps0 = psi0.amplitudes
     else:
         amps0 = np.asarray(psi0, dtype=complex)
-        if np.abs(np.linalg.norm(amps0, axis=-1) - 1.0).max(initial=0.0) > NORM_TOL:
+        if not np.abs(np.linalg.norm(amps0, axis=-1) - 1.0).max(initial=0.0) <= NORM_TOL:
             raise DomainError("initial amplitudes must have unit norm")
     if w.shape[-1] != 4 or amps0.shape != w.shape:
         raise DomainError("need 4x4 Hamiltonians and length-4 amplitudes with matching leading axes")
     single = w.ndim == 1
     if single:
         w, amps0 = w[None], amps0[None]
-    times = np.asarray(times, dtype=float)
+    times = _checked_real(times, "times must be finite")
     # row-vector products: V^dagger x is x @ conj(V), V c is c @ V^T
     v_dag, v_t = v.conj(), np.swapaxes(v, -1, -2)
 

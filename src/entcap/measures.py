@@ -11,6 +11,7 @@ from .core import (
     DensityOperator,
     DomainError,
     _bisect,
+    _checked_real,
     _density_weights,
     _entropy_terms,
     _hamiltonian_matrix,
@@ -46,7 +47,7 @@ def _spectrum_capacity(w: np.ndarray, base="e") -> tuple[np.ndarray, np.ndarray]
     against round-off.  Raises DomainError unless every vector is
     non-negative (to -1e-12) and sums to 1 (to 1e-10).
     """
-    if w.min() < -1e-12 or np.abs(w.sum(axis=-1) - 1.0).max() > 1e-10:
+    if not (w.min() >= -1e-12 and np.abs(w.sum(axis=-1) - 1.0).max() <= 1e-10):
         raise DomainError("weights must be non-negative and sum to 1")
     entropy, p, logs = _entropy_terms(w, base)
     capacity = np.sum(p * logs**2, axis=-1) - entropy**2
@@ -77,12 +78,10 @@ def capacity_of(rho: DensityOperator, base="e") -> CapacityResult:
 
 def capacity_two_qubit_closed(p: float, base="e") -> float:
     """Closed form p(1-p) log^2(p/(1-p)) for a two-term Schmidt spectrum (p, 1-p)."""
-    if p < 0.0 or p > 1.0:
-        raise DomainError("p must lie in [0, 1]")
+    _checked_real(p, "p must lie in [0, 1]", 0.0, 1.0)
     if p == 0.0 or p == 1.0:
         return 0.0
-    scale = log_scale(base)
-    return float(p * (1.0 - p) * (np.log(p / (1.0 - p)) / scale) ** 2)
+    return float(p * (1.0 - p) * (np.log(p / (1.0 - p)) / log_scale(base)) ** 2)
 
 
 def is_flat(spectrum) -> bool:
@@ -97,7 +96,7 @@ def _variance(obs: np.ndarray, m: np.ndarray) -> np.ndarray:
     mean = np.trace(m @ obs, axis1=-2, axis2=-1).real
     second = np.trace(m @ obs @ obs, axis1=-2, axis2=-1).real
     var = second - mean**2
-    if var.min() < -1e-12:
+    if not var.min() >= -1e-12:
         raise DomainError(f"variance {var.min():.3e} below round-off tolerance")
     return np.maximum(var, 0.0)
 

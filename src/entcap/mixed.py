@@ -14,6 +14,7 @@ from .core import (
     ConfigurationError,
     DensityOperator,
     DomainError,
+    _checked_real,
     _entropy_terms,
     _leaves_support,
     _support_log,
@@ -81,10 +82,7 @@ def _family_lambda(family: int, lam) -> np.ndarray:
     """lam as a float array; DomainError unless family is 1 or 2 and every lam lies in [0, 1]."""
     if family not in (1, 2):
         raise DomainError(f"family must be 1 or 2, got {family!r}")
-    lam = np.asarray(lam, dtype=float)
-    if not ((lam >= 0.0) & (lam <= 1.0)).all():
-        raise DomainError("lam must lie in [0, 1]")
-    return lam
+    return _checked_real(lam, "lam must lie in [0, 1]", 0.0, 1.0)
 
 
 def _family_matrices(family: int, lam) -> tuple[np.ndarray, np.ndarray]:

@@ -13,6 +13,7 @@ from .core import (
     DensityOperator,
     DomainError,
     _bisect,
+    _checked_real,
     _hamiltonian_matrix,
     hermitize,
     log_scale,
@@ -22,19 +23,18 @@ INVOLUTION_TOL = 1e-10
 
 
 def _check_involution(x: np.ndarray, name: str) -> np.ndarray:
-    """x as a complex array, checked Hermitian and involutory; a stack (..., d, d) is checked whole."""
-    x = np.asarray(x, dtype=complex)
+    """x, a complex array, checked Hermitian and involutory; a stack (..., d, d) is checked whole."""
     if x.ndim < 2 or x.shape[-1] != x.shape[-2]:
         raise DomainError(f"{name} must be a square matrix")
-    if np.abs(x - np.swapaxes(x.conj(), -1, -2)).max() > INVOLUTION_TOL:
+    if not np.abs(x - np.swapaxes(x.conj(), -1, -2)).max() <= INVOLUTION_TOL:
         raise DomainError(f"{name} is not Hermitian")
     dev = np.abs(x @ x - np.eye(x.shape[-1])).max()
-    if dev > INVOLUTION_TOL:
+    if not dev <= INVOLUTION_TOL:
         raise DomainError(f"{name} is not involutory (|X^2 - I| = {dev:.3e})")
     return x
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SelfInverseHamiltonian:
     """H = X_A ⊗ X_B of Hermitian involutions, checked at construction, so that H^2 = identity.
 
@@ -130,10 +130,8 @@ def capacity_rate_bounds(d_a: int, *, gamma, capacity, speed, op_norm, d: int, b
     takes the ancilla-unassisted rate constant at 1, its most conservative
     value.
     """
-    inputs = [np.abs(gamma), capacity, speed, op_norm]
-    # written as "not >= 0" so that NaN is rejected too
-    if not all(np.all(np.asarray(x) >= 0.0) for x in inputs):
-        raise DomainError("bound inputs must be non-negative and not NaN")
+    for x in (np.abs(gamma), capacity, speed, op_norm):
+        _checked_real(x, "bound inputs must be non-negative and not NaN", 0.0)
     scale = log_scale(base)
     log_da = np.log(d_a) / scale
     log_d = np.log(d) / scale

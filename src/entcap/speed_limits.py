@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BipartitePureState, DomainError, _hamiltonian_matrix
+from .core import BipartitePureState, DomainError, _checked_real, _hamiltonian_matrix
 from .dynamics import (
     Trajectory,
     _apply,
@@ -15,7 +15,6 @@ from .dynamics import (
     _two_qubit_entropy,
     _two_qubit_log_ratio,
     _two_qubit_schmidt,
-    evolve_matrix,
 )
 
 
@@ -41,12 +40,9 @@ def _family_schmidt(p, theta, t):
     2 theta t -> 0, where the forms through 1 - (1-2p) cos(2 theta t) cancel,
     and p = 1/2 gives the weight 1/2 exactly.
     """
-    p = np.asarray(p, dtype=float)
-    if not ((p >= 0.0) & (p <= 1.0)).all():
-        raise DomainError("p must lie in [0, 1]")
-    if not np.isfinite(theta).all():
-        raise DomainError("theta must be finite")
-    x = theta * np.asarray(t, dtype=float)
+    p = _checked_real(p, "p must lie in [0, 1]", 0.0, 1.0)
+    _checked_real(theta, "theta must be finite")
+    x = theta * _checked_real(t, "t must be finite")
     a = np.abs(1.0 - 2.0 * p)
     lam_minus = np.minimum(p, 1.0 - p) + a * np.minimum(np.sin(x) ** 2, np.cos(x) ** 2)
     return lam_minus, _two_qubit_log_ratio(lam_minus, a * np.abs(np.cos(2.0 * x)))
@@ -117,14 +113,10 @@ def _family_qsl(p, theta, durations, base):
     theta.shape + p.shape + durations.shape.
     """
     p = np.asarray(p, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    durations = np.asarray(durations, dtype=float)
+    theta = _checked_real(theta, "theta must be positive and finite", positive=True)
     if theta.ndim > 1:
         raise DomainError("theta must be a scalar or a 1-D array")
-    if not np.all(np.isfinite(theta) & (theta > 0.0)):
-        raise DomainError("theta must be positive and finite")
-    if not np.all(np.isfinite(durations) & (durations > 0.0)):
-        raise DomainError("durations must be positive and finite")
+    durations = _checked_real(durations, "durations must be positive and finite", positive=True)
     ends = 2.0 * theta.reshape(theta.shape + (1,) * durations.ndim) * durations
     x_max = float(ends.max(initial=0.0))
     if x_max > _MAX_PHASE:
@@ -199,13 +191,14 @@ def rate_bound_check(trajectory: Trajectory, margin: float = 1e-12) -> RateBound
 def _step_time_dependent(h_of_t, amps0: np.ndarray, times: np.ndarray) -> np.ndarray:
     """Amplitudes (T, d) at each of T times by piecewise-constant stepping from ``amps0``.
 
-    Each interval uses H at its midpoint; each step is renormalized.
+    One batched ``eigh`` of the checked midpoint Hamiltonians; each step as ``evolve_matrix``, renormalized.
     """
+    mids = 0.5 * (times[:-1] + times[1:])
+    w, v = np.linalg.eigh(_hamiltonian_matrix(np.array([h_of_t(t) for t in mids], dtype=complex), amps0.size))
     out = np.empty((len(times), amps0.size), dtype=complex)
     out[0] = amps0
-    for k in range(1, len(times)):
-        h = np.asarray(h_of_t(0.5 * (times[k - 1] + times[k])), dtype=complex)
-        amps = evolve_matrix(h, out[k - 1], times[k] - times[k - 1])
+    for k, (wk, vk, dt) in enumerate(zip(w, v, np.diff(times)), start=1):
+        amps = vk @ (np.exp(-1j * wk * dt) * (vk.conj().T @ out[k - 1]))
         out[k] = amps / np.linalg.norm(amps)
     return out
 
@@ -221,8 +214,7 @@ def qsl_time_dependent(h_of_t, psi0: BipartitePureState, duration: float,
     and 3.27 T in nats.  The window needs a positive, finite ``duration``, an
     integer ``samples >= 2`` (both ends) and an h_of_t that acts on psi0.
     """
-    if not (np.isfinite(duration) and duration > 0.0):
-        raise DomainError("duration must be positive and finite")
+    _checked_real(duration, "duration must be positive and finite", positive=True)
     if not isinstance(samples, (int, np.integer)) or samples < 2:
         raise DomainError(f"samples must be an integer of at least 2, got {samples!r}")
     ts = np.linspace(0.0, duration, samples)
@@ -241,5 +233,5 @@ def qsl_time_dependent(h_of_t, psi0: BipartitePureState, duration: float,
         denom = 2.0 * mean_fluct * np.sqrt(mean_sqrt)
         if denom <= 0.0:
             raise DomainError("entropy changed but fluctuation or capacity average is zero")
-        t_qsl = abs(ds) / denom
+        t_qsl = float(abs(ds) / denom)
     return QSLReport(duration, t_qsl, ds, mean_sqrt, mean_fluct, samples)

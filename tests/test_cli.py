@@ -352,19 +352,22 @@ class TestConfig:
         assert main(argv + ["--seed", "3", "--log-base", "2", "--out", str(out)]) == 0
         assert out.exists()
 
-    def test_config_file_overrides_flags(self, tmp_path):
-        out = tmp_path / "from_config.csv"
-        cfg = RunConfig(command="figure1", log_base="2", out=str(out),
-                        grid={"p": (0.0, 1.0, 3), "t": (0.0, 1.0, 3)})
+    def test_config_file_overrides_flags(self, tmp_path, capsys):
+        # a flag beside --config is an error, not silently dropped for the document's values
+        out = tmp_path / "flag.csv"
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(cfg.to_json())
-        assert main(["--command", "verify", "--config", str(cfg_path)]) == 0
-        assert out.exists()
+        cfg_path.write_text(RunConfig(command="maximize", target="beta").to_json())
+        argv = ["--command", "figure1", "--theta", "0.3", "--out", str(out), "--config", str(cfg_path)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err == "configuration error: --config takes no other flag, got --command, --out, --theta\n"
+        assert main(["--config", str(cfg_path)]) == 0
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps({"command": "figure1", "bogus": 1}))
-        assert main(["--command", "figure1", "--config", str(cfg_path)]) == 2
+        assert main(["--config", str(cfg_path)]) == 2
 
     def test_missing_command(self):
         assert main([]) == 2

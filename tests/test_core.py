@@ -356,3 +356,56 @@ def test_bounds_suite_allocates_no_large_arrays():
     code = ("import tracemalloc; from entcap.verify import run_bounds; tracemalloc.start(); "
             "run_bounds(20, 0); print(tracemalloc.get_traced_memory()[1])")
     assert int(_fresh_python(code)) < 8e6
+
+
+_NON_FINITE = (np.nan, np.inf, -np.inf)
+_H = np.diag([1.0, -1.0, -1.0, 1.0])
+_PRODUCT = np.array([1.0, 0.0, 0.0, 0.0])
+
+
+def _h_with(x):
+    return _H + np.diag([x, 0.0, 0.0, 0.0])
+
+
+def _bounds(**bad):
+    return entcap.capacity_rate_bounds(2, **{"gamma": 0.1, "capacity": 0.1, "speed": 1.0, "op_norm": 1.0, **bad}, d=4)
+
+
+# each real input of the public entry points, with one value made non-finite.
+# NaN everywhere; +-inf where the argument's range alone does not exclude it
+# (an infinite p, state norm or negative bound input is out of range anyway)
+_NON_FINITE_CASES = {
+    "BipartitePureState": ((np.nan,), lambda x: BipartitePureState([x, 0.0, 0.0, 0.0], 2, 2)),
+    "DensityOperator": (_NON_FINITE, lambda x: DensityOperator([[0.5, x], [x, 0.5]])),
+    "SelfInverseHamiltonian": (_NON_FINITE, lambda x: entcap.SelfInverseHamiltonian([[0.0, 1.0], [1.0, x]], np.eye(2))),
+    "simulate_trajectory-amplitudes": ((np.nan,), lambda x: entcap.simulate_trajectory(_H, [x, 0.0, 0.0, 0.0], [0.0])),
+    "simulate_trajectory-times": (_NON_FINITE, lambda x: entcap.simulate_trajectory(_H, _PRODUCT, [0.0, x])),
+    "capacity_rate_factor": ((np.nan,), lambda x: entcap.capacity_rate_factor(x)),
+    "max_capacity_rate": ((np.nan,), lambda x: entcap.max_capacity_rate(x, 1.0, 0.5)),
+    "capacity_two_qubit_closed": ((np.nan,), lambda x: entcap.capacity_two_qubit_closed(x)),
+    "capacity_from_spectrum": ((np.nan,), lambda x: entcap.capacity_from_spectrum([x, 1.0])),
+    "spectrum_entropy": (_NON_FINITE, lambda x: spectrum_entropy([x, 1.0])),
+    "evolved_schmidt_weights-p": ((np.nan,), lambda x: entcap.evolved_schmidt_weights(x, 1.0, 0.5)),
+    "evolved_schmidt_weights-theta": (_NON_FINITE, lambda x: entcap.evolved_schmidt_weights(0.3, x, 0.5)),
+    "evolved_schmidt_weights-t": (_NON_FINITE, lambda x: entcap.evolved_schmidt_weights(0.3, 1.0, x)),
+    "family_entropy-t": (_NON_FINITE, lambda x: entcap.speed_limits.family_entropy(0.3, 1.0, x)),
+    "family_sqrt_capacity-t": (_NON_FINITE, lambda x: entcap.speed_limits.family_sqrt_capacity(0.3, 1.0, x)),
+    "hamiltonian_fluctuation": (_NON_FINITE, lambda x: entcap.hamiltonian_fluctuation(
+        _h_with(x), BipartitePureState(_PRODUCT, 2, 2))),
+    "qsl_time_dependent": (_NON_FINITE, lambda x: entcap.qsl_time_dependent(
+        lambda t: _h_with(x), BipartitePureState(_PRODUCT, 2, 2), 1.0, samples=3)),
+    # finite at both sample times, non-finite at the one midpoint the stepping uses
+    "qsl_time_dependent-midpoint": (_NON_FINITE, lambda x: entcap.qsl_time_dependent(
+        lambda t: _h_with(x if t == 0.5 else 0.0), BipartitePureState(_PRODUCT, 2, 2), 1.0, samples=2)),
+    "capacity_rate_bounds-gamma": ((np.inf, -np.inf), lambda x: _bounds(gamma=x)),
+    "capacity_rate_bounds-capacity": ((np.inf,), lambda x: _bounds(capacity=x)),
+    "capacity_rate_bounds-speed": ((np.inf,), lambda x: _bounds(speed=x)),
+    "capacity_rate_bounds-op_norm": ((np.inf,), lambda x: _bounds(op_norm=x)),
+}
+
+
+@pytest.mark.parametrize("name, x", [pytest.param(name, x, id=f"{name}-{x}")
+                                     for name, (values, _) in _NON_FINITE_CASES.items() for x in values])
+def test_non_finite_input_rejected(name, x):
+    with pytest.raises(DomainError):
+        _NON_FINITE_CASES[name][1](x)

@@ -204,6 +204,15 @@ class TestHamiltonianTypes:
         assert np.array_equal(liouville_rhs(ham, rho), liouville_rhs(ham.matrix(), rho))
         assert operator_norm(ham) == operator_norm(ham.matrix()) == pytest.approx(1.7, abs=1e-12)
 
+    def test_equality_is_identity_and_hashable(self):
+        # array fields give no truth value, so == compares identity and hash() works
+        from entcap.dynamics import NonlocalHamiltonian
+
+        for make in (lambda: NonlocalHamiltonian(mu=(1.0, 0.5, 0.2)), lambda: SelfInverseHamiltonian(SX, SZ)):
+            a, b = make(), make()
+            assert a == a and a != b
+            assert len({a, b, a}) == 2 and hash(a) == hash(a)
+
     def test_non_square_matrix_rejected(self):
         from entcap.speed_limits import hamiltonian_fluctuation
 

@@ -377,7 +377,7 @@ class TestQSLTimeDependent:
         # the demo's drive; stepping, Schmidt data and both averages are pinned to the bit
         h = NonlocalHamiltonian(mu=(1.0, 0.3, 0.1)).matrix()
         report = qsl_time_dependent(lambda t: np.sin(t) * h, haar_random_pure(2, 2, 7), 0.8, samples=2001)
-        assert repr(float(report.t_qsl)) == "0.1709025561655923"
+        assert repr(report.t_qsl) == "0.1709025561655923"  # a Python float
         assert repr(report.mean_sqrt_capacity) == "0.7854838279640183"
         assert repr(report.mean_fluctuation) == "0.32908972361951094"
         assert repr(report.entropy_change) == "-0.09969227321093159"
