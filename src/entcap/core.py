@@ -71,6 +71,11 @@ def hermitize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + np.swapaxes(a.conj(), -1, -2))
 
 
+def _row_products(x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """x @ m, x (..., d), m (d, d) or (..., d, d), as the sum of x_j m_j in index order: a stack row keeps its bits."""
+    return sum((x[..., j, None] * m[..., j, :] for j in range(1, x.shape[-1])), x[..., 0, None] * m[..., 0, :])
+
+
 def _hamiltonian_matrix(hamiltonian, dim: int | None = None) -> np.ndarray:
     """``hamiltonian.matrix()`` of a Hamiltonian type, else square matrices (..., d, d) as a complex array.
 
@@ -123,6 +128,8 @@ def _checked_density(m: np.ndarray) -> np.ndarray:
     """Hermitian parts of complex matrices (..., d, d); DomainError unless each is Hermitian,
     of unit trace and PSD to the tolerances.  Round-off negatives are clamped and the matrix
     renormalized, which moves last bits: check a matrix once, on its raw form."""
+    if not np.isfinite(m).all():
+        raise DomainError("matrix entries must be finite")
     dev = np.abs(m - m.conj().swapaxes(-1, -2)).max()
     if not dev <= HERMITIAN_TOL:
         raise DomainError(f"matrix deviates from Hermitian by {dev:.3e}")

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (NORM_TOL, _PAULI, _PAULI_PAIRS, BipartitePureState, DomainError, _bisect, _checked_real,
-                   _hamiltonian_matrix, log_scale)
+                   _hamiltonian_matrix, _row_products, log_scale)
 
 PAULI_X, PAULI_Y, PAULI_Z = _PAULI[1:]
 
@@ -114,8 +115,8 @@ def canonical_form(alpha, beta, gamma) -> NonlocalHamiltonian:
     is sign(det gamma), with det 0 treated as +.  Local fields are recorded but
     excluded from the canonical interaction.
     """
-    alpha = np.asarray(alpha, dtype=float).reshape(3)
-    beta = np.asarray(beta, dtype=float).reshape(3)
+    alpha = _checked_real(alpha, "local fields must be finite").reshape(3)
+    beta = _checked_real(beta, "local fields must be finite").reshape(3)
     gamma = _checked_real(gamma, "coupling matrix must be finite").reshape(3, 3)
     mu = np.linalg.svd(gamma, compute_uv=False)
     sign = 1 if np.linalg.det(gamma) >= 0.0 else -1
@@ -338,24 +339,27 @@ def simulate_trajectory(hamiltonian, psi0, times, base="e") -> Trajectory:
     """Evolve exactly and record weights, entropies, capacities, and their exact rates.
 
     ``hamiltonian`` is a Hamiltonian type, a 4x4 matrix or a stack of N 4x4
-    Hermitian matrices; a ``NonlocalHamiltonian`` whose mu is an (N, 3)
-    stack stands for N Hamiltonians.  ``psi0`` is a two-qubit
-    BipartitePureState or unit-norm amplitudes, (4,) or stacked (N, 4) to
-    match.  Each H is used only through its eigensystem H = V diag(w)
-    V^dagger (``_eigensystem``): in closed form in the shared Bell basis for
-    a ``NonlocalHamiltonian``, else from one batched ``eigh``.  The states
-    are psi(t) = psi0 + V ((e^{-iwt} - 1) * V^dagger psi0), exact at t = 0,
-    then renormalized, and every product with H is H psi = V (w * V^dagger
-    psi).  Schmidt weights come in closed form from D = det C
-    (``_two_qubit_schmidt``).  Rates are exact: with D = det C, dD/dt taken
-    along dC/dt = -i (H psi) and r = Re(conj(D) dD/dt),
+    Hermitian matrices; a ``NonlocalHamiltonian`` with an (N, 3) mu or a
+    ``SelfInverseHamiltonian`` with stacked factors stands for N of them.  ``psi0`` is
+    a two-qubit BipartitePureState or unit-norm amplitudes, (4,) or stacked (N, 4) to
+    match.  A ``SelfInverseHamiltonian`` takes e^{-iHt} = cos t - i sin t H; any other
+    H its eigensystem V diag(w) V^dagger (``_eigensystem``, closed form for a
+    ``NonlocalHamiltonian``): psi(t) = psi0 + V ((e^{-iwt} - 1) * V^dagger psi0), exact
+    at t = 0, then renormalized, and H psi = V (w * V^dagger psi).  Schmidt weights
+    come in closed form from D = det C (``_two_qubit_schmidt``).  Rates are exact:
+    with dD/dt taken along dC/dt = -i (H psi) and r = Re(conj(D) dD/dt),
 
         dlam_-/dt = 2 r / s,    Gamma = dS/dt = 4 r artanh(s) / s,
         dC/dt = sum_n (dC/dlam_n)(dlam_n/dt) = -Gamma (2 - 2 s artanh(s)),
 
     finite as s -> 0 (artanh(s)/s -> 1) and exactly 0 at lam_- = 0.
     """
-    w, v = _eigensystem(hamiltonian)
+    involutions = sys.modules.get(f"{__package__}.self_inverse")  # loaded wherever a SelfInverseHamiltonian exists
+    if isinstance(hamiltonian, getattr(involutions, "SelfInverseHamiltonian", ())):
+        h = hamiltonian.matrix()
+    else:
+        h, (w, v) = None, _eigensystem(hamiltonian)
+    shape = w.shape if h is None else h.shape[:-1]
     if isinstance(psi0, BipartitePureState):
         if psi0.d_a != 2 or psi0.d_b != 2:
             raise DomainError("simulate_trajectory handles two-qubit states")
@@ -364,23 +368,22 @@ def simulate_trajectory(hamiltonian, psi0, times, base="e") -> Trajectory:
         amps0 = np.asarray(psi0, dtype=complex)
         if not np.abs(np.linalg.norm(amps0, axis=-1) - 1.0).max(initial=0.0) <= NORM_TOL:
             raise DomainError("initial amplitudes must have unit norm")
-    if w.shape[-1] != 4 or amps0.shape != w.shape:
+    if len(shape) > 2 or shape[-1] != 4 or amps0.shape != shape:
         raise DomainError("need 4x4 Hamiltonians and length-4 amplitudes with matching leading axes")
-    single = w.ndim == 1
-    if single:
-        w, amps0 = w[None], amps0[None]
+    single = len(shape) == 1
+    amps0 = amps0.reshape(-1, 4)
     times = _checked_real(times, "times must be finite")
-    # row-vector products: V^dagger x is x @ conj(V), V c is c @ V^T
-    v_dag, v_t = v.conj(), np.swapaxes(v, -1, -2)
-
-    # one row per sample: summed elementwise, so that a row's bits do not
-    # depend on how many samples share one BLAS product
-    coeffs = (amps0[:, :, None] * v_dag).sum(axis=-2)[:, None, :]
-    wt = w[:, None, :] * times[:, None]
-    phase_minus_one = -2.0 * np.sin(0.5 * wt) ** 2 - 1j * np.sin(wt)  # e^{-iwt} - 1
-    psi = amps0[:, None, :] + _rows_times(phase_minus_one * coeffs, v_t)
-    psi /= np.linalg.norm(psi, axis=-1, keepdims=True)
-    h_psi = _rows_times(w[:, None, :] * _rows_times(psi, v_dag), v_t)
+    if h is not None:
+        psi, h_psi = involutions._evolve_involution(h.reshape(-1, 4, 4), amps0, times)
+    else:
+        # row-vector products: V^dagger x is x @ conj(V), V c is c @ V^T
+        w, v_dag, v_t = w.reshape(-1, 4), v.conj(), np.swapaxes(v, -1, -2)
+        coeffs = _row_products(amps0, v_dag)[:, None, :]
+        wt = w[:, None, :] * times[:, None]
+        phase_minus_one = -2.0 * np.sin(0.5 * wt) ** 2 - 1j * np.sin(wt)  # e^{-iwt} - 1
+        psi = amps0[:, None, :] + _rows_times(phase_minus_one * coeffs, v_t)
+        psi /= np.linalg.norm(psi, axis=-1, keepdims=True)
+        h_psi = _rows_times(w[:, None, :] * _rows_times(psi, v_dag), v_t)
 
     det, s, lam_minus, log_ratio = _two_qubit_schmidt(psi)
     dpsi = -1j * h_psi

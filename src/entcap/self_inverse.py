@@ -15,6 +15,7 @@ from .core import (
     _bisect,
     _checked_real,
     _hamiltonian_matrix,
+    _row_products,
     hermitize,
     log_scale,
 )
@@ -26,6 +27,8 @@ def _check_involution(x: np.ndarray, name: str) -> np.ndarray:
     """x, a complex array, checked Hermitian and involutory; a stack (..., d, d) is checked whole."""
     if x.ndim < 2 or x.shape[-1] != x.shape[-2]:
         raise DomainError(f"{name} must be a square matrix")
+    if not np.isfinite(x).all():
+        raise DomainError(f"{name} entries must be finite")
     if not np.abs(x - np.swapaxes(x.conj(), -1, -2)).max() <= INVOLUTION_TOL:
         raise DomainError(f"{name} is not Hermitian")
     dev = np.abs(x @ x - np.eye(x.shape[-1])).max()
@@ -62,17 +65,24 @@ class SelfInverseHamiltonian:
         return (a[..., :, None, :, None] * b[..., None, :, None, :]).reshape(a.shape[:-2] + (d, d))
 
 
+def _evolve_involution(h: np.ndarray, amps0: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """(psi(t), H psi(t)) = (cos t psi0 - i sin t H psi0, cos t H psi0 - i sin t psi0) / |psi(t)|, shape (2, N, T, d),
+    for h (N, d, d) with H^2 = I, amps0 (N, d) and times (T,); elementwise per sample, with no eigensolve."""
+    pair = np.stack([amps0, _row_products(amps0, np.swapaxes(h, -1, -2))])[:, :, None, :]  # psi0, H psi0
+    evolved = np.cos(times)[:, None] * pair - 1j * np.sin(times)[:, None] * pair[::-1]
+    return evolved / np.linalg.norm(evolved[0], axis=-1, keepdims=True)
+
+
 def evolve_self_inverse(hamiltonian: SelfInverseHamiltonian, psi0: BipartitePureState, t: float) -> BipartitePureState:
-    """Closed-form evolution cos(t)|psi> - i sin(t) H|psi>; period 2 pi.
+    """Closed-form evolution cos(t)|psi> - i sin(t) H|psi> (``_evolve_involution``); period 2 pi.
 
     It needs H^2 = I: any Hamiltonian but one unstacked ``SelfInverseHamiltonian`` is a DomainError.
     """
     if not isinstance(hamiltonian, SelfInverseHamiltonian) or hamiltonian.x_a.ndim != 2:
         raise DomainError("evolve_self_inverse needs one unstacked SelfInverseHamiltonian")
     h = _hamiltonian_matrix(hamiltonian, psi0.dim)
-    amps = np.cos(t) * psi0.amplitudes - 1j * np.sin(t) * (h @ psi0.amplitudes)
-    amps = amps / np.linalg.norm(amps)
-    return BipartitePureState(amps, psi0.d_a, psi0.d_b)
+    psi, _ = _evolve_involution(h[None], psi0.amplitudes[None], _checked_real(t, "t must be finite").reshape(1))
+    return BipartitePureState(psi[0, 0], psi0.d_a, psi0.d_b)
 
 
 def liouville_rhs(hamiltonian, rho: DensityOperator) -> np.ndarray:
@@ -131,7 +141,7 @@ def capacity_rate_bounds(d_a: int, *, gamma, capacity, speed, op_norm, d: int, b
     value.
     """
     for x in (np.abs(gamma), capacity, speed, op_norm):
-        _checked_real(x, "bound inputs must be non-negative and not NaN", 0.0)
+        _checked_real(x, "bound inputs must be finite and non-negative", 0.0)
     scale = log_scale(base)
     log_da = np.log(d_a) / scale
     log_d = np.log(d) / scale

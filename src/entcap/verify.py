@@ -187,8 +187,8 @@ def _capacity_rate_chain(rng: np.random.Generator, n_samples: int, base) -> Chec
     s = +-1, equals s I + (1 - s) u u^dagger, where u is the matrix's first
     column normalized (Q's first column up to a phase); so only those columns
     are read, and no QR is taken.  The N Hamiltonians are one stacked
-    ``SelfInverseHamiltonian``, whose factors are checked involutions, so each
-    spectrum is +-1 and ||H|| = 1 needs no eigensolve.
+    ``SelfInverseHamiltonian`` of checked involutions, evolved as cos t - i sin t H
+    and with spectra +-1, so ||H|| = 1: the check makes no eigensolve.
     """
     n = max(n_samples // 5, 20)
     normals = rng.standard_normal((n, 2, 2, 2, 2))

@@ -397,6 +397,8 @@ _NON_FINITE_CASES = {
     # finite at both sample times, non-finite at the one midpoint the stepping uses
     "qsl_time_dependent-midpoint": (_NON_FINITE, lambda x: entcap.qsl_time_dependent(
         lambda t: _h_with(x if t == 0.5 else 0.0), BipartitePureState(_PRODUCT, 2, 2), 1.0, samples=2)),
+    "canonical_form-alpha": (_NON_FINITE, lambda x: entcap.canonical_form([x, 0.0, 0.0], np.zeros(3), np.eye(3))),
+    "canonical_form-beta": (_NON_FINITE, lambda x: entcap.canonical_form(np.zeros(3), [0.0, x, 0.0], np.eye(3))),
     "capacity_rate_bounds-gamma": ((np.inf, -np.inf), lambda x: _bounds(gamma=x)),
     "capacity_rate_bounds-capacity": ((np.inf,), lambda x: _bounds(capacity=x)),
     "capacity_rate_bounds-speed": ((np.inf,), lambda x: _bounds(speed=x)),
@@ -404,6 +406,8 @@ _NON_FINITE_CASES = {
 }
 
 
+# warnings are errors: each check tests finiteness first, so no numpy warning precedes the DomainError
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("name, x", [pytest.param(name, x, id=f"{name}-{x}")
                                      for name, (values, _) in _NON_FINITE_CASES.items() for x in values])
 def test_non_finite_input_rejected(name, x):

@@ -189,7 +189,13 @@ class TestHamiltonianTypes:
         for t, entropy in zip(ts, traj.entropy):
             evolved = density_from_pure(evolve_self_inverse(ham, psi, t))
             assert abs(entropy - von_neumann_entropy(partial_trace(evolved, "A"))) <= 1e-12
-        assert np.array_equal(traj.entropy, simulate_trajectory(ham.matrix(), psi, ts).entropy)
+        # the type takes its own closed form, the one evolve_self_inverse takes, and its
+        # matrix the eigensystem route: equal in every bit to the first, to round-off to the second
+        dense = simulate_trajectory(ham.matrix(), psi, ts)
+        for k, t in enumerate(ts):
+            assert np.array_equal(traj.amplitudes[k], evolve_self_inverse(ham, psi, t).amplitudes)
+        for name in ("amplitudes", "schmidt_weights", "entropy", "capacity", "gamma", "gamma_capacity", "delta_h"):
+            assert np.abs(getattr(traj, name) - getattr(dense, name)).max() <= 1e-12, name
         assert hamiltonian_fluctuation(ham, psi) == hamiltonian_fluctuation(ham.matrix(), psi)
         assert fubini_study_speed(ham, psi) == fubini_study_speed(ham.matrix(), psi)
         assert max_entangling_element_numeric(ham) == max_entangling_element_numeric(ham.matrix())
@@ -267,11 +273,11 @@ class TestBounds:
     @pytest.mark.parametrize("field, bad", [("capacity", -0.1), ("op_norm", -1.0)] + [
         (field, bad) for field in ("gamma", "capacity", "speed", "op_norm")
         for bad in (np.nan, np.array([0.2, np.nan]))
-    ])
+    ] + [(field, np.inf) for field in ("gamma", "capacity", "speed", "op_norm")])
     def test_negative_or_nan_input_rejected(self, field, bad):
         # NaN fails every comparison, so it must not slip past the sign check
         inputs = {**dict(gamma=0.1, capacity=0.3, speed=1.0, op_norm=1.0), field: bad}
-        with pytest.raises(DomainError, match="non-negative"):
+        with pytest.raises(DomainError, match="must be finite and non-negative"):
             capacity_rate_bounds(2, **inputs, d=2, base=2)
 
     def test_operator_norm(self):
