@@ -8,6 +8,7 @@ and safe to share across threads.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,6 +67,31 @@ def _checked_real(x, message: str, lo: float = -math.inf, hi: float = math.inf, 
     return x
 
 
+def _checked_count(n, name: str, lo: int = 1) -> int:
+    """n as an int; DomainError unless it is an integer (``operator.index``) of at least lo.  The one count test."""
+    try:
+        count = operator.index(n)
+    except TypeError:
+        count = None
+    if count is None or count < lo:
+        raise DomainError(f"{name} must be an integer of at least {lo}, got {n!r}")
+    return count
+
+
+def _checked_operator(m, tol: float, name: str = "operator") -> np.ndarray:
+    """m as a complex array; DomainError unless it is square (one matrix or a stack (..., d, d)), finite, and
+    Hermitian to tol times its largest entry modulus floored at 1, so to tol exactly where no entry exceeds 1."""
+    m = np.asarray(m, dtype=complex)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise DomainError(f"{name} must be a square matrix")
+    if not np.isfinite(m).all():
+        raise DomainError(f"{name} entries must be finite")
+    dev = np.abs(m - m.conj().swapaxes(-1, -2)).max(initial=0.0)
+    if not (dev <= tol or dev <= tol * np.abs(m).max()):  # the largest entry is read only past the floor
+        raise DomainError(f"{name} is not Hermitian (deviation {dev:.3e})")
+    return m
+
+
 def hermitize(a: np.ndarray) -> np.ndarray:
     """Hermitian part (A + A†)/2 of a matrix or of each matrix in a stack (..., d, d)."""
     return 0.5 * (a + np.swapaxes(a.conj(), -1, -2))
@@ -77,17 +103,13 @@ def _row_products(x: np.ndarray, m: np.ndarray) -> np.ndarray:
 
 
 def _hamiltonian_matrix(hamiltonian, dim: int | None = None) -> np.ndarray:
-    """``hamiltonian.matrix()`` of a Hamiltonian type, else square matrices (..., d, d) as a complex array.
+    """``hamiltonian.matrix()`` of a Hamiltonian type, else raw matrices (..., d, d) checked by ``_checked_operator``.
 
-    DomainError unless every entry is finite and, with a state's dimension ``dim``, d == dim: the one
-    check that a Hamiltonian or an observable, or each of a stack, acts on the state.
+    DomainError unless, with a state's dimension ``dim``, d == dim: the one check that a Hamiltonian
+    or an observable, or each of a stack, acts on the state.
     """
-    if callable(getattr(hamiltonian, "matrix", None)):
-        h = hamiltonian.matrix()  # finite: each Hamiltonian type checks its parameters at construction
-    elif not np.isfinite(h := np.asarray(hamiltonian, dtype=complex)).all():
-        raise DomainError("operator entries must be finite")
-    if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
-        raise DomainError("operator must be a square matrix or a stack of them")
+    typed = callable(getattr(hamiltonian, "matrix", None))  # Hermitian and finite by construction
+    h = hamiltonian.matrix() if typed else _checked_operator(hamiltonian, HERMITIAN_TOL)
     if dim is not None and h.shape[-1] != dim:
         raise DomainError(f"operator acts on dimension {h.shape[-1]}, the state has dimension {dim}")
     return h
@@ -104,8 +126,8 @@ class BipartitePureState:
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
         object.__setattr__(self, "amplitudes", amps)
-        if self.d_a < 1 or self.d_b < 1:
-            raise DomainError("subsystem dimensions must be positive")
+        object.__setattr__(self, "d_a", _checked_count(self.d_a, "d_a"))
+        object.__setattr__(self, "d_b", _checked_count(self.d_b, "d_b"))
         if amps.size != self.d_a * self.d_b:
             raise DomainError(
                 f"amplitude vector has length {amps.size}, expected {self.d_a * self.d_b}"
@@ -124,16 +146,11 @@ class BipartitePureState:
         return self.amplitudes.reshape(self.d_a, self.d_b)
 
 
-def _checked_density(m: np.ndarray) -> np.ndarray:
-    """Hermitian parts of complex matrices (..., d, d); DomainError unless each is Hermitian,
-    of unit trace and PSD to the tolerances.  Round-off negatives are clamped and the matrix
-    renormalized, which moves last bits: check a matrix once, on its raw form."""
-    if not np.isfinite(m).all():
-        raise DomainError("matrix entries must be finite")
-    dev = np.abs(m - m.conj().swapaxes(-1, -2)).max()
-    if not dev <= HERMITIAN_TOL:
-        raise DomainError(f"matrix deviates from Hermitian by {dev:.3e}")
-    m = hermitize(m)
+def _checked_density(m) -> np.ndarray:
+    """Hermitian parts of matrices (..., d, d); DomainError unless they pass ``_checked_operator``
+    and each has unit trace and is PSD to the tolerances.  Round-off negatives are clamped and the
+    matrix renormalized, which moves last bits: check a matrix once, on its raw form."""
+    m = hermitize(_checked_operator(m, HERMITIAN_TOL, "density matrix"))
     tr = m.trace(axis1=-2, axis2=-1).real
     off = abs(tr - 1.0)
     if not off.max() <= TRACE_TOL:
@@ -160,15 +177,17 @@ class DensityOperator:
     d_b: int | None = None
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise DomainError("density matrix must be square")
+        m = _checked_density(self.matrix)
+        if m.ndim != 2:
+            raise DomainError("density matrix must be one matrix, not a stack")
         d = m.shape[0]
         if (self.d_a is None) != (self.d_b is None):
             raise ConfigurationError("d_a and d_b must be given together")
-        if self.d_a is not None and self.d_a * self.d_b != d:
-            raise ConfigurationError(f"split {self.d_a}x{self.d_b} does not match size {d}")
-        m = _checked_density(m)
+        if self.d_a is not None:
+            object.__setattr__(self, "d_a", _checked_count(self.d_a, "d_a"))
+            object.__setattr__(self, "d_b", _checked_count(self.d_b, "d_b"))
+            if self.d_a * self.d_b != d:
+                raise ConfigurationError(f"split {self.d_a}x{self.d_b} does not match size {d}")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -331,7 +350,6 @@ def _haar_amplitudes(rng: np.random.Generator, d: int, count: int | None = None)
 
 def haar_random_pure(d_a: int, d_b: int, seed) -> BipartitePureState:
     """Haar-random pure state on A⊗B; deterministic for a fixed integer seed."""
-    if d_a < 2 or d_b < 2:
-        raise DomainError("haar_random_pure requires d_a, d_b >= 2")
+    d_a, d_b = _checked_count(d_a, "d_a", 2), _checked_count(d_b, "d_b", 2)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     return BipartitePureState(_haar_amplitudes(rng, d_a * d_b), d_a, d_b)

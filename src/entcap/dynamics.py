@@ -2,15 +2,12 @@
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (NORM_TOL, _PAULI, _PAULI_PAIRS, BipartitePureState, DomainError, _bisect, _checked_real,
-                   _hamiltonian_matrix, _row_products, log_scale)
-
-PAULI_X, PAULI_Y, PAULI_Z = _PAULI[1:]
+from .core import (NORM_TOL, _PAULI, _PAULI_PAIRS, BipartitePureState, DomainError, _bisect, _checked_count,
+                   _checked_real, _hamiltonian_matrix, _row_products, log_scale)
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,6 +203,7 @@ def capacity_rate_factor(p, base="e", k=1):
     Vanishes by continuity at p = 0, 1/(k+1), 1.  Accepts scalars or arrays.
     """
     p_arr = _checked_real(p, "p must lie in [0, 1]", 0.0, 1.0)
+    k = _checked_count(k, "k")
     inner = (p_arr > 0.0) & (p_arr < 1.0)
     safe = np.where(inner, p_arr, 0.5)
     log_r = np.log(k * safe / (1.0 - safe))
@@ -226,6 +224,7 @@ def capacity_rate_factor_maximum(base="e", k=1) -> tuple[float, float]:
     [-40, 40] is bisected, and the stationary point with the largest factor
     is returned.
     """
+    k = _checked_count(k, "k")
 
     def stationarity(L):
         p = 1.0 / (1.0 + k * np.exp(-L))
@@ -243,6 +242,7 @@ def max_capacity_rate(p: float, mu1: float, mu2: float, base="e") -> float:
 
     Attained from sqrt(p)|01> + i sqrt(1-p)|10> under the canonical interaction.
     """
+    _checked_real((mu1, mu2), "couplings must be finite and non-negative", 0.0)
     return float((mu1 + mu2) * capacity_rate_factor(p, base))
 
 
@@ -354,8 +354,9 @@ def simulate_trajectory(hamiltonian, psi0, times, base="e") -> Trajectory:
 
     finite as s -> 0 (artanh(s)/s -> 1) and exactly 0 at lam_- = 0.
     """
-    involutions = sys.modules.get(f"{__package__}.self_inverse")  # loaded wherever a SelfInverseHamiltonian exists
-    if isinstance(hamiltonian, getattr(involutions, "SelfInverseHamiltonian", ())):
+    from .self_inverse import SelfInverseHamiltonian, _evolve_involution
+
+    if isinstance(hamiltonian, SelfInverseHamiltonian):
         h = hamiltonian.matrix()
     else:
         h, (w, v) = None, _eigensystem(hamiltonian)
@@ -372,9 +373,11 @@ def simulate_trajectory(hamiltonian, psi0, times, base="e") -> Trajectory:
         raise DomainError("need 4x4 Hamiltonians and length-4 amplitudes with matching leading axes")
     single = len(shape) == 1
     amps0 = amps0.reshape(-1, 4)
-    times = _checked_real(times, "times must be finite")
+    times = _checked_real(times, "times must be a finite 1-D array")
+    if times.ndim != 1:
+        raise DomainError("times must be a finite 1-D array")
     if h is not None:
-        psi, h_psi = involutions._evolve_involution(h.reshape(-1, 4, 4), amps0, times)
+        psi, h_psi = _evolve_involution(h.reshape(-1, 4, 4), amps0, times)
     else:
         # row-vector products: V^dagger x is x @ conj(V), V c is c @ V^T
         w, v_dag, v_t = w.reshape(-1, 4), v.conj(), np.swapaxes(v, -1, -2)

@@ -11,6 +11,7 @@ from .core import (
     DensityOperator,
     DomainError,
     _bisect,
+    _checked_count,
     _checked_real,
     _density_weights,
     _entropy_terms,
@@ -45,9 +46,9 @@ def _spectrum_capacity(w: np.ndarray, base="e") -> tuple[np.ndarray, np.ndarray]
 
     Capacity sum_i w_i log^2 w_i - S^2 with 0·log 0 = 0; both clamped at 0
     against round-off.  Raises DomainError unless every vector is
-    non-negative (to -1e-12) and sums to 1 (to 1e-10).
+    non-negative (to -1e-12) and sums to 1 (to 1e-10), so an empty one fails.
     """
-    if not (w.min() >= -1e-12 and np.abs(w.sum(axis=-1) - 1.0).max() <= 1e-10):
+    if not (w.size and w.min() >= -1e-12 and np.abs(w.sum(axis=-1) - 1.0).max() <= 1e-10):
         raise DomainError("weights must be non-negative and sum to 1")
     entropy, p, logs = _entropy_terms(w, base)
     capacity = np.sum(p * logs**2, axis=-1) - entropy**2
@@ -85,8 +86,13 @@ def capacity_two_qubit_closed(p: float, base="e") -> float:
 
 
 def is_flat(spectrum) -> bool:
-    """True iff all eigenvalues above the support cutoff agree to relative FLATNESS_TOL."""
-    w = np.asarray(spectrum, dtype=float)
+    """True iff all eigenvalues above the support cutoff agree to relative FLATNESS_TOL.
+
+    DomainError unless every entry is finite and one is positive.
+    """
+    w = _checked_real(spectrum, "spectrum must be finite with a positive entry")
+    if not w.max(initial=0.0) > 0.0:
+        raise DomainError("spectrum must be finite with a positive entry")
     nz = w[w > SUPPORT_CUTOFF * w.max()]
     return bool((nz.max() - nz.min()) <= FLATNESS_TOL * nz.max())
 
@@ -112,8 +118,7 @@ def solve_max_variance_spectrum(d: int) -> tuple[float, np.ndarray]:
 
     r is the root of (1-2r) ln((1-r)(d-1)/r) = 2 in (0, 1/2), found by bisection.
     """
-    if d < 2:
-        raise DomainError("dimension must be at least 2")
+    d = _checked_count(d, "d", 2)
     r = _bisect(lambda r: (1.0 - 2.0 * r) * np.log((1.0 - r) / r * (d - 1)) - 2.0, 1e-300, 0.5)
     weights = np.full(d, r / (d - 1))
     weights[0] = 1.0 - r

@@ -13,6 +13,8 @@ from .core import (
     DensityOperator,
     DomainError,
     _bisect,
+    _checked_count,
+    _checked_operator,
     _checked_real,
     _hamiltonian_matrix,
     _row_products,
@@ -23,14 +25,9 @@ from .core import (
 INVOLUTION_TOL = 1e-10
 
 
-def _check_involution(x: np.ndarray, name: str) -> np.ndarray:
-    """x, a complex array, checked Hermitian and involutory; a stack (..., d, d) is checked whole."""
-    if x.ndim < 2 or x.shape[-1] != x.shape[-2]:
-        raise DomainError(f"{name} must be a square matrix")
-    if not np.isfinite(x).all():
-        raise DomainError(f"{name} entries must be finite")
-    if not np.abs(x - np.swapaxes(x.conj(), -1, -2)).max() <= INVOLUTION_TOL:
-        raise DomainError(f"{name} is not Hermitian")
+def _check_involution(x, name: str) -> np.ndarray:
+    """x as a complex array, checked by ``_checked_operator`` and then X^2 = I; a stack (..., d, d) is checked whole."""
+    x = _checked_operator(x, INVOLUTION_TOL, name)
     dev = np.abs(x @ x - np.eye(x.shape[-1])).max()
     if not dev <= INVOLUTION_TOL:
         raise DomainError(f"{name} is not involutory (|X^2 - I| = {dev:.3e})")
@@ -142,6 +139,7 @@ def capacity_rate_bounds(d_a: int, *, gamma, capacity, speed, op_norm, d: int, b
     """
     for x in (np.abs(gamma), capacity, speed, op_norm):
         _checked_real(x, "bound inputs must be finite and non-negative", 0.0)
+    d_a, d = _checked_count(d_a, "d_a"), _checked_count(d, "d")
     scale = log_scale(base)
     log_da = np.log(d_a) / scale
     log_d = np.log(d) / scale

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BipartitePureState, DomainError, _checked_real, _hamiltonian_matrix
+from .core import BipartitePureState, DomainError, _checked_count, _checked_real, _hamiltonian_matrix
 from .dynamics import (
     Trajectory,
     _apply,
@@ -215,8 +215,7 @@ def qsl_time_dependent(h_of_t, psi0: BipartitePureState, duration: float,
     integer ``samples >= 2`` (both ends) and an h_of_t that acts on psi0.
     """
     _checked_real(duration, "duration must be positive and finite", positive=True)
-    if not isinstance(samples, (int, np.integer)) or samples < 2:
-        raise DomainError(f"samples must be an integer of at least 2, got {samples!r}")
+    samples = _checked_count(samples, "samples", 2)
     ts = np.linspace(0.0, duration, samples)
     hs = _hamiltonian_matrix(np.array([h_of_t(t) for t in ts], dtype=complex), psi0.dim)
     amps = _step_time_dependent(h_of_t, psi0.amplitudes, ts)

@@ -12,11 +12,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    DomainError,
+    _PAULI,
+    _checked_count,
     _haar_amplitudes,
     _partial_trace_matrix,
     _pure_density,
     _relative_entropy,
+    _row_products,
     _schmidt,
     _support_log,
     _von_neumann_entropy,
@@ -180,24 +182,21 @@ def _rate_bound(rng: np.random.Generator, n_samples: int, base) -> CheckResult:
 def _capacity_rate_chain(rng: np.random.Generator, n_samples: int, base) -> CheckResult:
     """Derivational capacity-rate bounds along self-inverse evolutions: violation counts, not gated.
 
-    The ensemble is drawn whole, one generator call per quantity: the normals
-    of every X_A and X_B (sample, factor, real/imaginary, 2x2), then the
-    uniforms that pick their spectra, then the initial states.
-    X = Q diag(1, s) Q^dagger, with Q from the QR of a normal matrix and
-    s = +-1, equals s I + (1 - s) u u^dagger, where u is the matrix's first
-    column normalized (Q's first column up to a phase); so only those columns
-    are read, and no QR is taken.  The N Hamiltonians are one stacked
+    The ensemble is drawn whole, one generator call per quantity: the normal
+    3-vectors of every X_A and X_B (sample, factor, 3), then the initial
+    states.  Each factor is X = n.sigma, n the normal vector over
+    sqrt(sum(n**2)): a traceless involution with spectrum +-1, never the
+    identity, so every H = X_A (x) X_B is non-local.  X is summed as
+    ``_row_products`` of n with the Pauli matrices, so a stack row keeps the
+    bits of its one-sample construction.  The N Hamiltonians are one stacked
     ``SelfInverseHamiltonian`` of checked involutions, evolved as cos t - i sin t H
     and with spectra +-1, so ||H|| = 1: the check makes no eigensolve.
     """
     n = max(n_samples // 5, 20)
-    normals = rng.standard_normal((n, 2, 2, 2, 2))
-    flips = rng.random((n, 2))
+    normals = rng.standard_normal((n, 2, 3))
     psis = _haar_amplitudes(rng, 4, n)
-    a = normals[..., 0, :, 0] + 1j * normals[..., 1, :, 0]
-    u = a / np.sqrt(np.sum(a.real**2 + a.imag**2, axis=-1, keepdims=True))
-    s = np.where(flips < 0.5, -1.0, 1.0)[..., None, None]
-    x = s * np.eye(2) + (1.0 - s) * (u[..., :, None] * u[..., None, :].conj())
+    unit = normals / np.sqrt(np.sum(normals**2, axis=-1, keepdims=True))
+    x = _row_products(unit, _PAULI[1:].reshape(3, 4)).reshape(n, 2, 2, 2)
     hams = SelfInverseHamiltonian(x[:, 0], x[:, 1])
     traj = simulate_trajectory(hams, psis, np.array([0.1, 0.3, 0.7]), base)
     bounds = capacity_rate_bounds(
@@ -259,8 +258,7 @@ def run_bounds(n_samples: int, seed: int, base="e") -> list[CheckResult]:
 
 
 def run_suite(suite: str, n_samples: int, seed: int, base="e") -> list[CheckResult]:
-    if n_samples < 1:
-        raise DomainError(f"n_samples must be positive, got {n_samples}")
+    n_samples = _checked_count(n_samples, "n_samples")
     if suite == "properties":
         return run_properties(n_samples, seed, base)
     if suite == "bounds":

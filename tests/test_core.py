@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import entcap
+from entcap import verify
 from entcap.core import (
     BipartitePureState,
     ConfigurationError,
@@ -413,3 +414,88 @@ _NON_FINITE_CASES = {
 def test_non_finite_input_rejected(name, x):
     with pytest.raises(DomainError):
         _NON_FINITE_CASES[name][1](x)
+
+
+_PURE_PRODUCT = BipartitePureState(_PRODUCT, 2, 2)
+_MIXED = DensityOperator(np.eye(4) / 4)
+
+# each integer count of the public entry points, at a non-integer and below its least value, and the range
+# and shape gaps that once gave a numpy error, a RuntimeWarning or a wrong number instead of a DomainError
+_OUT_OF_DOMAIN_CASES = {
+    "BipartitePureState-d_a-fraction": lambda: BipartitePureState(np.full(4, 0.5), 2.5, 1.6),
+    "BipartitePureState-d_b-zero": lambda: BipartitePureState(np.full(4, 0.5), 4, 0),
+    "haar_random_pure-fraction": lambda: entcap.haar_random_pure(2.5, 2, 0),
+    "haar_random_pure-one": lambda: entcap.haar_random_pure(2, 1, 0),
+    "solve_max_variance_spectrum-fraction": lambda: entcap.solve_max_variance_spectrum(2.5),
+    "solve_max_variance_spectrum-one": lambda: entcap.solve_max_variance_spectrum(1),
+    "qsl_time_dependent-samples-float": lambda: entcap.qsl_time_dependent(lambda t: _H, _PURE_PRODUCT, 1.0, 3.0),
+    "qsl_time_dependent-samples-one": lambda: entcap.qsl_time_dependent(lambda t: _H, _PURE_PRODUCT, 1.0, 1),
+    "run_suite-n_samples-zero": lambda: verify.run_suite("bounds", 0, 1),
+    "run_suite-n_samples-fraction": lambda: verify.run_suite("bounds", 2.5, 1),
+    "capacity_rate_factor-k-zero": lambda: entcap.capacity_rate_factor(0.3, k=0),
+    "capacity_rate_factor-k-fraction": lambda: entcap.capacity_rate_factor(0.3, k=2.5),
+    "capacity_rate_factor_maximum-k-zero": lambda: entcap.capacity_rate_factor_maximum(k=0),
+    "capacity_rate_factor_maximum-k-fraction": lambda: entcap.capacity_rate_factor_maximum(k=2.5),
+    "capacity_rate_bounds-d_a-zero": lambda: entcap.capacity_rate_bounds(
+        0, gamma=0.1, capacity=0.1, speed=1.0, op_norm=1.0, d=4),
+    "capacity_rate_bounds-d-zero": lambda: entcap.capacity_rate_bounds(
+        2, gamma=0.1, capacity=0.1, speed=1.0, op_norm=1.0, d=0),
+    "capacity_rate_bounds-d-fraction": lambda: entcap.capacity_rate_bounds(
+        2, gamma=0.1, capacity=0.1, speed=1.0, op_norm=1.0, d=4.5),
+    "DensityOperator-split-fraction": lambda: DensityOperator(np.eye(4) / 4, d_a=1.5, d_b=8 / 3),
+    "max_capacity_rate-negative": lambda: entcap.max_capacity_rate(0.3, -1.0, 2.0),
+    "max_capacity_rate-infinite": lambda: entcap.max_capacity_rate(0.3, np.inf, 2.0),
+    "simulate_trajectory-times-scalar": lambda: entcap.simulate_trajectory(_H, _PRODUCT, 0.5),
+    "simulate_trajectory-times-2d": lambda: entcap.simulate_trajectory(_H, _PRODUCT, np.zeros((2, 2))),
+    "is_flat-nan": lambda: entcap.is_flat([np.nan, 1.0]),
+    "is_flat-zeros": lambda: entcap.is_flat([0.0, 0.0]),
+    "is_flat-empty": lambda: entcap.is_flat([]),
+    "capacity_from_spectrum-empty": lambda: entcap.capacity_from_spectrum([]),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", list(_OUT_OF_DOMAIN_CASES))
+def test_out_of_domain_input_rejected(name):
+    with pytest.raises(DomainError):
+        _OUT_OF_DOMAIN_CASES[name]()
+
+
+def test_counts_accept_numpy_integers():
+    state = BipartitePureState(np.full(4, 0.5), np.int64(2), np.int8(2))
+    assert (state.d_a, state.d_b) == (2, 2) and type(state.d_a) is int
+    assert entcap.capacity_rate_factor(0.3, k=np.int64(3)) == entcap.capacity_rate_factor(0.3, k=3)
+
+
+# the upper triangle of a complex matrix: eigh and eigvalsh read one triangle only, so
+# without the Hermitian check each of these returned a number
+_TRIANGLE = np.triu(np.random.default_rng(0).standard_normal((4, 4, 2)) @ [1.0, 1j])
+_NON_HERMITIAN_CASES = {
+    "simulate_trajectory": lambda h: entcap.simulate_trajectory(h, _PRODUCT, [0.0, 1.0]),
+    "hamiltonian_fluctuation": lambda h: entcap.hamiltonian_fluctuation(h, _PURE_PRODUCT),
+    "fubini_study_speed": lambda h: entcap.fubini_study_speed(h, _PURE_PRODUCT),
+    "operator_norm": lambda h: entcap.operator_norm(h),
+    "operator_norm-stack": lambda h: entcap.operator_norm(np.stack([_H, h])),
+    "max_entangling_element_numeric": lambda h: entcap.max_entangling_element_numeric(h),
+    "liouville_rhs": lambda h: entcap.liouville_rhs(h, _MIXED),
+    "qsl_time_dependent": lambda h: entcap.qsl_time_dependent(lambda t: h, _PURE_PRODUCT, 1.0, samples=3),
+    "observable_variance": lambda h: entcap.observable_variance(h, _MIXED),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", list(_NON_HERMITIAN_CASES))
+def test_non_hermitian_operator_rejected(name):
+    with pytest.raises(DomainError, match="not Hermitian"):
+        _NON_HERMITIAN_CASES[name](_TRIANGLE)
+
+
+def test_hermitian_tolerance_scales_with_the_largest_entry():
+    # 1e-7 off at entries of 1e6 is round-off (1e-13 relative); 1e-11 off at entries below 1 is not
+    big = 1e6 * _H.astype(complex)
+    big[0, 1] = 1e-7j
+    assert entcap.operator_norm(big) == pytest.approx(1e6)
+    small = 0.5 * _H.astype(complex)
+    small[0, 1] = 1e-11j
+    with pytest.raises(DomainError, match="not Hermitian"):
+        entcap.operator_norm(small)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from entcap.core import BipartitePureState, DomainError, haar_random_pure, spectrum_entropy
+from entcap.core import _PAULI, BipartitePureState, DomainError, haar_random_pure, spectrum_entropy
 from entcap.dynamics import (
     NonlocalHamiltonian,
     _canonical_matrices,
@@ -123,11 +123,9 @@ class TestCanonicalForm:
         assert np.allclose(ham.raw_matrix(), ham.matrix(), atol=1e-12)
 
     def test_raw_matrix_is_the_pauli_sum(self):
-        from entcap.dynamics import PAULI_X, PAULI_Y, PAULI_Z
-
         rng = np.random.default_rng(3)
         alpha, beta, gamma = rng.standard_normal(3), rng.standard_normal(3), rng.standard_normal((3, 3))
-        paulis, eye = (PAULI_X, PAULI_Y, PAULI_Z), np.eye(2)
+        paulis, eye = _PAULI[1:], np.eye(2)
         expected = sum(alpha[k] * np.kron(paulis[k], eye) + beta[k] * np.kron(eye, paulis[k])
                        + sum(gamma[k, j] * np.kron(paulis[k], paulis[j]) for j in range(3))
                        for k in range(3))
@@ -136,11 +134,9 @@ class TestCanonicalForm:
         assert dev <= 8 * np.finfo(float).eps * np.abs(expected).max()
 
     def test_negative_branch_matrix(self):
-        from entcap.dynamics import PAULI_X, PAULI_Y, PAULI_Z
-
         ham = NonlocalHamiltonian(mu=(1.0, 0.5, 0.2), sign=-1)
-        expected = (np.kron(PAULI_X, PAULI_X) - 0.5 * np.kron(PAULI_Y, PAULI_Y)
-                    + 0.2 * np.kron(PAULI_Z, PAULI_Z))
+        x, y, z = _PAULI[1:]
+        expected = np.kron(x, x) - 0.5 * np.kron(y, y) + 0.2 * np.kron(z, z)
         assert np.allclose(ham.matrix(), expected, atol=1e-14)
         # the negative branch still evolves unitarily
         psi = haar_random_pure(2, 2, 8)
