@@ -5,9 +5,9 @@ dynamics under canonical non-local interactions, rate bounds and quantum
 speed limits, self-inverse evolutions, and the mixed-state capacity built
 on closest separable states.
 
-Importing the package loads no submodule: each exported name imports its
-submodule on first use (PEP 562), so ``from entcap import capacity_pure``
-loads ``core`` and ``measures`` only.
+Importing the package loads no submodule: each exported name, and each submodule's own name, imports
+its submodule on first use (PEP 562), so ``from entcap import capacity_pure`` loads ``core`` and
+``measures`` only.
 """
 
 import importlib
@@ -48,13 +48,16 @@ __all__ = list(_EXPORTS)
 
 
 def __getattr__(name):
-    """Import an exported name's submodule, or a submodule itself, on first use."""
-    if name in _EXPORTS.values():
+    """Import an exported name's submodule, or any submodule by its name, on first use."""
+    if name in _EXPORTS:
+        value = globals()[name] = getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+        return value
+    try:
         return importlib.import_module(f"{__name__}.{name}")  # the import binds it here too
-    if name not in _EXPORTS:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = globals()[name] = getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)
-    return value
+    except ModuleNotFoundError as err:
+        if err.name != f"{__name__}.{name}":  # a submodule that exists but fails to import
+            raise
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__():

@@ -19,9 +19,16 @@ TRACE_TOL = 1e-12
 EIG_CLAMP = 1e-10          # negatives in [-EIG_CLAMP, 0] are round-off, clamped to 0
 SUPPORT_CUTOFF = 1e-12     # relative to the largest eigenvalue
 
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker products a ⊗ b of matrices (..., p, p) and (..., q, q), stacked over their broadcast leading axes."""
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (out.shape[-4] * out.shape[-3],) * 2)
+
+
 # the Pauli matrices (I, X, Y, Z) and their 16 products s_a ⊗ s_b, at index 4a + b
 _PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
-_PAULI_PAIRS = (_PAULI[:, None, :, None, :, None] * _PAULI[None, :, None, :, None, :]).reshape(16, 4, 4)
+_PAULI_PAIRS = _kron(_PAULI[:, None], _PAULI[None, :]).reshape(16, 4, 4)
 
 
 class ConfigurationError(ValueError):

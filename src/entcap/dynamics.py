@@ -69,19 +69,12 @@ def _check_couplings(mu) -> np.ndarray:
 
 
 def _canonical_matrices(mu, sign: int = 1) -> np.ndarray:
-    """mu1 XX + sign mu2 YY + mu3 ZZ for couplings mu (..., 3), as (..., 4, 4) matrices.
-
-    Written out: XX and YY fill the anti-diagonal, ZZ the diagonal.  Every
-    row of mu is checked by ``_check_couplings``.
-    """
+    """mu1 XX + sign mu2 YY + mu3 ZZ for couplings mu (..., 3), each row checked by ``_check_couplings``,
+    as (..., 4, 4) matrices: the Pauli sum of ``NonlocalHamiltonian.raw_matrix``."""
     mu = _check_couplings(mu)
-    m1, m2, m3 = mu[..., 0], mu[..., 1], mu[..., 2]
-    out = np.zeros(mu.shape[:-1] + (4, 4), dtype=complex)
-    out[..., 0, 0] = out[..., 3, 3] = m3
-    out[..., 1, 1] = out[..., 2, 2] = -m3
-    out[..., 0, 3] = out[..., 3, 0] = m1 - sign * m2
-    out[..., 1, 2] = out[..., 2, 1] = m1 + sign * m2
-    return out
+    coef = np.zeros(mu.shape[:-1] + (16,))  # coefficient of s_a ⊗ s_b at 4a + b
+    coef[..., [5, 10, 15]] = mu * (1, sign, 1)
+    return np.tensordot(coef, _PAULI_PAIRS, 1)
 
 
 # columns Phi+, Phi-, Psi+, Psi- = (|00> +- |11>)/sqrt2, (|01> +- |10>)/sqrt2: the common
@@ -186,7 +179,7 @@ def max_entangling_element_numeric(hamiltonian) -> float:
     closed form over chi is evaluated at it.  Accepts a NonlocalHamiltonian,
     a SelfInverseHamiltonian or any Hermitian 4x4 matrix.
     """
-    h4 = _hamiltonian_matrix(hamiltonian).reshape(2, 2, 2, 2)
+    h4 = _hamiltonian_matrix(hamiltonian, 4).reshape(2, 2, 2, 2)
     gamma = 0.25 * np.einsum("ijkl,aki,blj->ab", h4, _PAULI[1:], _PAULI[1:]).real
     n = np.linalg.svd(gamma)[0][:, 2]
     n = n if n[2] >= 0.0 else -n  # -n is as good; this sign keeps 1 + n_z away from 0
@@ -335,6 +328,37 @@ def _two_qubit_capacity(lam_minus, log_ratio, base="e"):
     return (1.0 - lam_minus) * lam_minus * log_ratio**2 / log_scale(base) ** 2
 
 
+def _trajectory_fields(psi: np.ndarray, h_psi: np.ndarray, base="e") -> dict:
+    """The ``Trajectory`` fields but ``times`` from two-qubit amplitudes psi and H psi, both (..., 4).
+
+    Schmidt weights come in closed form from D = det C (``_two_qubit_schmidt``).  Rates are
+    exact: with dD/dt taken along dC/dt = -i (H psi) and r = Re(conj(D) dD/dt),
+
+        dlam_-/dt = 2 r / s,    Gamma = dS/dt = 4 r artanh(s) / s,
+        dC/dt = sum_n (dC/dlam_n)(dlam_n/dt) = -Gamma (2 - 2 s artanh(s)),
+
+    finite as s -> 0 (artanh(s)/s -> 1) and exactly 0 at lam_- = 0.
+    """
+    det, s, lam_minus, log_ratio = _two_qubit_schmidt(psi)
+    dpsi = -1j * h_psi
+    det_rate = (dpsi[..., 0] * psi[..., 3] + psi[..., 0] * dpsi[..., 3]
+                - dpsi[..., 1] * psi[..., 2] - psi[..., 1] * dpsi[..., 2])
+    r = (det.conj() * det_rate).real
+    # ln(lam_+/lam_-)/s = 2 artanh(s)/s, with its limit 2 at s = 0
+    ratio_over_s = np.where(s > 0.0, log_ratio / np.where(s > 0.0, s, 1.0), 2.0)
+    gamma_nats = 2.0 * r * ratio_over_s
+    scale = log_scale(base)
+    return dict(
+        amplitudes=psi,
+        schmidt_weights=np.stack([1.0 - lam_minus, lam_minus], axis=-1),
+        entropy=_two_qubit_entropy(lam_minus, log_ratio, base),
+        capacity=_two_qubit_capacity(lam_minus, log_ratio, base),
+        gamma=gamma_nats / scale,
+        gamma_capacity=-gamma_nats * (2.0 - s * log_ratio) / scale**2,
+        delta_h=_fluctuation(psi, h_psi),
+    )
+
+
 def simulate_trajectory(hamiltonian, psi0, times, base="e") -> Trajectory:
     """Evolve exactly and record weights, entropies, capacities, and their exact rates.
 
@@ -345,14 +369,8 @@ def simulate_trajectory(hamiltonian, psi0, times, base="e") -> Trajectory:
     match.  A ``SelfInverseHamiltonian`` takes e^{-iHt} = cos t - i sin t H; any other
     H its eigensystem V diag(w) V^dagger (``_eigensystem``, closed form for a
     ``NonlocalHamiltonian``): psi(t) = psi0 + V ((e^{-iwt} - 1) * V^dagger psi0), exact
-    at t = 0, then renormalized, and H psi = V (w * V^dagger psi).  Schmidt weights
-    come in closed form from D = det C (``_two_qubit_schmidt``).  Rates are exact:
-    with dD/dt taken along dC/dt = -i (H psi) and r = Re(conj(D) dD/dt),
-
-        dlam_-/dt = 2 r / s,    Gamma = dS/dt = 4 r artanh(s) / s,
-        dC/dt = sum_n (dC/dlam_n)(dlam_n/dt) = -Gamma (2 - 2 s artanh(s)),
-
-    finite as s -> 0 (artanh(s)/s -> 1) and exactly 0 at lam_- = 0.
+    at t = 0, then renormalized, and H psi = V (w * V^dagger psi).  Weights,
+    entropies, capacities and their exact rates come from ``_trajectory_fields``.
     """
     from .self_inverse import SelfInverseHamiltonian, _evolve_involution
 
@@ -388,24 +406,7 @@ def simulate_trajectory(hamiltonian, psi0, times, base="e") -> Trajectory:
         psi /= np.linalg.norm(psi, axis=-1, keepdims=True)
         h_psi = _rows_times(w[:, None, :] * _rows_times(psi, v_dag), v_t)
 
-    det, s, lam_minus, log_ratio = _two_qubit_schmidt(psi)
-    dpsi = -1j * h_psi
-    det_rate = (dpsi[..., 0] * psi[..., 3] + psi[..., 0] * dpsi[..., 3]
-                - dpsi[..., 1] * psi[..., 2] - psi[..., 1] * dpsi[..., 2])
-    r = (det.conj() * det_rate).real
-    # ln(lam_+/lam_-)/s = 2 artanh(s)/s, with its limit 2 at s = 0
-    ratio_over_s = np.where(s > 0.0, log_ratio / np.where(s > 0.0, s, 1.0), 2.0)
-    gamma_nats = 2.0 * r * ratio_over_s
-    scale = log_scale(base)
-    fields = dict(
-        amplitudes=psi,
-        schmidt_weights=np.stack([1.0 - lam_minus, lam_minus], axis=-1),
-        entropy=_two_qubit_entropy(lam_minus, log_ratio, base),
-        capacity=_two_qubit_capacity(lam_minus, log_ratio, base),
-        gamma=gamma_nats / scale,
-        gamma_capacity=-gamma_nats * (2.0 - s * log_ratio) / scale**2,
-        delta_h=_fluctuation(psi, h_psi),
-    )
+    fields = _trajectory_fields(psi, h_psi, base)
     if single:
         fields = {k: a[0] for k, a in fields.items()}
     return Trajectory(times=times, **fields)

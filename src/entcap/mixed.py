@@ -47,7 +47,8 @@ def partial_transpose(rho) -> np.ndarray:
 
 
 def is_ppt(rho: DensityOperator) -> bool:
-    """Peres-Horodecki test: partial transpose PSD within ``PPT_TOL``."""
+    """Peres-Horodecki test: partial transpose PSD within ``PPT_TOL``.  ``closest_separable_numeric``'s
+    PPT shortcut is stricter (lambda_min >= 0), as E_R near the boundary can reach |lambda_min|."""
     w = np.linalg.eigvalsh(partial_transpose(rho))
     return bool(w.min() >= -PPT_TOL)
 
@@ -294,7 +295,8 @@ def closest_separable_numeric(rho: DensityOperator, base="e") -> SeparableApprox
     """Minimize S(rho || sigma) over two-qubit PPT density operators.
 
     ``method`` names the path.  ``exact-ppt``: a PPT input is separable
-    (Peres-Horodecki) and its own closest state.  ``exact-pure``: a pure input
+    (Peres-Horodecki) and its own closest state; PPT means lambda_min(rho^Γ) >= 0, not ``is_ppt``'s
+    -``PPT_TOL``, since family 1 at lam = 2e-4 has lambda_min = -1.0e-8 and E_R = 1.0e-8.  ``exact-pure``: a pure input
     (one eigenvalue above the support cutoff) gets its Schmidt dephasing
     (Vedral & Plenio, PRA 57, 1619 (1998)).  ``numeric-ppt``: a log-barrier
     method minimizes F_mu = -tr rho log sigma - mu (log det sigma + log det

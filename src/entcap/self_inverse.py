@@ -17,6 +17,7 @@ from .core import (
     _checked_operator,
     _checked_real,
     _hamiltonian_matrix,
+    _kron,
     _row_products,
     hermitize,
     log_scale,
@@ -57,9 +58,7 @@ class SelfInverseHamiltonian:
             raise DomainError(f"X_A and X_B need the same leading axes, got shapes {a} and {b}")
 
     def matrix(self) -> np.ndarray:
-        a, b = self.x_a, self.x_b
-        d = a.shape[-1] * b.shape[-1]
-        return (a[..., :, None, :, None] * b[..., None, :, None, :]).reshape(a.shape[:-2] + (d, d))
+        return _kron(self.x_a, self.x_b)
 
 
 def _evolve_involution(h: np.ndarray, amps0: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -121,7 +120,12 @@ def operator_norm(hamiltonian):
 
 @dataclass(frozen=True)
 class CapacityRateBounds:
-    """The chain of upper bounds on |d/dt C_E|, loosest last (arrays for array inputs)."""
+    """The chain of upper bounds on |d/dt C_E|, loosest last (arrays for array inputs).
+
+    Not every link holds.  For two qubits in nats: rate and speed fail where min(p, 1-p) < 0.00435;
+    norm (2.3472) is exceeded, dC/dt = 2.4216 at sqrt(p0)|01> + i sqrt(1-p0)|10> under X ⊗ X;
+    self-inverse (4.4885) holds.  1 + log d_A adds a unitless 1 to a base-b log, so the verdict depends on the base.
+    """
 
     entanglement_rate_bound: float   # 2 |Gamma| (1 + log d_A)
     speed_bound: float               # 2 sqrt(C) V (1 + log d_A)

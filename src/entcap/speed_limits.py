@@ -14,7 +14,7 @@ from .dynamics import (
     _two_qubit_capacity,
     _two_qubit_entropy,
     _two_qubit_log_ratio,
-    _two_qubit_schmidt,
+    _trajectory_fields,
 )
 
 
@@ -97,27 +97,22 @@ _MAX_PHASE = 1000.0
 
 
 def _family_qsl(p, theta, durations, base):
-    """(T_qsl, ΔS, time-averaged sqrt(C), nodes evaluated) for every theta, p and duration.
+    """(T_qsl, ΔS, time-averaged sqrt(C), nodes evaluated) for one scalar theta and every p and duration.
 
-    In x = 2 theta t the integrand is g(a cos x) with a = |1 - 2p|, whatever
-    theta; it has a log singularity (|eta| = 1 when a = 1) or a kink
-    (eta = 0) only at x = k pi/2.  Panels are graded geometrically toward
-    each of those points, and every window end 2 theta T is a panel edge, so
-    one composite Gauss-Legendre pass, evaluated at theta t = x/2, gives the
-    integral up to every duration of every theta exactly (no snapping).
-    Durations may come in any order; the cost grows with max(theta) *
-    max(durations), so 2 theta max(durations) above ``_MAX_PHASE`` for any
-    theta is a DomainError.  The panels depend on neither p nor theta, so
-    arrays of both share them: theta is a scalar or a 1-D array of K values,
-    and the first three results have shape
-    theta.shape + p.shape + durations.shape.
+    In x = 2 theta t the integrand is g(a cos x) with a = |1 - 2p|; it has a log singularity
+    (|eta| = 1 when a = 1) or a kink (eta = 0) only at x = k pi/2.  Panels are graded
+    geometrically toward each of those points, and every window end 2 theta T is a panel edge, so
+    one composite Gauss-Legendre pass, evaluated at theta t = x/2, gives the integral up to every
+    duration exactly (no snapping).  Durations may come in any order; 2 theta max(durations) above
+    ``_MAX_PHASE`` is a DomainError.  The panels do not depend on p, so an array of p shares them:
+    the first three results have shape p.shape + durations.shape.
     """
     p = np.asarray(p, dtype=float)
-    theta = _checked_real(theta, "theta must be positive and finite", positive=True)
-    if theta.ndim > 1:
-        raise DomainError("theta must be a scalar or a 1-D array")
+    theta = _checked_real(theta, "theta must be a positive, finite scalar", positive=True)
+    if theta.ndim:
+        raise DomainError("theta must be a positive, finite scalar")
     durations = _checked_real(durations, "durations must be positive and finite", positive=True)
-    ends = 2.0 * theta.reshape(theta.shape + (1,) * durations.ndim) * durations
+    ends = 2.0 * theta * durations
     x_max = float(ends.max(initial=0.0))
     if x_max > _MAX_PHASE:
         raise DomainError(f"2 theta max(T) = {x_max!r} exceeds {_MAX_PHASE!r}")
@@ -132,9 +127,6 @@ def _family_qsl(p, theta, durations, base):
     panel_sums = half * (sqrt_cap @ _GL_WEIGHTS)
     cum = np.concatenate([np.zeros(panel_sums.shape[:-1] + (1,)), np.cumsum(panel_sums, axis=-1)], axis=-1)
     mean_sqrt = cum[..., np.searchsorted(edges, ends)] / ends
-    if theta.ndim:  # p.shape + (K,) + durations.shape -> (K,) + p.shape + durations.shape
-        mean_sqrt = np.moveaxis(mean_sqrt, p.ndim, 0)
-    theta = theta.reshape(theta.shape + (1,) * (p.ndim + durations.ndim))
     p = p.reshape(p.shape + (1,) * durations.ndim)
     ds = family_entropy(p, theta, durations, base) - family_entropy(p, theta, 0.0, base)
     dh = theta * np.abs(1.0 - 2.0 * p)
@@ -147,12 +139,8 @@ def _family_qsl(p, theta, durations, base):
 def family_qsl_curve(p, theta, durations, base="2") -> np.ndarray:
     """T_qsl of the closed-form family at every duration, in the order given.
 
-    A scalar p gives durations.shape; a 1-D array of P values gives one row
-    per p, shape (P, T) for T durations, each row equal to the scalar call.
-    A 1-D array of K values of theta adds a leading axis, shape (K, T) or
-    (K, P, T): all theta share one quadrature pass in x = 2 theta t, so each
-    row agrees with its scalar-theta call to an ulp, not bit for bit (a
-    1-element array gives the scalar call exactly).
+    theta is a positive, finite scalar.  A scalar p gives durations.shape; a 1-D array of P values
+    gives one row per p, shape (P, T) for T durations, each row equal to the scalar call.
     At p in {0, 1} the rate bound is saturated while S is monotone
     (2 theta T <= pi/2), so T_qsl equals T there to rounding.
     """
@@ -181,8 +169,9 @@ class RateBoundCheck:
 def rate_bound_check(trajectory: Trajectory, margin: float = 1e-12) -> RateBoundCheck:
     """Check the entanglement-rate bound along a sampled unitary trajectory.
 
-    The rates are exact, so ``margin`` only absorbs rounding.
+    The rates are exact, so ``margin`` only absorbs rounding: it must be finite and non-negative.
     """
+    margin = _checked_real(margin, "margin must be finite and non-negative", 0.0)
     bound = 2.0 * np.sqrt(np.clip(trajectory.capacity, 0.0, None)) * trajectory.delta_h
     margins = bound - np.abs(trajectory.gamma)
     return RateBoundCheck(satisfied=margins >= -margin, margins=margins)
@@ -219,13 +208,10 @@ def qsl_time_dependent(h_of_t, psi0: BipartitePureState, duration: float,
     ts = np.linspace(0.0, duration, samples)
     hs = _hamiltonian_matrix(np.array([h_of_t(t) for t in ts], dtype=complex), psi0.dim)
     amps = _step_time_dependent(h_of_t, psi0.amplitudes, ts)
-    _, _, lam_minus, log_ratio = _two_qubit_schmidt(amps)
-    entropies = _two_qubit_entropy(lam_minus, log_ratio, base)
-    sqrt_cap = np.sqrt(_two_qubit_capacity(lam_minus, log_ratio, base))
-    fluct = _fluctuation(amps, _apply(hs, amps))
-    mean_sqrt = float(np.trapezoid(sqrt_cap, ts) / duration)
-    mean_fluct = float(np.trapezoid(fluct, ts) / duration)
-    ds = float(entropies[-1] - entropies[0])
+    fields = _trajectory_fields(amps, _apply(hs, amps), base)
+    mean_sqrt = float(np.trapezoid(np.sqrt(fields["capacity"]), ts) / duration)
+    mean_fluct = float(np.trapezoid(fields["delta_h"], ts) / duration)
+    ds = float(fields["entropy"][-1] - fields["entropy"][0])
     if ds == 0.0:
         t_qsl = 0.0
     else:

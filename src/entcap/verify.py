@@ -15,6 +15,7 @@ from .core import (
     _PAULI,
     _checked_count,
     _haar_amplitudes,
+    _kron,
     _partial_trace_matrix,
     _pure_density,
     _relative_entropy,
@@ -63,12 +64,6 @@ def _random_density(rng: np.random.Generator, d: int, n: int) -> np.ndarray:
     z = g[:, 0] + 1j * g[:, 1]
     m = z @ np.swapaxes(z.conj(), -1, -2)
     return hermitize(m / np.trace(m, axis1=-2, axis2=-1).real[:, None, None])
-
-
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-by-row Kronecker products of stacks a (n, p, p) and b (n, q, q)."""
-    n, p, q = a.shape[0], a.shape[-1], b.shape[-1]
-    return np.einsum("nij,nkl->nikjl", a, b).reshape(n, p * q, p * q)
 
 
 def run_properties(n_samples: int, seed: int, base="e") -> list[CheckResult]:
@@ -219,10 +214,10 @@ def _reference_checks() -> tuple[CheckResult, ...]:
     They read neither the seed, the ensemble size nor the base, so a process
     computes them once, as ``max_entropy_rate_constant`` does its constants.
     """
-    # speed-limit validity on the closed-form family grid: one quadrature for both theta
+    # speed-limit validity on the closed-form family grid: one quadrature per theta, all p at once
     ps = np.linspace(0.0, 1.0, 20)
     t_grid = np.linspace(0.45 / 45.0, 0.45, 45)
-    tqsl = family_qsl_curve(ps, np.array([0.5, 1.0]), t_grid)
+    tqsl = np.stack([family_qsl_curve(ps, theta, t_grid) for theta in (0.5, 1.0)])
     worst = float((tqsl - t_grid).max())
     min_ratio = float((tqsl[:, [0, -1]] / t_grid).min())  # rows p = 0 and p = 1
     validity = CheckResult("qsl-validity", True, worst <= 1e-9, f"max_excess={worst:.3e}")

@@ -309,7 +309,7 @@ class TestVerify:
             "PASS hard schmidt-equals-reduced-spectrum max_dev=2.220e-16\n"
             "PASS hard entropy-base-conversion max_dev=2.220e-16\n"
             "PASS hard relative-entropy-nonnegative min_value=1.759e-01\n"
-            "PASS hard capacity-additivity max_dev=1.554e-15\n"
+            "PASS hard capacity-additivity max_dev=8.882e-16\n"
             "PASS hard capacity-positivity min_value=1.529e-01\n"
             "PASS hard flat-state-zero-capacity max_dev=0.000e+00\n"
             "PASS hard uncertainty-convexity max_excess=-1.564e-03\n"

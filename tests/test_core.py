@@ -351,6 +351,17 @@ def test_lazy_namespace():
     assert _fresh_python(code) == "True"
 
 
+def test_every_submodule_is_an_attribute():
+    # after a bare import, each submodule resolves by name and loads only what it imports
+    code = ("import pkgutil, entcap\n"
+            "names = sorted(m.name for m in pkgutil.iter_modules(entcap.__path__))\n"
+            "assert all(getattr(entcap, n).__name__ == f'entcap.{n}' for n in names)\n"
+            "print(*names)")
+    assert _fresh_python(code) == "cli core dynamics measures mixed self_inverse speed_limits verify"
+    assert _loaded_submodules("import entcap; entcap.cli") == ["entcap.cli", "entcap.core"]
+    assert "entcap.verify" in _loaded_submodules("import entcap; entcap.verify")
+
+
 def test_bounds_suite_allocates_no_large_arrays():
     # the maxima in the bounds suite come from exact rules, not dense scans;
     # a fresh interpreter keeps earlier tests' caches out of the peak

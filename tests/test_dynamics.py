@@ -80,6 +80,23 @@ class TestCanonicalForm:
             assert np.array_equal(h, NonlocalHamiltonian(mu=tuple(m.tolist()), sign=sign).matrix())
 
     @pytest.mark.parametrize("sign", [1, -1])
+    def test_pauli_sum_equals_explicit_entries(self, sign):
+        # the Pauli sum adds only exact zeros and exact ±1 products to each entry,
+        # so it keeps the written-out bits: ZZ on the diagonal, XX and YY on the anti-diagonal
+        rng = np.random.default_rng(11)
+        n = 4000
+        mu = np.sort(rng.uniform(0.0, 2.0, (n, 3)), axis=-1)[:, ::-1] * 10.0 ** rng.integers(-8, 9, (n, 1))
+        mu[::5, 2] = 0.0
+        mu[::7, 1] = mu[::7, 2]
+        m1, m2, m3 = mu.T
+        ref = np.zeros((n, 4, 4), dtype=complex)
+        ref[:, 0, 0] = ref[:, 3, 3] = m3
+        ref[:, 1, 1] = ref[:, 2, 2] = -m3
+        ref[:, 0, 3] = ref[:, 3, 0] = m1 - sign * m2
+        ref[:, 1, 2] = ref[:, 2, 1] = m1 + sign * m2
+        assert np.array_equal(_canonical_matrices(mu, sign), ref)
+
+    @pytest.mark.parametrize("sign", [1, -1])
     def test_bell_eigensystem_rebuilds_the_matrix(self, sign):
         # closed-form eigenvalues in the one shared Bell basis, for one triple
         # and for a stack, at degenerate and near-degenerate couplings too
@@ -293,6 +310,12 @@ class TestMaxEntanglingElement:
             assert max_entangling_element_numeric(ham.raw_matrix()) == pytest.approx(
                 max_entangling_element(ham), abs=1e-12
             )
+
+    @pytest.mark.parametrize("d", [2, 6])
+    def test_numeric_rejects_other_dimensions(self, d):
+        # a Hermitian 2x2 or 6x6 matrix is no two-qubit Hamiltonian: a DomainError naming its dimension
+        with pytest.raises(DomainError, match=f"dimension {d}"):
+            max_entangling_element_numeric(np.diag(np.arange(float(d))))
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_numeric_maximization_under_local_unitaries(self, seed):

@@ -246,6 +246,24 @@ class TestNumericSolver:
         assert result.sigma_star is rho
         assert result.converged and result.method == "exact-ppt"
 
+    def test_ppt_shortcut_is_strict(self):
+        # near the PPT boundary E_R can be as large as |lambda_min(rho^Γ)|: family 1 at lam = 2e-4
+        # has lambda_min = -1.0e-8 and E_R = 1.0e-8, so a shortcut within PPT_TOL would report 0
+        # with an error of PPT_TOL.  The solver's shortcut takes lambda_min >= 0 only
+        lam_min = np.linalg.eigvalsh(partial_transpose(family_state(1, 2e-4)))[0]
+        assert family_relative_entropy(1, 2e-4) == pytest.approx(-lam_min, rel=1e-3)
+        assert lam_min == pytest.approx(-PPT_TOL, rel=1e-3)
+        # family 1 at lam = 0.3 mixed with I/4 to lambda_min = -1e-9: PPT to is_ppt, solved numerically
+        rho = family_state(1, 0.3).matrix
+        least = np.linalg.eigvalsh(partial_transpose(rho))[0]
+        q = (-1e-9 - least) / (0.25 - least)
+        mixed_state = DensityOperator((1.0 - q) * rho + q * np.eye(4) / 4.0, d_a=2, d_b=2)
+        assert np.linalg.eigvalsh(partial_transpose(mixed_state))[0] == pytest.approx(-1e-9, rel=1e-6)
+        assert is_ppt(mixed_state)
+        result = closest_separable_numeric(mixed_state)
+        assert result.method == "numeric-ppt" and result.converged and result.iterations > 0
+        assert 0.0 <= result.relative_entropy <= 1e-12
+
     def test_family1_midpoint(self):
         rho = family_state(1, 0.5)
         result = closest_separable_numeric(rho)

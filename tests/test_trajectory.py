@@ -305,8 +305,8 @@ class TestRunBoundsLinalgCount:
         assert (seen[0]["qr"], seen[0]["states"]) == (seen[1]["qr"], seen[1]["states"])
         # the sampled involutions are closed forms in their normals' first columns
         assert seen[0]["qr"] == 0
-        # one quadrature for both theta of the speed-limit grid
-        assert [s["qsl"] for s in seen] == [1, 1]
+        # one quadrature per theta of the speed-limit grid, each over all p at once
+        assert [s["qsl"] for s in seen] == [2, 2]
         assert max(s["spectrum"] for s in seen) == 0
 
     def test_generator_calls_do_not_grow_with_samples(self, monkeypatch):
@@ -404,7 +404,7 @@ class TestRunBoundsGolden:
         # generator call per quantity): any other order moves these digits
         expected = (
             "PASS hard entanglement-rate-bound violations=0,min_margin=1.996e-03\n"
-            "PASS hard qsl-validity max_excess=1.110e-16\n"
+            "PASS hard qsl-validity max_excess=1.665e-16\n"
             "PASS soft qsl-tightness min_ratio=1.000000\n"
             "PASS hard closed-form-consistency max_dev=1.221e-15\n"
             "PASS soft capacity-rate-bound-chain samples=180,violations=rate:4,speed:1,norm:0,selfinv:0\n"
