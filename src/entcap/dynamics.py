@@ -177,9 +177,13 @@ def max_entangling_element_numeric(hamiltonian) -> float:
     gamma (mu1 + mu2), with equality when n is the singular vector of gamma's
     smallest singular value.  So phi is put there, with no search, and the
     closed form over chi is evaluated at it.  Accepts a NonlocalHamiltonian,
-    a SelfInverseHamiltonian or any Hermitian 4x4 matrix.
+    a SelfInverseHamiltonian or any Hermitian 4x4 matrix; a stack is a DomainError.
     """
-    h4 = _hamiltonian_matrix(hamiltonian, 4).reshape(2, 2, 2, 2)
+    h = _hamiltonian_matrix(hamiltonian)
+    if h.shape != (4, 4):
+        raise DomainError(f"max_entangling_element_numeric takes one 4x4 Hamiltonian; "
+                          f"got shape {h.shape}, of dimension {h.shape[-1]}")
+    h4 = h.reshape(2, 2, 2, 2)
     gamma = 0.25 * np.einsum("ijkl,aki,blj->ab", h4, _PAULI[1:], _PAULI[1:]).real
     n = np.linalg.svd(gamma)[0][:, 2]
     n = n if n[2] >= 0.0 else -n  # -n is as good; this sign keeps 1 + n_z away from 0

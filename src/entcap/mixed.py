@@ -198,9 +198,11 @@ def project_separable(m: np.ndarray, iters: int = 120, tol: float = 1e-12) -> np
 _BASIS = _PAULI_PAIRS[1:] / 2.0
 _PT_SIGN = np.tile([1.0, 1.0, -1.0, 1.0], 4)[1:]
 _BASES = np.stack([_BASIS, _PT_SIGN[:, None, None] * _BASIS])  # for sigma and for sigma^Γ
+_BASES_VEC = _BASES.reshape(2, 15, 16)
 _COORDS = _BASES.transpose(1, 0, 2, 3).reshape(15, 32)
-_MU_LEVELS = (1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-13)
-_DECREMENT_TOL = 1e-12
+# (mu, squared Newton decrement at which the level counts as centred); the first
+# level only seeds the central path's tangent, so it is centred roughly
+_MU_LEVELS = ((1e-2, 1e-4), (1e-4, 1e-12), (1e-6, 1e-12), (1e-9, 1e-12), (1e-13, 1e-12))
 _LEVEL_STEPS = 50
 _RIDGE = 1e-10 * np.eye(15)
 _UPPER = np.triu(np.ones((15, 15)))
@@ -273,7 +275,7 @@ def _newton_system(mu: float, w: np.ndarray, v: np.ndarray, lw: np.ndarray, r: n
     """
     # each B_a in the eigenbases of sigma and sigma^Γ: row-major vec(V^† B V) = (V^† ⊗ V^T) vec(B)
     kv = (v.conj()[:, :, None, :, None] * v[:, None, :, None, :]).reshape(2, 16, 16)
-    bt = _BASES.reshape(2, 15, 16) @ kv
+    bt = _BASES_VEC @ kv
     j = np.zeros((79, 17))
     rows = j[:64].reshape(4, 16, 17)
     # -mu log det s: Hessian mu tr(P_a P_b), P_a = s^-1/2 B_a s^-1/2; P_sigma = I
@@ -282,7 +284,10 @@ def _newton_system(mu: float, w: np.ndarray, v: np.ndarray, lw: np.ndarray, r: n
     rows[2:, :4, 15:] = -math.sqrt(mu)
     # -tr rho log sigma (Daleckii-Krein); sigma = diag(w) in its eigenbasis
     nf2 = _log_divided_differences(w[0], lw[0])[1]
-    c = _entropy_factor(nf2, r, np.concatenate((bt[0], -np.diag(w[0]).reshape(1, 16))))
+    b = np.zeros((16, 16), dtype=complex)  # the 15 B_a, then -sigma as its last row
+    b[:15] = bt[0]
+    b[15, ::5] = -w[0]
+    c = _entropy_factor(nf2, r, b)
     rows[0, :, :16], rows[1, :, :16] = c.real, c.imag
     s = 1.0 / np.sqrt(np.einsum("ij,ij->j", j[:64, :15], j[:64, :15]))
     j[:64, :15] *= s
@@ -301,16 +306,17 @@ def closest_separable_numeric(rho: DensityOperator, base="e") -> SeparableApprox
     (Vedral & Plenio, PRA 57, 1619 (1998)).  ``numeric-ppt``: a log-barrier
     method minimizes F_mu = -tr rho log sigma - mu (log det sigma + log det
     sigma^Γ) over sigma's 15 Pauli coordinates, with long steps in mu (Boyd &
-    Vandenberghe, Convex Optimization, 11.3-11.4) over 6 levels: 1e-2 to 1e-10
-    by factors of 100, then 1e-13.  It starts at (rho + alpha I)/(1 + 4 alpha),
+    Vandenberghe, Convex Optimization, 11.3-11.4) over 5 levels: 1e-2, 1e-4,
+    1e-6, 1e-9 and 1e-13.  It starts at (rho + alpha I)/(1 + 4 alpha),
     alpha = 0.02 - lambda_min(rho^Γ): rho mixed with I/4 just inside the PPT
     cone, so sigma and sigma^Γ are positive definite and local unitaries act
     on the start as on rho.  Each level takes damped Newton steps
     (``_newton_system``), backtracking to keep sigma and sigma^Γ positive
     definite and to pass an Armijo test, until the squared Newton decrement is
-    at most 1e-12.  The next level starts from the central path's tangent,
-    scaled by 1 - mu_next/mu and halved until it lowers the new objective.  The
-    duality gap is 8 mu, so E_R overshoots by 1e-12 at most.
+    at most 1e-12; the first level, which only seeds the tangent, stops at
+    1e-4.  The next level starts from the central path's tangent, scaled by
+    1 - mu_next/mu and halved until it lowers the new objective.  The duality
+    gap is 8 mu, so E_R overshoots by 1e-12 at most.
 
     ``iterations`` counts accepted steps; ``converged`` is False when a level
     runs out of steps or backtracking.  E_R is S(rho || sigma*), from rho's
@@ -334,14 +340,15 @@ def closest_separable_numeric(rho: DensityOperator, base="e") -> SeparableApprox
     converged = True
     steps = 0
     tangent = None
-    for mu, mu_next in zip(_MU_LEVELS, _MU_LEVELS[1:] + (0.0,)):
+    for (mu, decrement_tol), (mu_next, _) in zip(_MU_LEVELS, _MU_LEVELS[1:] + ((0.0, 0.0),)):
         f = _barrier_objective(point, mu)
         if tangent is not None:
             for _ in range(10):
-                cand = _barrier_point(r, x + tangent)
+                trial = x + tangent
+                cand = _barrier_point(r, trial)
                 fp = _barrier_objective(cand, mu)
                 if fp < f:
-                    x, f, point = x + tangent, fp, cand
+                    x, f, point = trial, fp, cand
                     steps += 1
                     break
                 tangent = tangent / 2.0
@@ -349,20 +356,21 @@ def closest_separable_numeric(rho: DensityOperator, base="e") -> SeparableApprox
         for _ in range(_LEVEL_STEPS):
             upper, s, qc, qe = _newton_system(mu, *point[:4])
             decrement = float(qc @ qc)
-            if decrement <= _DECREMENT_TOL:
+            if decrement <= decrement_tol:
                 centred = True
                 break
             dx = -s * np.linalg.solve(upper, qc)
             t = 1.0
             for _ in range(60):
-                cand = _barrier_point(r, x + t * dx)
+                trial = x + t * dx
+                cand = _barrier_point(r, trial)
                 fc = _barrier_objective(cand, mu)
                 if fc <= f - 0.25 * t * decrement:
                     break
                 t /= 2.0
             else:
                 break
-            x, f, point = x + t * dx, fc, cand
+            x, f, point = trial, fc, cand
             steps += 1
         converged = converged and centred
         # the centre x*(mu) has dx*/dmu = h^-1 g_bar / mu; mu falls by mu - mu_next

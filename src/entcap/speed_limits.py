@@ -118,8 +118,9 @@ def _family_qsl(p, theta, durations, base):
         raise DomainError(f"2 theta max(T) = {x_max!r} exceeds {_MAX_PHASE!r}")
     breaks = (np.pi / 2.0) * np.arange(np.floor(x_max / (np.pi / 2.0)) + 2.0)
     graded = breaks[:, None] + np.concatenate([_GRADED_OFFSETS, -_GRADED_OFFSETS])
-    edges = np.unique(np.concatenate([[0.0], ends.ravel(), breaks, graded.ravel()]))
-    edges = edges[(edges >= 0.0) & (edges <= x_max)]
+    # np.unique's own sort-and-compare, without the numpy.ma import of its first call
+    edges = np.sort(np.concatenate([[0.0], ends.ravel(), breaks, graded.ravel()]))
+    edges = edges[np.append(True, edges[1:] != edges[:-1]) & (edges >= 0.0) & (edges <= x_max)]
     mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
     x = mid[:, None] + half[:, None] * _GL_NODES
     # theta = 1/2 at time x is the phase x/2 exactly

@@ -317,6 +317,16 @@ class TestMaxEntanglingElement:
         with pytest.raises(DomainError, match=f"dimension {d}"):
             max_entangling_element_numeric(np.diag(np.arange(float(d))))
 
+    def test_numeric_rejects_stacks(self):
+        # one Hamiltonian only: a (3, 4, 4) array or a NonlocalHamiltonian over an (N, 3) mu
+        # is a DomainError naming the shape, not numpy's reshape error
+        raw = np.stack([NonlocalHamiltonian(mu=(1.0, 0.5, 0.2)).matrix()] * 3)
+        with pytest.raises(DomainError, match=r"one 4x4 Hamiltonian; got shape \(3, 4, 4\)"):
+            max_entangling_element_numeric(raw)
+        stacked = NonlocalHamiltonian(mu=[(1.0, 0.5, 0.2), (2.0, 1.0, 0.0)])
+        with pytest.raises(DomainError, match=r"one 4x4 Hamiltonian; got shape \(2, 4, 4\)"):
+            max_entangling_element_numeric(stacked)
+
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_numeric_maximization_under_local_unitaries(self, seed):
         # Haar-random U_A ⊗ U_B on canonical couplings, degenerate and

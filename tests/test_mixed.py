@@ -302,10 +302,14 @@ class TestNumericSolver:
         # one batched eigh of sigma and sigma^Γ per new point (a change of mu
         # reuses the last one), one of the four 4x4 relative-entropy blocks per
         # Newton step, one of rho, no 15x15 Hessian eigh and no projection: E_R
-        # comes from the last point and rho's spectrum.  Started at I/4 and
-        # mu = 1 the barrier made 37 and 41 point eighs, the factor-10 mu
-        # schedule 38 and 43, the formed-Hessian solver 51 and 56; the Dykstra
-        # solver made 2,590 eigh calls on the first input and 93,103 on the second.
+        # comes from the last point and rho's spectrum.  The six-level schedule
+        # (1e-2 to 1e-10 by factors of 100, then 1e-13) made 28 and 32 point
+        # eighs; the five levels make 26 and 73, as the level at 1e-13 rejects 38
+        # trial points on the second input, in 28 Newton systems where six levels
+        # took 27.  Started at I/4 and mu = 1 the barrier made 37 and 41,
+        # the factor-10 mu schedule 38 and 43, the formed-Hessian solver 51 and 56;
+        # the Dykstra solver made 2,590 eigh calls on the first input and 93,103
+        # on the second.
         # One triangular solve per Newton system: a step, or at a centred
         # level's last system the next level's tangent; the last level has no
         # next.  Two LU solves per system and two per centred level before
@@ -328,7 +332,7 @@ class TestNumericSolver:
             shapes["newton"] += 1
             return newton_system(*args)
 
-        inputs = ((family_state(2, 0.095), 28), (random_state(np.random.default_rng(17), 2), 32))
+        inputs = ((family_state(2, 0.095), 26), (random_state(np.random.default_rng(17), 2), 73))
         monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
         monkeypatch.setattr(np.linalg, "solve", counted_solve)
         monkeypatch.setattr(mixed, "_newton_system", counted_system)
@@ -436,26 +440,28 @@ class TestGradientColumns:
 
 
 # (name, E_R, accepted steps, converged) with the barrier started at mu = 1e-2 from
-# rho mixed just inside the PPT cone and mu falling by factors of 100.  The last
-# number in each test id is the step count of the factor-10 schedule; the ids are
-# kept as they were so that the test names stay stable
+# rho mixed just inside the PPT cone, over the five levels of mixed._MU_LEVELS.  The
+# E_R were recorded with six levels (1e-2 to 1e-10 by factors of 100, then 1e-13) and
+# moved by at most 4.2e-15 with five.  The last number in each test id is the step
+# count of the factor-10 schedule; the ids are kept as they were so that the test
+# names stay stable
 SOLVER_PANEL = [
-    pytest.param("family1-0.095", 0.002369749194139773, 22, True, id="family1-0.095-0.002369749194139773-42-True"),
-    pytest.param("family2-0.095", 0.00752419061134689, 18, True, id="family2-0.095-0.00752419061134689-35-True"),
-    pytest.param("family1-0.25", 0.017918382754278338, 25, True, id="family1-0.25-0.017918382754278338-41-True"),
-    pytest.param("family2-0.25", 0.04144846783551798, 21, True, id="family2-0.25-0.04144846783551798-34-True"),
-    pytest.param("family1-0.49", 0.08096094773267903, 22, True, id="family1-0.49-0.08096094773267903-35-True"),
-    pytest.param("family2-0.49", 0.14040423860106088, 20, True, id="family2-0.49-0.14040423860106088-35-True"),
-    pytest.param("family1-0.7", 0.19882594962260947, 19, True, id="family1-0.7-0.19882594962260947-34-True"),
-    pytest.param("family2-0.7", 0.28209593891628126, 18, True, id="family2-0.7-0.28209593891628126-37-True"),
-    pytest.param("family1-0.95", 0.52678825353254, 19, True, id="family1-0.95-0.52678825353254-38-True"),
-    pytest.param("family2-0.95", 0.577407324096147, 20, True, id="family2-0.95-0.577407324096147-36-True"),
-    pytest.param("rank2-1", 0.08068291938320632, 23, True, id="rank2-1-0.08068291938320632-38-True"),
-    pytest.param("rank2-2", 0.11279293517047784, 25, True, id="rank2-2-0.11279293517047784-41-True"),
-    pytest.param("rank2-3", 0.04464338848872108, 29, True, id="rank2-3-0.04464338848872108-40-True"),
-    pytest.param("rank4-1", 0.06623020581814715, 15, True, id="rank4-1-0.06623020581814715-32-True"),
-    pytest.param("rank4-2", 0.09813402706558755, 15, True, id="rank4-2-0.09813402706558755-32-True"),
-    pytest.param("rank4-3", 0.0959581090872067, 18, True, id="rank4-3-0.0959581090872067-33-True"),
+    pytest.param("family1-0.095", 0.002369749194139773, 21, True, id="family1-0.095-0.002369749194139773-42-True"),
+    pytest.param("family2-0.095", 0.00752419061134689, 16, True, id="family2-0.095-0.00752419061134689-35-True"),
+    pytest.param("family1-0.25", 0.017918382754278338, 22, True, id="family1-0.25-0.017918382754278338-41-True"),
+    pytest.param("family2-0.25", 0.04144846783551798, 19, True, id="family2-0.25-0.04144846783551798-34-True"),
+    pytest.param("family1-0.49", 0.08096094773267903, 19, True, id="family1-0.49-0.08096094773267903-35-True"),
+    pytest.param("family2-0.49", 0.14040423860106088, 18, True, id="family2-0.49-0.14040423860106088-35-True"),
+    pytest.param("family1-0.7", 0.19882594962260947, 14, True, id="family1-0.7-0.19882594962260947-34-True"),
+    pytest.param("family2-0.7", 0.28209593891628126, 17, True, id="family2-0.7-0.28209593891628126-37-True"),
+    pytest.param("family1-0.95", 0.52678825353254, 17, True, id="family1-0.95-0.52678825353254-38-True"),
+    pytest.param("family2-0.95", 0.577407324096147, 19, True, id="family2-0.95-0.577407324096147-36-True"),
+    pytest.param("rank2-1", 0.08068291938320632, 19, True, id="rank2-1-0.08068291938320632-38-True"),
+    pytest.param("rank2-2", 0.11279293517047784, 22, True, id="rank2-2-0.11279293517047784-41-True"),
+    pytest.param("rank2-3", 0.04464338848872108, 26, True, id="rank2-3-0.04464338848872108-40-True"),
+    pytest.param("rank4-1", 0.06623020581814715, 13, True, id="rank4-1-0.06623020581814715-32-True"),
+    pytest.param("rank4-2", 0.09813402706558755, 12, True, id="rank4-2-0.09813402706558755-32-True"),
+    pytest.param("rank4-3", 0.0959581090872067, 15, True, id="rank4-3-0.0959581090872067-33-True"),
 ]
 
 
@@ -480,6 +486,19 @@ class TestSolverPanel:
         assert result.iterations == iterations
         assert result.converged is converged
         assert abs(result.relative_entropy - e_r) <= 1e-13
+
+    def test_mean_newton_systems(self, monkeypatch):
+        # 19.06 Newton systems per panel solve; the six-level schedule took 21.56
+        newton_system, count = mixed._newton_system, Counter()
+
+        def counted_system(*args):
+            count["newton"] += 1
+            return newton_system(*args)
+
+        monkeypatch.setattr(mixed, "_newton_system", counted_system)
+        for param in SOLVER_PANEL:
+            closest_separable_numeric(panel_state(param.values[0]))
+        assert count["newton"] / len(SOLVER_PANEL) < 21.56
 
 
 BELL_BASIS = np.array([[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0]]) / np.sqrt(2)
@@ -523,9 +542,9 @@ class TestSolverReferences:
 class TestSeededSweep:
     # random rank-2, -3 and -4 states and a Bell state with a full-rank admixture
     # of weight 1e-4 to 0.3, four solves per seed.  Over seeds 0-9 the most Newton
-    # systems one solve takes is 32; started at I/4 and mu = 1 it was 38, with mu
-    # falling by factors of 10 it was 46
-    NEWTON_SYSTEMS = 32
+    # systems one solve takes is 28; with six mu levels it was 32, started at I/4
+    # and mu = 1 it was 38, with mu falling by factors of 10 it was 46
+    NEWTON_SYSTEMS = 28
 
     @pytest.mark.parametrize("seed", range(10))
     def test_converges_within_newton_bound(self, seed, monkeypatch):
