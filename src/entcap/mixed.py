@@ -228,9 +228,18 @@ def _barrier_point(rho: np.ndarray, x: np.ndarray):
     return w, v, lw, r, float(-r.diagonal().real @ lw[0]), float(lw.sum())
 
 
-def _barrier_objective(point, mu: float) -> float:
-    """F_mu = -tr rho log sigma - mu (log det sigma + log det sigma^Γ) at a _barrier_point."""
-    return math.inf if point is None else point[4] - mu * point[5]
+def _backtrack(rho: np.ndarray, x: np.ndarray, step: np.ndarray, f: float, mu: float, slope: float, tries: int):
+    """(trial, F_mu, point) at the first trial = x + t step, t = 1, 1/2, 1/4, ... (at most ``tries``), where
+    sigma and sigma^Γ are positive definite and F_mu = -tr rho log sigma - mu (log det sigma + log det sigma^Γ)
+    is at most f - slope t; None when every trial fails."""
+    t = 1.0
+    for _ in range(tries):
+        trial = x + t * step
+        point = _barrier_point(rho, trial)
+        if point is not None and (f_mu := point[4] - mu * point[5]) <= f - slope * t:
+            return trial, f_mu, point
+        t /= 2.0
+    return None
 
 
 def _log_divided_differences(w: np.ndarray, lw: np.ndarray):
@@ -311,12 +320,14 @@ def closest_separable_numeric(rho: DensityOperator, base="e") -> SeparableApprox
     alpha = 0.02 - lambda_min(rho^Γ): rho mixed with I/4 just inside the PPT
     cone, so sigma and sigma^Γ are positive definite and local unitaries act
     on the start as on rho.  Each level takes damped Newton steps
-    (``_newton_system``), backtracking to keep sigma and sigma^Γ positive
-    definite and to pass an Armijo test, until the squared Newton decrement is
-    at most 1e-12; the first level, which only seeds the tangent, stops at
-    1e-4.  The next level starts from the central path's tangent, scaled by
-    1 - mu_next/mu and halved until it lowers the new objective.  The duality
-    gap is 8 mu, so E_R overshoots by 1e-12 at most.
+    (``_newton_system``) until the squared Newton decrement is at most 1e-12;
+    the first level, which only seeds the tangent, stops at 1e-4.  The next
+    level starts from the central path's tangent, scaled by 1 - mu_next/mu.
+    One backtracking routine (``_backtrack``) damps both steps: it halves the
+    step until sigma and sigma^Γ are positive definite and F_mu falls by at
+    least slope x t: slope 0.25 x decrement over at most 60 trials for a Newton
+    step (Armijo), 0 over at most 10 for the tangent.  The duality gap is 8 mu,
+    so E_R overshoots by 1e-12 at most.
 
     ``iterations`` counts accepted steps; ``converged`` is False when a level
     runs out of steps or backtracking.  E_R is S(rho || sigma*), from rho's
@@ -341,17 +352,10 @@ def closest_separable_numeric(rho: DensityOperator, base="e") -> SeparableApprox
     steps = 0
     tangent = None
     for (mu, decrement_tol), (mu_next, _) in zip(_MU_LEVELS, _MU_LEVELS[1:] + ((0.0, 0.0),)):
-        f = _barrier_objective(point, mu)
-        if tangent is not None:
-            for _ in range(10):
-                trial = x + tangent
-                cand = _barrier_point(r, trial)
-                fp = _barrier_objective(cand, mu)
-                if fp < f:
-                    x, f, point = trial, fp, cand
-                    steps += 1
-                    break
-                tangent = tangent / 2.0
+        f = point[4] - mu * point[5]
+        if tangent is not None and (accepted := _backtrack(r, x, tangent, f, mu, 0.0, 10)):
+            x, f, point = accepted
+            steps += 1
         centred = False
         for _ in range(_LEVEL_STEPS):
             upper, s, qc, qe = _newton_system(mu, *point[:4])
@@ -359,18 +363,10 @@ def closest_separable_numeric(rho: DensityOperator, base="e") -> SeparableApprox
             if decrement <= decrement_tol:
                 centred = True
                 break
-            dx = -s * np.linalg.solve(upper, qc)
-            t = 1.0
-            for _ in range(60):
-                trial = x + t * dx
-                cand = _barrier_point(r, trial)
-                fc = _barrier_objective(cand, mu)
-                if fc <= f - 0.25 * t * decrement:
-                    break
-                t /= 2.0
-            else:
+            accepted = _backtrack(r, x, -s * np.linalg.solve(upper, qc), f, mu, 0.25 * decrement, 60)
+            if accepted is None:
                 break
-            x, f, point = trial, fc, cand
+            x, f, point = accepted
             steps += 1
         converged = converged and centred
         # the centre x*(mu) has dx*/dmu = h^-1 g_bar / mu; mu falls by mu - mu_next
