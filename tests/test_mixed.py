@@ -439,6 +439,30 @@ class TestGradientColumns:
             assert np.abs(upper.T @ qe - s * g_bar).max() <= 1e-13 * (s * bar_size).max()
 
 
+def formed_barrier_hessian(point, mu):
+    """F_mu's Hessian formed entry by entry: the entropy part, then
+    mu tr(sigma^-1 B_a sigma^-1 B_b) + mu tr((sigma^Γ)^-1 B_a^Γ (sigma^Γ)^-1 B_b^Γ)."""
+    w, v, lw, r, *_ = point
+    b = v[0].conj().T @ mixed._BASIS @ v[0]
+    h = formed_entropy_hessian(-mixed._log_divided_differences(w[0], lw[0])[1], r, b)
+    p = (v / w[:, None, :]) @ v.conj().transpose(0, 2, 1) @ mixed._BASES.transpose(1, 0, 2, 3)  # (15, 2, 4, 4)
+    return h + mu * np.einsum("akij,bkji->ab", p, p).real
+
+
+class TestNewtonFactor:
+    # the factor's R is that of [j s; 1e-10 I], so R^T R is the scaled Hessian
+    # plus the ridge's 1e-20 I, with j's rows in whatever layout
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    @pytest.mark.parametrize("scale", [0.0, 1e-7, 0.02, 0.08])
+    def test_factor_reproduces_formed_hessian(self, rank, scale):
+        rng = np.random.default_rng(100 * rank + int(1e3 * scale))
+        for mu in np.repeat(10.0 ** -np.arange(0.0, 13.0, 3.0), 2):  # 1, 1e-3, ..., 1e-12
+            point = interior_point(random_state(rng, rank), rng, scale)
+            upper, s, *_ = mixed._newton_system(mu, *point[:4])
+            reference = s[:, None] * formed_barrier_hessian(point, mu) * s + 1e-20 * np.eye(15)
+            assert np.abs(upper.T @ upper - reference).max() <= 1e-13
+
+
 # (name, E_R, accepted steps, converged) with the barrier started at mu = 1e-2 from
 # rho mixed just inside the PPT cone, over the five levels of mixed._MU_LEVELS.  The
 # E_R were recorded with six levels (1e-2 to 1e-10 by factors of 100, then 1e-13) and
