@@ -209,12 +209,6 @@ _UPPER = np.triu(np.ones((15, 15)))
 _PAIR = np.sort(np.indices((4, 4)), axis=0)  # (min, max) of each index pair
 _TRIPLE = np.sort(np.indices((4, 4, 4)), axis=0)
 _F1_PAIRS = 4 * _TRIPLE[:2] + _TRIPLE[1:]  # flat (lo, mid) and (mid, hi)
-# tr(P Q) of Hermitian 4x4s is the dot product of their diagonals and sqrt 2 x upper
-# parts, float-view entries _HERM; _BAR takes them from (2, 15, 4, 4) as (2, 16, 15)
-_HERM = np.r_[0, 10, 20, 30, 2, 4, 6, 12, 14, 22, 3, 5, 7, 13, 15, 23]
-_HERM_W = np.sqrt(np.repeat([1.0, 2.0], [4, 12]))
-_BAR = np.arange(0, 960, 480)[:, None, None] + _HERM[:, None] + np.arange(0, 480, 32)
-_HERM_IJ = np.array(np.divmod(_HERM // 2, 4))[:, None] + np.arange(0, 8, 4)[:, None]
 
 
 def _barrier_point(rho: np.ndarray, x: np.ndarray):
@@ -275,32 +269,34 @@ def _entropy_factor(nf2: np.ndarray, r: np.ndarray, b: np.ndarray) -> np.ndarray
 def _newton_system(mu: float, w: np.ndarray, v: np.ndarray, lw: np.ndarray, r: np.ndarray):
     """R, s, Q^T c, Q^T e from the QR of [j s, c, e]; F_mu's Hessian is h = j^T j.
 
-    j has 32 rows for -tr rho log sigma (_entropy_factor) and 16 per log det;
-    R^T R = (j s)^T (j s) + 1e-20.  h is never formed: near the PPT boundary
-    its curvature reaches 1/mu, and rounding there would swamp curvatures near
-    mu.  The ridge keeps steps finite where h is near singular.
+    j has 32 rows for -tr rho log sigma (_entropy_factor) and 32 per log det,
+    the real and imaginary parts of 16 complex entries each, and 15 ridge rows:
+    111 in all.  R^T R = (j s)^T (j s) + 1e-20.  h is never formed: near the PPT
+    boundary its curvature reaches 1/mu, and rounding there would swamp
+    curvatures near mu.  The ridge keeps steps finite where h is near singular.
     c = -j vec(sigma) and e is its log det rows; as D^2 log_s[X, s] = -Dlog_s[X],
     j^T c = g, the gradient, j^T e = g_bar, its barrier part, h^-1 g = s R^-1 Q^T c.
     """
     # each B_a in the eigenbases of sigma and sigma^Γ: row-major vec(V^† B V) = (V^† ⊗ V^T) vec(B)
     kv = (v.conj()[:, :, None, :, None] * v[:, None, :, None, :]).reshape(2, 16, 16)
     bt = _BASES_VEC @ kv
-    j = np.zeros((79, 17))
-    rows = j[:64].reshape(4, 16, 17)
-    # -mu log det s: Hessian mu tr(P_a P_b), P_a = s^-1/2 B_a s^-1/2; P_sigma = I
-    wi, wj = w.reshape(8)[_HERM_IJ]
-    rows[2:, :, :15] = bt.view(float).reshape(960)[_BAR] * (math.sqrt(mu) * _HERM_W / np.sqrt(wi * wj))[:, :, None]
-    rows[2:, :4, 15:] = -math.sqrt(mu)
+    j = np.zeros((111, 17))
+    rows = j[:96].reshape(3, 2, 16, 17)  # real, imaginary parts: -tr rho log sigma, log det sigma, sigma^Γ
+    # -mu log det s: Hessian mu tr(P_a P_b) = mu sum_ij Re(conj(P_a)_ij (P_b)_ij),
+    # P_a = s^-1/2 B_a s^-1/2; P_sigma = I
+    p = bt.transpose(0, 2, 1) * (math.sqrt(mu) / np.sqrt(w[:, :, None] * w[:, None, :])).reshape(2, 16, 1)
+    rows[1:, 0, :, :15], rows[1:, 1, :, :15] = p.real, p.imag
+    rows[1:, 0, ::5, 15:] = -math.sqrt(mu)
     # -tr rho log sigma (Daleckii-Krein); sigma = diag(w) in its eigenbasis
     nf2 = _log_divided_differences(w[0], lw[0])[1]
     b = np.zeros((16, 16), dtype=complex)  # the 15 B_a, then -sigma as its last row
     b[:15] = bt[0]
     b[15, ::5] = -w[0]
     c = _entropy_factor(nf2, r, b)
-    rows[0, :, :16], rows[1, :, :16] = c.real, c.imag
-    s = 1.0 / np.sqrt(np.einsum("ij,ij->j", j[:64, :15], j[:64, :15]))
-    j[:64, :15] *= s
-    j[64:, :15] = _RIDGE
+    rows[0, 0, :, :16], rows[0, 1, :, :16] = c.real, c.imag
+    s = 1.0 / np.sqrt(np.einsum("ij,ij->j", j[:96, :15], j[:96, :15]))
+    j[:96, :15] *= s
+    j[96:, :15] = _RIDGE
     h = np.linalg.qr(j, mode="raw")[0]
     return _UPPER * h[:15, :15].T, s, h[15, :15], h[16, :15]
 
