@@ -18,6 +18,7 @@ HERMITIAN_TOL = 1e-12
 TRACE_TOL = 1e-12
 EIG_CLAMP = 1e-10          # negatives in [-EIG_CLAMP, 0] are round-off, clamped to 0
 SUPPORT_CUTOFF = 1e-12     # relative to the largest eigenvalue
+MAX_ENTRY = 1e150          # largest operator entry or coupling: squares and products over d <= 64 stay finite
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -86,15 +87,17 @@ def _checked_count(n, name: str, lo: int = 1) -> int:
 
 
 def _checked_operator(m, tol: float, name: str = "operator") -> np.ndarray:
-    """m as a complex array; DomainError unless it is square (one matrix or a stack (..., d, d)), finite, and
-    Hermitian to tol times its largest entry modulus floored at 1, so to tol exactly where no entry exceeds 1."""
+    """m as a complex array; DomainError unless it is square (one matrix or a stack (..., d, d)), no entry
+    exceeds MAX_ENTRY in modulus, and it is Hermitian to tol times its largest entry modulus floored at 1, so to
+    tol exactly where no entry exceeds 1."""
     m = np.asarray(m, dtype=complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise DomainError(f"{name} must be a square matrix")
-    if not np.isfinite(m).all():
-        raise DomainError(f"{name} entries must be finite")
+    size = np.abs(m).max(initial=0.0)
+    if not size <= MAX_ENTRY:  # NaN and inf fail too
+        raise DomainError(f"{name} entries must be finite, of modulus at most {MAX_ENTRY:g}")
     dev = np.abs(m - m.conj().swapaxes(-1, -2)).max(initial=0.0)
-    if not (dev <= tol or dev <= tol * np.abs(m).max()):  # the largest entry is read only past the floor
+    if not dev <= tol * max(size, 1.0):
         raise DomainError(f"{name} is not Hermitian (deviation {dev:.3e})")
     return m
 

@@ -6,8 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (NORM_TOL, _PAULI, _PAULI_PAIRS, BipartitePureState, DomainError, _bisect, _checked_count,
-                   _checked_real, _hamiltonian_matrix, _row_products, log_scale)
+from .core import (MAX_ENTRY, NORM_TOL, _PAULI, _PAULI_PAIRS, BipartitePureState, DomainError, _bisect,
+                   _checked_count, _checked_real, _hamiltonian_matrix, _row_products, log_scale)
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,16 +55,15 @@ class NonlocalHamiltonian:
 
 
 def _check_couplings(mu) -> np.ndarray:
-    """Canonical couplings (..., 3) as a float array; DomainError unless every row is finite with mu1 >= mu2 >= mu3 >= 0."""
+    """Canonical couplings (..., 3) as a float array; DomainError unless every row has MAX_ENTRY >= mu1 >= mu2 >= mu3 >= 0."""
     mu = np.asarray(mu, dtype=float)
     if mu.shape[-1:] != (3,):
         raise DomainError(f"canonical couplings need 3 entries, got shape {mu.shape}")
     rows = mu.reshape(-1, 3)
-    ordered = (rows[:, 0] >= rows[:, 1]) & (rows[:, 1] >= rows[:, 2]) & (rows[:, 2] >= 0.0)
-    bad = ~(ordered & np.isfinite(rows).all(axis=1))
+    bad = ~((MAX_ENTRY >= rows[:, 0]) & (rows[:, 0] >= rows[:, 1]) & (rows[:, 1] >= rows[:, 2]) & (rows[:, 2] >= 0.0))
     if bad.any():
         got = tuple(rows[bad][0].tolist())
-        raise DomainError(f"canonical couplings must be finite with mu1 >= mu2 >= mu3 >= 0, got {got}")
+        raise DomainError(f"canonical couplings must be finite with {MAX_ENTRY:g} >= mu1 >= mu2 >= mu3 >= 0, got {got}")
     return mu
 
 
@@ -105,11 +104,13 @@ def canonical_form(alpha, beta, gamma) -> NonlocalHamiltonian:
     is sign(det gamma), with det 0 treated as +.  Local fields are recorded but
     excluded from the canonical interaction.
     """
-    alpha = _checked_real(alpha, "local fields must be finite").reshape(3)
-    beta = _checked_real(beta, "local fields must be finite").reshape(3)
-    gamma = _checked_real(gamma, "coupling matrix must be finite").reshape(3, 3)
+    fields = f"local fields must be finite, of modulus at most {MAX_ENTRY:g}"
+    alpha = _checked_real(alpha, fields, -MAX_ENTRY, MAX_ENTRY).reshape(3)
+    beta = _checked_real(beta, fields, -MAX_ENTRY, MAX_ENTRY).reshape(3)
+    gamma = _checked_real(gamma, f"coupling matrix must be finite, of modulus at most {MAX_ENTRY:g}",
+                          -MAX_ENTRY, MAX_ENTRY).reshape(3, 3)
     mu = np.linalg.svd(gamma, compute_uv=False)
-    sign = 1 if np.linalg.det(gamma) >= 0.0 else -1
+    sign = 1 if np.linalg.slogdet(gamma).sign >= 0.0 else -1  # det itself overflows above entries of about 1e102
     return NonlocalHamiltonian(
         mu=(float(mu[0]), float(mu[1]), float(mu[2])),
         sign=sign,
@@ -206,7 +207,7 @@ def capacity_rate_factor(p, base="e", k=1):
     log_r = np.log(k * safe / (1.0 - safe))
     val = 2.0 * np.sqrt(safe * (1.0 - safe) / k) * ((1.0 - 2.0 * safe) * log_r**2 + 2.0 * log_r) / log_scale(base) ** 2
     out = np.where(inner, val, 0.0)
-    return float(out) if np.isscalar(p) else out
+    return float(out) if out.ndim == 0 else out
 
 
 def capacity_rate_factor_maximum(base="e", k=1) -> tuple[float, float]:
@@ -239,7 +240,7 @@ def max_capacity_rate(p: float, mu1: float, mu2: float, base="e") -> float:
 
     Attained from sqrt(p)|01> + i sqrt(1-p)|10> under the canonical interaction.
     """
-    _checked_real((mu1, mu2), "couplings must be finite and non-negative", 0.0)
+    _checked_real((mu1, mu2), f"couplings must be finite, non-negative and at most {MAX_ENTRY:g}", 0.0, MAX_ENTRY)
     return float((mu1 + mu2) * capacity_rate_factor(p, base))
 
 

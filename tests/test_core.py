@@ -462,6 +462,12 @@ _OUT_OF_DOMAIN_CASES = {
     "is_flat-zeros": lambda: entcap.is_flat([0.0, 0.0]),
     "is_flat-empty": lambda: entcap.is_flat([]),
     "capacity_from_spectrum-empty": lambda: entcap.capacity_from_spectrum([]),
+    # finite entries and couplings above core.MAX_ENTRY, whose squares or products overflow
+    "SelfInverseHamiltonian-huge": lambda: entcap.SelfInverseHamiltonian([[1e200, 0.0], [0.0, 1.0]], np.eye(2)),
+    "simulate_trajectory-NonlocalHamiltonian-huge": lambda: entcap.simulate_trajectory(
+        entcap.NonlocalHamiltonian(mu=(1e300, 0.0, 0.0)), _PRODUCT, [0.0, 1.0]),
+    "canonical_form-huge": lambda: entcap.canonical_form(np.zeros(3), np.zeros(3), 1e300 * np.eye(3)),
+    "max_capacity_rate-huge": lambda: entcap.max_capacity_rate(0.3, 1e308, 1e308),
 }
 
 
@@ -476,6 +482,7 @@ def test_counts_accept_numpy_integers():
     state = BipartitePureState(np.full(4, 0.5), np.int64(2), np.int8(2))
     assert (state.d_a, state.d_b) == (2, 2) and type(state.d_a) is int
     assert entcap.capacity_rate_factor(0.3, k=np.int64(3)) == entcap.capacity_rate_factor(0.3, k=3)
+    assert type(entcap.capacity_rate_factor(np.array(0.3))) is float  # a 0-d array in, a float out
 
 
 # the upper triangle of a complex matrix: eigh and eigvalsh read one triangle only, so
@@ -499,6 +506,15 @@ _NON_HERMITIAN_CASES = {
 def test_non_hermitian_operator_rejected(name):
     with pytest.raises(DomainError, match="not Hermitian"):
         _NON_HERMITIAN_CASES[name](_TRIANGLE)
+
+
+# Hermitian but with finite entries above core.MAX_ENTRY: their squares and products overflow
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1e160, 1e200, 1e300])
+@pytest.mark.parametrize("name", list(_NON_HERMITIAN_CASES))
+def test_huge_operator_rejected(name, scale):
+    with pytest.raises(DomainError, match="entries must be finite"):
+        _NON_HERMITIAN_CASES[name](scale * _H)
 
 
 def test_hermitian_tolerance_scales_with_the_largest_entry():
