@@ -104,9 +104,9 @@ def canonical_form(alpha, beta, gamma) -> NonlocalHamiltonian:
     is sign(det gamma), with det 0 treated as +.  Local fields are recorded but
     excluded from the canonical interaction.
     """
-    fields = f"local fields must be finite, of modulus at most {MAX_ENTRY:g}"
-    alpha = _checked_real(alpha, fields, -MAX_ENTRY, MAX_ENTRY).reshape(3)
-    beta = _checked_real(beta, fields, -MAX_ENTRY, MAX_ENTRY).reshape(3)
+    field_message = f"local fields must be finite, of modulus at most {MAX_ENTRY:g}"
+    alpha = _checked_real(alpha, field_message, -MAX_ENTRY, MAX_ENTRY).reshape(3)
+    beta = _checked_real(beta, field_message, -MAX_ENTRY, MAX_ENTRY).reshape(3)
     gamma = _checked_real(gamma, f"coupling matrix must be finite, of modulus at most {MAX_ENTRY:g}",
                           -MAX_ENTRY, MAX_ENTRY).reshape(3, 3)
     mu = np.linalg.svd(gamma, compute_uv=False)
