@@ -129,8 +129,8 @@ def evolve_matrix(h_matrix: np.ndarray, amplitudes: np.ndarray, t: float) -> np.
 def evolved_schmidt_weights(p: float, theta: float, t: float):
     """Closed-form Schmidt pair under the canonical interaction from sqrt(p)|00>+sqrt(1-p)|11>."""
     _checked_real(p, "p must lie in [0, 1]", 0.0, 1.0)
-    _checked_real(theta, "theta must be finite")
-    _checked_real(t, "t must be finite")
+    _checked_real(theta, f"theta must be finite, of modulus at most {MAX_ENTRY:g}", -MAX_ENTRY, MAX_ENTRY)
+    _checked_real(t, f"t must be finite, of modulus at most {MAX_ENTRY:g}", -MAX_ENTRY, MAX_ENTRY)
     lam1 = 0.5 * (1.0 - (1.0 - 2.0 * p) * np.cos(2.0 * theta * t))
     return lam1, 1.0 - lam1
 
@@ -396,7 +396,8 @@ def simulate_trajectory(hamiltonian, psi0, times, base="e") -> Trajectory:
         raise DomainError("need 4x4 Hamiltonians and length-4 amplitudes with matching leading axes")
     single = len(shape) == 1
     amps0 = amps0.reshape(-1, 4)
-    times = _checked_real(times, "times must be a finite 1-D array")
+    times = _checked_real(times, f"times must be a finite 1-D array, of modulus at most {MAX_ENTRY:g}",
+                          -MAX_ENTRY, MAX_ENTRY)
     if times.ndim != 1:
         raise DomainError("times must be a finite 1-D array")
     if h is not None:

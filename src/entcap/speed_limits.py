@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BipartitePureState, DomainError, _checked_count, _checked_real, _hamiltonian_matrix
+from .core import MAX_ENTRY, BipartitePureState, DomainError, _checked_count, _checked_real, _hamiltonian_matrix
 from .dynamics import (
     Trajectory,
     _apply,
@@ -41,8 +41,8 @@ def _family_schmidt(p, theta, t):
     and p = 1/2 gives the weight 1/2 exactly.
     """
     p = _checked_real(p, "p must lie in [0, 1]", 0.0, 1.0)
-    _checked_real(theta, "theta must be finite")
-    x = theta * _checked_real(t, "t must be finite")
+    _checked_real(theta, f"theta must be finite, of modulus at most {MAX_ENTRY:g}", -MAX_ENTRY, MAX_ENTRY)
+    x = theta * _checked_real(t, f"t must be finite, of modulus at most {MAX_ENTRY:g}", -MAX_ENTRY, MAX_ENTRY)
     a = np.abs(1.0 - 2.0 * p)
     lam_minus = np.minimum(p, 1.0 - p) + a * np.minimum(np.sin(x) ** 2, np.cos(x) ** 2)
     return lam_minus, _two_qubit_log_ratio(lam_minus, a * np.abs(np.cos(2.0 * x)))
@@ -108,10 +108,12 @@ def _family_qsl(p, theta, durations, base):
     the first three results have shape p.shape + durations.shape.
     """
     p = np.asarray(p, dtype=float)
-    theta = _checked_real(theta, "theta must be a positive, finite scalar", positive=True)
+    theta = _checked_real(theta, f"theta must be a positive, finite scalar, at most {MAX_ENTRY:g}",
+                          hi=MAX_ENTRY, positive=True)
     if theta.ndim:
         raise DomainError("theta must be a positive, finite scalar")
-    durations = _checked_real(durations, "durations must be positive and finite", positive=True)
+    durations = _checked_real(durations, f"durations must be positive and finite, at most {MAX_ENTRY:g}",
+                              hi=MAX_ENTRY, positive=True)
     ends = 2.0 * theta * durations
     x_max = float(ends.max(initial=0.0))
     if x_max > _MAX_PHASE:
@@ -204,7 +206,7 @@ def qsl_time_dependent(h_of_t, psi0: BipartitePureState, duration: float,
     and 3.27 T in nats.  The window needs a positive, finite ``duration``, an
     integer ``samples >= 2`` (both ends) and an h_of_t that acts on psi0.
     """
-    _checked_real(duration, "duration must be positive and finite", positive=True)
+    _checked_real(duration, f"duration must be positive and finite, at most {MAX_ENTRY:g}", hi=MAX_ENTRY, positive=True)
     samples = _checked_count(samples, "samples", 2)
     ts = np.linspace(0.0, duration, samples)
     hs = _hamiltonian_matrix(np.array([h_of_t(t) for t in ts], dtype=complex), psi0.dim)

@@ -468,6 +468,16 @@ _OUT_OF_DOMAIN_CASES = {
         entcap.NonlocalHamiltonian(mu=(1e300, 0.0, 0.0)), _PRODUCT, [0.0, 1.0]),
     "canonical_form-huge": lambda: entcap.canonical_form(np.zeros(3), np.zeros(3), 1e300 * np.eye(3)),
     "max_capacity_rate-huge": lambda: entcap.max_capacity_rate(0.3, 1e308, 1e308),
+    # a theta, time or duration above core.MAX_ENTRY, whose product with another overflows
+    "family_qsl_curve-theta-huge": lambda: entcap.family_qsl_curve(1.0, 1e308, [10.0]),
+    "family_qsl_report-huge": lambda: entcap.family_qsl_report(0.3, 1e200, 1e200),
+    "family_sqrt_capacity-theta-huge": lambda: entcap.speed_limits.family_sqrt_capacity(0.3, 1e308, 3.0),
+    "family_entropy-theta-huge": lambda: entcap.speed_limits.family_entropy(0.3, 1e308, 3.0),
+    "evolved_schmidt_weights-theta-huge": lambda: entcap.evolved_schmidt_weights(0.3, 1e308, 3.0),
+    "simulate_trajectory-times-huge": lambda: entcap.simulate_trajectory(
+        entcap.NonlocalHamiltonian(mu=(2.0, 0.0, 0.0)), _PRODUCT, [0.0, 1e308]),
+    "qsl_time_dependent-duration-huge": lambda: entcap.qsl_time_dependent(
+        lambda t: 4.0 * np.diag([1.0, -1.0, 1.0, -1.0]), _PURE_PRODUCT, 1e308, samples=3),
 }
 
 
