@@ -91,20 +91,20 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
 # for 32 levels, from pi/4 down to 2e-19
 _GL_NODES, _GL_WEIGHTS = _gauss_legendre(12)
 _GRADED_OFFSETS = (np.pi / 4.0) * 0.25 ** np.arange(32.0)
-# largest 2 theta max(T): about 29,000 panels, 351,000 nodes (2.8 MB) per p.
-# The figures, demos and verify suite reach 6 at most
-_MAX_PHASE = 1000.0
+# panel edges of one period [0, pi]: 0, pi/2, pi and the graded levels toward each, repeats kept
+_PERIOD_EDGES = np.sort(np.concatenate([[0.0, np.pi / 2.0, np.pi], _GRADED_OFFSETS, np.pi / 2.0 - _GRADED_OFFSETS,
+                                        np.pi / 2.0 + _GRADED_OFFSETS, np.pi - _GRADED_OFFSETS]))
 
 
 def _family_qsl(p, theta, durations, base):
     """(T_qsl, ΔS, time-averaged sqrt(C), nodes evaluated) for one scalar theta and every p and duration.
 
-    In x = 2 theta t the integrand is g(a cos x) with a = |1 - 2p|; it has a log singularity
-    (|eta| = 1 when a = 1) or a kink (eta = 0) only at x = k pi/2.  Panels are graded
-    geometrically toward each of those points, and every window end 2 theta T is a panel edge, so
-    one composite Gauss-Legendre pass, evaluated at theta t = x/2, gives the integral up to every
-    duration exactly (no snapping).  Durations may come in any order; 2 theta max(durations) above
-    ``_MAX_PHASE`` is a DomainError.  The panels do not depend on p, so an array of p shares them:
+    In x = 2 theta t the integrand is g(a cos x) with a = |1 - 2p|, of period pi; it has a log singularity
+    (|eta| = 1 when a = 1) or a kink (eta = 0) only at x = k pi/2.  Panels over one period are graded
+    geometrically toward 0, pi/2 and pi, and every window's rest 2 theta T mod pi is a panel edge, so one
+    composite Gauss-Legendre pass, evaluated at theta t = x/2, gives the integral up to every duration exactly
+    (no snapping) as whole periods times the integral over [0, pi] plus the integral up to the rest.  Durations
+    may come in any order; the panels stop at pi and do not depend on p, so an array of p shares them:
     the first three results have shape p.shape + durations.shape.
     """
     p = np.asarray(p, dtype=float)
@@ -115,21 +115,17 @@ def _family_qsl(p, theta, durations, base):
     durations = _checked_real(durations, f"durations must be positive and finite, at most {MAX_ENTRY:g}",
                               hi=MAX_ENTRY, positive=True)
     ends = 2.0 * theta * durations
-    x_max = float(ends.max(initial=0.0))
-    if x_max > _MAX_PHASE:
-        raise DomainError(f"2 theta max(T) = {x_max!r} exceeds {_MAX_PHASE!r}")
-    breaks = (np.pi / 2.0) * np.arange(np.floor(x_max / (np.pi / 2.0)) + 2.0)
-    graded = breaks[:, None] + np.concatenate([_GRADED_OFFSETS, -_GRADED_OFFSETS])
+    periods, rests = np.divmod(ends, np.pi)
     # np.unique's own sort-and-compare, without the numpy.ma import of its first call
-    edges = np.sort(np.concatenate([[0.0], ends.ravel(), breaks, graded.ravel()]))
-    edges = edges[np.append(True, edges[1:] != edges[:-1]) & (edges >= 0.0) & (edges <= x_max)]
+    edges = np.sort(np.concatenate([_PERIOD_EDGES, rests.ravel()]))
+    edges = edges[np.append(True, edges[1:] != edges[:-1]) & (edges <= min(float(ends.max(initial=0.0)), np.pi))]
     mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
     x = mid[:, None] + half[:, None] * _GL_NODES
     # theta = 1/2 at time x is the phase x/2 exactly
     sqrt_cap = family_sqrt_capacity(p[..., None, None], 0.5, x, base)
     panel_sums = half * (sqrt_cap @ _GL_WEIGHTS)
     cum = np.concatenate([np.zeros(panel_sums.shape[:-1] + (1,)), np.cumsum(panel_sums, axis=-1)], axis=-1)
-    mean_sqrt = cum[..., np.searchsorted(edges, ends)] / ends
+    mean_sqrt = (np.multiply.outer(cum[..., -1], periods) + cum[..., np.searchsorted(edges, rests)]) / ends
     p = p.reshape(p.shape + (1,) * durations.ndim)
     ds = family_entropy(p, theta, durations, base) - family_entropy(p, theta, 0.0, base)
     dh = theta * np.abs(1.0 - 2.0 * p)

@@ -74,8 +74,8 @@ class TestGridSpec:
         (["--command", "figure1", "--theta-list", "9"], None),
         (["--command", "maximize", "--target", "beta", "--n-samples", "5"], None),
         (None, {"command": "verify", "theta": 1.0}),
-        # 2 theta max(T) above the quadrature's panel cap
-        (["--command", "figure2", "--theta-list", "1e12"], None),
+        # a theta above core.MAX_ENTRY, whose product with a duration can overflow
+        (["--command", "figure2", "--theta-list", "1e308", "--grid", "T=0:10:3"], None),
         # a negative seed, an infinite coupling and an infinite grid end
         (None, {"command": "verify", "seed": -1}),
         (["--command", "maximize", "--target", "h-max", "--mu", "inf,0,0"], None),

@@ -268,15 +268,16 @@ class TestFamilyQuadrature:
         with pytest.raises(DomainError):
             family_qsl_curve(1.0, theta, [0.1])
 
-    def test_phase_cap(self):
-        # the panel count grows with 2 theta max(T): up to the cap it runs,
-        # one ulp above it nothing is built
-        cap = speed_limits._MAX_PHASE
-        assert family_qsl_curve(1.0, 1.0, [0.1, cap / 2.0]).shape == (2,)
-        with pytest.raises(DomainError, match="exceeds"):
-            family_qsl_curve(1.0, 1.0, [0.1, np.nextafter(cap / 2.0, np.inf)])
-        with pytest.raises(DomainError, match="exceeds"):
-            family_qsl_report(0.3, np.nextafter(cap, np.inf), 0.5)
+    def test_node_count_does_not_grow_with_the_window(self):
+        # one period of panels serves every window, so 2 theta T = 4 and 1e6 evaluate as many nodes
+        assert family_qsl_report(0.3, 1.0, 2.0).samples == family_qsl_report(0.3, 1.0, 5e5).samples
+
+    @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+    def test_mean_over_whole_periods(self, p):
+        # sqrt(C) has period pi in 2 theta t, so its mean over m periods is its mean over one
+        one = family_qsl_report(p, 0.5, np.pi).mean_sqrt_capacity
+        for m in (2, 3, 7, 100, 318, 319, 12345, 10**6):
+            assert family_qsl_report(p, 0.5, m * np.pi).mean_sqrt_capacity == pytest.approx(one, rel=1e-15, abs=0)
 
     @pytest.mark.parametrize("theta", [0.5, 1.0])
     def test_array_of_p_gives_one_row_per_p(self, theta):
