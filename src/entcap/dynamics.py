@@ -98,17 +98,21 @@ def _eigensystem(hamiltonian) -> tuple[np.ndarray, np.ndarray]:
 
 
 def canonical_form(alpha, beta, gamma) -> NonlocalHamiltonian:
-    """Canonical parameters of a general two-qubit Hamiltonian.
+    """Canonical parameters of a general two-qubit Hamiltonian from local fields alpha and beta of shape (3,)
+    and a coupling matrix gamma of shape (3, 3).
 
     mu are the descending singular values of the 3x3 coupling matrix; the sign
     is sign(det gamma), with det 0 treated as +.  Local fields are recorded but
     excluded from the canonical interaction.
     """
     field_message = f"local fields must be finite, of modulus at most {MAX_ENTRY:g}"
-    alpha = _checked_real(alpha, field_message, -MAX_ENTRY, MAX_ENTRY).reshape(3)
-    beta = _checked_real(beta, field_message, -MAX_ENTRY, MAX_ENTRY).reshape(3)
+    alpha = _checked_real(alpha, field_message, -MAX_ENTRY, MAX_ENTRY)
+    beta = _checked_real(beta, field_message, -MAX_ENTRY, MAX_ENTRY)
     gamma = _checked_real(gamma, f"coupling matrix must be finite, of modulus at most {MAX_ENTRY:g}",
-                          -MAX_ENTRY, MAX_ENTRY).reshape(3, 3)
+                          -MAX_ENTRY, MAX_ENTRY)
+    for name, x, shape in (("alpha", alpha, (3,)), ("beta", beta, (3,)), ("gamma", gamma, (3, 3))):
+        if x.shape != shape:
+            raise DomainError(f"{name} must have shape {shape}, got {x.shape}")
     mu = np.linalg.svd(gamma, compute_uv=False)
     sign = 1 if np.linalg.slogdet(gamma).sign >= 0.0 else -1  # det itself overflows above entries of about 1e102
     return NonlocalHamiltonian(

@@ -478,6 +478,11 @@ _OUT_OF_DOMAIN_CASES = {
         entcap.NonlocalHamiltonian(mu=(2.0, 0.0, 0.0)), _PRODUCT, [0.0, 1e308]),
     "qsl_time_dependent-duration-huge": lambda: entcap.qsl_time_dependent(
         lambda t: 4.0 * np.diag([1.0, -1.0, 1.0, -1.0]), _PURE_PRODUCT, 1e308, samples=3),
+    # canonical_form takes fields of shape (3,) and a coupling matrix of shape (3, 3), as given
+    "canonical_form-scalar-fields": lambda: entcap.canonical_form(0.0, 0.0, np.eye(3)),
+    "canonical_form-gamma-2x2": lambda: entcap.canonical_form(np.zeros(3), np.zeros(3), np.eye(2)),
+    "canonical_form-gamma-flat": lambda: entcap.canonical_form(np.zeros(3), np.zeros(3), np.eye(3).ravel()),
+    "canonical_form-alpha-row": lambda: entcap.canonical_form(np.zeros((1, 3)), np.zeros(3), np.eye(3)),
 }
 
 
