@@ -18,7 +18,7 @@ __version__ = "0.1.0"
 _EXPORTS = {name: module for module, names in {
     "core": (
         "BipartitePureState", "ConfigurationError", "DensityOperator", "DomainError", "density_from_pure",
-        "haar_random_pure", "log_on_support", "partial_trace", "relative_entropy", "schmidt_decompose",
+        "haar_random_pure", "partial_trace", "relative_entropy", "schmidt_decompose",
         "spectrum_entropy", "trace_distance", "von_neumann_entropy",
     ),
     "measures": (

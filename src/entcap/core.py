@@ -264,11 +264,6 @@ def _support_log(m: np.ndarray, base="e") -> tuple[np.ndarray, np.ndarray]:
     return hermitize((v * lw[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)), v * ~support[..., None, :]
 
 
-def log_on_support(rho: DensityOperator, base="e") -> np.ndarray:
-    """Operator log restricted to the support; null directions map to 0."""
-    return _support_log(rho.matrix, base)[0]
-
-
 def _entropy_terms(w: np.ndarray, base="e") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(S, p, log p) for probability vectors w along the last axis, with 0·log 0 = 0.
 

@@ -17,9 +17,9 @@ from .core import (
     _entropy_terms,
     _hamiltonian_matrix,
     _partial_trace_matrix,
+    _support_log,
     _trace_distance,
     _von_neumann_entropy,
-    log_on_support,
     log_scale,
     schmidt_decompose,
     SUPPORT_CUTOFF,
@@ -38,7 +38,7 @@ class CapacityResult:
 
 def modular_hamiltonian(rho: DensityOperator, base="e") -> np.ndarray:
     """The matrix K = -log rho on the support of rho; null directions map to 0."""
-    return -log_on_support(rho, base)
+    return -_support_log(rho.matrix, base)[0]
 
 
 def _spectrum_capacity(w: np.ndarray, base="e") -> tuple[np.ndarray, np.ndarray]:

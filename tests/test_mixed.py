@@ -712,12 +712,11 @@ class TestCapacityMixed:
                 assert cap == pytest.approx(0.0, abs=1e-8)
 
     def test_matches_observable_variance(self):
-        from entcap.core import log_on_support
-        from entcap.measures import observable_variance
+        from entcap.measures import modular_hamiltonian, observable_variance
 
         rho = family_state(1, 0.6)
         sigma = family_closest(1, 0.6)
-        shift = log_on_support(rho, "e") - log_on_support(sigma, "e")
+        shift = modular_hamiltonian(sigma, "e") - modular_hamiltonian(rho, "e")
         assert capacity_mixed(rho, sigma, "e") == pytest.approx(
             observable_variance(shift, rho), abs=1e-10
         )

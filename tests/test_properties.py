@@ -19,14 +19,13 @@ from entcap.core import (
     _trace_distance,
     _von_neumann_entropy,
     haar_random_pure,
-    log_on_support,
     partial_trace,
     relative_entropy,
     schmidt_decompose,
     trace_distance,
     von_neumann_entropy,
 )
-from entcap.measures import _density_capacity, _variance, capacity_of, observable_variance
+from entcap.measures import _density_capacity, _variance, capacity_of, modular_hamiltonian, observable_variance
 
 
 def densities(rng, d, n, d_a=None, d_b=None):
@@ -53,7 +52,7 @@ class TestKernelsMatchOneStateFunctions:
             logs = _support_log(r, base)[0]
             entropies = _von_neumann_entropy(r, base)
             for k, rho in enumerate(rhos):
-                assert np.array_equal(logs[k], log_on_support(rho, base))
+                assert np.array_equal(logs[k], -modular_hamiltonian(rho, base))
                 assert entropies[k] == von_neumann_entropy(rho, base)
         dist = _trace_distance(r, s)
         assert all(dist[k] == trace_distance(a, b) for k, (a, b) in enumerate(zip(rhos, sigmas)))
