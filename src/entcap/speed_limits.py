@@ -138,8 +138,10 @@ def _family_qsl(p, theta, durations, base):
 def family_qsl_curve(p, theta, durations, base="2") -> np.ndarray:
     """T_qsl of the closed-form family at every duration, in the order given.
 
-    theta is a positive, finite scalar.  A scalar p gives durations.shape; a 1-D array of P values
-    gives one row per p, shape (P, T) for T durations, each row equal to the scalar call.
+    theta is a positive scalar and each duration positive, both at most 1e150.  The quadrature covers
+    one period of sqrt(C) in 2 theta t, so its cost does not grow with the durations.  A scalar p gives
+    durations.shape; a 1-D array of P values gives one row per p, shape (P, T) for T durations, each
+    row equal to the scalar call.
     At p in {0, 1} the rate bound is saturated while S is monotone
     (2 theta T <= pi/2), so T_qsl equals T there to rounding.
     """
@@ -199,8 +201,8 @@ def qsl_time_dependent(h_of_t, psi0: BipartitePureState, duration: float,
 
     with ΔH_bar the time-averaged fluctuation.  It is not a lower bound on T:
     H(t) = 10 σx⊗σx on [0.95, 1] only, from |00>, gives T_qsl = 3.92 T in bits
-    and 3.27 T in nats.  The window needs a positive, finite ``duration``, an
-    integer ``samples >= 2`` (both ends) and an h_of_t that acts on psi0.
+    and 3.27 T in nats.  The window needs a positive ``duration`` of at most 1e150,
+    an integer ``samples >= 2`` (both ends) and an h_of_t that acts on psi0.
     """
     _checked_real(duration, f"duration must be positive and finite, at most {MAX_ENTRY:g}", hi=MAX_ENTRY, positive=True)
     samples = _checked_count(samples, "samples", 2)
