@@ -321,10 +321,15 @@ def _two_qubit_log_ratio(lam_minus, s):
 
     ``s`` = lam_+ - lam_-; with both carrying full relative precision (no
     cancellation) so does the result.  Set to 0 where lam_- = 0 (every
-    quantity it multiplies vanishes there).
+    quantity it multiplies vanishes there).  A subnormal lam_- would overflow
+    s/lam_-; there lam_+ = s to rounding, so the ratio is ln s - ln lam_-.
     """
-    entangled = lam_minus > 0.0
-    return np.where(entangled, np.log1p(s / np.where(entangled, lam_minus, 1.0)), 0.0)
+    normal = lam_minus >= np.finfo(float).tiny
+    log_ratio = np.where(normal, np.log1p(s / np.where(normal, lam_minus, 1.0)), 0.0)
+    if not normal.all():
+        subnormal = (lam_minus > 0.0) & ~normal
+        log_ratio += np.log(np.where(subnormal, s, 1.0)) - np.log(np.where(subnormal, lam_minus, 1.0))
+    return log_ratio
 
 
 def _two_qubit_entropy(lam_minus, log_ratio, base="e"):

@@ -200,9 +200,10 @@ _PT_SIGN = np.tile([1.0, 1.0, -1.0, 1.0], 4)[1:]
 _BASES = np.stack([_BASIS, _PT_SIGN[:, None, None] * _BASIS])  # for sigma and for sigma^Γ
 _BASES_VEC = _BASES.reshape(2, 15, 16)
 _COORDS = _BASES.transpose(1, 0, 2, 3).reshape(15, 32)
-# (mu, squared Newton decrement at which the level counts as centred); the first
-# level only seeds the central path's tangent, so it is centred roughly
-_MU_LEVELS = ((1e-2, 1e-4), (1e-4, 1e-12), (1e-6, 1e-12), (1e-9, 1e-12), (1e-13, 1e-12))
+# (mu, squared Newton decrement at which the level counts as centred); the first two
+# levels only seed the central path's tangent, so they are centred roughly.  The
+# level at 1e-3 keeps most full Newton steps at 1e-4 inside the cone
+_MU_LEVELS = ((1e-2, 1e-2), (1e-3, 1e-4), (1e-4, 1e-12), (1e-6, 1e-12), (1e-9, 1e-12), (1e-13, 1e-12))
 _LEVEL_STEPS = 50
 _RIDGE = 1e-10 * np.eye(15)
 _UPPER = np.triu(np.ones((15, 15)))
@@ -311,14 +312,15 @@ def closest_separable_numeric(rho: DensityOperator, base="e") -> SeparableApprox
     (Vedral & Plenio, PRA 57, 1619 (1998)).  ``numeric-ppt``: a log-barrier
     method minimizes F_mu = -tr rho log sigma - mu (log det sigma + log det
     sigma^Γ) over sigma's 15 Pauli coordinates, with long steps in mu (Boyd &
-    Vandenberghe, Convex Optimization, 11.3-11.4) over 5 levels: 1e-2, 1e-4,
-    1e-6, 1e-9 and 1e-13.  It starts at (rho + alpha I)/(1 + 4 alpha),
+    Vandenberghe, Convex Optimization, 11.3-11.4) over 6 levels: 1e-2, 1e-3,
+    1e-4, 1e-6, 1e-9 and 1e-13.  It starts at (rho + alpha I)/(1 + 4 alpha),
     alpha = 0.02 - lambda_min(rho^Γ): rho mixed with I/4 just inside the PPT
     cone, so sigma and sigma^Γ are positive definite and local unitaries act
     on the start as on rho.  Each level takes damped Newton steps
     (``_newton_system``) until the squared Newton decrement is at most 1e-12;
-    the first level, which only seeds the tangent, stops at 1e-4.  The next
-    level starts from the central path's tangent, scaled by 1 - mu_next/mu.
+    the first two levels, which only seed the tangent, stop at 1e-2 and 1e-4.
+    The next level starts from the central path's tangent, scaled by
+    1 - mu_next/mu.
     One backtracking routine (``_backtrack``) damps both steps: it halves the
     step until sigma and sigma^Γ are positive definite and F_mu falls by at
     least slope x t: slope 0.25 x decrement over at most 60 trials for a Newton

@@ -125,9 +125,14 @@ def _family_qsl(p, theta, durations, base):
     sqrt_cap = family_sqrt_capacity(p[..., None, None], 0.5, x, base)
     panel_sums = half * (sqrt_cap @ _GL_WEIGHTS)
     cum = np.concatenate([np.zeros(panel_sums.shape[:-1] + (1,)), np.cumsum(panel_sums, axis=-1)], axis=-1)
-    mean_sqrt = (np.multiply.outer(cum[..., -1], periods) + cum[..., np.searchsorted(edges, rests)]) / ends
+    integral = np.multiply.outer(cum[..., -1], periods) + cum[..., np.searchsorted(edges, rests)]
     p = p.reshape(p.shape + (1,) * durations.ndim)
-    ds = family_entropy(p, theta, durations, base) - family_entropy(p, theta, 0.0, base)
+    start = _family_schmidt(p, theta, 0.0)
+    # below the least normal float, 2 theta T is no scale to divide by, and sin^2(theta t) underflows to 0
+    # on the window: the mean is its T -> 0 limit, sqrt(C) at t = 0
+    normal = ends >= np.finfo(float).tiny
+    mean_sqrt = np.where(normal, integral / np.where(normal, ends, 1.0), np.sqrt(_two_qubit_capacity(*start, base)))
+    ds = family_entropy(p, theta, durations, base) - _two_qubit_entropy(*start, base)
     dh = theta * np.abs(1.0 - 2.0 * p)
     moving = ds != 0.0
     t_qsl = np.zeros_like(ds)

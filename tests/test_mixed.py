@@ -302,11 +302,13 @@ class TestNumericSolver:
         # one batched eigh of sigma and sigma^Γ per new point (a change of mu
         # reuses the last one), one of the four 4x4 relative-entropy blocks per
         # Newton step, one of rho, no 15x15 Hessian eigh and no projection: E_R
-        # comes from the last point and rho's spectrum.  The six-level schedule
-        # (1e-2 to 1e-10 by factors of 100, then 1e-13) made 28 and 32 point
-        # eighs; the five levels make 26 and 73, as the level at 1e-13 rejects 38
-        # trial points on the second input, in 28 Newton systems where six levels
-        # took 27.  Started at I/4 and mu = 1 the barrier made 37 and 41,
+        # comes from the last point and rho's spectrum.  The six levels of
+        # mixed._MU_LEVELS make 15 and 63 point eighs in 14 and 24 Newton
+        # systems; the level at 1e-13 rejects 39 trial points on the second
+        # input.  Five levels (1e-2 to 1e-4 by a factor of 100) made 26 and 73 in
+        # 17 and 28 systems, as 8 trials at 1e-4 left the cone on the first input;
+        # 1e-2 to 1e-10 by factors of 100, then 1e-13, made 28 and 32.
+        # Started at I/4 and mu = 1 the barrier made 37 and 41,
         # the factor-10 mu schedule 38 and 43, the formed-Hessian solver 51 and 56;
         # the Dykstra solver made 2,590 eigh calls on the first input and 93,103
         # on the second.
@@ -332,7 +334,7 @@ class TestNumericSolver:
             shapes["newton"] += 1
             return newton_system(*args)
 
-        inputs = ((family_state(2, 0.095), 26), (random_state(np.random.default_rng(17), 2), 73))
+        inputs = ((family_state(2, 0.095), 15), (random_state(np.random.default_rng(17), 2), 63))
         monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
         monkeypatch.setattr(np.linalg, "solve", counted_solve)
         monkeypatch.setattr(mixed, "_newton_system", counted_system)
@@ -464,28 +466,27 @@ class TestNewtonFactor:
 
 
 # (name, E_R, accepted steps, converged) with the barrier started at mu = 1e-2 from
-# rho mixed just inside the PPT cone, over the five levels of mixed._MU_LEVELS.  The
-# E_R were recorded with six levels (1e-2 to 1e-10 by factors of 100, then 1e-13) and
-# moved by at most 4.2e-15 with five.  The last number in each test id is the step
-# count of the factor-10 schedule; the ids are kept as they were so that the test
-# names stay stable
+# rho mixed just inside the PPT cone, over the six levels of mixed._MU_LEVELS.  The
+# E_R were recorded with 1e-2 to 1e-10 by factors of 100, then 1e-13, and moved by
+# at most 1.2e-14 since.  The last number in each test id is the step count of the
+# factor-10 schedule; the ids are kept as they were so that the test names stay stable
 SOLVER_PANEL = [
-    pytest.param("family1-0.095", 0.002369749194139773, 21, True, id="family1-0.095-0.002369749194139773-42-True"),
-    pytest.param("family2-0.095", 0.00752419061134689, 16, True, id="family2-0.095-0.00752419061134689-35-True"),
-    pytest.param("family1-0.25", 0.017918382754278338, 22, True, id="family1-0.25-0.017918382754278338-41-True"),
-    pytest.param("family2-0.25", 0.04144846783551798, 19, True, id="family2-0.25-0.04144846783551798-34-True"),
-    pytest.param("family1-0.49", 0.08096094773267903, 19, True, id="family1-0.49-0.08096094773267903-35-True"),
-    pytest.param("family2-0.49", 0.14040423860106088, 18, True, id="family2-0.49-0.14040423860106088-35-True"),
+    pytest.param("family1-0.095", 0.002369749194139773, 19, True, id="family1-0.095-0.002369749194139773-42-True"),
+    pytest.param("family2-0.095", 0.00752419061134689, 13, True, id="family2-0.095-0.00752419061134689-35-True"),
+    pytest.param("family1-0.25", 0.017918382754278338, 19, True, id="family1-0.25-0.017918382754278338-41-True"),
+    pytest.param("family2-0.25", 0.04144846783551798, 14, True, id="family2-0.25-0.04144846783551798-34-True"),
+    pytest.param("family1-0.49", 0.08096094773267903, 14, True, id="family1-0.49-0.08096094773267903-35-True"),
+    pytest.param("family2-0.49", 0.14040423860106088, 15, True, id="family2-0.49-0.14040423860106088-35-True"),
     pytest.param("family1-0.7", 0.19882594962260947, 14, True, id="family1-0.7-0.19882594962260947-34-True"),
-    pytest.param("family2-0.7", 0.28209593891628126, 17, True, id="family2-0.7-0.28209593891628126-37-True"),
-    pytest.param("family1-0.95", 0.52678825353254, 17, True, id="family1-0.95-0.52678825353254-38-True"),
-    pytest.param("family2-0.95", 0.577407324096147, 19, True, id="family2-0.95-0.577407324096147-36-True"),
-    pytest.param("rank2-1", 0.08068291938320632, 19, True, id="rank2-1-0.08068291938320632-38-True"),
-    pytest.param("rank2-2", 0.11279293517047784, 22, True, id="rank2-2-0.11279293517047784-41-True"),
-    pytest.param("rank2-3", 0.04464338848872108, 26, True, id="rank2-3-0.04464338848872108-40-True"),
-    pytest.param("rank4-1", 0.06623020581814715, 13, True, id="rank4-1-0.06623020581814715-32-True"),
-    pytest.param("rank4-2", 0.09813402706558755, 12, True, id="rank4-2-0.09813402706558755-32-True"),
-    pytest.param("rank4-3", 0.0959581090872067, 15, True, id="rank4-3-0.0959581090872067-33-True"),
+    pytest.param("family2-0.7", 0.28209593891628126, 16, True, id="family2-0.7-0.28209593891628126-37-True"),
+    pytest.param("family1-0.95", 0.52678825353254, 15, True, id="family1-0.95-0.52678825353254-38-True"),
+    pytest.param("family2-0.95", 0.577407324096147, 18, True, id="family2-0.95-0.577407324096147-36-True"),
+    pytest.param("rank2-1", 0.08068291938320632, 14, True, id="rank2-1-0.08068291938320632-38-True"),
+    pytest.param("rank2-2", 0.11279293517047784, 20, True, id="rank2-2-0.11279293517047784-41-True"),
+    pytest.param("rank2-3", 0.04464338848872108, 21, True, id="rank2-3-0.04464338848872108-40-True"),
+    pytest.param("rank4-1", 0.06623020581814715, 14, True, id="rank4-1-0.06623020581814715-32-True"),
+    pytest.param("rank4-2", 0.09813402706558755, 11, True, id="rank4-2-0.09813402706558755-32-True"),
+    pytest.param("rank4-3", 0.0959581090872067, 12, True, id="rank4-3-0.0959581090872067-33-True"),
 ]
 
 
@@ -511,18 +512,40 @@ class TestSolverPanel:
         assert result.converged is converged
         assert abs(result.relative_entropy - e_r) <= 1e-13
 
-    def test_mean_newton_systems(self, monkeypatch):
-        # 19.06 Newton systems per panel solve; the six-level schedule took 21.56
-        newton_system, count = mixed._newton_system, Counter()
+    @staticmethod
+    def panel_counts(monkeypatch):
+        """Newton systems, barrier points and infeasible points (sigma or sigma^Γ not
+        positive definite) per panel solve."""
+        newton_system, barrier_point, count = mixed._newton_system, mixed._barrier_point, Counter()
 
         def counted_system(*args):
             count["newton"] += 1
             return newton_system(*args)
 
+        def counted_point(*args):
+            point = barrier_point(*args)
+            count["points"] += 1
+            count["infeasible"] += point is None
+            return point
+
         monkeypatch.setattr(mixed, "_newton_system", counted_system)
+        monkeypatch.setattr(mixed, "_barrier_point", counted_point)
         for param in SOLVER_PANEL:
             closest_separable_numeric(panel_state(param.values[0]))
-        assert count["newton"] / len(SOLVER_PANEL) < 21.56
+        return {key: value / len(SOLVER_PANEL) for key, value in count.items()}
+
+    def test_mean_newton_systems(self, monkeypatch):
+        # 16.56 Newton systems per panel solve; five levels (1e-2 to 1e-4 by a
+        # factor of 100) took 19.06, 1e-2 to 1e-10 by factors of 100 took 21.56
+        assert self.panel_counts(monkeypatch)["newton"] <= 16.5625
+
+    def test_mean_barrier_points(self, monkeypatch):
+        # the rough level at 1e-3 keeps the full Newton steps at 1e-4 inside the
+        # cone: 20.06 barrier points per panel solve, 2.81 of them infeasible.
+        # Five levels (1e-2 to 1e-4 by a factor of 100) made 28.88 and 9.38
+        count = self.panel_counts(monkeypatch)
+        assert count["points"] <= 20.0625
+        assert count["infeasible"] <= 2.8125
 
 
 BELL_BASIS = np.array([[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0]]) / np.sqrt(2)
@@ -566,8 +589,9 @@ class TestSolverReferences:
 class TestSeededSweep:
     # random rank-2, -3 and -4 states and a Bell state with a full-rank admixture
     # of weight 1e-4 to 0.3, four solves per seed.  Over seeds 0-9 the most Newton
-    # systems one solve takes is 28; with six mu levels it was 32, started at I/4
-    # and mu = 1 it was 38, with mu falling by factors of 10 it was 46
+    # systems one solve takes is 28, as it was with five mu levels; with 1e-2 to
+    # 1e-10 by factors of 100 it was 32, started at I/4 and mu = 1 it was 38,
+    # with mu falling by factors of 10 it was 46
     NEWTON_SYSTEMS = 28
 
     @pytest.mark.parametrize("seed", range(10))

@@ -5,7 +5,7 @@ import pytest
 
 from entcap import speed_limits
 from entcap.core import BipartitePureState, DomainError, haar_random_pure
-from entcap.dynamics import NonlocalHamiltonian, evolved_schmidt_weights, simulate_trajectory
+from entcap.dynamics import NonlocalHamiltonian, _two_qubit_log_ratio, evolved_schmidt_weights, simulate_trajectory
 from entcap.measures import capacity_from_spectrum
 from entcap.speed_limits import (
     QSLReport,
@@ -134,6 +134,11 @@ class TestClosedFormFamily:
         for p in (0.1, 0.5, 0.9):
             eta = (1 - 2 * p) * np.cos(2 * np.linspace(0, 3, 100))
             assert np.all(np.abs(eta) < 1.0)
+
+    @pytest.mark.parametrize("lam", [5e-324, 1e-320, 1e-310, 2e-308, 1e-300])
+    def test_log_ratio_of_a_subnormal_weight(self, lam):
+        # below the least normal float s / lam_- overflows; ln(lam_+/lam_-) = -ln lam_- to rounding there
+        assert _two_qubit_log_ratio(np.array(lam), np.array(1.0 - lam)) == pytest.approx(-math.log(lam), rel=1e-15)
 
     def test_delta_h_absolute_value(self):
         assert family_qsl_report(0.9, 1.0, 0.1).mean_fluctuation == pytest.approx(0.8 * 1.0)
@@ -271,6 +276,21 @@ class TestFamilyQuadrature:
     def test_node_count_does_not_grow_with_the_window(self):
         # one period of panels serves every window, so 2 theta T = 4 and 1e6 evaluate as many nodes
         assert family_qsl_report(0.3, 1.0, 2.0).samples == family_qsl_report(0.3, 1.0, 5e5).samples
+
+    @pytest.mark.parametrize("p,theta", [(1.0, 1e-200), (0.3, 1e-170), (0.3, 1e-160), (0.0, 1e-160)])
+    def test_vanishing_window_gives_its_limit(self, p, theta):
+        # 2 theta T underflows to 0 or a subnormal: T_qsl and ΔS are 0 and the mean is sqrt(C) at t = 0
+        report = family_qsl_report(p, theta, theta)
+        assert report.t_qsl == report.entropy_change == 0.0
+        assert report.mean_sqrt_capacity == family_sqrt_capacity(p, theta, 0.0)
+        assert np.array_equal(family_qsl_curve(p, theta, [theta]), [0.0])
+
+    def test_window_of_subnormal_schmidt_weights(self):
+        # 2 theta T = 2e-160 from the product state: the smaller Schmidt weight is subnormal at every
+        # node, and ΔS = 1.1e-317 keeps only a few digits, so T_qsl is T to 1e-3
+        report = family_qsl_report(1.0, 1e-80, 1e-80)
+        assert 0.0 < report.mean_sqrt_capacity < 1e-150
+        assert report.t_qsl == pytest.approx(1e-80, rel=1e-3)
 
     @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
     def test_mean_over_whole_periods(self, p):
