@@ -116,8 +116,15 @@ def _family_qsl(p, theta, durations, base):
                               hi=MAX_ENTRY, positive=True)
     ends = 2.0 * theta * durations
     periods, rests = np.divmod(ends, np.pi)
+    # below the least normal float, 2 theta T is no scale to divide by, and sin^2(theta t) underflows to 0
+    # on the window: the mean is its T -> 0 limit, sqrt(C) at t = 0
+    normal = ends >= np.finfo(float).tiny
+    # the panels grade toward 0 to at least 16 levels below the shortest normal window: past the fixed 32
+    # levels when its 2 theta T is under about 7e-10, and at most to level 510, the last normal offset
+    levels = np.ceil(np.log(np.pi / 4.0 / ends[normal].min(initial=np.pi)) / np.log(4.0)) + 16.0
+    deeper = (np.pi / 4.0) * 0.25 ** np.arange(32.0, min(levels, 510.0) + 1.0)
     # np.unique's own sort-and-compare, without the numpy.ma import of its first call
-    edges = np.sort(np.concatenate([_PERIOD_EDGES, rests.ravel()]))
+    edges = np.sort(np.concatenate([_PERIOD_EDGES, deeper, rests.ravel()]))
     edges = edges[np.append(True, edges[1:] != edges[:-1]) & (edges <= min(float(ends.max(initial=0.0)), np.pi))]
     mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
     x = mid[:, None] + half[:, None] * _GL_NODES
@@ -128,9 +135,6 @@ def _family_qsl(p, theta, durations, base):
     integral = np.multiply.outer(cum[..., -1], periods) + cum[..., np.searchsorted(edges, rests)]
     p = p.reshape(p.shape + (1,) * durations.ndim)
     start = _family_schmidt(p, theta, 0.0)
-    # below the least normal float, 2 theta T is no scale to divide by, and sin^2(theta t) underflows to 0
-    # on the window: the mean is its T -> 0 limit, sqrt(C) at t = 0
-    normal = ends >= np.finfo(float).tiny
     mean_sqrt = np.where(normal, integral / np.where(normal, ends, 1.0), np.sqrt(_two_qubit_capacity(*start, base)))
     ds = family_entropy(p, theta, durations, base) - _two_qubit_entropy(*start, base)
     dh = theta * np.abs(1.0 - 2.0 * p)

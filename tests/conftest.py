@@ -1,17 +1,8 @@
-"""Shared test settings.
-
-Property tests run a fixed, derandomized set of examples with no per-example
-deadline, so a run gives the same verdict every time and does not fail on a
-slow or busy machine.
-"""
+"""Shared test fixtures."""
 
 import pytest
-from hypothesis import settings
 
 from entcap import verify
-
-settings.register_profile("entcap", derandomize=True, deadline=None)
-settings.load_profile("entcap")
 
 
 @pytest.fixture
@@ -19,7 +10,8 @@ def fresh_run_bounds():
     """verify.run_bounds with its seed-independent reference checks recomputed on every call.
 
     ``run_bounds`` computes those checks once per process; a test that counts
-    the work of one call clears that cache before each call it counts.
+    the work of one call, or compares its report with a warm cache's, clears
+    that cache before the call.
     """
     def run(n_samples, seed, base="e"):
         verify._reference_checks.cache_clear()

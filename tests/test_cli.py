@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -80,6 +81,13 @@ class TestGridSpec:
         (None, {"command": "verify", "seed": -1}),
         (["--command", "maximize", "--target", "h-max", "--mu", "inf,0,0"], None),
         (["--command", "figure1", "--grid", "p=0:1:2,t=0:inf:3"], None),
+        # a figure1 theta above core.MAX_ENTRY and a coupling whose square overflows
+        (["--command", "figure1", "--theta", "1e308", "--grid", "p=0:1:3,t=0:3:3"], None),
+        (["--command", "maximize", "--target", "h-max", "--mu", "1e200,0,0"], None),
+        # the flag forms of a family outside {1, 2}, a negative seed and an infinite theta
+        (["--command", "figures34", "--family", "3"], None),
+        (["--command", "verify", "--seed", "-1"], None),
+        (["--command", "figure2", "--theta-list", "inf"], None),
     ])
     def test_malformed_value_exit_code(self, tmp_path, capsys, argv, config):
         if config is not None:
@@ -162,6 +170,19 @@ class TestFigure2:
         assert main(["--command", "figure2", "--theta-list", f"0.5,{theta}", "--out", str(out)]) == 2
         assert not out.exists()
 
+    def test_default_durations_are_the_grid(self, tmp_path):
+        out_default, out_grid = tmp_path / "default.csv", tmp_path / "grid.csv"
+        assert main(["--command", "figure2", "--out", str(out_default)]) == 0
+        assert main(["--command", "figure2", "--grid", "T=0:0.45:45", "--out", str(out_grid)]) == 0
+        assert out_default.read_bytes() == out_grid.read_bytes()
+
+    def test_window_of_many_periods(self, tmp_path):
+        # 2 theta T = 6000: the quadrature's panels cover one period
+        out = tmp_path / "fig2long.csv"
+        assert main(["--command", "figure2", "--theta-list", "3", "--grid", "T=0:1000:5", "--out", str(out)]) == 0
+        _, _, rows = read_csv(out)
+        assert len(rows) == 5 and all(math.isfinite(float(x)) for row in rows for x in row)
+
     def test_grid_sets_duration_range(self, tmp_path):
         # count durations spaced evenly over (lo, hi], for each theta
         out = tmp_path / "fig2g.csv"
@@ -187,16 +208,25 @@ class TestFigures34:
         assert abs(float(last[2])) < 1e-8
 
     def test_numeric_agrees_with_analytic(self, tmp_path):
-        out_a = tmp_path / "a.csv"
-        out_n = tmp_path / "n.csv"
-        args = ["--command", "figures34", "--family", "2", "--lambda-count", "5"]
-        assert main(args + ["--method", "analytic", "--out", str(out_a)]) == 0
-        assert main(args + ["--method", "numeric", "--out", str(out_n)]) == 0
-        _, _, rows_a = read_csv(out_a)
-        _, _, rows_n = read_csv(out_n)
-        for ra, rn in zip(rows_a, rows_n):
-            assert float(rn[1]) == pytest.approx(float(ra[1]), abs=1e-5)
-            assert rn[4] == "1"
+        # both families in both bases at the default 101 lambda: every numeric row is converged, with E_R
+        # and C_E within 1e-9 of the closed forms (the barrier's C_E reads 3e-10 off in nats, 6.3e-10 in
+        # bits).  The lambda = 1 row is the Bell state, solved on the exact pure path, so its C_E agrees
+        # to 1e-13
+        outs = {run: tmp_path / f"{run}.csv" for run in ("analytic", "numeric", "again")}
+        for family, base in itertools.product("12", "e2"):
+            args = ["--command", "figures34", "--family", family, "--log-base", base]
+            assert main(args + ["--method", "analytic", "--out", str(outs["analytic"])]) == 0
+            for run in ("numeric", "again"):
+                assert main(args + ["--method", "numeric", "--out", str(outs[run])]) == 0
+            # a fixed-seed output is byte-identical from run to run
+            assert outs["numeric"].read_bytes() == outs["again"].read_bytes(), (family, base)
+            _, _, rows_a = read_csv(outs["analytic"])
+            _, _, rows_n = read_csv(outs["numeric"])
+            assert len(rows_n) == 101, (family, base)
+            for ra, rn in zip(rows_a, rows_n, strict=True):
+                assert rn[0] == ra[0] and rn[4] == "1", (family, base, rn)
+                assert abs(float(rn[1]) - float(ra[1])) <= 1e-9, (family, base, rn)
+                assert abs(float(rn[2]) - float(ra[2])) <= (1e-13 if rn[0] == "1.0" else 1e-9), (family, base, rn)
 
     @pytest.mark.parametrize("base", ["2", "e"])
     @pytest.mark.parametrize("family", [1, 2])
@@ -263,14 +293,28 @@ class TestMaximize:
                       if "=" in line and not line.startswith("#"))
         assert float(fields["value"]) == pytest.approx(1.9123, abs=1e-4)
 
+    @pytest.mark.parametrize("target", ["rate-factor", "ancilla-factor"])
+    def test_maximizer_p0_same_in_both_bases(self, tmp_path, target):
+        # a rate factor scales with the log base as the capacity does, so its maximizer prints the same
+        lines = []
+        for base in ("2", "e"):
+            out = tmp_path / f"{base}.txt"
+            assert main(["--command", "maximize", "--target", target, "--log-base", base, "--out", str(out)]) == 0
+            lines.append([line for line in out.read_text().splitlines() if line.startswith("maximizer p0=")])
+        assert len(lines[0]) == 1 and lines[0] == lines[1]
+
     def test_h_max(self, tmp_path):
+        # the default mu = (1, 0.5, 0.2), then degenerate and near-degenerate couplings; maximize exits 0
+        # whatever the discrepancy, so the test reads it
         out = tmp_path / "hmax.txt"
-        assert main(["--command", "maximize", "--target", "h-max", "--mu", "1.0,0.5,0.2",
-                     "--out", str(out)]) == 0
-        fields = dict(line.split("=", 1) for line in out.read_text().splitlines()
-                      if "=" in line and not line.startswith("#"))
-        assert float(fields["analytic"]) == 1.5
-        assert float(fields["numeric"]) == pytest.approx(1.5, abs=1e-12)
+        for mu, analytic in ((None, 1.5), ("2,1e-9,0", 2.000000001), ("1,0,0", 1.0), ("1,1,1", 2.0)):
+            assert main(["--command", "maximize", "--target", "h-max", *(["--mu", mu] if mu else []),
+                         "--out", str(out)]) == 0
+            fields = dict(line.split("=", 1) for line in out.read_text().splitlines()
+                          if "=" in line and not line.startswith("#"))
+            assert float(fields["analytic"]) == analytic, mu
+            assert float(fields["numeric"]) == pytest.approx(analytic, abs=1e-12), mu
+            assert float(fields["discrepancy"]) <= 1e-12, mu
 
     def test_unknown_target(self):
         assert main(["--command", "maximize", "--target", "nope"]) == 2
@@ -321,6 +365,13 @@ class TestVerify:
             "PASS soft subadditivity-constant-estimate chi_hat=0.193128\n"
             "SUMMARY checks=14 hard_failures=0\n"
         )
+
+    @pytest.mark.parametrize("suite", ["bounds", "properties"])
+    def test_large_ensemble(self, tmp_path, suite):
+        # the batched checks at 10000 samples; verify exits 1 on a hard failure
+        out = tmp_path / "v.txt"
+        assert main(["--command", "verify", "--suite", suite, "--n-samples", "10000", "--seed", "1",
+                     "--out", str(out)]) == 0
 
     def test_bounds_suite(self, tmp_path):
         out = tmp_path / "vb.txt"

@@ -331,6 +331,18 @@ def test_cli_command_loads_only_what_it_runs(argv, loaded):
     assert _loaded_submodules(code) == sorted(f"entcap.{m}" for m in ("cli", "core", *loaded))
 
 
+def test_figure2_and_bounds_suite_load_no_numpy_ma():
+    # np.unique's first call imports numpy.ma, about 10 ms of every such process's start-up.  Measured
+    # against a bare import numpy, which loads numpy.ma on some numpy releases and not on others
+    code = ("import contextlib, io, sys, numpy\n"
+            "before = set(sys.modules)\n"
+            "from entcap.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [main(['--command', 'figure2']), main(['--command', 'verify', '--suite', 'bounds'])]\n"
+            "print(codes, sorted(m for m in set(sys.modules) - before if m.startswith('numpy.ma')))")
+    assert _fresh_python(code) == "[0, 0] []"
+
+
 def test_exports_resolve_to_their_modules():
     code = ("import importlib, entcap\n"
             "for n in entcap.__all__:\n"

@@ -136,7 +136,8 @@ class TestRunProperties:
         assert counts[0] == counts[1] > 0
 
     def test_every_hard_check_passes_across_seeds(self):
-        for seed in range(50):
-            results = verify.run_properties(50, seed)
-            assert verify.hard_failures(results) == 0, (seed, verify.format_report(results))
-            assert len(results) == 14
+        for n_samples, seeds in ((50, range(50)), (300, range(1, 21))):
+            for seed in seeds:
+                results = verify.run_properties(n_samples, seed)
+                assert verify.hard_failures(results) == 0, (n_samples, seed, verify.format_report(results))
+                assert len(results) == 14

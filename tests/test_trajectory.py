@@ -5,12 +5,11 @@ and rates from centered finite differences, the way ``simulate_trajectory``
 worked before it became a closed-form batched kernel.
 """
 
+import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from entcap import core, measures, speed_limits, verify
 from entcap.core import BipartitePureState, DomainError, haar_random_pure, spectrum_entropy
@@ -59,9 +58,11 @@ def assert_matches_reference(h, amps0, times, base):
     traj = simulate_trajectory(h, amps0, times, base)
     ref = reference(core._hamiltonian_matrix(h), amps0, times, base)
     for name in ("schmidt_weights", "entropy", "capacity", "delta_h"):
-        np.testing.assert_allclose(getattr(traj, name), ref[name], rtol=0, atol=1e-12, err_msg=name)
+        np.testing.assert_allclose(getattr(traj, name), ref[name], rtol=0, atol=1e-12,
+                                   err_msg=f"{name} at times {times}, base {base}")
     for name in ("gamma", "gamma_capacity"):
-        np.testing.assert_allclose(getattr(traj, name), ref[name], rtol=0, atol=1e-7, err_msg=name)
+        np.testing.assert_allclose(getattr(traj, name), ref[name], rtol=0, atol=1e-7,
+                                   err_msg=f"{name} at times {times}, base {base}")
 
 
 def random_involution(rng):
@@ -69,44 +70,67 @@ def random_involution(rng):
     return q @ np.diag([1.0, rng.choice([-1.0, 1.0])]) @ q.conj().T
 
 
-couplings = st.lists(st.floats(0.0, 2.0), min_size=3, max_size=3).map(lambda m: tuple(sorted(m, reverse=True)))
-seeds = st.integers(0, 2**32 - 1)
-time_lists = st.lists(st.floats(0.0, 3.0), min_size=1, max_size=5).map(np.array)
-bases = st.sampled_from(["e", 2])
+# the inputs at the edges of the drawn ranges: couplings in [0, 2] with ties and a subnormal entry, and
+# times in [0, 3], a subnormal one and single-time lists among them
+EDGE_COUPLINGS = ((0.0, 0.0, 0.0), (2.0, 2.0, 2.0), (1.0, 1.0, 1.0), (2.0, 0.0, 0.0), (2.0, 2.0, 0.0),
+                  (5e-324, 0.0, 0.0), (2.0, 5e-324, 0.0))
+EDGE_TIMES = ((0.0,), (5e-324,), (3.0,), (0.0, 5e-324, 3.0))
+BASES = ("e", 2)
+
+
+def draw(rng):
+    """A seed, 1 to 5 times in [0, 3] and a base."""
+    return int(rng.integers(2**32)), rng.uniform(0.0, 3.0, rng.integers(1, 6)), BASES[rng.integers(2)]
+
+
+def drawn_cases(n=100):
+    """(seed, times, base): every edge time list in both bases, then n seeded draws."""
+    rng = np.random.default_rng(2026)
+    edges = [(k, np.array(times), base) for k, (times, base) in enumerate(itertools.product(EDGE_TIMES, BASES))]
+    return edges + [draw(rng) for _ in range(n)]
+
+
+def coupling_cases(n=100):
+    """(mu, sign, seed, times, base): every edge coupling, sign, time list and base, then n seeded draws."""
+    rng = np.random.default_rng(2027)
+    edges = [(mu, sign, k, np.array(times), base) for k, (mu, sign, times, base)
+             in enumerate(itertools.product(EDGE_COUPLINGS, (1, -1), EDGE_TIMES, BASES))]
+    return edges + [(tuple(np.sort(rng.uniform(0.0, 2.0, 3))[::-1].tolist()), (1, -1)[rng.integers(2)], *draw(rng))
+                    for _ in range(n)]
 
 
 class TestAgainstScalarReference:
-    @given(couplings, st.sampled_from([1, -1]), seeds, time_lists, bases)
-    def test_canonical(self, mu, sign, seed, times, base):
+    def test_canonical(self):
         # evolved through the closed-form Bell-basis eigensystem
-        ham = NonlocalHamiltonian(mu=mu, sign=sign)
-        assert_matches_reference(ham, haar_random_pure(2, 2, seed).amplitudes, times, base)
+        for mu, sign, seed, times, base in coupling_cases():
+            ham = NonlocalHamiltonian(mu=mu, sign=sign)
+            assert_matches_reference(ham, haar_random_pure(2, 2, seed).amplitudes, times, base)
 
-    @given(couplings, st.sampled_from([1, -1]), seeds, time_lists, bases)
-    def test_canonical_matrix(self, mu, sign, seed, times, base):
-        h = NonlocalHamiltonian(mu=mu, sign=sign).matrix()
-        assert_matches_reference(h, haar_random_pure(2, 2, seed).amplitudes, times, base)
+    def test_canonical_matrix(self):
+        for mu, sign, seed, times, base in coupling_cases():
+            h = NonlocalHamiltonian(mu=mu, sign=sign).matrix()
+            assert_matches_reference(h, haar_random_pure(2, 2, seed).amplitudes, times, base)
 
-    @given(seeds, time_lists, bases)
-    def test_raw_matrix_with_local_fields(self, seed, times, base):
-        rng = np.random.default_rng(seed)
-        ham = canonical_form(rng.standard_normal(3), rng.standard_normal(3), rng.standard_normal((3, 3)))
-        assert_matches_reference(ham.raw_matrix(), haar_random_pure(2, 2, rng).amplitudes, times, base)
+    def test_raw_matrix_with_local_fields(self):
+        for seed, times, base in drawn_cases():
+            rng = np.random.default_rng(seed)
+            ham = canonical_form(rng.standard_normal(3), rng.standard_normal(3), rng.standard_normal((3, 3)))
+            assert_matches_reference(ham.raw_matrix(), haar_random_pure(2, 2, rng).amplitudes, times, base)
 
-    @given(seeds, time_lists, bases)
-    def test_self_inverse(self, seed, times, base):
+    def test_self_inverse(self):
         # the type is evolved by cos t - i sin t H, its matrix through eigh
-        rng = np.random.default_rng(seed)
-        ham = SelfInverseHamiltonian(random_involution(rng), random_involution(rng))
-        amps0 = haar_random_pure(2, 2, rng).amplitudes
-        assert_matches_reference(ham, amps0, times, base)
-        assert_matches_reference(ham.matrix(), amps0, times, base)
+        for seed, times, base in drawn_cases():
+            rng = np.random.default_rng(seed)
+            ham = SelfInverseHamiltonian(random_involution(rng), random_involution(rng))
+            amps0 = haar_random_pure(2, 2, rng).amplitudes
+            assert_matches_reference(ham, amps0, times, base)
+            assert_matches_reference(ham.matrix(), amps0, times, base)
 
-    @given(seeds, time_lists)
-    def test_bell_start(self, seed, times):
-        rng = np.random.default_rng(seed)
-        ham = canonical_form(rng.standard_normal(3), rng.standard_normal(3), rng.standard_normal((3, 3)))
-        assert_matches_reference(ham.raw_matrix(), BELL, np.concatenate([[0.0], times]), "e")
+    def test_bell_start(self):
+        for seed, times, _ in drawn_cases():
+            rng = np.random.default_rng(seed)
+            ham = canonical_form(rng.standard_normal(3), rng.standard_normal(3), rng.standard_normal((3, 3)))
+            assert_matches_reference(ham.raw_matrix(), BELL, np.concatenate([[0.0], times]), "e")
 
 
 class TestEdgeCases:
@@ -381,6 +405,18 @@ class TestReferenceChecksCache:
         cached = verify.format_report(verify.run_suite("bounds", 300, 4099, base))
         verify._reference_checks.cache_clear()
         assert verify.format_report(verify.run_suite("bounds", 300, 4099, base)) == cached
+
+
+    @pytest.mark.parametrize("base", ["e", "2"])
+    def test_reports_across_seeds(self, fresh_run_bounds, base):
+        # no hard failure at any seed, and the report a warm cache gives is the one recomputed from scratch;
+        # 300 samples at seeds 1-20, then the CLI's default 200 at seeds 1 and 4099
+        verify._reference_checks()
+        for n_samples, seed in [(300, seed) for seed in range(1, 21)] + [(200, 1), (200, 4099)]:
+            warm = verify.format_report(verify.run_suite("bounds", n_samples, seed, base))
+            results = fresh_run_bounds(n_samples, seed, base)
+            assert verify.hard_failures(results) == 0, (seed, warm)
+            assert verify.format_report(results) == warm, seed
 
 
 class TestRunBoundsGolden:
