@@ -55,9 +55,12 @@ def _seed(value) -> int:
 
 
 def _floats(value) -> tuple:
-    """Floats from comma-separated flag text or from a JSON list."""
+    """At least one float, from comma-separated flag text or from a JSON list."""
     items = value.split(",") if isinstance(value, str) else value
-    return tuple(float(x) for x in items if not isinstance(x, str) or x.strip())
+    out = tuple(float(x) for x in items if not isinstance(x, str) or x.strip())
+    if not out:
+        raise ValueError("expected at least one value")
+    return out
 
 
 def _triple(value) -> tuple:

@@ -276,12 +276,13 @@ def _apply(m: np.ndarray, v: np.ndarray) -> np.ndarray:
 def _rows_times(x: np.ndarray, m: np.ndarray) -> np.ndarray:
     """x @ m for row vectors x (N, T, d).
 
-    A shared m (d, d) takes one (N*T, d) @ (d, d) product; a stack m
-    (N, d, d) takes one (T, d) @ (d, d) product per leading index.  Both are
-    the same BLAS product on T rows, so a stack's row keeps the bits of its
-    one-sample call (for T >= 2; one row alone is a matrix-vector product).
+    A shared m (d, d) takes one (N*T, d) @ (d, d) product when T >= 2; a stack
+    m (N, d, d), or T = 1, takes one (T, d) @ (d, d) product per leading index.
+    Each is the same BLAS product on T rows, so a stack's row keeps the bits of
+    its one-sample call: one row alone is rounded as a matrix-vector product,
+    which an (N, d) product would not reproduce.
     """
-    if m.ndim == 2:
+    if m.ndim == 2 and x.shape[-2] >= 2:
         return (x.reshape(-1, x.shape[-1]) @ m).reshape(x.shape)
     return x @ m
 

@@ -53,11 +53,19 @@ def is_ppt(rho: DensityOperator) -> bool:
     return bool(w.min() >= -PPT_TOL)
 
 
+# (mu, squared Newton decrement at which the level counts as centred); the first two
+# levels only seed the central path's tangent, so they are centred roughly.  The
+# level at 1e-3 keeps most full Newton steps at 1e-4 inside the cone
+_MU_LEVELS = ((1e-2, 1e-2), (1e-3, 1e-4), (1e-4, 1e-12), (1e-6, 1e-12), (1e-9, 1e-12), (1e-13, 1e-12))
+
+
 @dataclass(frozen=True)
 class SeparableApproximation:
     """Candidate closest separable state with its achieved relative entropy.
 
-    ``method`` names the path taken; ``iterations`` counts accepted barrier steps.
+    ``method`` names the path taken.  ``work`` has one row per ``_MU_LEVELS`` level of the barrier solve:
+    Newton systems, accepted steps, barrier points tried (the start point in the first level) and points
+    outside the cone, all zero on the other paths; ``iterations`` is the sum of the accepted steps.
     """
 
     sigma_star: DensityOperator
@@ -65,6 +73,7 @@ class SeparableApproximation:
     iterations: int
     method: str
     converged: bool = True
+    work: tuple = ((0, 0, 0, 0),) * len(_MU_LEVELS)
 
 
 def _schmidt_dephasing(state: BipartitePureState) -> DensityOperator:
@@ -200,10 +209,6 @@ _PT_SIGN = np.tile([1.0, 1.0, -1.0, 1.0], 4)[1:]
 _BASES = np.stack([_BASIS, _PT_SIGN[:, None, None] * _BASIS])  # for sigma and for sigma^Γ
 _BASES_VEC = _BASES.reshape(2, 15, 16)
 _COORDS = _BASES.transpose(1, 0, 2, 3).reshape(15, 32)
-# (mu, squared Newton decrement at which the level counts as centred); the first two
-# levels only seed the central path's tangent, so they are centred roughly.  The
-# level at 1e-3 keeps most full Newton steps at 1e-4 inside the cone
-_MU_LEVELS = ((1e-2, 1e-2), (1e-3, 1e-4), (1e-4, 1e-12), (1e-6, 1e-12), (1e-9, 1e-12), (1e-13, 1e-12))
 _LEVEL_STEPS = 50
 _RIDGE = 1e-10 * np.eye(15)
 _UPPER = np.triu(np.ones((15, 15)))
@@ -223,14 +228,18 @@ def _barrier_point(rho: np.ndarray, x: np.ndarray):
     return w, v, lw, r, float(-r.diagonal().real @ lw[0]), float(lw.sum())
 
 
-def _backtrack(rho: np.ndarray, x: np.ndarray, step: np.ndarray, f: float, mu: float, slope: float, tries: int):
+def _backtrack(rho: np.ndarray, x: np.ndarray, step: np.ndarray, f: float, mu: float, slope: float, tries: int,
+               tally: list):
     """(trial, F_mu, point) at the first trial = x + t step, t = 1, 1/2, 1/4, ... (at most ``tries``), where
     sigma and sigma^Γ are positive definite and F_mu = -tr rho log sigma - mu (log det sigma + log det sigma^Γ)
-    is at most f - slope t; None when every trial fails."""
+    is at most f - slope t; None when every trial fails.  Adds the trials and those outside the cone to
+    tally[2] and tally[3]."""
     t = 1.0
     for _ in range(tries):
         trial = x + t * step
         point = _barrier_point(rho, trial)
+        tally[2] += 1
+        tally[3] += point is None
         if point is not None and (f_mu := point[4] - mu * point[5]) <= f - slope * t:
             return trial, f_mu, point
         t /= 2.0
@@ -327,8 +336,9 @@ def closest_separable_numeric(rho: DensityOperator, base="e") -> SeparableApprox
     step (Armijo), 0 over at most 10 for the tangent.  The duality gap is 8 mu,
     so E_R overshoots by 1e-12 at most.
 
-    ``iterations`` counts accepted steps; ``converged`` is False when a level
-    runs out of steps or backtracking.  E_R is S(rho || sigma*), from rho's
+    ``work`` tallies each level's Newton systems, accepted steps, barrier points tried and
+    points outside the cone; ``iterations`` sums the accepted steps; ``converged`` is False
+    when a level runs out of steps or backtracking.  E_R is S(rho || sigma*), from rho's
     spectrum and the last point's -tr rho log sigma*; sigma* is positive definite.
     """
     if rho.split() != (2, 2):
@@ -347,25 +357,26 @@ def closest_separable_numeric(rho: DensityOperator, base="e") -> SeparableApprox
     x = (_COORDS[:, :16].conj() @ r.reshape(16)).real / (1.0 + 4.0 * alpha)
     point = _barrier_point(r, x)
     converged = True
-    steps = 0
+    work = [[0, 0, 1, 0]] + [[0, 0, 0, 0] for _ in _MU_LEVELS[1:]]  # the start point is level 0's
     tangent = None
-    for (mu, decrement_tol), (mu_next, _) in zip(_MU_LEVELS, _MU_LEVELS[1:] + ((0.0, 0.0),)):
+    for tally, (mu, decrement_tol), (mu_next, _) in zip(work, _MU_LEVELS, _MU_LEVELS[1:] + ((0.0, 0.0),)):
         f = point[4] - mu * point[5]
-        if tangent is not None and (accepted := _backtrack(r, x, tangent, f, mu, 0.0, 10)):
+        if tangent is not None and (accepted := _backtrack(r, x, tangent, f, mu, 0.0, 10, tally)):
             x, f, point = accepted
-            steps += 1
+            tally[1] += 1
         centred = False
         for _ in range(_LEVEL_STEPS):
             upper, s, qc, qe = _newton_system(mu, *point[:4])
+            tally[0] += 1
             decrement = float(qc @ qc)
             if decrement <= decrement_tol:
                 centred = True
                 break
-            accepted = _backtrack(r, x, -s * np.linalg.solve(upper, qc), f, mu, 0.25 * decrement, 60)
+            accepted = _backtrack(r, x, -s * np.linalg.solve(upper, qc), f, mu, 0.25 * decrement, 60, tally)
             if accepted is None:
                 break
             x, f, point = accepted
-            steps += 1
+            tally[1] += 1
         converged = converged and centred
         # the centre x*(mu) has dx*/dmu = h^-1 g_bar / mu; mu falls by mu - mu_next
         tangent = (1.0 - mu_next / mu) * s * np.linalg.solve(upper, qe) if centred and mu_next else None
@@ -373,7 +384,8 @@ def closest_separable_numeric(rho: DensityOperator, base="e") -> SeparableApprox
     # sigma* is positive definite, so S(rho || sigma*) = tr rho log rho - tr rho log sigma*
     support = w[w > SUPPORT_CUTOFF * w[3]]
     value = max(point[4] + float(support @ np.log(support)), 0.0) / log_scale(base)
-    return SeparableApproximation(sigma_star, value, steps, "numeric-ppt", converged)
+    return SeparableApproximation(sigma_star, value, sum(row[1] for row in work), "numeric-ppt", converged,
+                                  tuple(map(tuple, work)))
 
 
 def _capacity_mixed(r: np.ndarray, s: np.ndarray, base="e") -> np.ndarray:

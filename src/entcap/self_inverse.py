@@ -9,6 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    MAX_ENTRY,
     BipartitePureState,
     DensityOperator,
     DomainError,
@@ -72,12 +73,17 @@ def _evolve_involution(h: np.ndarray, amps0: np.ndarray, times: np.ndarray) -> n
 def evolve_self_inverse(hamiltonian: SelfInverseHamiltonian, psi0: BipartitePureState, t: float) -> BipartitePureState:
     """Closed-form evolution cos(t)|psi> - i sin(t) H|psi> (``_evolve_involution``); period 2 pi.
 
-    It needs H^2 = I: any Hamiltonian but one unstacked ``SelfInverseHamiltonian`` is a DomainError.
+    It needs H^2 = I: any Hamiltonian but one unstacked ``SelfInverseHamiltonian`` is a DomainError, as is
+    any t but a finite scalar of modulus at most ``MAX_ENTRY``.
     """
     if not isinstance(hamiltonian, SelfInverseHamiltonian) or hamiltonian.x_a.ndim != 2:
         raise DomainError("evolve_self_inverse needs one unstacked SelfInverseHamiltonian")
+    message = f"t must be a finite scalar, of modulus at most {MAX_ENTRY:g}"
+    t = _checked_real(t, message, -MAX_ENTRY, MAX_ENTRY)
+    if t.ndim:
+        raise DomainError(message)
     h = _hamiltonian_matrix(hamiltonian, psi0.dim)
-    psi, _ = _evolve_involution(h[None], psi0.amplitudes[None], _checked_real(t, "t must be finite").reshape(1))
+    psi, _ = _evolve_involution(h[None], psi0.amplitudes[None], t.reshape(1))
     return BipartitePureState(psi[0, 0], psi0.d_a, psi0.d_b)
 
 

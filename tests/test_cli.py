@@ -88,6 +88,9 @@ class TestGridSpec:
         (["--command", "figures34", "--family", "3"], None),
         (["--command", "verify", "--seed", "-1"], None),
         (["--command", "figure2", "--theta-list", "inf"], None),
+        # an empty theta list, as a flag and as a config key, would make a header-only figure
+        (["--command", "figure2", "--theta-list", ","], None),
+        (None, {"command": "figure2", "theta_list": []}),
     ])
     def test_malformed_value_exit_code(self, tmp_path, capsys, argv, config):
         if config is not None:

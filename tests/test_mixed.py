@@ -304,59 +304,51 @@ class TestNumericSolver:
         assert result.relative_entropy == pytest.approx(family_relative_entropy(family, lam), abs=1e-6)
 
     def test_eigh_count(self, monkeypatch):
-        # one batched eigh of sigma and sigma^Γ per new point (a change of mu
+        # one batched eigh of sigma and sigma^Γ per barrier point (a change of mu
         # reuses the last one), one of the four 4x4 relative-entropy blocks per
-        # Newton step, one of rho, no 15x15 Hessian eigh and no projection: E_R
-        # comes from the last point and rho's spectrum.  The six levels of
-        # mixed._MU_LEVELS make 15 and 63 point eighs in 14 and 24 Newton
-        # systems; the level at 1e-13 rejects 39 trial points on the second
-        # input.  Five levels (1e-2 to 1e-4 by a factor of 100) made 26 and 73 in
-        # 17 and 28 systems, as 8 trials at 1e-4 left the cone on the first input;
-        # 1e-2 to 1e-10 by factors of 100, then 1e-13, made 28 and 32.
-        # Started at I/4 and mu = 1 the barrier made 37 and 41,
-        # the factor-10 mu schedule 38 and 43, the formed-Hessian solver 51 and 56;
-        # the Dykstra solver made 2,590 eigh calls on the first input and 93,103
-        # on the second.
-        # One triangular solve per Newton system: a step, or at a centred
-        # level's last system the next level's tangent; the last level has no
-        # next.  Two LU solves per system and two per centred level before
+        # Newton system, one of rho, no 15x15 Hessian eigh and no projection: E_R
+        # comes from the last point and rho's spectrum.  15 and 63 point eighs in
+        # 14 and 24 Newton systems; 1 and 39 of those points lie outside the cone,
+        # the 39 at the level at 1e-13.  One triangular solve per Newton system: a
+        # step, or at a centred level's last system the next level's tangent; the
+        # last level has no next.  The eigh and solve counts are numpy's, and each
+        # matches a column of the solver's own record
         def no_projection(m):
             raise AssertionError("closest_separable_numeric called project_separable")
 
         monkeypatch.setattr(mixed, "project_separable", no_projection)
-        eigh, solve, newton_system = np.linalg.eigh, np.linalg.solve, mixed._newton_system
+        eigh, solve = np.linalg.eigh, np.linalg.solve
         shapes: Counter = Counter()
 
         def counted_eigh(m):
             shapes[np.shape(m)] += 1
-            return eigh(m)
+            w, v = eigh(m)
+            shapes["outside"] += np.shape(m) == (2, 4, 4) and min(w[:, 0]) <= 0.0
+            return w, v
 
         def counted_solve(a, b):
             shapes["solve"] += 1
             return solve(a, b)
 
-        def counted_system(*args):
-            shapes["newton"] += 1
-            return newton_system(*args)
-
-        inputs = ((family_state(2, 0.095), 15), (random_state(np.random.default_rng(17), 2), 63))
+        inputs = ((family_state(2, 0.095), 15, 14, 1), (random_state(np.random.default_rng(17), 2), 63, 24, 39))
         monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
         monkeypatch.setattr(np.linalg, "solve", counted_solve)
-        monkeypatch.setattr(mixed, "_newton_system", counted_system)
-        for rho, point_eighs in inputs:
+        for rho, point_eighs, systems, outside_points in inputs:
             shapes.clear()
             result = closest_separable_numeric(rho)
+            newton, _, points, outside = np.sum(result.work, axis=0)
             assert result.converged and result.iterations > 0
             assert shapes[(15, 15)] == 0
-            assert shapes[(2, 4, 4)] == point_eighs
+            assert shapes[(2, 4, 4)] == points == point_eighs
+            assert shapes["outside"] == outside == outside_points
             assert shapes[(4, 4)] == 1
-            assert shapes[(4, 4, 4)] == shapes["newton"] > 0
-            assert shapes["solve"] == shapes["newton"] - 1
+            assert shapes[(4, 4, 4)] == newton == systems
+            assert shapes["solve"] == newton - 1
         # a pure input takes the Schmidt dephasing: no barrier point, no Newton system
         shapes.clear()
         result = closest_separable_numeric(random_state(np.random.default_rng(17), 1))
-        assert result.method == "exact-pure" and result.iterations == 0
-        assert shapes[(2, 4, 4)] == shapes[(4, 4, 4)] == shapes["newton"] == shapes["solve"] == 0
+        assert result.method == "exact-pure" and result.iterations == 0 and not np.any(result.work)
+        assert shapes[(2, 4, 4)] == shapes[(4, 4, 4)] == shapes["solve"] == 0
 
 
 def interior_point(rho, rng, scale):
@@ -513,44 +505,40 @@ class TestSolverPanel:
     @pytest.mark.parametrize("name,e_r,iterations,converged", SOLVER_PANEL)
     def test_matches_recorded_solves(self, name, e_r, iterations, converged):
         result = closest_separable_numeric(panel_state(name))
-        assert result.iterations == iterations
+        assert result.iterations == iterations == sum(row[1] for row in result.work)
         assert result.converged is converged
         assert abs(result.relative_entropy - e_r) <= 1e-13
+        # the level at 1e-13 is centred at once: one Newton system, and its one step is the tangent
+        assert result.work[-1][:2] == (1, 1)
 
     @staticmethod
-    def panel_counts(monkeypatch):
-        """Newton systems, barrier points and infeasible points (sigma or sigma^Γ not
-        positive definite) per panel solve."""
-        newton_system, barrier_point, count = mixed._newton_system, mixed._barrier_point, Counter()
+    def panel_counts():
+        """Newton systems, accepted steps, barrier points and points outside the cone
+        (sigma or sigma^Γ not positive definite) per panel solve, summed over the levels."""
+        works = [closest_separable_numeric(panel_state(param.values[0])).work for param in SOLVER_PANEL]
+        return np.sum(works, axis=1).mean(axis=0)
 
-        def counted_system(*args):
-            count["newton"] += 1
-            return newton_system(*args)
+    def test_mean_newton_systems(self):
+        assert self.panel_counts()[0] <= 16.5625
 
-        def counted_point(*args):
-            point = barrier_point(*args)
-            count["points"] += 1
-            count["infeasible"] += point is None
-            return point
+    def test_mean_barrier_points(self):
+        # the rough level at 1e-3 keeps the full Newton steps at 1e-4 inside the cone
+        _, _, points, outside = self.panel_counts()
+        assert points <= 20.0625
+        assert outside <= 2.8125
 
-        monkeypatch.setattr(mixed, "_newton_system", counted_system)
-        monkeypatch.setattr(mixed, "_barrier_point", counted_point)
-        for param in SOLVER_PANEL:
-            closest_separable_numeric(panel_state(param.values[0]))
-        return {key: value / len(SOLVER_PANEL) for key, value in count.items()}
-
-    def test_mean_newton_systems(self, monkeypatch):
-        # 16.56 Newton systems per panel solve; five levels (1e-2 to 1e-4 by a
-        # factor of 100) took 19.06, 1e-2 to 1e-10 by factors of 100 took 21.56
-        assert self.panel_counts(monkeypatch)["newton"] <= 16.5625
-
-    def test_mean_barrier_points(self, monkeypatch):
-        # the rough level at 1e-3 keeps the full Newton steps at 1e-4 inside the
-        # cone: 20.06 barrier points per panel solve, 2.81 of them infeasible.
-        # Five levels (1e-2 to 1e-4 by a factor of 100) made 28.88 and 9.38
-        count = self.panel_counts(monkeypatch)
-        assert count["points"] <= 20.0625
-        assert count["infeasible"] <= 2.8125
+    @pytest.mark.parametrize("method,approx", [pytest.param(method, approx, id=method) for method, approx in (
+        ("exact-ppt", lambda: closest_separable_numeric(family_state(1, 0.0))),
+        ("exact-pure", lambda: closest_separable_numeric(density_from_pure(BELL))),
+        ("analytic-family-1", lambda: closest_separable_family(1, 0.5)),
+        ("analytic-family-2", lambda: closest_separable_family(2, 0.5)),
+        ("analytic-pure", lambda: closest_separable_pure(BELL)),
+    )])
+    def test_other_paths_do_no_work(self, method, approx):
+        # every path but the barrier reports all-zero rows of the barrier's shape
+        result = approx()
+        assert result.method == method
+        assert np.shape(result.work) == (len(mixed._MU_LEVELS), 4) and not np.any(result.work)
 
 
 BELL_BASIS = np.array([[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0]]) / np.sqrt(2)
@@ -594,30 +582,20 @@ class TestSolverReferences:
 class TestSeededSweep:
     # random rank-2, -3 and -4 states and a Bell state with a full-rank admixture
     # of weight 1e-4 to 0.3, four solves per seed.  Over seeds 0-9 the most Newton
-    # systems one solve takes is 28, as it was with five mu levels; with 1e-2 to
-    # 1e-10 by factors of 100 it was 32, started at I/4 and mu = 1 it was 38,
-    # with mu falling by factors of 10 it was 46
+    # systems one solve takes is 28
     NEWTON_SYSTEMS = 28
 
     @pytest.mark.parametrize("seed", range(10))
-    def test_converges_within_newton_bound(self, seed, monkeypatch):
-        newton_system, count = mixed._newton_system, Counter()
-
-        def counted_system(*args):
-            count["newton"] += 1
-            return newton_system(*args)
-
-        monkeypatch.setattr(mixed, "_newton_system", counted_system)
+    def test_converges_within_newton_bound(self, seed):
         rng = np.random.default_rng(seed)
         inputs = [random_state(rng, rank) for rank in (2, 3, 4)]
         p = 10.0 ** rng.uniform(-4.0, -0.5)
         bell = density_from_pure(BELL).matrix
         inputs.append(DensityOperator((1 - p) * bell + p * random_state(rng, 4).matrix, d_a=2, d_b=2))
         for rho in inputs:
-            count.clear()
             result = closest_separable_numeric(rho)
             assert result.converged and is_ppt(result.sigma_star)
-            assert count["newton"] <= self.NEWTON_SYSTEMS
+            assert sum(row[0] for row in result.work) <= self.NEWTON_SYSTEMS
 
 
 class TestWarmStart:

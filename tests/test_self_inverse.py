@@ -125,6 +125,12 @@ class TestEvolution:
             with pytest.raises(DomainError, match="unstacked SelfInverseHamiltonian"):
                 evolve_self_inverse(ham, psi, 0.7)
 
+    @pytest.mark.parametrize("t", [1e200, -1e200, math.nan, [0.1, 0.2], [0.1]])
+    def test_rejects_t_outside_the_bound_or_not_a_scalar(self, t):
+        # simulate_trajectory rejects the same times: above core.MAX_ENTRY, or not finite
+        with pytest.raises(DomainError, match="t must be a finite scalar"):
+            evolve_self_inverse(SelfInverseHamiltonian(SZ, SX), haar_random_pure(2, 2, 4), t)
+
     def test_matches_eigendecomposition_path(self):
         rng = np.random.default_rng(3)
         ham = SelfInverseHamiltonian(SZ, HADAMARD_LIKE)

@@ -188,12 +188,13 @@ class TestEdgeCases:
         rng = np.random.default_rng(22)
         mu = np.sort(rng.uniform(0.0, 2.0, (5, 3)), axis=-1)[:, ::-1]
         psis = core._haar_amplitudes(rng, 4, 5)
-        times = rng.uniform(0.0, 2.0, 6)
-        stacked = simulate_trajectory(NonlocalHamiltonian(mu=mu, sign=-1), psis, times)
-        for i, (m, psi) in enumerate(zip(mu, psis)):
-            single = simulate_trajectory(NonlocalHamiltonian(mu=tuple(m.tolist()), sign=-1), psi, times)
-            for name in FIELDS:
-                assert np.array_equal(getattr(single, name), getattr(stacked, name)[i]), name
+        # six times, and one: a one-time stack takes the one-row product of a single call
+        for times in (rng.uniform(0.0, 2.0, 6), [0.7]):
+            stacked = simulate_trajectory(NonlocalHamiltonian(mu=mu, sign=-1), psis, times)
+            for i, (m, psi) in enumerate(zip(mu, psis)):
+                single = simulate_trajectory(NonlocalHamiltonian(mu=tuple(m.tolist()), sign=-1), psi, times)
+                for name in FIELDS:
+                    assert np.array_equal(getattr(single, name), getattr(stacked, name)[i]), name
 
     def test_rejects_mismatched_stacks(self):
         with pytest.raises(DomainError):
