@@ -6,8 +6,8 @@ speed limits, self-inverse evolutions, and the mixed-state capacity built
 on closest separable states.
 
 Importing the package loads no submodule: each exported name, and each submodule's own name, imports
-its submodule on first use (PEP 562), so ``from entcap import capacity_pure`` loads ``core`` and
-``measures`` only.
+its submodule on first use (PEP 562), so ``from entcap import capacity_pure`` loads ``measures`` and
+what it imports (``core``, ``scalar``) only.
 """
 
 import importlib
@@ -16,19 +16,22 @@ __version__ = "0.1.0"
 
 # exported name -> the submodule that defines it
 _EXPORTS = {name: module for module, names in {
+    "scalar": (
+        "ConfigurationError", "DomainError", "capacity_rate_factor_maximum", "capacity_two_qubit_closed",
+        "max_entropy_rate_constant",
+    ),
     "core": (
-        "BipartitePureState", "ConfigurationError", "DensityOperator", "DomainError", "density_from_pure",
-        "haar_random_pure", "partial_trace", "relative_entropy", "schmidt_decompose",
-        "spectrum_entropy", "trace_distance", "von_neumann_entropy",
+        "BipartitePureState", "DensityOperator", "density_from_pure", "haar_random_pure", "partial_trace",
+        "relative_entropy", "schmidt_decompose", "spectrum_entropy", "trace_distance", "von_neumann_entropy",
     ),
     "measures": (
-        "CapacityResult", "capacity_from_spectrum", "capacity_of", "capacity_pure", "capacity_two_qubit_closed",
-        "is_flat", "modular_hamiltonian", "observable_variance", "solve_max_variance_spectrum",
+        "CapacityResult", "capacity_from_spectrum", "capacity_of", "capacity_pure", "is_flat",
+        "modular_hamiltonian", "observable_variance", "solve_max_variance_spectrum",
     ),
     "dynamics": (
-        "NonlocalHamiltonian", "Trajectory", "canonical_form", "capacity_rate_factor",
-        "capacity_rate_factor_maximum", "evolved_schmidt_weights", "max_capacity_rate", "max_entangling_element",
-        "max_entangling_element_ancilla", "max_entangling_element_numeric", "simulate_trajectory",
+        "NonlocalHamiltonian", "Trajectory", "canonical_form", "capacity_rate_factor", "evolved_schmidt_weights",
+        "max_capacity_rate", "max_entangling_element", "max_entangling_element_ancilla",
+        "max_entangling_element_numeric", "simulate_trajectory",
     ),
     "speed_limits": (
         "QSLReport", "RateBoundCheck", "family_qsl_curve", "family_qsl_report", "fubini_study_speed",
@@ -36,7 +39,7 @@ _EXPORTS = {name: module for module, names in {
     ),
     "self_inverse": (
         "CapacityRateBounds", "SelfInverseHamiltonian", "capacity_rate_bounds",
-        "evolve_self_inverse", "liouville_rhs", "max_entropy_rate_constant", "operator_norm",
+        "evolve_self_inverse", "liouville_rhs", "operator_norm",
     ),
     "mixed": (
         "SeparableApproximation", "capacity_mixed", "closest_separable_family", "closest_separable_numeric",

@@ -8,10 +8,12 @@ and safe to share across threads.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
+
+# defined in scalar, which needs no numpy; other modules import them from here too
+from .scalar import ConfigurationError, DomainError, _bisect, _checked_count, log_scale
 
 NORM_TOL = 1e-12
 HERMITIAN_TOL = 1e-12
@@ -32,38 +34,6 @@ _PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1,
 _PAULI_PAIRS = _kron(_PAULI[:, None], _PAULI[None, :]).reshape(16, 4, 4)
 
 
-class ConfigurationError(ValueError):
-    """Missing or inconsistent metadata (e.g. no bipartite split recorded)."""
-
-
-class DomainError(ValueError):
-    """Input outside an operation's mathematical domain."""
-
-
-def log_scale(base) -> float:
-    """Natural-log divisor for a log base: ln(2) for base 2, 1.0 for base e."""
-    if base in (2, "2", 2.0):
-        return math.log(2.0)
-    if base in ("e", math.e):
-        return 1.0
-    raise ConfigurationError(f"log base must be 2 or 'e', got {base!r}")
-
-
-def _bisect(g, lo: float, hi: float) -> float:
-    """Root of a continuous scalar g on a bracket [lo, hi] where g changes sign.
-
-    Halves the bracket until its midpoint rounds to one of its ends, so the
-    result is the root to the last bit that g's sign can resolve.
-    """
-    lo_positive = g(lo) > 0.0
-    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
-        if (g(mid) > 0.0) == lo_positive:
-            lo = mid
-        else:
-            hi = mid
-    return mid
-
-
 def _checked_real(x, message: str, lo: float = -math.inf, hi: float = math.inf, positive: bool = False) -> np.ndarray:
     """x as a float array; DomainError(message) unless every entry is finite, in [lo, hi] and, if ``positive``,
     above 0.  The one range test of a real input: it passes only values that satisfy it, so NaN fails it."""
@@ -73,17 +43,6 @@ def _checked_real(x, message: str, lo: float = -math.inf, hi: float = math.inf, 
         if not (lo <= low and high <= hi and math.isfinite(low) and math.isfinite(high) and (low > 0.0 or not positive)):
             raise DomainError(message)
     return x
-
-
-def _checked_count(n, name: str, lo: int = 1) -> int:
-    """n as an int; DomainError unless it is an integer (``operator.index``) of at least lo.  The one count test."""
-    try:
-        count = operator.index(n)
-    except TypeError:
-        count = None
-    if count is None or count < lo:
-        raise DomainError(f"{name} must be an integer of at least {lo}, got {n!r}")
-    return count
 
 
 def _checked_operator(m, tol: float, name: str = "operator") -> np.ndarray:

@@ -6,8 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (MAX_ENTRY, NORM_TOL, _PAULI, _PAULI_PAIRS, BipartitePureState, DomainError, _bisect,
-                   _checked_count, _checked_real, _hamiltonian_matrix, _row_products, log_scale)
+from .core import (MAX_ENTRY, NORM_TOL, _PAULI, _PAULI_PAIRS, BipartitePureState, DomainError, _checked_count,
+                   _checked_real, _hamiltonian_matrix, _row_products, log_scale)
+from .scalar import _rate_factor, capacity_rate_factor_maximum
 
 
 @dataclass(frozen=True, eq=False)
@@ -202,41 +203,13 @@ def capacity_rate_factor(p, base="e", k=1):
     2 sqrt(p(1-p)/k) [(1-2p) ln^2 r + 2 ln r] / ln^2(base) with r = k p/(1-p):
     the rate is formed in nats and scaled as the capacity is.  k = 1 is a
     bare qubit pair, k = 3 a qubit with maximally entangled qubit ancillas.
-    Vanishes by continuity at p = 0, 1/(k+1), 1.  Accepts scalars or arrays.
+    Vanishes by continuity at p = 0, 1/(k+1), 1.  Accepts scalars or arrays;
+    each entry is the one scalar formula of ``capacity_rate_factor_maximum``.
     """
     p_arr = _checked_real(p, "p must lie in [0, 1]", 0.0, 1.0)
-    k = _checked_count(k, "k")
-    inner = (p_arr > 0.0) & (p_arr < 1.0)
-    safe = np.where(inner, p_arr, 0.5)
-    log_r = np.log(k * safe / (1.0 - safe))
-    val = 2.0 * np.sqrt(safe * (1.0 - safe) / k) * ((1.0 - 2.0 * safe) * log_r**2 + 2.0 * log_r) / log_scale(base) ** 2
-    out = np.where(inner, val, 0.0)
+    k, scale = _checked_count(k, "k"), log_scale(base)
+    out = np.array([_rate_factor(x, k, scale) for x in p_arr.ravel().tolist()]).reshape(p_arr.shape)
     return float(out) if out.ndim == 0 else out
-
-
-def capacity_rate_factor_maximum(base="e", k=1) -> tuple[float, float]:
-    """(p0, value) of the largest ``capacity_rate_factor(p, base, k)`` over p in [0, 1].
-
-    In L = ln(k p/(1-p)), with q = 1 - p, the factor is stationary exactly where
-
-        Q(L) = (1 - 8pq) L^2 / 2 + 3 (q - p) L + 2 = 0.
-
-    The base only scales the factor by 1/ln^2(base), so p0 is the same in
-    every base.  Each sign change of Q on a 161-point grid over L in
-    [-40, 40] is bisected, and the stationary point with the largest factor
-    is returned.
-    """
-    k = _checked_count(k, "k")
-
-    def stationarity(L):
-        p = 1.0 / (1.0 + k * np.exp(-L))
-        return 0.5 * (1.0 - 8.0 * p * (1.0 - p)) * L**2 + (1.0 - 2.0 * p) * 3.0 * L + 2.0
-
-    grid = np.linspace(-40.0, 40.0, 161)
-    signs = np.signbit(stationarity(grid))
-    roots = [_bisect(stationarity, grid[i], grid[i + 1]) for i in np.flatnonzero(signs[1:] != signs[:-1])]
-    ps = [float(1.0 / (1.0 + k * np.exp(-L))) for L in roots]
-    return max(((p, capacity_rate_factor(p, base, k)) for p in ps), key=lambda pv: pv[1])
 
 
 def max_capacity_rate(p: float, mu1: float, mu2: float, base="e") -> float:

@@ -24,6 +24,7 @@ from .core import (
     schmidt_decompose,
     SUPPORT_CUTOFF,
 )
+from .scalar import capacity_two_qubit_closed
 
 FLATNESS_TOL = 1e-9
 
@@ -75,14 +76,6 @@ def _density_capacity(m: np.ndarray, base="e") -> np.ndarray:
 def capacity_of(rho: DensityOperator, base="e") -> CapacityResult:
     """Capacity computed from the eigenvalues of a (reduced) density operator."""
     return capacity_from_spectrum(_density_weights(rho.matrix), base)
-
-
-def capacity_two_qubit_closed(p: float, base="e") -> float:
-    """Closed form p(1-p) log^2(p/(1-p)) for a two-term Schmidt spectrum (p, 1-p)."""
-    _checked_real(p, "p must lie in [0, 1]", 0.0, 1.0)
-    if p == 0.0 or p == 1.0:
-        return 0.0
-    return float(p * (1.0 - p) * (np.log(p / (1.0 - p)) / log_scale(base)) ** 2)
 
 
 def is_flat(spectrum) -> bool:

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,7 +11,6 @@ from .core import (
     BipartitePureState,
     DensityOperator,
     DomainError,
-    _bisect,
     _checked_count,
     _checked_operator,
     _checked_real,
@@ -23,6 +20,7 @@ from .core import (
     hermitize,
     log_scale,
 )
+from .scalar import max_entropy_rate_constant
 
 INVOLUTION_TOL = 1e-10
 
@@ -92,25 +90,6 @@ def liouville_rhs(hamiltonian, rho: DensityOperator) -> np.ndarray:
     h = _hamiltonian_matrix(hamiltonian, rho.dim)
     comm = h @ rho.matrix - rho.matrix @ h
     return hermitize(-1j * comm)
-
-
-@functools.cache
-def _max_entropy_rate_constant_nat() -> float:
-    """The natural-log rate cap, bisected once per process."""
-    u = _bisect(lambda u: u * math.tanh(u) - 1.0, 1.0, 2.0)
-    return 2.0 * u / math.cosh(u)
-
-
-def max_entropy_rate_constant(base="e") -> float:
-    """2 max_x sqrt(x(1-x)) |log(x/(1-x))|: the self-inverse entanglement-rate cap.
-
-    With x = (1 + tanh u)/2 the objective is 2u/cosh(u), stationary at the root
-    u ~ 1.1996786 of u tanh(u) = 1 (bisection on [1, 2]), where it equals
-    2 sqrt(u^2 - 1).  Evaluating 2u/cosh(u), which is flat there, keeps the
-    last bit of u out of the value.  Computed in natural log and converted, so
-    the two bases agree exactly up to the ln(2) factor.
-    """
-    return _max_entropy_rate_constant_nat() / log_scale(base)
 
 
 def operator_norm(hamiltonian):

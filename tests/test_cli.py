@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import os
+import re
 from collections import Counter
 
 import numpy as np
@@ -422,6 +423,17 @@ class TestConfig:
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps({"command": "figure1", "bogus": 1}))
         assert main(["--config", str(cfg_path)]) == 2
+
+    def test_malformed_json(self, tmp_path, capsys):
+        # the decoder's own message, reported as a configuration error
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text('{"command": ')
+        with pytest.raises(json.JSONDecodeError) as decoded:
+            json.loads(cfg_path.read_text())
+        with pytest.raises(ConfigurationError, match=re.escape(str(decoded.value))):
+            RunConfig.from_json(cfg_path.read_text())
+        assert main(["--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == f"configuration error: {decoded.value}\n"
 
     def test_missing_command(self):
         assert main([]) == 2

@@ -313,22 +313,40 @@ def test_import_loads_no_submodule():
     assert _loaded_submodules("import entcap") == []
 
 
+def test_scalar_imports_the_standard_library_only():
+    code = "import sys, entcap.scalar; print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
+    assert _fresh_python(code) == "[]"
+    assert _loaded_submodules("import entcap.scalar") == ["entcap.scalar"]
+
+
 @pytest.mark.parametrize("argv, loaded", [
-    (["--command", "figure1"], ("dynamics", "speed_limits")),
-    (["--command", "figure2"], ("dynamics", "speed_limits")),
-    (["--command", "figures34", "--method", "analytic"], ("measures", "mixed")),
-    (["--command", "figures34", "--method", "numeric", "--lambda-count", "3"], ("measures", "mixed")),
-    (["--command", "maximize", "--target", "rate-factor"], ("dynamics", "measures", "self_inverse")),
-    (["--command", "maximize", "--target", "ancilla-factor"], ("dynamics", "measures", "self_inverse")),
-    (["--command", "maximize", "--target", "beta"], ("dynamics", "measures", "self_inverse")),
-    (["--command", "maximize", "--target", "h-max"], ("dynamics", "measures", "self_inverse")),
+    (["--command", "figure1"], ("core", "dynamics", "speed_limits")),
+    (["--command", "figure2"], ("core", "dynamics", "speed_limits")),
+    (["--command", "figures34", "--method", "analytic"], ("core", "measures", "mixed")),
+    (["--command", "figures34", "--method", "numeric", "--lambda-count", "3"], ("core", "measures", "mixed")),
+    # the closed-form targets run in entcap.scalar alone
+    (["--command", "maximize", "--target", "rate-factor"], ()),
+    (["--command", "maximize", "--target", "ancilla-factor"], ()),
+    (["--command", "maximize", "--target", "beta"], ()),
+    (["--command", "maximize", "--target", "h-max"], ("core", "dynamics")),
     (["--command", "verify", "--suite", "properties", "--n-samples", "5"],
-     ("dynamics", "measures", "mixed", "self_inverse", "speed_limits", "verify")),
+     ("core", "dynamics", "measures", "mixed", "self_inverse", "speed_limits", "verify")),
 ])
 def test_cli_command_loads_only_what_it_runs(argv, loaded):
     code = ("import contextlib, io, entcap.cli\n"
             f"with contextlib.redirect_stdout(io.StringIO()): assert entcap.cli.main({argv!r}) == 0")
-    assert _loaded_submodules(code) == sorted(f"entcap.{m}" for m in ("cli", "core", *loaded))
+    assert _loaded_submodules(code) == sorted(f"entcap.{m}" for m in ("cli", "scalar", *loaded))
+
+
+def test_closed_form_targets_load_no_numpy():
+    # each closed-form maximize target, in both bases, then the numpy and json modules loaded so far: none
+    runs = [(target, base) for target in ("beta", "rate-factor", "ancilla-factor") for base in ("e", "2")]
+    code = ("import contextlib, io, sys, entcap.cli\n"
+            f"for target, base in {runs!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert entcap.cli.main(['--command', 'maximize', '--target', target, '--log-base', base]) == 0\n"
+            "    print(target, base, *sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'json')))")
+    assert _fresh_python(code).splitlines() == [f"{target} {base}" for target, base in runs]
 
 
 def test_figure2_and_bounds_suite_load_no_numpy_ma():
@@ -369,8 +387,8 @@ def test_every_submodule_is_an_attribute():
             "names = sorted(m.name for m in pkgutil.iter_modules(entcap.__path__))\n"
             "assert all(getattr(entcap, n).__name__ == f'entcap.{n}' for n in names)\n"
             "print(*names)")
-    assert _fresh_python(code) == "cli core dynamics measures mixed self_inverse speed_limits verify"
-    assert _loaded_submodules("import entcap; entcap.cli") == ["entcap.cli", "entcap.core"]
+    assert _fresh_python(code) == "cli core dynamics measures mixed scalar self_inverse speed_limits verify"
+    assert _loaded_submodules("import entcap; entcap.cli") == ["entcap.cli", "entcap.scalar"]
     assert "entcap.verify" in _loaded_submodules("import entcap; entcap.verify")
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from entcap import core, self_inverse
+from entcap import scalar
 from entcap.core import BipartitePureState, DensityOperator, DomainError, density_from_pure, haar_random_pure, partial_trace, von_neumann_entropy
 from entcap.dynamics import evolve_matrix
 from entcap.self_inverse import (
@@ -258,10 +258,10 @@ class TestRateConstant:
     def test_cached_value_equals_fresh_bisection(self, monkeypatch, base):
         # the cached natural-log value divided by the base's scale keeps the
         # bits of the one-expression, uncached form
-        u = core._bisect(lambda u: u * math.tanh(u) - 1.0, 1.0, 2.0)
-        assert max_entropy_rate_constant(base) == 2.0 * u / math.cosh(u) / core.log_scale(base)
+        u = scalar._bisect(lambda u: u * math.tanh(u) - 1.0, 1.0, 2.0)
+        assert max_entropy_rate_constant(base) == 2.0 * u / math.cosh(u) / scalar.log_scale(base)
         calls = []
-        monkeypatch.setattr(self_inverse, "_bisect", lambda *a: calls.append(a))
+        monkeypatch.setattr(scalar, "_bisect", lambda *a: calls.append(a))
         max_entropy_rate_constant(base)
         assert calls == []
 
