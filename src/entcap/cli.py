@@ -219,7 +219,11 @@ def cmd_figure2(cfg: RunConfig) -> int:
 
 
 def cmd_figures34(cfg: RunConfig) -> int:
-    """E_R and C_E over every lambda at once; only the numeric solver runs per lambda."""
+    """E_R and C_E over every lambda at once; only the numeric solver runs per lambda.
+
+    Family 2 is maximally correlated, so its numeric rows at 0 < lambda < 1 take the solver's exact
+    ``exact-correlated`` path; only family 1 runs barrier solves.
+    """
     import numpy as np
 
     from .core import DensityOperator, _checked_density, _relative_entropy

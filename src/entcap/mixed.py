@@ -76,15 +76,16 @@ class SeparableApproximation:
     work: tuple = ((0, 0, 0, 0),) * len(_MU_LEVELS)
 
 
-def _schmidt_dephasing(state: BipartitePureState) -> DensityOperator:
-    weights, basis_a, basis_b = schmidt_decompose(state)
-    v = (basis_a[:, None] * basis_b).reshape(state.dim, -1)  # columns a_n ⊗ b_n
-    return DensityOperator(hermitize((v * weights) @ v.conj().T), d_a=state.d_a, d_b=state.d_b)
+def _schmidt_dephasing(weights: np.ndarray, basis_a: np.ndarray, basis_b: np.ndarray) -> DensityOperator:
+    """sum_n weights[n] |a_n b_n><a_n b_n| over the paired columns of the two local bases."""
+    d_a, d_b = len(basis_a), len(basis_b)
+    v = (basis_a[:, None] * basis_b).reshape(d_a * d_b, -1)  # columns a_n ⊗ b_n
+    return DensityOperator(hermitize((v * weights) @ v.conj().T), d_a=d_a, d_b=d_b)
 
 
 def closest_separable_pure(state: BipartitePureState, base="e") -> SeparableApproximation:
     """Dephasing in the Schmidt basis: the known minimizer for pure states."""
-    sigma = _schmidt_dephasing(state)
+    sigma = _schmidt_dephasing(*schmidt_decompose(state))
     return SeparableApproximation(sigma, relative_entropy(density_from_pure(state), sigma, base), 0, "analytic-pure")
 
 
@@ -311,15 +312,67 @@ def _newton_system(mu: float, w: np.ndarray, v: np.ndarray, lw: np.ndarray, r: n
     return _UPPER * h[:15, :15].T, s, h[15, :15], h[16, :15]
 
 
+# r.reshape(16) @ _REDUCE is the stack (r_A, r_B) of a two-qubit r, flattened, in one call: row i holds the
+# two reduced states of the matrix unit |ab><cd|, i = 8a + 4b + 2c + d
+_UNITS = np.eye(16, dtype=complex).reshape(16, 2, 2, 2, 2)  # complex, as r is, so the product casts nothing
+_REDUCE = np.stack([np.einsum("iabcb->iac", _UNITS), np.einsum("iabad->ibd", _UNITS)], axis=1).reshape(16, 8)
+
+
+def _correlated_dephasing(r: np.ndarray, w_max: float) -> DensityOperator | None:
+    """sum_k <e_k f_k|r|e_k f_k> |e_k f_k><e_k f_k| when r puts weight at most SUPPORT_CUTOFF w_max outside
+    span{e_k ⊗ f_k}, else None.  e_k and f_k are the eigenvectors of r_A and r_B, paired by eigenvalue order."""
+    _, (e, f) = np.linalg.eigh((r.reshape(16) @ _REDUCE).reshape(2, 2, 2))
+    weights = np.einsum("aj,bk,abcd,cj,dk->jk", e.conj(), f.conj(), r.reshape(2, 2, 2, 2), e, f).real
+    if weights[0, 1] + weights[1, 0] > SUPPORT_CUTOFF * w_max:
+        return None
+    return _schmidt_dephasing(weights.diagonal(), e, f)
+
+
 def closest_separable_numeric(rho: DensityOperator, base="e") -> SeparableApproximation:
     """Minimize S(rho || sigma) over two-qubit PPT density operators.
 
-    ``method`` names the path.  ``exact-ppt``: a PPT input is separable
+    ``method`` names the path, tried in this order.  ``exact-ppt``: a PPT input is separable
     (Peres-Horodecki) and its own closest state; PPT means lambda_min(rho^Γ) >= 0, not ``is_ppt``'s
     -``PPT_TOL``, since family 1 at lam = 2e-4 has lambda_min = -1.0e-8 and E_R = 1.0e-8.  ``exact-pure``: a pure input
     (one eigenvalue above the support cutoff) gets its Schmidt dephasing
-    (Vedral & Plenio, PRA 57, 1619 (1998)).  ``numeric-ppt``: a log-barrier
-    method minimizes F_mu = -tr rho log sigma - mu (log det sigma + log det
+    (Vedral & Plenio, PRA 57, 1619 (1998)).  ``exact-correlated``: an input of rank 2 (two eigenvalues above
+    the support cutoff) that is maximally correlated, supported on span{e_0 ⊗ f_0, e_1 ⊗ f_1} for local
+    bases {e_k} and {f_k}, gets its dephasing in that basis, with E_R = S(rho_A) - S(rho) (Rains, PRA 60,
+    179 (1999); the hashing bound of Devetak & Winter, Proc. R. Soc. A 461, 207 (2005), closes it from below).
+    The bases are the eigenvectors of rho_A and rho_B paired by eigenvalue order, and the input passes when
+    its weight outside their span is at most ``SUPPORT_CUTOFF`` times its largest eigenvalue; any bases that
+    pass make rho maximally correlated, so the test alone makes the result exact.  A degenerate rho_A or a
+    state only near that form fails it.  ``numeric-ppt``: every other input goes to the log-barrier
+    method of ``_barrier_solve``.
+
+    ``work`` tallies each barrier level's Newton systems, accepted steps, barrier points tried and
+    points outside the cone, all zero on the exact paths; ``iterations`` sums the accepted steps;
+    ``converged`` is False when a barrier level runs out of steps or backtracking, or an exact path's
+    E_R is not finite.
+    """
+    if rho.split() != (2, 2):
+        raise DomainError("the numeric solver handles two qubits only")
+    pt_min = np.linalg.eigvalsh(partial_transpose(rho))[0]
+    if pt_min >= 0.0:
+        return SeparableApproximation(rho, 0.0, 0, "exact-ppt")
+    r = rho.matrix
+    w, v = np.linalg.eigh(r)
+    if w[2] <= SUPPORT_CUTOFF * w[3]:
+        sigma = _schmidt_dephasing(*schmidt_decompose(BipartitePureState(v[:, 3], 2, 2)))
+        method = "exact-pure"
+    elif w[1] <= SUPPORT_CUTOFF * w[3] and (sigma := _correlated_dephasing(r, w[3])) is not None:
+        method = "exact-correlated"
+    else:
+        return _barrier_solve(r, w, pt_min, base)
+    value = relative_entropy(rho, sigma, base)
+    return SeparableApproximation(sigma, value, 0, method, math.isfinite(value))
+
+
+def _barrier_solve(r: np.ndarray, w: np.ndarray, pt_min: float, base="e") -> SeparableApproximation:
+    """The ``numeric-ppt`` path of ``closest_separable_numeric`` for rho = r with eigenvalues w (ascending)
+    and lambda_min(rho^Γ) = pt_min < 0.
+
+    A log-barrier method minimizes F_mu = -tr rho log sigma - mu (log det sigma + log det
     sigma^Γ) over sigma's 15 Pauli coordinates, with long steps in mu (Boyd &
     Vandenberghe, Convex Optimization, 11.3-11.4) over 6 levels: 1e-2, 1e-3,
     1e-4, 1e-6, 1e-9 and 1e-13.  It starts at (rho + alpha I)/(1 + 4 alpha),
@@ -337,21 +390,10 @@ def closest_separable_numeric(rho: DensityOperator, base="e") -> SeparableApprox
     so E_R overshoots by 1e-12 at most.
 
     ``work`` tallies each level's Newton systems, accepted steps, barrier points tried and
-    points outside the cone; ``iterations`` sums the accepted steps; ``converged`` is False
-    when a level runs out of steps or backtracking.  E_R is S(rho || sigma*), from rho's
-    spectrum and the last point's -tr rho log sigma*; sigma* is positive definite.
+    points outside the cone; ``converged`` is False when a level runs out of steps or
+    backtracking.  E_R is S(rho || sigma*), from rho's spectrum and the last point's
+    -tr rho log sigma*; sigma* is positive definite.
     """
-    if rho.split() != (2, 2):
-        raise DomainError("the numeric solver handles two qubits only")
-    pt_min = np.linalg.eigvalsh(partial_transpose(rho))[0]
-    if pt_min >= 0.0:
-        return SeparableApproximation(rho, 0.0, 0, "exact-ppt")
-    r = rho.matrix
-    w, v = np.linalg.eigh(r)
-    if w[2] <= SUPPORT_CUTOFF * w[3]:
-        sigma = _schmidt_dephasing(BipartitePureState(v[:, 3], 2, 2))
-        value = relative_entropy(rho, sigma, base)
-        return SeparableApproximation(sigma, value, 0, "exact-pure", math.isfinite(value))
     # (rho + alpha I)/(1 + 4 alpha): rho^Γ's least eigenvalue becomes 0.02/(1 + 4 alpha)
     alpha = 0.02 - pt_min
     x = (_COORDS[:, :16].conj() @ r.reshape(16)).real / (1.0 + 4.0 * alpha)

@@ -114,9 +114,12 @@ def capacity_rate_factor_maximum(base="e", k=1) -> tuple[float, float]:
 def _capacity_closed(p, base="e", k: int = 1) -> float:
     """p(1-p) log^2(k p/(1-p)): the capacity of the spectrum (p, (1-p)/k, ..., (1-p)/k) with k entries (1-p)/k.
 
-    DomainError unless p lies in [0, 1], which NaN and ±inf do not.
+    DomainError unless p is a real number in [0, 1]: NaN, ±inf and anything ``float`` rejects are not.
     """
-    p = float(p)
+    try:
+        p = float(p)
+    except (TypeError, ValueError):
+        p = math.nan
     if not 0.0 <= p <= 1.0:
         raise DomainError("p must lie in [0, 1]")
     if p == 0.0 or p == 1.0:

@@ -215,7 +215,8 @@ class TestFigures34:
         # both families in both bases at the default 101 lambda: every numeric row is converged, with E_R
         # and C_E within 1e-9 of the closed forms (the barrier's C_E reads 3e-10 off in nats, 6.3e-10 in
         # bits).  The lambda = 1 row is the Bell state, solved on the exact pure path, so its C_E agrees
-        # to 1e-13
+        # to 1e-13.  Family 2 is maximally correlated: its rows at 0 < lambda < 1 take the exact
+        # correlated path, with E_R and C_E within 1e-13
         outs = {run: tmp_path / f"{run}.csv" for run in ("analytic", "numeric", "again")}
         for family, base in itertools.product("12", "e2"):
             args = ["--command", "figures34", "--family", family, "--log-base", base]
@@ -229,8 +230,11 @@ class TestFigures34:
             assert len(rows_n) == 101, (family, base)
             for ra, rn in zip(rows_a, rows_n, strict=True):
                 assert rn[0] == ra[0] and rn[4] == "1", (family, base, rn)
-                assert abs(float(rn[1]) - float(ra[1])) <= 1e-9, (family, base, rn)
-                assert abs(float(rn[2]) - float(ra[2])) <= (1e-13 if rn[0] == "1.0" else 1e-9), (family, base, rn)
+                correlated = family == "2" and 0.0 < float(rn[0]) < 1.0
+                assert (rn[3] == "exact-correlated") == correlated, (family, base, rn)
+                assert abs(float(rn[1]) - float(ra[1])) <= (1e-13 if correlated else 1e-9), (family, base, rn)
+                exact = correlated or rn[0] == "1.0"
+                assert abs(float(rn[2]) - float(ra[2])) <= (1e-13 if exact else 1e-9), (family, base, rn)
 
     @pytest.mark.parametrize("base", ["2", "e"])
     @pytest.mark.parametrize("family", [1, 2])

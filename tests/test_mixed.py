@@ -42,6 +42,20 @@ def two_term_state(p):
     return BipartitePureState(np.array([np.sqrt(p), 0, 0, np.sqrt(1 - p)]), 2, 2)
 
 
+def same_solve(a, b):
+    """Bit-identical results: sigma*, E_R, iterations, method, converged and work."""
+    return (np.array_equal(a.sigma_star.matrix, b.sigma_star.matrix)
+            and (a.relative_entropy, a.iterations, a.method, a.converged, a.work)
+            == (b.relative_entropy, b.iterations, b.method, b.converged, b.work))
+
+
+def barrier_solve(rho, base="e"):
+    """closest_separable_numeric's barrier alone, given what the dispatcher computes first: for inputs that
+    pin barrier work and that an exact path would otherwise take (family 2 is maximally correlated)."""
+    r = rho.matrix
+    return mixed._barrier_solve(r, np.linalg.eigh(r)[0], np.linalg.eigvalsh(partial_transpose(rho))[0], base)
+
+
 class TestPartialTranspose:
     def test_product_state_stays_psd(self):
         rho_a = np.diag([0.7, 0.3])
@@ -299,7 +313,7 @@ class TestNumericSolver:
         # family 1 near either end is where backtracking along the feasible
         # segment reports convergence far from the minimum; family 2 at 0.095
         # is where plain step halving needs hundreds of iterations
-        result = closest_separable_numeric(family_state(family, lam))
+        result = barrier_solve(family_state(family, lam))
         assert result.converged
         assert result.relative_entropy == pytest.approx(family_relative_entropy(family, lam), abs=1e-6)
 
@@ -312,7 +326,9 @@ class TestNumericSolver:
         # the 39 at the level at 1e-13.  One triangular solve per Newton system: a
         # step, or at a centred level's last system the next level's tangent; the
         # last level has no next.  The eigh and solve counts are numpy's, and each
-        # matches a column of the solver's own record
+        # matches a column of the solver's own record.  Family 2 is maximally
+        # correlated, so it runs the barrier alone; the rank-2 state runs the public
+        # function, whose failed maximally-correlated test adds one (2, 2, 2) eigh
         def no_projection(m):
             raise AssertionError("closest_separable_numeric called project_separable")
 
@@ -330,15 +346,17 @@ class TestNumericSolver:
             shapes["solve"] += 1
             return solve(a, b)
 
-        inputs = ((family_state(2, 0.095), 15, 14, 1), (random_state(np.random.default_rng(17), 2), 63, 24, 39))
+        inputs = ((barrier_solve, family_state(2, 0.095), 15, 14, 1, 0),
+                  (closest_separable_numeric, random_state(np.random.default_rng(17), 2), 63, 24, 39, 1))
         monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
         monkeypatch.setattr(np.linalg, "solve", counted_solve)
-        for rho, point_eighs, systems, outside_points in inputs:
+        for run, rho, point_eighs, systems, outside_points, reduced_eighs in inputs:
             shapes.clear()
-            result = closest_separable_numeric(rho)
+            result = run(rho)
             newton, _, points, outside = np.sum(result.work, axis=0)
-            assert result.converged and result.iterations > 0
+            assert result.method == "numeric-ppt" and result.converged and result.iterations > 0
             assert shapes[(15, 15)] == 0
+            assert shapes[(2, 2, 2)] == reduced_eighs
             assert shapes[(2, 4, 4)] == points == point_eighs
             assert shapes["outside"] == outside == outside_points
             assert shapes[(4, 4)] == 1
@@ -499,23 +517,32 @@ def panel_state(name):
 
 
 class TestSolverPanel:
-    # the recorded step counts, converged flags and E_R to 1e-13 on both
+    # the barrier's recorded step counts, converged flags and E_R to 1e-13 on both
     # families, rank-2 and entangled full-rank states.  Pure states left the
-    # panel with the exact pure path (TestPurePath)
+    # panel with the exact pure path (TestPurePath); family 2 is maximally
+    # correlated, so the public function solves it exactly (TestCorrelatedPath)
+    # and the panel runs the barrier alone
     @pytest.mark.parametrize("name,e_r,iterations,converged", SOLVER_PANEL)
     def test_matches_recorded_solves(self, name, e_r, iterations, converged):
-        result = closest_separable_numeric(panel_state(name))
+        rho = panel_state(name)
+        result = barrier_solve(rho)
         assert result.iterations == iterations == sum(row[1] for row in result.work)
         assert result.converged is converged
         assert abs(result.relative_entropy - e_r) <= 1e-13
         # the level at 1e-13 is centred at once: one Newton system, and its one step is the tangent
         assert result.work[-1][:2] == (1, 1)
+        public = closest_separable_numeric(rho)
+        if name.startswith("family2"):
+            assert public.method == "exact-correlated"
+            assert 0.0 <= result.relative_entropy - public.relative_entropy <= 1e-12
+        else:
+            assert same_solve(public, result)
 
     @staticmethod
     def panel_counts():
         """Newton systems, accepted steps, barrier points and points outside the cone
         (sigma or sigma^Γ not positive definite) per panel solve, summed over the levels."""
-        works = [closest_separable_numeric(panel_state(param.values[0])).work for param in SOLVER_PANEL]
+        works = [barrier_solve(panel_state(param.values[0])).work for param in SOLVER_PANEL]
         return np.sum(works, axis=1).mean(axis=0)
 
     def test_mean_newton_systems(self):
@@ -530,6 +557,7 @@ class TestSolverPanel:
     @pytest.mark.parametrize("method,approx", [pytest.param(method, approx, id=method) for method, approx in (
         ("exact-ppt", lambda: closest_separable_numeric(family_state(1, 0.0))),
         ("exact-pure", lambda: closest_separable_numeric(density_from_pure(BELL))),
+        ("exact-correlated", lambda: closest_separable_numeric(family_state(2, 0.5))),
         ("analytic-family-1", lambda: closest_separable_family(1, 0.5)),
         ("analytic-family-2", lambda: closest_separable_family(2, 0.5)),
         ("analytic-pure", lambda: closest_separable_pure(BELL)),
@@ -634,9 +662,11 @@ class TestWarmStart:
 
 class TestFrameInvariance:
     # E_R is invariant under local unitaries; the barrier iterates are too, up
-    # to rounding, so the step count may not depend on the frame either
+    # to rounding, so the step count may not depend on the frame either.  Family 2
+    # runs the barrier alone, and the public function takes the exact path in every frame
     @pytest.mark.parametrize("kind", ["rank1", "rank2", "rank3", "rank4", "family1", "family2"])
     def test_local_unitary(self, kind):
+        solve = barrier_solve if kind == "family2" else closest_separable_numeric
         rng = np.random.default_rng(sum(map(ord, kind)))
         if kind.startswith("family"):
             rho = family_state(int(kind[-1]), 0.05 + 0.9 * rng.random())
@@ -645,14 +675,18 @@ class TestFrameInvariance:
             rho = random_state(rng, int(kind[-1]))
             if kind == "rank4":
                 rho = DensityOperator(0.4 * rho.matrix + 0.6 * density_from_pure(BELL).matrix, d_a=2, d_b=2)
-        base = closest_separable_numeric(rho)
+        base = solve(rho)
         # a pure input takes the exact path, every other kind the barrier
         assert base.converged and (base.iterations > 0) == (kind != "rank1")
+        frames = [rho]
         for _ in range(3):
-            turned = closest_separable_numeric(rotated(rho, local_unitary(rng)))
+            frames.append(rotated(rho, local_unitary(rng)))
+            turned = solve(frames[-1])
             assert turned.converged
             assert abs(turned.relative_entropy - base.relative_entropy) <= 1e-10
             assert abs(turned.iterations - base.iterations) <= 2
+        if kind == "family2":
+            assert all(closest_separable_numeric(m).method == "exact-correlated" for m in frames)
 
 
 def pure_inputs(seed):
@@ -699,6 +733,89 @@ class TestPurePath:
         result = closest_separable_numeric(density_from_pure(BELL), base=2)
         assert result.method == "exact-pure"
         assert result.relative_entropy == pytest.approx(1.0, abs=1e-15)
+
+
+def correlated_inputs(seed):
+    """Maximally correlated rank-2 states in random local frames: c_jk |jj><kk| summed over j, k in {0, 1},
+    with c positive definite, c_00 at least 0.05 from 1/2 (so rho_A is not degenerate) and c_01 != 0 (entangled)."""
+    rng = np.random.default_rng(seed)
+    for _ in range(4):
+        p = rng.uniform(0.05, 0.45) if rng.random() < 0.5 else rng.uniform(0.55, 0.95)
+        z = math.sqrt(p * (1.0 - p)) * rng.uniform(0.05, 0.95) * np.exp(2j * np.pi * rng.random())
+        m = np.zeros((4, 4), dtype=complex)
+        m[0, 0], m[3, 3], m[0, 3], m[3, 0] = p, 1.0 - p, z, np.conj(z)
+        yield rotated(DensityOperator(m, d_a=2, d_b=2), local_unitary(rng))
+
+
+class TestCorrelatedPath:
+    # Rains: a maximally correlated state's closest separable state is its dephasing in the correlated
+    # basis, so E_R = S(rho_A) - S(rho).  The barrier landed about 4e-13 above it
+    @pytest.mark.parametrize("seed", range(8))
+    def test_exact_values(self, seed):
+        for rho in correlated_inputs(seed):
+            result = closest_separable_numeric(rho)
+            assert result.method == "exact-correlated" and result.converged
+            assert result.iterations == 0 and not np.any(result.work)
+            closed = von_neumann_entropy(partial_trace(rho, "A")) - von_neumann_entropy(rho)
+            assert abs(result.relative_entropy - closed) <= 1e-14
+            assert is_ppt(result.sigma_star)
+            # the barrier stopped above the minimum, within its duality gap 8 mu = 8e-13
+            assert 0.0 <= barrier_solve(rho).relative_entropy - result.relative_entropy <= 1e-12
+
+    def test_family2_matches_closed_form(self):
+        # sigma* to 1e-15 where rho holds the family's entries exactly (88 of these 99 lambda).  Where
+        # DensityOperator's clamp of round-off negatives moved rho's entries by eta (at most 6.7e-16),
+        # rho_A's eigenbasis turns by up to eta over its gap 1 - lam, and sigma* with it (1.7e-15 at 0.96)
+        for lam in np.linspace(0.01, 0.99, 99):
+            rho, analytic = family_state(2, lam), closest_separable_family(2, lam)
+            eta = np.abs(rho.matrix - mixed._family_matrices(2, lam)[0]).max()
+            result = closest_separable_numeric(rho)
+            assert result.method == "exact-correlated"
+            assert np.abs(result.sigma_star.matrix - analytic.sigma_star.matrix).max() <= 1e-15 + eta / (1.0 - lam)
+            assert abs(result.relative_entropy - family_relative_entropy(2, lam)) <= 1e-14
+
+    @pytest.mark.parametrize("kind", ["degenerate", "rank3", "tilted"])
+    def test_near_correlated_falls_back(self, kind):
+        # each runs the barrier, bit for bit as the barrier function alone
+        rng = np.random.default_rng(sum(map(ord, kind)))
+        if kind == "degenerate":
+            # 0.6|Phi+><Phi+| + 0.4|Phi-><Phi-| is maximally correlated, but its rho_A = I/2 pins no basis
+            rho = rotated(bell_diagonal(np.array([0.6, 0.4, 0.0, 0.0])), local_unitary(rng))
+        elif kind == "rank3":
+            # family 2 at 0.3 with 1e-9 of |01><01|: a third eigenvalue far above the support cutoff
+            m = (1.0 - 1e-9) * family_state(2, 0.3).matrix
+            m[1, 1] += 1e-9
+            rho = DensityOperator(m, d_a=2, d_b=2)
+        else:
+            # family 2 at 0.3 with |00> tilted towards |01> by 1e-9 in weight: rank 2, outside the span by 7e-10
+            tilt = np.array([math.sqrt(1.0 - 1e-9), math.sqrt(1e-9), 0.0, 0.0])
+            m = 0.3 * density_from_pure(BELL).matrix + 0.7 * np.outer(tilt, tilt)
+            rho = rotated(DensityOperator(m, d_a=2, d_b=2), local_unitary(rng))
+            assert np.linalg.eigvalsh(rho.matrix)[1] <= 1e-12 * np.linalg.eigvalsh(rho.matrix)[3]
+        result = closest_separable_numeric(rho)
+        assert result.method == "numeric-ppt" and result.converged
+        assert same_solve(result, barrier_solve(rho))
+
+    def test_only_rank_two_pays(self, monkeypatch):
+        # the test's one batched eigh of rho_A and rho_B runs on rank-2 inputs only
+        eigh, shapes = np.linalg.eigh, Counter()
+
+        def counted_eigh(m):
+            shapes[np.shape(m)] += 1
+            return eigh(m)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+        rng = np.random.default_rng(5)
+        bell = density_from_pure(BELL).matrix
+        # a rotated Bell state, a rank-2 state and Bell admixtures to ranks 3 and 4
+        inputs = [rotated(density_from_pure(BELL), local_unitary(rng)), random_state(rng, 2)]
+        inputs += [DensityOperator(0.4 * random_state(rng, rank).matrix + 0.6 * bell, d_a=2, d_b=2) for rank in (2, 3)]
+        for rank, rho in enumerate(inputs, start=1):
+            assert np.sum(np.linalg.eigvalsh(rho.matrix) > 1e-12) == rank
+            shapes.clear()
+            result = closest_separable_numeric(rho)
+            assert result.method == ("exact-pure" if rank == 1 else "numeric-ppt")
+            assert shapes[(2, 2, 2)] == (rank == 2)
 
 
 class TestCapacityMixed:

@@ -46,6 +46,10 @@ def test_closed_capacity_matches_spectrum(k, base):
 _REJECTED = {
     **{f"capacity_two_qubit_closed-{x}": (DomainError, lambda x=x: entcap.capacity_two_qubit_closed(x))
        for x in (math.nan, math.inf, -math.inf, -0.1, 1.1)},
+    # float() rejects both: the numpy code read None as NaN (DomainError) and failed on the list in its
+    # arithmetic (TypeError); both are now the DomainError of any p outside [0, 1]
+    "capacity_two_qubit_closed-None": (DomainError, lambda: entcap.capacity_two_qubit_closed(None)),
+    "capacity_two_qubit_closed-list": (DomainError, lambda: entcap.capacity_two_qubit_closed([0.3])),
     **{f"capacity_rate_factor-{x}": (DomainError, lambda x=x: entcap.capacity_rate_factor(x))
        for x in (math.nan, math.inf, -math.inf, -0.1, 1.1)},
     "capacity_rate_factor-array": (DomainError, lambda: entcap.capacity_rate_factor([0.3, 1.1])),
